@@ -72,7 +72,6 @@ from .planar import (
     genus_lower_bound,
     is_planar,
     nonplanar_profile,
-    planar_by_kuratowski,
     search_planar_representation,
 )
 from .robustness import (

@@ -11,7 +11,9 @@ finite-range trend reports, labeled as such.
 
 from __future__ import annotations
 
+import configparser
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,21 +98,22 @@ def decay_inverse(d: DecayFunction, y: float, method: str = "closed") -> Inverse
 
 
 def _invert_by_bisection(d: DecayFunction, y: float) -> float:
+    # Halving each end before adding keeps midpoints finite near the float
+    # maximum and is bitwise equal to 0.5 * (lo + hi) everywhere else.
     lo, hi = 0.0, 1.0
     while d.value(hi) < y:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:
+        if hi == sys.float_info.max:
             return math.inf
+        lo, hi = hi, min(2.0 * hi, sys.float_info.max)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if d.value(mid) < y:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-10 * max(1.0, hi):
             break
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 @dataclass(frozen=True)
@@ -323,34 +326,27 @@ def bound_table(
 
 
 def parse_config(text: str) -> dict[str, dict[str, float | str]]:
-    """Minimal key-value config parser with [section] headers.
-
-    Values are parsed as int, then float, then bare/quoted string. Lines
-    starting with # are comments.
+    """INI config: every key sits under a [section] header, # starts a
+    comment (also inline) and key case is kept. Values are parsed as int,
+    then float, then bare/quoted string. Malformed text raises ValueError.
     """
-    sections: dict[str, dict] = {}
-    current = sections.setdefault("", {})
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = sections.setdefault(line[1:-1].strip(), {})
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        value = value.strip().strip('"').strip("'")
-        parsed: float | str
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    parser.optionxform = str
+    try:
+        parser.read_string(text, source="config")
+    except configparser.Error as exc:
+        raise ValueError(" ".join(str(exc).split())) from exc  # one line for the CLI
+    return {name: {k: _parse_value(v) for k, v in parser.items(name)} for name in parser.sections()}
+
+
+def _parse_value(value: str) -> float | str:
+    value = value.strip('"').strip("'")
+    for convert in (int, float):
         try:
-            parsed = int(value)
+            return convert(value)
         except ValueError:
-            try:
-                parsed = float(value)
-            except ValueError:
-                parsed = value
-        current[key.strip()] = parsed
-    return sections
+            pass
+    return value
 
 
 def functions_from_config(

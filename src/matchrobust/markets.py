@@ -201,6 +201,8 @@ class MatchingMarket:
         return self.men.n
 
     def side(self, name: str) -> MarketProfile:
+        if name not in ("men", "women"):
+            raise ValueError(f"unknown side {name!r}; expected 'men' or 'women'")
         return self.men if name == "men" else self.women
 
 

@@ -67,20 +67,35 @@ def is_polarized(u: UtilityProfile, tol: float = 1e-12) -> PolarityCheck:
     return PolarityCheck(True)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def component_labels(
+    vertex_count: int, edges: Iterable[tuple[int, int]]
+) -> tuple[list[int], list[int]]:
+    """Connected components and a 2-colouring of an undirected graph.
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    ``label[v]`` is the smallest vertex of v's component. ``parity[v]`` is
+    the parity of v's depth in the search tree of that component, so a
+    component is bipartite iff every one of its edges joins opposite
+    parities.
+    """
+    adj: list[list[int]] = [[] for _ in range(vertex_count)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    label = [-1] * vertex_count
+    parity = [0] * vertex_count
+    for start in range(vertex_count):
+        if label[start] >= 0:
+            continue
+        label[start] = start
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if label[v] < 0:
+                    label[v] = start
+                    parity[v] = parity[u] ^ 1
+                    stack.append(v)
+    return label, parity
 
 
 class MetricSpace:
@@ -107,17 +122,9 @@ class MetricSpace:
             if a == b and w > 0:
                 raise ValueError(f"positive self-loop on vertex {a}")
 
-        uf = _UnionFind(vertex_count)
-        for a, b, w in edges:
-            if w == 0.0:
-                uf.union(a, b)
+        label, _ = component_labels(vertex_count, ((a, b) for a, b, w in edges if w == 0.0))
         new_id: dict[int, int] = {}
-        qmap = []
-        for v in range(vertex_count):
-            root = uf.find(v)
-            if root not in new_id:
-                new_id[root] = len(new_id)
-            qmap.append(new_id[root])
+        qmap = [new_id.setdefault(root, len(new_id)) for root in label]
         self.quotient_map: tuple[int, ...] = tuple(qmap)
         self.n_vertices: int = len(new_id)
 
@@ -179,23 +186,11 @@ class MetricSpace:
         return tuple(reversed(path))
 
     def components(self) -> list[list[int]]:
-        seen = [False] * self.n_vertices
-        comps = []
-        for start in range(self.n_vertices):
-            if seen[start]:
-                continue
-            comp = []
-            stack = [start]
-            seen[start] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v, _w in self._adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            comps.append(sorted(comp))
-        return comps
+        label, _ = component_labels(self.n_vertices, self.support_edges())
+        comps: dict[int, list[int]] = {}
+        for v, root in enumerate(label):
+            comps.setdefault(root, []).append(v)
+        return list(comps.values())
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1

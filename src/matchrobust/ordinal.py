@@ -259,7 +259,8 @@ def distinguishing_profile(r: OrdinalProfile, r_prime: OrdinalProfile) -> Ordina
                 break
         if found:
             break
-    assert a1 >= 0, "distinct profiles must disagree on some pair"
+    if a1 < 0:
+        raise RuntimeError("distinct profiles must disagree on some pair; this is a bug")
 
     a2 = 0 if a1 != 0 else 1
     spare_agents = [a for a in range(n) if a not in (a1, a2)]

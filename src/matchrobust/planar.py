@@ -1,26 +1,29 @@
 """Planarity, genus lower bounds, and the nine-agent nonplanar profile.
 
-Planarity is decided on the unweighted support graph (weights do not affect
-genus). The production test delegates to networkx's left-right planarity
-algorithm behind a fast edge-count rejection; an independent brute-force
-subdivision search is provided as a slow reference for cross-validation on
-small graphs.
+Planarity is decided on the unweighted simple support graph (weights,
+self-loops and repeated edges do not affect genus). The test delegates to
+networkx's left-right planarity algorithm behind a fast edge-count
+rejection.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import networkx as nx
 
 from .markets import UtilityProfile
-from .metric import MetricSpace, Placement, random_connected_space, utilities_from_space
+from .metric import (
+    MetricSpace,
+    Placement,
+    component_labels,
+    random_connected_space,
+    utilities_from_space,
+)
 from .ordinal import OrdinalProfile, TieError, TiePolicy, ordinal_from_utility
 from .seeding import rng_for
-
-_KURATOWSKI_VERTEX_CAP = 8
 
 # Constrained cells of the nine-agent profile whose every geometric
 # realization contains a K_{3,3} minor: tops, second choices, and the third
@@ -31,10 +34,12 @@ _NINE_THIRDS = {6: 2, 7: 0, 8: 1}
 
 
 def _support(space_or_edges) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and edges of the simple support graph: self-loops and
+    repeated edges are dropped, so E counts as it does in a MetricSpace."""
     if isinstance(space_or_edges, MetricSpace):
         return space_or_edges.n_vertices, space_or_edges.support_edges()
     vertex_count, edges = space_or_edges
-    return vertex_count, [(min(a, b), max(a, b)) for a, b in edges]
+    return vertex_count, list(dict.fromkeys((min(a, b), max(a, b)) for a, b in edges if a != b))
 
 
 def is_planar(space_or_edges) -> bool:
@@ -47,95 +52,8 @@ def is_planar(space_or_edges) -> bool:
     vertex_count, edges = _support(space_or_edges)
     if vertex_count >= 3 and len(edges) > 3 * vertex_count - 6:
         return False
-    g = nx.Graph()
-    g.add_nodes_from(range(vertex_count))
-    g.add_edges_from(edges)
-    return nx.check_planarity(g, counterexample=False)[0]
-
-
-def _has_subdivision(
-    adj: dict[int, set[int]],
-    vertices: list[int],
-    branch_sets: list[tuple[tuple[int, ...], tuple[int, ...]]],
-) -> bool:
-    """Backtracking search for a subdivision with the given branch structure.
-
-    ``branch_sets`` lists (part_a, part_b) choices of branch vertices; the
-    required pairs either share an edge or are joined through spare
-    vertices, each spare serving at most one pair.
-    """
-    vertex_set = set(vertices)
-    for part_a, part_b in branch_sets:
-        branches = set(part_a) | set(part_b)
-        spares = sorted(vertex_set - branches)
-        if part_a == part_b:  # clique pairs
-            pairs = list(itertools.combinations(part_a, 2))
-        else:
-            pairs = [(u, v) for u in part_a for v in part_b]
-        missing = [(u, v) for u, v in pairs if v not in adj[u]]
-        if _route_pairs(adj, missing, frozenset(spares)):
-            return True
-    return False
-
-
-def _route_pairs(adj, pairs, free_spares) -> bool:
-    if not pairs:
-        return True
-    (u, v), rest = pairs[0], pairs[1:]
-    for k in range(1, len(free_spares) + 1):
-        for interior in itertools.permutations(sorted(free_spares), k):
-            chain = (u, *interior, v)
-            if all(chain[i + 1] in adj[chain[i]] for i in range(len(chain) - 1)):
-                if _route_pairs(adj, rest, free_spares - set(interior)):
-                    return True
-    return False
-
-
-def planar_by_kuratowski(vertex_count: int, edges) -> bool:
-    """Slow reference planarity test: no subdivision of K_5 or K_{3,3}.
-
-    Exhaustive over branch-vertex choices with spare vertices as
-    subdivision points; only meant for cross-validation, capped at
-    8 vertices.
-    """
-    if vertex_count > _KURATOWSKI_VERTEX_CAP:
-        raise ValueError(f"reference search capped at {_KURATOWSKI_VERTEX_CAP} vertices")
-    vertices = list(range(vertex_count))
-    adj: dict[int, set[int]] = {v: set() for v in vertices}
-    for a, b in edges:
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-
-    if vertex_count >= 5:
-        k5 = [(combo, combo) for combo in itertools.combinations(vertices, 5)]
-        if _has_subdivision(adj, vertices, k5):
-            return False
-    if vertex_count >= 6:
-        k33 = []
-        for six in itertools.combinations(vertices, 6):
-            rest = set(six)
-            for part_a in itertools.combinations(six, 3):
-                if six[0] in part_a:  # fix one side to avoid mirrored splits
-                    part_b = tuple(sorted(rest - set(part_a)))
-                    k33.append((part_a, part_b))
-        if _has_subdivision(adj, vertices, k33):
-            return False
-    return True
-
-
-def _is_bipartite(adj: list[list[int]], comp: list[int]) -> bool:
-    color = {comp[0]: 0}
-    stack = [comp[0]]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in color:
-                color[v] = 1 - color[u]
-                stack.append(v)
-            elif color[v] == color[u]:
-                return False
-    return True
+    # Isolated vertices do not affect planarity.
+    return nx.check_planarity(nx.Graph(edges), counterexample=False)[0]
 
 
 def genus_lower_bound(space_or_edges) -> int:
@@ -147,33 +65,21 @@ def genus_lower_bound(space_or_edges) -> int:
     absence of triangles.
     """
     vertex_count, edges = _support(space_or_edges)
-    adj: list[list[int]] = [[] for _ in range(vertex_count)]
+    label, parity = component_labels(vertex_count, edges)
+    sizes = Counter(label)
+    comp_edges: dict[int, list[tuple[int, int]]] = {}
     for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * vertex_count
+        comp_edges.setdefault(label[a], []).append((a, b))
     total = 0
-    for start in range(vertex_count):
-        if seen[start]:
+    for root, es in comp_edges.items():
+        v_count = sizes[root]
+        # es keeps global vertex ids; is_planar uses the count only for its
+        # Euler edge bound.
+        if is_planar((v_count, es)):
             continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        comp_vertices = set(comp)
-        comp_edges = [(a, b) for a, b in edges if a in comp_vertices]
-        if not comp_edges or is_planar((vertex_count, comp_edges)):
-            continue
-        v_count = len(comp)
-        e_count = len(comp_edges)
+        e_count = len(es)
         bound = max(1, math.ceil((e_count - 3 * v_count + 6) / 6))
-        if _is_bipartite(adj, comp):
+        if all(parity[a] != parity[b] for a, b in es):
             bound = max(bound, math.ceil((e_count - 2 * v_count + 4) / 4))
         total += bound
     return total

@@ -440,7 +440,8 @@ class CriticalSpikeSampler:
         # The spike lies strictly between the consecutive ratio and its
         # square, so the extraction is tie-free and moves the spiked
         # alternative down exactly one position.
-        assert not had_ties and r_tilde != r
+        if had_ties or r_tilde == r:
+            raise RuntimeError("spike did not move exactly one alternative; this is a bug")
         other = distinguishing_profile(r, r_tilde)
 
         ones = Perturbation.ones(n)

@@ -106,6 +106,97 @@ def random_nonpolarized(n: int, rng: np.random.Generator) -> UtilityProfile:
             return u
 
 
+# Slow reference planarity test, an independent route to cross-check
+# ``is_planar`` on small graphs.
+
+_KURATOWSKI_VERTEX_CAP = 8
+
+
+def _has_subdivision(
+    adj: dict[int, set[int]],
+    vertices: list[int],
+    branch_sets: list[tuple[tuple[int, ...], tuple[int, ...]]],
+) -> bool:
+    """Backtracking search for a subdivision with the given branch structure.
+
+    ``branch_sets`` lists (part_a, part_b) choices of branch vertices; the
+    required pairs either share an edge or are joined through spare
+    vertices, each spare serving at most one pair.
+    """
+    vertex_set = set(vertices)
+    for part_a, part_b in branch_sets:
+        branches = set(part_a) | set(part_b)
+        spares = sorted(vertex_set - branches)
+        if part_a == part_b:  # clique pairs
+            pairs = list(itertools.combinations(part_a, 2))
+        else:
+            pairs = [(u, v) for u in part_a for v in part_b]
+        missing = [(u, v) for u, v in pairs if v not in adj[u]]
+        if _route_pairs(adj, missing, frozenset(spares)):
+            return True
+    return False
+
+
+def _route_pairs(adj, pairs, free_spares) -> bool:
+    if not pairs:
+        return True
+    (u, v), rest = pairs[0], pairs[1:]
+    for k in range(1, len(free_spares) + 1):
+        for interior in itertools.permutations(sorted(free_spares), k):
+            chain = (u, *interior, v)
+            if all(chain[i + 1] in adj[chain[i]] for i in range(len(chain) - 1)):
+                if _route_pairs(adj, rest, free_spares - set(interior)):
+                    return True
+    return False
+
+
+def planar_by_kuratowski(vertex_count: int, edges) -> bool:
+    """Slow reference planarity test: no subdivision of K_5 or K_{3,3}.
+
+    Exhaustive over branch-vertex choices with spare vertices as
+    subdivision points; only meant for cross-validation, capped at
+    8 vertices.
+    """
+    if vertex_count > _KURATOWSKI_VERTEX_CAP:
+        raise ValueError(f"reference search capped at {_KURATOWSKI_VERTEX_CAP} vertices")
+    vertices = list(range(vertex_count))
+    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    for a, b in edges:
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+
+    if vertex_count >= 5:
+        k5 = [(combo, combo) for combo in itertools.combinations(vertices, 5)]
+        if _has_subdivision(adj, vertices, k5):
+            return False
+    if vertex_count >= 6:
+        k33 = []
+        for six in itertools.combinations(vertices, 6):
+            rest = set(six)
+            for part_a in itertools.combinations(six, 3):
+                if six[0] in part_a:  # fix one side to avoid mirrored splits
+                    part_b = tuple(sorted(rest - set(part_a)))
+                    k33.append((part_a, part_b))
+        if _has_subdivision(adj, vertices, k33):
+            return False
+    return True
+
+
+def _is_bipartite(adj: list[list[int]], comp: list[int]) -> bool:
+    color = {comp[0]: 0}
+    stack = [comp[0]]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in color:
+                color[v] = 1 - color[u]
+                stack.append(v)
+            elif color[v] == color[u]:
+                return False
+    return True
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

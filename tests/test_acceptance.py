@@ -38,7 +38,6 @@ from matchrobust import (
     measure_distortion,
     ordinal_from_utility,
     phi,
-    planar_by_kuratowski,
     preservation_probability,
     random_connected_space,
     random_extensional_market,
@@ -54,7 +53,7 @@ from matchrobust import (
 from matchrobust.cli import main as cli_main
 from matchrobust.seeding import rng_for
 
-from conftest import band_utup, random_nonpolarized, random_profile
+from conftest import band_utup, planar_by_kuratowski, random_nonpolarized, random_profile
 
 # Frozen by scripts/calibrate_distortion.py on a held-out set of graphs and
 # seeds (worst observed max_expansion / ln|X| was 1.37; p95 was 1.24).

@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +187,18 @@ class TestSubcommands:
         cfg.write_text("[hardness]\nfamily = polynomial\nexponent = 1.0\n[decay]\nfamily = linear\n")
         code, out, _err = run(capsys, "commreq", "--xi", "2.0", "--n", "10", "--config", str(cfg))
         assert code == 0 and json.loads(out)["requirement"] == 5.0
+
+    def test_commreq_documented_config_example(self, capsys, tmp_path):
+        # The example in docs/formats.md, inline comments included.
+        doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        section = doc.split("## Communication config", 1)[1]
+        example = section.split("```", 2)[1]
+        cfg = tmp_path / "comm.cfg"
+        cfg.write_text(example)
+        code, out, _err = run(capsys, "commreq", "--xi", "2.0", "--n", "10", "--config", str(cfg))
+        # H(10) / xi = 2 ln(11) / 2 under D(t) = t^2.
+        assert code == 0
+        assert math.isclose(json.loads(out)["requirement"], math.sqrt(math.log(11)))
 
     def test_bound_table_csv_structure(self, capsys):
         code, out, _err = run(

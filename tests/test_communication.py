@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from matchrobust import (
@@ -47,6 +47,8 @@ class TestDecayInverse:
             assert math.isclose(d.value(res.value), y, rel_tol=1e-9)
 
     @given(decay_strategy(), st.floats(0.5, 1e4))
+    @example(DecayFunction("logarithmic", 9.5), 6559.0)  # root 7.0e299
+    @example(DecayFunction("logarithmic", 10.0), 7095.0)  # root 1.4e308
     def test_bisection_matches_closed_form(self, d, y):
         closed = decay_inverse(d, y)
         numeric = decay_inverse(d, y, method="bisect")
@@ -199,3 +201,11 @@ size_constant = 1.5
     def test_parse_rejects_bad_line(self):
         with pytest.raises(ValueError):
             parse_config("[decay]\nfamily power\n")
+
+    def test_parse_inline_comments_and_key_case(self):
+        sections = parse_config("[decay]\nfamily = power  # p\nScale = 2.5 # s\n")
+        assert sections == {"decay": {"family": "power", "Scale": 2.5}}
+
+    def test_parse_rejects_key_outside_section(self):
+        with pytest.raises(ValueError):
+            parse_config("family = power\n")

@@ -105,6 +105,13 @@ class TestMarketProfiles:
         with pytest.raises(ValueError):
             MatchingMarket(RankBasedProfile(2, (-1.0, -2.0)), RankBasedProfile(3, (-1.0, -2.0, -4.0)))
 
+    def test_side_by_name(self):
+        m = MatchingMarket(RankBasedProfile(2, (-1.0, -2.0)), RankBasedProfile(2, (-1.0, -3.0)))
+        assert m.side("men") is m.men and m.side("women") is m.women
+        for bad in ("menn", "Women", ""):
+            with pytest.raises(ValueError):
+                m.side(bad)
+
     def test_geometric_market_utilities(self):
         m = geometric_market(3, 2.0)
         r = OrdinalProfile(3, ((0, 1, 2),) * 3)

@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import pytest
 
 from matchrobust import (
@@ -19,7 +20,7 @@ from matchrobust import (
     utilities_from_space,
     verify_generating,
 )
-from matchrobust.metric import space_from_json_dict, space_to_json_dict
+from matchrobust.metric import component_labels, space_from_json_dict, space_to_json_dict
 
 from conftest import band_utup
 
@@ -64,6 +65,40 @@ class TestMetricSpace:
         assert math.isinf(space.dist(0, 2))
         assert len(space.components()) == 2
 
+    def test_quotient_and_components_match_reference(self, rng):
+        # networkx is the independent route: zero-weight classes numbered by
+        # their smallest vertex, and components of the full support graph
+        # seen through the quotient.
+        for _ in range(200):
+            v = int(rng.integers(1, 12))
+            edges = []
+            for _ in range(int(rng.integers(0, 2 * v))):
+                a, b = int(rng.integers(0, v)), int(rng.integers(0, v))
+                w = 0.0 if rng.random() < 0.4 else float(rng.uniform(0.5, 2.0))
+                if a != b or w == 0.0:
+                    edges.append((a, b, w))
+            space = MetricSpace(v, edges)
+
+            zero = nx.Graph()
+            zero.add_nodes_from(range(v))
+            zero.add_edges_from((a, b) for a, b, w in edges if w == 0.0)
+            expected_qmap = [0] * v
+            for i, cls in enumerate(sorted(nx.connected_components(zero), key=min)):
+                for x in cls:
+                    expected_qmap[x] = i
+            assert space.quotient_map == tuple(expected_qmap)
+
+            full = nx.Graph()
+            full.add_nodes_from(range(v))
+            full.add_edges_from((a, b) for a, b, _w in edges)
+            expected = sorted(
+                sorted({space.quotient_map[x] for x in comp})
+                for comp in nx.connected_components(full)
+            )
+            assert space.components() == expected
+            assert space.is_connected() == (len(expected) == 1)
+
+
     def test_triangle_inequality_random(self, rng):
         for _ in range(20):
             space = random_connected_space(8, 6, rng)
@@ -94,6 +129,29 @@ class TestMetricSpace:
         space = MetricSpace(2, [(0, 1, 1.0)])
         dot = space.to_dot()
         assert dot.startswith("graph") and "v0 -- v1" in dot
+
+
+class TestComponentLabels:
+    def test_labels_are_smallest_vertex(self):
+        label, parity = component_labels(6, [(3, 1), (1, 4), (5, 5)])
+        assert label == [0, 1, 2, 1, 1, 5]
+        assert parity[3] != parity[1] and parity[4] != parity[1]
+
+    def test_parity_detects_bipartite_components(self, rng):
+        for _ in range(200):
+            v = int(rng.integers(1, 10))
+            edges = [
+                (int(rng.integers(0, v)), int(rng.integers(0, v)))
+                for _ in range(int(rng.integers(0, 2 * v)))
+            ]
+            label, parity = component_labels(v, edges)
+            g = nx.Graph()
+            g.add_nodes_from(range(v))
+            g.add_edges_from(edges)
+            for comp in nx.connected_components(g):
+                assert {label[x] for x in comp} == {min(comp)}
+                proper = all(parity[a] != parity[b] for a, b in edges if a in comp)
+                assert proper == nx.is_bipartite(g.subgraph(comp))
 
 
 class TestBuildGeneratingSpace:

@@ -8,10 +8,11 @@ from matchrobust import (
     genus_lower_bound,
     is_planar,
     nonplanar_profile,
-    planar_by_kuratowski,
     search_planar_representation,
 )
 from matchrobust.planar import matches_nine_agent_cells
+
+from conftest import planar_by_kuratowski
 
 
 def complete_graph(v):
@@ -38,6 +39,11 @@ class TestIsPlanar:
 
     def test_k22_planar(self):
         assert is_planar(complete_bipartite(2, 2)) is True
+
+    def test_repeated_edges_and_self_loops_ignored(self):
+        triangle = [(0, 1), (1, 2), (0, 2)]
+        assert is_planar((3, triangle * 3)) is True
+        assert is_planar((3, triangle + [(1, 0), (2, 2)])) is True
 
     def test_matches_reference_on_random_graphs(self, rng):
         for _ in range(300):
@@ -74,11 +80,36 @@ class TestGenusLowerBound:
             if is_planar((v, edges)):
                 assert genus_lower_bound((v, edges)) == 0
 
-    def test_sums_over_components(self):
+    def test_sums_over_components(self, rng):
         # Two disjoint 3,3-bicliques.
         v1, e1 = complete_bipartite(3, 3)
         edges = e1 + [(a + 6, b + 6) for a, b in e1]
         assert genus_lower_bound((12, edges)) == 2
+
+        # Bipartite and non-bipartite nonplanar blocks, a planar block and an
+        # isolated vertex, under a shuffled vertex numbering. Per block:
+        # K_{3,3} 1, K_8 2, K_{5,5} 3 (bipartite bound), K_5 1, K_4 0.
+        blocks = [
+            complete_bipartite(3, 3),
+            complete_graph(8),
+            complete_bipartite(5, 5),
+            complete_graph(5),
+            complete_graph(4),
+            (1, []),
+        ]
+        assert [genus_lower_bound(b) for b in blocks] == [1, 2, 3, 1, 0, 0]
+        offset, edges = 0, []
+        for v, block_edges in blocks:
+            edges += [(a + offset, b + offset) for a, b in block_edges]
+            offset += v
+        perm = [int(x) for x in rng.permutation(offset)]
+        shuffled = [(perm[a], perm[b]) for a, b in edges]
+        assert genus_lower_bound((offset, shuffled)) == 7
+
+    def test_repeated_edges_and_self_loops_ignored(self):
+        v, k33 = complete_bipartite(3, 3)
+        assert genus_lower_bound((v, k33 * 2)) == 1
+        assert genus_lower_bound((v, k33 + [(0, 0), (4, 4)])) == 1
 
     def test_large_bipartite_bound(self):
         # 9,9-biclique: bipartite Euler bound gives ceil((81 - 36 + 4)/4).
