@@ -231,7 +231,7 @@ def _cmd_robustness(args) -> int:
 
 def _cmd_witness(args) -> int:
     market = _load_market(args)
-    if args.c < 1.0:
+    if not args.c >= 1.0:
         _fail_validation("--c must be >= 1")
     witness = adversarial_witness(market, args.c)
     if witness is None:

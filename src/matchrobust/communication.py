@@ -97,17 +97,29 @@ def decay_inverse(d: DecayFunction, y: float, method: str = "closed") -> Inverse
         return InverseResult(math.inf, False)
 
 
+def _value_or_inf(d: DecayFunction, t: float) -> float:
+    """D(t), with an overflow read as +inf, which lies above any target.
+
+    The overflow happens before ``scale`` is applied, so the reading is
+    exact for ``scale >= 1`` only.
+    """
+    try:
+        return d.value(t)
+    except OverflowError:
+        return math.inf
+
+
 def _invert_by_bisection(d: DecayFunction, y: float) -> float:
     # Halving each end before adding keeps midpoints finite near the float
     # maximum and is bitwise equal to 0.5 * (lo + hi) everywhere else.
     lo, hi = 0.0, 1.0
-    while d.value(hi) < y:
+    while _value_or_inf(d, hi) < y:
         if hi == sys.float_info.max:
             return math.inf
         lo, hi = hi, min(2.0 * hi, sys.float_info.max)
     for _ in range(200):
         mid = 0.5 * lo + 0.5 * hi
-        if d.value(mid) < y:
+        if _value_or_inf(d, mid) < y:
             lo = mid
         else:
             hi = mid

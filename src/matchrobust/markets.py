@@ -39,8 +39,8 @@ class UtilityProfile:
             raise ValueError("values must be an n x n matrix")
         for a, row in enumerate(self.values):
             for x, v in enumerate(row):
-                if v > 0:
-                    raise ValueError(f"utility ({a},{x}) = {v} is positive")
+                if not v <= 0.0:
+                    raise ValueError(f"utility ({a},{x}) = {v} is positive or NaN")
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "values": [list(row) for row in self.values]}
@@ -66,8 +66,8 @@ class Perturbation:
             raise ValueError("factors must be an n x n matrix")
         for a, row in enumerate(self.factors):
             for x, v in enumerate(row):
-                if v < 1.0:
-                    raise ValueError(f"factor ({a},{x}) = {v} is below 1")
+                if not v >= 1.0:
+                    raise ValueError(f"factor ({a},{x}) = {v} is below 1 or NaN")
 
     @classmethod
     def ones(cls, n: int) -> "Perturbation":
@@ -128,9 +128,9 @@ class RankBasedProfile(MarketProfile):
         ru = tuple(float(v) for v in rank_utilities)
         if len(ru) != n:
             raise ValueError("need one utility per rank")
-        if any(v > 0 for v in ru):
-            raise ValueError("rank utilities must be nonpositive")
-        if any(ru[i] <= ru[i + 1] for i in range(n - 1)):
+        if any(not v <= 0.0 for v in ru):
+            raise ValueError("rank utilities must be nonpositive, not NaN")
+        if any(not ru[i] > ru[i + 1] for i in range(n - 1)):
             raise ValueError("rank utilities must be strictly decreasing")
         self.n = n
         self.rank_utilities = ru
@@ -208,7 +208,7 @@ class MatchingMarket:
 
 def geometric_market(n: int, base: float) -> MatchingMarket:
     """Rank-based market with consecutive utility ratio ``base`` on both sides."""
-    if base <= 1:
+    if not base > 1:
         raise ValueError("base must exceed 1")
     ru = tuple(-(base**i) for i in range(n))
     return MatchingMarket(RankBasedProfile(n, ru), RankBasedProfile(n, ru))

@@ -9,6 +9,13 @@ both sides. This module computes that minimum directly, cross-checks it
 with an independent bisection search that perturbs, re-extracts ordinals
 and reruns deferred acceptance, and provides the probabilistic spike
 construction that separates deterministic from probabilistic robustness.
+
+The bisection search never forms a utility ratio. At each level it
+re-extracts every single-entry perturbation of a side at once: the
+side's agent rows are stacked into arrays a single time, and one stable
+``argsort`` per block of perturbed rows stands in for sorting each row
+by (-utility, index). A changed order or an exact tie breaks the level,
+and the first break is confirmed through deferred acceptance.
 """
 
 from __future__ import annotations
@@ -89,7 +96,7 @@ def is_c_robust(market: MatchingMarket, c: float, profile_set="auto") -> bool:
     """Strict ratio condition: for every profile and every agent, scaling the
     utility of a preferred alternative by ``c`` keeps it strictly above the
     utility of everything ranked below it."""
-    if c < 1.0:
+    if not c >= 1.0:
         raise ValueError("c must be >= 1")
     n = market.n
     for _name, side, profiles in _sides(market, profile_set):
@@ -213,7 +220,7 @@ def adversarial_witness(
     searched profile set breaks, which for an exhaustive set means the
     market is c-robust.
     """
-    if c < 1.0:
+    if not c >= 1.0:
         raise ValueError("c must be >= 1")
     n = market.n
     for name, side, profiles in _sides(market, profile_set):
@@ -228,36 +235,78 @@ def adversarial_witness(
     return None
 
 
-def _ordinal_breaks(u: UtilityProfile, r: OrdinalProfile, agent: int, alt: int, c: float) -> bool:
-    """Apply a single-entry perturbation and re-extract the agent's ranking.
+@dataclass(frozen=True)
+class _ScanSide:
+    """One market side's scanned profiles, stacked once as agent rows.
 
-    Deliberately avoids ratio arithmetic: the perturbed row is sorted and
-    compared against the original ranking, with exact ties counting as a
-    change. This keeps the bisection search independent of the closed-form
-    ratio minimum it is used to cross-check.
+    Row ``k * n + a`` holds agent ``a`` at ``profiles[k]``: ``ranks`` its
+    ordinal ranking and ``values`` its utilities, both of shape
+    ``(len(profiles) * n, n)``.
     """
-    n = u.n
-    row = list(u.values[agent])
-    row[alt] *= c
-    order = sorted(range(n), key=lambda x: (-row[x], x))
-    if tuple(order) != r.ranks[agent]:
-        return True
-    return any(row[order[i]] == row[order[i + 1]] for i in range(n - 1))
+
+    name: str
+    profiles: list[OrdinalProfile]
+    utilities: list[UtilityProfile]
+    ranks: np.ndarray
+    values: np.ndarray
 
 
-def _breakable(market: MatchingMarket, c: float, sides) -> bool:
-    n = market.n
-    for name, side, profiles in sides:
-        for r in profiles:
-            u = side.utilities(r)
-            for a in range(n):
-                for i in range(n):
-                    alt = r.ranks[a][i]
-                    if _ordinal_breaks(u, r, a, alt, c):
-                        # Confirm through deferred acceptance that the ordinal
-                        # change really moves a stable pair.
-                        _build_witness(name, r, u, a, min(i, n - 2), c)
-                        return True
+def _scan_side(name: str, side: MarketProfile, profiles) -> _ScanSide:
+    n = side.n
+    profiles = list(profiles)
+    utilities = [side.utilities(r) for r in profiles]
+    ranks = np.array([r.ranks for r in profiles], dtype=np.intp).reshape(-1, n)
+    values = np.array([u.values for u in utilities], dtype=float).reshape(-1, n)
+    return _ScanSide(name, profiles, utilities, ranks, values)
+
+
+#: Elements per temporary array in one level-scan block (2 MiB of float64).
+_SCAN_BLOCK_ELEMENTS = 1 << 18
+
+
+def _first_break(ranks: np.ndarray, values: np.ndarray, c: float) -> tuple[int, int] | None:
+    """First (row, position) whose single-entry perturbation changes the row's
+    re-extracted ranking or creates an exact tie, or None.
+
+    Entry ``[row, i]`` multiplies the utility of alternative ``ranks[row, i]``
+    by ``c`` and re-extracts the row with a stable sort on negated utilities,
+    which orders by (-value, index) exactly as index tie-breaking does. Rows
+    are walked in blocks so temporaries stay bounded at any n.
+    """
+    rows, n = ranks.shape
+    block = max(1, _SCAN_BLOCK_ELEMENTS // (n * n))
+    positions = np.arange(n)
+    for start in range(0, rows, block):
+        r = ranks[start : start + block]
+        v = values[start : start + block]
+        local = np.arange(len(r))[:, None]
+        perturbed = np.repeat(v[:, None, :], n, axis=1)
+        with np.errstate(over="ignore"):
+            perturbed[local, positions, r] = v[local, r] * c
+        order = np.argsort(-perturbed, axis=2, kind="stable")
+        ranked = np.take_along_axis(perturbed, order, axis=2)
+        breaks = (order != r[:, None, :]).any(axis=2)
+        breaks |= (ranked[:, :, 1:] == ranked[:, :, :-1]).any(axis=2)
+        hits = np.flatnonzero(breaks)
+        if hits.size:
+            row, position = divmod(int(hits[0]), n)
+            return start + row, position
+    return None
+
+
+def _breakable(c: float, sides: tuple[_ScanSide, ...]) -> bool:
+    for side in sides:
+        hit = _first_break(side.ranks, side.values, c)
+        if hit is not None:
+            row, position = hit
+            n = side.ranks.shape[1]
+            k, agent = divmod(row, n)
+            # Confirm through deferred acceptance that the ordinal change
+            # really moves a stable pair.
+            _build_witness(
+                side.name, side.profiles[k], side.utilities[k], agent, min(position, n - 2), c
+            )
+            return True
     return False
 
 
@@ -271,30 +320,33 @@ def robustness_by_search(
     """Bisection oracle for :func:`robustness`.
 
     At each candidate level the search applies every single-entry extremal
-    perturbation on both sides and every scanned profile, re-extracts the
-    ordinal profile and, on any change, verifies through a distinguishing
-    opposite-side profile that the deferred-acceptance pair moves. The
-    bracket is expanded upward automatically if ``hi`` is not supplied or
-    does not break.
+    perturbation on both sides and every scanned profile and re-extracts the
+    perturbed agent's ranking. The scanned profiles are stacked once per
+    side as agent rows, and each level re-extracts all perturbed rows of a
+    block with one stable ``argsort``; a changed ranking or an exact tie
+    breaks the level. No utility ratio is formed, so this route stays
+    independent of the formula it cross-checks. The first break in scan
+    order (side, profile, agent, position) is verified through a
+    distinguishing opposite-side profile: the deferred-acceptance pair must
+    move. The bracket is expanded upward automatically if ``hi`` is not
+    supplied or does not break.
     """
     n = market.n
     if n == 1:
         return math.inf
-    sides = _sides(market, profile_set)
-    # Materialize so the candidate lists survive repeated scans.
-    sides = tuple((name, side, list(profiles)) for name, side, profiles in sides)
+    sides = tuple(_scan_side(*entry) for entry in _sides(market, profile_set))
     lo = max(1.0, lo)
-    if _breakable(market, lo, sides):
+    if _breakable(lo, sides):
         return lo
     if hi is None:
         hi = max(2.0, 2.0 * lo)
-    while not _breakable(market, hi, sides):
+    while not _breakable(hi, sides):
         hi *= 2.0
         if hi > 2.0**80:
             return math.inf
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _breakable(market, mid, sides):
+        if _breakable(mid, sides):
             hi = mid
         else:
             lo = mid
@@ -306,7 +358,7 @@ def sufficient_robustness_level(n: int, c: float) -> float:
     2n(n-1)(c-1) + 1."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    if c < 1.0:
+    if not c >= 1.0:
         raise ValueError("c must be >= 1")
     return 2.0 * n * (n - 1) * (c - 1.0) + 1.0
 
@@ -332,7 +384,7 @@ def critical_market(n: int, c: float, eps: float) -> MatchingMarket:
     """
     if n < 2:
         raise ValueError("n >= 2 required")
-    if c < 1.0:
+    if not c >= 1.0:
         raise ValueError("c must be >= 1")
     if eps <= 0.0:
         raise ValueError("eps must be positive")

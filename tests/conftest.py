@@ -10,6 +10,7 @@ settings.register_profile(
     "default",
     max_examples=40,
     deadline=None,
+    database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
@@ -79,6 +80,28 @@ def oracle_female_optimal(men: OrdinalProfile, women: OrdinalProfile):
         if ok:
             return cand
     raise AssertionError("no female-optimal stable pairing found")
+
+
+def reference_first_break(rows, c: float):
+    """Per-entry level scan: the first (row, position) whose single-entry
+    perturbation changes the row's extracted ranking or creates a tie.
+
+    ``rows`` lists (ranking, utilities) pairs in scan order. Entry
+    (row, i) multiplies the utility of the row's i-th ranked alternative
+    by ``c`` and re-sorts the row by (-utility, index); a changed order or
+    two equal neighbours breaks. Returns None when nothing breaks.
+    """
+    for index, (ranking, utilities) in enumerate(rows):
+        n = len(ranking)
+        for i in range(n):
+            row = list(utilities)
+            row[ranking[i]] *= c
+            order = sorted(range(n), key=lambda x: (-row[x], x))
+            if tuple(order) != tuple(ranking):
+                return index, i
+            if any(row[order[k]] == row[order[k + 1]] for k in range(n - 1)):
+                return index, i
+    return None
 
 
 def random_profile(n: int, rng: np.random.Generator) -> OrdinalProfile:

@@ -86,6 +86,45 @@ class TestExitCodes:
         assert code == EX_VALIDATION
         assert err.startswith("error: 2:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("robustness", "--geometric-base", "nan", "--n", "3"),
+            ("witness", "--geometric-base", "2.0", "--n", "3", "--c", "nan"),
+        ],
+    )
+    def test_nan_parameter_is_2(self, capsys, argv):
+        code, out, _err = run(capsys, *argv)
+        assert code == EX_VALIDATION and out == ""
+
+    @pytest.mark.parametrize("side", ["men", "women"])
+    def test_nan_rank_utility_is_65(self, capsys, tmp_path, side):
+        data = {
+            "schema": 1,
+            "men": {"kind": "rank", "n": 3, "rank_utilities": [-1.0, -2.0, -4.0]},
+            "women": {"kind": "rank", "n": 3, "rank_utilities": [-1.0, -2.0, -4.0]},
+        }
+        data[side]["rank_utilities"][1] = math.nan
+        bad = tmp_path / "nan_rank.json"
+        bad.write_text(json.dumps(data))  # written as the bare token NaN
+        for command in ("robustness", "witness"):
+            argv = [command, "--in", str(bad)] + (["--c", "1.5"] if command == "witness" else [])
+            code, out, _err = run(capsys, *argv)
+            assert code == EX_DATAERR and out == ""
+
+    def test_nan_extensional_utility_is_65(self, capsys, tmp_path):
+        identity = [[0, 1], [0, 1]]
+        entry = {"ranks": identity, "values": [[-1.0, -2.0], [math.nan, -2.0]]}
+        side = {"kind": "extensional", "n": 2, "entries": [entry]}
+        bad = tmp_path / "nan_ext.json"
+        bad.write_text(json.dumps({"schema": 1, "men": side, "women": side}))
+        assert run(capsys, "robustness", "--in", str(bad))[0] == EX_DATAERR
+
+    def test_nan_utilities_file_is_65(self, capsys, tmp_path):
+        bad = tmp_path / "nan_u.json"
+        bad.write_text(json.dumps({"schema": 1, "n": 2, "values": [[-1.0, math.nan], [-1.6, -1.1]]}))
+        assert run(capsys, "polarity", "--in", str(bad))[0] == EX_DATAERR
+
 
 class TestSubcommands:
     def test_solve_json(self, capsys, market_file):

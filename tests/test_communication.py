@@ -59,6 +59,38 @@ class TestDecayInverse:
         else:
             assert math.isclose(closed.value, numeric.value, rel_tol=1e-7, abs_tol=1e-9)
 
+    @pytest.mark.parametrize(
+        "d, y",
+        [
+            (DecayFunction("exponential", 1.0, 1.0), 1e300),  # root 690.78
+            (DecayFunction("exponential", 2.0, 0.5), 1.7e308),  # root 1418.6
+            (DecayFunction("power", 1.0, 3.0), 1e308),  # root 4.6e102
+            (DecayFunction("power", 4.0, 2.0), 1.7e308),  # root 6.5e153
+        ],
+    )
+    def test_bisection_reads_overflow_as_above_target(self, d, y):
+        # The bracket passes points where D(t) overflows before it covers
+        # the root; those points lie above any finite target.
+        closed = decay_inverse(d, y)
+        assert math.isfinite(closed.value)
+        numeric = decay_inverse(d, y, method="bisect")
+        assert math.isclose(numeric.value, closed.value, rel_tol=1e-10)
+
+    @given(
+        st.sampled_from(("power", "exponential")),
+        st.floats(1.0, 10.0),
+        st.floats(0.2, 3.0),
+        st.floats(1e200, 1.7e308),
+    )
+    def test_bisection_matches_closed_form_at_huge_targets(self, family, scale, exponent, y):
+        d = DecayFunction(family, scale, exponent)
+        closed = decay_inverse(d, y)
+        numeric = decay_inverse(d, y, method="bisect")
+        if math.isinf(closed.value):
+            assert math.isinf(numeric.value)
+        else:
+            assert math.isclose(numeric.value, closed.value, rel_tol=1e-10)
+
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
             decay_inverse(DecayFunction("linear"), 0.0)

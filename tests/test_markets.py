@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -28,8 +30,23 @@ class TestUtilityProfile:
         with pytest.raises(ValueError):
             UtilityProfile(2, ((0.0,), (-1.0, -2.0)))
 
+    @pytest.mark.parametrize("slot", [(0, 0), (1, 1)])
+    def test_rejects_nan(self, slot):
+        rows = [[-1.0, -2.0], [-3.0, -4.0]]
+        rows[slot[0]][slot[1]] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            UtilityProfile(2, tuple(tuple(r) for r in rows))
+
+    def test_accepts_signed_zero_and_minus_inf(self):
+        u = UtilityProfile(2, ((-0.0, 0.0), (-math.inf, -1e308)))
+        assert u.values[1][0] == -math.inf
+
 
 class TestPerturbation:
+    def test_rejects_nan_factor(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Perturbation(2, ((1.0, math.nan), (1.0, 1.0)))
+
     def test_rejects_factor_below_one(self):
         with pytest.raises(ValueError):
             Perturbation(2, ((1.0, 0.5), (1.0, 1.0)))
@@ -80,6 +97,17 @@ class TestMarketProfiles:
     def test_rank_based_requires_strict_decrease(self):
         with pytest.raises(ValueError):
             RankBasedProfile(2, (-1.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "ru", [(math.nan, -1.0, -3.0), (-1.0, math.nan, -3.0), (-1.0, -2.0, math.nan)]
+    )
+    def test_rank_based_rejects_nan(self, ru):
+        with pytest.raises(ValueError):
+            RankBasedProfile(3, ru)
+
+    def test_geometric_market_rejects_nan_base(self):
+        with pytest.raises(ValueError):
+            geometric_market(3, math.nan)
 
     def test_rank_based_consistency(self):
         side = RankBasedProfile(3, (-1.0, -2.0, -4.0))

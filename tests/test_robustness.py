@@ -1,6 +1,11 @@
+import importlib
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from matchrobust import (
     AllOnesSampler,
@@ -29,7 +34,13 @@ from matchrobust import (
     uniform_profile,
 )
 from matchrobust.ordinal import TiePolicy
+from matchrobust.robustness import _first_break, _scan_side
 from matchrobust.seeding import rng_for
+
+from conftest import reference_first_break
+
+# The package re-exports the function ``robustness`` under the module's name.
+robustness_module = importlib.import_module("matchrobust.robustness")
 
 
 class TestIsCRobust:
@@ -51,6 +62,12 @@ class TestIsCRobust:
     def test_exhaustive_guard(self):
         with pytest.raises(ValueError):
             is_c_robust(geometric_market(5, 2.0), 1.5, profile_set="exhaustive")
+
+    def test_rejects_nan_level(self):
+        with pytest.raises(ValueError):
+            is_c_robust(geometric_market(2, 2.0), math.nan)
+        with pytest.raises(ValueError):
+            adversarial_witness(geometric_market(2, 2.0), math.nan)
 
 
 class TestRobustnessFormula:
@@ -100,6 +117,119 @@ class TestBisectionOracle:
     def test_n1_infinite(self):
         market = MatchingMarket(RankBasedProfile(1, (-1.0,)), RankBasedProfile(1, (-1.0,)))
         assert math.isinf(robustness_by_search(market))
+
+
+# Utilities at the edges: signed zeros, subnormals, and values that
+# overflow to -inf under any level above 1.8.
+_EDGE_UTILITIES = (0.0, -0.0, -5e-324, -1e-308, -0.5, -1.0, -2.0, -3.0, -1e300, -1e308, -math.inf)
+
+
+def _levels(values):
+    """Levels at, just below and just above every ratio of two utilities in
+    ``values``, plus 1 and 2 (which sends -1e308 to -inf)."""
+    levels = {1.0, 2.0}
+    for den in values:
+        for num in values:
+            if den == 0.0 or not math.isfinite(den):
+                continue
+            ratio = num / den
+            for c in (ratio, math.nextafter(ratio, 0.0), math.nextafter(ratio, math.inf)):
+                if 1.0 <= c < math.inf:
+                    levels.add(c)
+    return sorted(levels)
+
+
+def _rows(profiles, utilities):
+    return [(r.ranks[a], u.values[a]) for r, u in zip(profiles, utilities) for a in range(r.n)]
+
+
+@st.composite
+def rank_scan_case(draw):
+    n = draw(st.integers(2, 8))
+    pool = st.one_of(st.sampled_from(_EDGE_UTILITIES), st.floats(-1e308, 0.0))
+    ru = sorted(draw(st.lists(pool, min_size=n, max_size=n, unique=True)), reverse=True)
+    ranking = st.permutations(range(n)).map(tuple)
+    profiles = draw(
+        st.lists(
+            st.lists(ranking, min_size=n, max_size=n).map(lambda rows: OrdinalProfile(n, tuple(rows))),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return RankBasedProfile(n, ru), profiles
+
+
+class TestLevelScan:
+    """The batched level scan against the per-entry reference re-extraction."""
+
+    @given(rank_scan_case())
+    def test_rank_markets_match_reference(self, case):
+        side, profiles = case
+        scan = _scan_side("men", side, profiles)
+        rows = _rows(scan.profiles, scan.utilities)
+        for c in _levels(side.rank_utilities):
+            assert _first_break(scan.ranks, scan.values, c) == reference_first_break(rows, c)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 647), st.booleans())
+    def test_extensional_markets_match_reference(self, seed, row, one_row_blocks):
+        market = random_extensional_market(3, np.random.default_rng(seed))
+        scan = _scan_side("women", market.women, market.women.representable_profiles())
+        rows = _rows(scan.profiles, scan.utilities)
+        elements = 1 if one_row_blocks else robustness_module._SCAN_BLOCK_ELEMENTS
+        with mock.patch.object(robustness_module, "_SCAN_BLOCK_ELEMENTS", elements):
+            for c in _levels(rows[row][1]):
+                assert _first_break(scan.ranks, scan.values, c) == reference_first_break(rows, c)
+
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from(_EDGE_UTILITIES[:8]), min_size=n, max_size=n),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_tied_rows_match_reference(self, values):
+        # Rows with exact ties, each ranked by (-utility, index).
+        n = len(values[0])
+        ranks = [tuple(sorted(range(n), key=lambda x: (-row[x], x))) for row in values]
+        rows = list(zip(ranks, values))
+        got_ranks = np.array(ranks, dtype=np.intp)
+        got_values = np.array(values, dtype=float)
+        for c in _levels([v for row in values for v in row]):
+            assert _first_break(got_ranks, got_values, c) == reference_first_break(rows, c)
+
+    def test_blocks_report_global_row(self):
+        side = RankBasedProfile(3, (-1.0, -2.0, -8.0))
+        profiles = [OrdinalProfile(3, ((0, 1, 2),) * 3)] * 4
+        scan = _scan_side("men", side, profiles)
+        scan.values[7, 1] = -1.5  # agent 1 at the third profile: ratio 1.5
+        with mock.patch.object(robustness_module, "_SCAN_BLOCK_ELEMENTS", 9 * 2):
+            assert _first_break(scan.ranks, scan.values, 1.6) == (7, 0)
+            assert _first_break(scan.ranks, scan.values, 1.4) is None
+
+
+class TestPinnedSearchOutputs:
+    """Exact outputs of the bisection cross-check, recorded before the level
+    scan was batched; any change to the scan must keep them bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, base, expected",
+        [
+            (40, 1.01, "1.0099997520446777"),
+            (44, 1.5, "1.4999995231628418"),
+            (44, 2.0, "1.9999995231628418"),
+        ],
+    )
+    def test_geometric(self, n, base, expected):
+        assert repr(robustness_by_search(geometric_market(n, base))) == expected
+
+    @pytest.mark.parametrize(
+        "seed, expected", [(7, "1.0003418922424316"), (2024, "1.0001769065856934")]
+    )
+    def test_random_extensional(self, seed, expected):
+        market = random_extensional_market(3, np.random.default_rng(seed))
+        assert repr(robustness_by_search(market)) == expected
 
 
 class TestAdversarialWitness:
