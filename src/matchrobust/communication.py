@@ -51,7 +51,7 @@ class DecayFunction:
     def __post_init__(self):
         if self.family not in DECAY_FAMILIES:
             raise ValueError(f"unknown decay family {self.family!r}")
-        if self.scale <= 0 or self.exponent <= 0:
+        if not self.scale > 0 or not self.exponent > 0:
             raise ValueError("scale and exponent must be positive")
 
     def value(self, t: float) -> float:
@@ -74,12 +74,14 @@ def decay_inverse(d: DecayFunction, y: float, method: str = "closed") -> Inverse
     """Solve D(t) = y for t >= 0.
 
     Values of y at or below the infimum of D clamp to t = 0 with the flag
-    set. Targets whose inverse exceeds the float range come back as inf.
+    set. Targets whose inverse exceeds the float range come back as inf;
+    where ``y / scale`` overflows but the root does not, the power and
+    exponential closed forms are taken in log space.
     ``method="bisect"`` ignores the closed forms and solves by bracket
     doubling plus bisection to relative tolerance 1e-10; it exists to
     cross-check the closed forms.
     """
-    if y <= 0:
+    if not y > 0:
         raise ValueError("y must be positive")
     if y <= d.infimum():
         return InverseResult(0.0, True)
@@ -88,11 +90,17 @@ def decay_inverse(d: DecayFunction, y: float, method: str = "closed") -> Inverse
     try:
         if d.family == "linear":
             return InverseResult(y / d.scale, False)
-        if d.family == "power":
-            return InverseResult((y / d.scale) ** (1.0 / d.exponent), False)
         if d.family == "logarithmic":
             return InverseResult(math.expm1(y / d.scale), False)
-        return InverseResult(math.log(y / d.scale) / d.exponent, False)
+        ratio = y / d.scale
+        if math.isinf(ratio):  # a scale below 1 can overflow the quotient but not the root
+            log_root = (math.log(y) - math.log(d.scale)) / d.exponent
+            t = math.exp(log_root) if d.family == "power" else log_root
+        elif d.family == "power":
+            t = ratio ** (1.0 / d.exponent)
+        else:
+            t = math.log(ratio) / d.exponent
+        return InverseResult(t, False)
     except OverflowError:
         return InverseResult(math.inf, False)
 
@@ -100,11 +108,17 @@ def decay_inverse(d: DecayFunction, y: float, method: str = "closed") -> Inverse
 def _value_or_inf(d: DecayFunction, t: float) -> float:
     """D(t), with an overflow read as +inf, which lies above any target.
 
-    The overflow happens before ``scale`` is applied, so the reading is
-    exact for ``scale >= 1`` only.
+    Power and exponential decay overflow before ``scale`` is applied, so
+    there D(t) is retried in log space, where a scale below 1 can bring it
+    back into range.
     """
     try:
         return d.value(t)
+    except OverflowError:
+        pass
+    log_term = d.exponent * (t if d.family == "exponential" else math.log(t))
+    try:
+        return math.exp(math.log(d.scale) + log_term)
     except OverflowError:
         return math.inf
 
@@ -148,7 +162,7 @@ class HardnessFunction:
     def __post_init__(self):
         if self.family not in HARDNESS_FAMILIES:
             raise ValueError(f"unknown hardness family {self.family!r}")
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ValueError("scale must be positive")
 
     def value(self, n: int) -> float:
@@ -172,7 +186,7 @@ def communication_requirement(
     0, as does any xi already above H(n)/D(0+); negative times never occur
     because the inversion clamps at 0.
     """
-    if xi < 1.0:
+    if not xi >= 1.0:
         raise ValueError("xi must be >= 1")
     if math.isinf(xi):
         return 0.0

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -38,15 +37,12 @@ from .ordinal import (
     OrdinalProfile,
     StablePair,
     TiePolicy,
-    all_profiles,
     distinguishing_profile,
     ordinal_from_utility_flagged,
     phi,
     uniform_profile,
 )
 from .seeding import rng_for
-
-EXHAUSTIVE_PROFILE_CAP = 4
 
 
 class DivisionByZeroUtility(ZeroDivisionError):
@@ -63,55 +59,47 @@ class DivisionByZeroUtility(ZeroDivisionError):
         self.alternative = alternative
 
 
-def _resolve_profiles(side: MarketProfile, profile_set) -> Iterable[OrdinalProfile]:
-    """Materialize the ordinal profiles to scan for one market side.
-
-    ``"auto"`` collapses rank-symmetric sides to a single representative
-    profile (the ratio multiset is identical at every profile) and uses the
-    stored table for extensional sides. ``"exhaustive"`` enumerates all
-    (n!)^n profiles and is guarded against combinatorial blowup.
+def _sides(market: MatchingMarket):
+    """Each side with the ordinal profiles to scan. A rank-symmetric side
+    collapses to a single representative profile (the ratio multiset is
+    identical at every profile); an extensional side scans its stored table.
     """
-    if profile_set == "auto":
+    for name, side in (("men", market.men), ("women", market.women)):
         if side.rank_symmetric:
-            return [side.representative_profile()]
-        return list(side.representable_profiles())
-    if profile_set == "exhaustive":
-        if side.n > EXHAUSTIVE_PROFILE_CAP:
-            raise ValueError(
-                f"exhaustive profile enumeration refused for n={side.n} > "
-                f"{EXHAUSTIVE_PROFILE_CAP}"
-            )
-        return all_profiles(side.n)
-    return list(profile_set)
+            yield name, side, [side.representative_profile()]
+        else:
+            yield name, side, list(side.representable_profiles())
 
 
-def _sides(market: MatchingMarket, profile_set):
-    return (
-        ("men", market.men, _resolve_profiles(market.men, profile_set)),
-        ("women", market.women, _resolve_profiles(market.women, profile_set)),
-    )
+def _consecutive_pairs(market: MatchingMarket):
+    """Every consecutive-rank utility pair of both sides, in scan order
+    (side, profile, agent, position).
 
-
-def is_c_robust(market: MatchingMarket, c: float, profile_set="auto") -> bool:
-    """Strict ratio condition: for every profile and every agent, scaling the
-    utility of a preferred alternative by ``c`` keeps it strictly above the
-    utility of everything ranked below it."""
-    if not c >= 1.0:
-        raise ValueError("c must be >= 1")
+    Yields ``(side, profile, utilities, agent, position, upper, lower)``:
+    ``upper`` is the utility of the alternative the agent ranks at
+    ``position`` and ``lower`` that of the one ranked just below it.
+    """
     n = market.n
-    for _name, side, profiles in _sides(market, profile_set):
+    for name, side, profiles in _sides(market):
         for r in profiles:
             u = side.utilities(r)
             for a in range(n):
                 row = u.values[a]
                 ranks = r.ranks[a]
                 for i in range(n - 1):
-                    if not c * row[ranks[i]] > row[ranks[i + 1]]:
-                        return False
-    return True
+                    yield name, r, u, a, i, row[ranks[i]], row[ranks[i + 1]]
 
 
-def robustness(market: MatchingMarket, profile_set="auto") -> float:
+def is_c_robust(market: MatchingMarket, c: float) -> bool:
+    """Strict ratio condition: for every profile and every agent, scaling the
+    utility of a preferred alternative by ``c`` keeps it strictly above the
+    utility of everything ranked below it."""
+    if not c >= 1.0:
+        raise ValueError("c must be >= 1")
+    return all(c * upper > lower for *_, upper, lower in _consecutive_pairs(market))
+
+
+def robustness(market: MatchingMarket) -> float:
     """The double minimum of consecutive utility ratios over both sides.
 
     Returns ``inf`` when no comparable pair exists (n = 1, vacuous minimum).
@@ -119,21 +107,13 @@ def robustness(market: MatchingMarket, profile_set="auto") -> float:
     a denominator; the offending profile, agent and alternative ride along
     on the exception.
     """
-    n = market.n
     best = math.inf
-    for name, side, profiles in _sides(market, profile_set):
-        for r in profiles:
-            u = side.utilities(r)
-            for a in range(n):
-                row = u.values[a]
-                ranks = r.ranks[a]
-                for i in range(n - 1):
-                    denom = row[ranks[i]]
-                    if denom == 0.0:
-                        raise DivisionByZeroUtility(name, r, a, ranks[i])
-                    ratio = row[ranks[i + 1]] / denom
-                    if ratio < best:
-                        best = ratio
+    for name, r, _u, a, i, upper, lower in _consecutive_pairs(market):
+        if upper == 0.0:
+            raise DivisionByZeroUtility(name, r, a, r.ranks[a][i])
+        ratio = lower / upper
+        if ratio < best:
+            best = ratio
     return best
 
 
@@ -207,9 +187,7 @@ def _build_witness(
     )
 
 
-def adversarial_witness(
-    market: MatchingMarket, c: float, profile_set="auto"
-) -> AdversarialWitness | None:
+def adversarial_witness(market: MatchingMarket, c: float) -> AdversarialWitness | None:
     """Search for a single-entry perturbation at level ``c`` that demonstrably
     changes a deferred-acceptance outcome.
 
@@ -217,21 +195,13 @@ def adversarial_witness(
     perturbation with factors <= c flips a comparison, then setting just the
     flipped entry's factor to c flips it too (scaling one utility can only
     sink it; the others were not raised). Returns None when nothing in the
-    searched profile set breaks, which for an exhaustive set means the
-    market is c-robust.
+    scanned profiles breaks, which means the market is c-robust.
     """
     if not c >= 1.0:
         raise ValueError("c must be >= 1")
-    n = market.n
-    for name, side, profiles in _sides(market, profile_set):
-        for r in profiles:
-            u = side.utilities(r)
-            for a in range(n):
-                row = u.values[a]
-                ranks = r.ranks[a]
-                for i in range(n - 1):
-                    if c * row[ranks[i]] <= row[ranks[i + 1]]:
-                        return _build_witness(name, r, u, a, i, c)
+    for name, r, u, a, i, upper, lower in _consecutive_pairs(market):
+        if c * upper <= lower:
+            return _build_witness(name, r, u, a, i, c)
     return None
 
 
@@ -315,7 +285,6 @@ def robustness_by_search(
     lo: float = 1.0,
     hi: float | None = None,
     tol: float = 1e-6,
-    profile_set="auto",
 ) -> float:
     """Bisection oracle for :func:`robustness`.
 
@@ -329,12 +298,17 @@ def robustness_by_search(
     order (side, profile, agent, position) is verified through a
     distinguishing opposite-side profile: the deferred-acceptance pair must
     move. The bracket is expanded upward automatically if ``hi`` is not
-    supplied or does not break.
+    supplied or does not break. Bisection stops once the bracket is no wider
+    than ``tol`` or no float lies strictly between its ends, so a ``tol``
+    below the float spacing stops at float resolution; a NaN ``tol`` is
+    rejected.
     """
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     n = market.n
     if n == 1:
         return math.inf
-    sides = tuple(_scan_side(*entry) for entry in _sides(market, profile_set))
+    sides = tuple(_scan_side(*entry) for entry in _sides(market))
     lo = max(1.0, lo)
     if _breakable(lo, sides):
         return lo
@@ -346,6 +320,8 @@ def robustness_by_search(
             return math.inf
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if _breakable(mid, sides):
             hi = mid
         else:
@@ -386,7 +362,7 @@ def critical_market(n: int, c: float, eps: float) -> MatchingMarket:
         raise ValueError("n >= 2 required")
     if not c >= 1.0:
         raise ValueError("c must be >= 1")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     ratio = critical_consecutive_ratio(n, c, eps)
     ru = tuple(-(ratio**i) for i in range(n))

@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from matchrobust.cli import COMMANDS, EX_DATAERR, EX_USAGE, EX_VALIDATION, build_parser, main
+from matchrobust.cli import EX_DATAERR, EX_USAGE, EX_VALIDATION, build_parser, main
 
 
 @pytest.fixture
@@ -51,6 +52,10 @@ def space_file(tmp_path):
     return str(path)
 
 
+DISCONNECTED_SPACE = {"vertices": 4, "edges": [[0, 1, 1.0], [2, 3, 1.0]]}
+IDENTITY_8 = {"n": 8, "ranks": [list(range(8))] * 8}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -87,15 +92,53 @@ class TestExitCodes:
         assert err.startswith("error: 2:")
 
     @pytest.mark.parametrize(
+        "argv, infile",
+        [
+            (("genspace",), {"n": 2, "values": [[-1.0, -10.0], [0.0, 0.0]]}),
+            (("embed",), DISCONNECTED_SPACE),
+            (("distortion",), DISCONNECTED_SPACE),
+            (("banach-search", "--dim", "11"), None),
+            (("stable-set",), {"men": IDENTITY_8, "women": IDENTITY_8}),
+            (("appendix-a", "--n", "1", "--c", "1.5", "--eps", "0.2", "--trials", "10"), None),
+            (("appendix-a", "--n", "3", "--c", "1.5", "--eps", "0.2", "--trials", "0"), None),
+        ],
+    )
+    def test_library_parameter_checks_are_2(self, capsys, tmp_path, argv, infile):
+        # The library raises ValueError for each of these, which main() maps to 2.
+        if infile is not None:
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(infile))
+            argv += ("--in", str(path))
+        code, out, err = run(capsys, *argv)
+        assert code == EX_VALIDATION and out == ""
+        assert err.startswith("error: 2:")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("robustness", "--geometric-base", "nan", "--n", "3"),
             ("witness", "--geometric-base", "2.0", "--n", "3", "--c", "nan"),
+            ("robustness", "--geometric-base", "2.0", "--n", "3", "--tol", "nan"),
+            ("commreq", "--xi", "nan", "--n", "3"),
+            ("commreq", "--decay-scale", "nan", "--n", "3"),
+            ("commreq", "--decay-exponent", "nan", "--n", "3"),
+            ("bound-table", "--n", "4", "--space-size", "64", "--genus", "2", "--hardness-scale", "nan"),
         ],
     )
     def test_nan_parameter_is_2(self, capsys, argv):
         code, out, _err = run(capsys, *argv)
         assert code == EX_VALIDATION and out == ""
+
+    @pytest.mark.parametrize("command", ["commreq", "bound-table"])
+    @pytest.mark.parametrize("section", ["hardness", "decay"])
+    def test_nan_config_scale_is_65(self, capsys, tmp_path, command, section):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(f"[{section}]\nscale = nan\n")
+        argv = [command, "--n", "4", "--config", str(cfg)]
+        if command == "bound-table":
+            argv += ["--space-size", "64", "--genus", "2"]
+        code, out, _err = run(capsys, *argv)
+        assert code == EX_DATAERR and out == ""
 
     @pytest.mark.parametrize("side", ["men", "women"])
     def test_nan_rank_utility_is_65(self, capsys, tmp_path, side):
@@ -149,6 +192,11 @@ class TestSubcommands:
         assert code == 0
         assert payload["robustness"] == 2.0
         assert abs(payload["bisection"] - 2.0) < 1e-4
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "1e-300"])
+    def test_robustness_tol_below_float_spacing(self, capsys, tol):
+        code, out, _err = run(capsys, "robustness", "--geometric-base", "2", "--n", "3", "--tol", tol)
+        assert code == 0 and json.loads(out)["bisection"] == 2.0
 
     def test_robustness_from_file(self, capsys, rank_market_file):
         code, out, _err = run(capsys, "robustness", "--in", rank_market_file)
@@ -280,10 +328,28 @@ class TestReproducibility:
 
 
 class TestHelp:
+    COMMANDS = (
+        "solve",
+        "stable-set",
+        "robustness",
+        "witness",
+        "appendix-a",
+        "polarity",
+        "genspace",
+        "planarity",
+        "embed",
+        "distortion",
+        "banach-search",
+        "commreq",
+        "bound-table",
+    )
+
     def test_every_subcommand_has_help(self):
         parser = build_parser()
+        (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert tuple(subparsers.choices) == self.COMMANDS
         text = parser.format_help()
-        for cmd in COMMANDS:
+        for cmd in self.COMMANDS:
             assert cmd in text
 
     def test_subcommand_help_names_construct(self, capsys):

@@ -91,9 +91,30 @@ class TestDecayInverse:
         else:
             assert math.isclose(numeric.value, closed.value, rel_tol=1e-10)
 
+    @pytest.mark.parametrize(
+        "d, y, root",
+        [
+            (DecayFunction("exponential", 1e-300, 0.01), 1e300, 6e4 * math.log(10)),
+            (DecayFunction("exponential", 0.5, 1.0), 1.7e308, math.log(1.7e308) + math.log(2)),
+            (DecayFunction("power", 1e-300, 2.0), 1e300, 1e300),
+            (DecayFunction("power", 1e-8, 4.0), 1e308, 1e79),
+        ],
+    )
+    def test_scale_below_one_near_float_maximum(self, d, y, root):
+        # y / scale and the unscaled D(t) overflow although the root is finite.
+        for method in ("closed", "bisect"):
+            assert math.isclose(decay_inverse(d, y, method=method).value, root, rel_tol=1e-10)
+
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
             decay_inverse(DecayFunction("linear"), 0.0)
+        with pytest.raises(ValueError):
+            decay_inverse(DecayFunction("linear"), math.nan)
+
+    @pytest.mark.parametrize("scale, exponent", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_nan_parameters(self, scale, exponent):
+        with pytest.raises(ValueError):
+            DecayFunction("power", scale, exponent)
 
 
 class TestHardness:
@@ -115,6 +136,10 @@ class TestHardness:
         with pytest.raises(ValueError):
             HardnessFunction("cubic")
 
+    def test_rejects_nan_scale(self):
+        with pytest.raises(ValueError):
+            HardnessFunction("constant", scale=math.nan)
+
 
 class TestCommunicationRequirement:
     def test_closed_form_example(self):
@@ -132,6 +157,10 @@ class TestCommunicationRequirement:
         d = DecayFunction("power", exponent=1.5)
         values = [communication_requirement(xi, h, d, 50) for xi in (1.0, 1.5, 2.0, 4.0, 16.0)]
         assert all(values[i] >= values[i + 1] - 1e-12 for i in range(len(values) - 1))
+
+    def test_rejects_nan_xi(self):
+        with pytest.raises(ValueError):
+            communication_requirement(math.nan, HardnessFunction("constant"), DecayFunction("linear"), 3)
 
     def test_clamped_to_zero(self):
         h = HardnessFunction("constant", scale=1.0)

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 from unittest import mock
 
@@ -59,10 +60,6 @@ class TestIsCRobust:
         with pytest.raises(ValueError):
             is_c_robust(geometric_market(2, 2.0), 0.5)
 
-    def test_exhaustive_guard(self):
-        with pytest.raises(ValueError):
-            is_c_robust(geometric_market(5, 2.0), 1.5, profile_set="exhaustive")
-
     def test_rejects_nan_level(self):
         with pytest.raises(ValueError):
             is_c_robust(geometric_market(2, 2.0), math.nan)
@@ -92,6 +89,26 @@ class TestRobustnessFormula:
         assert err.value.agent == 0
         assert err.value.profile is not None
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rank_symmetric_collapse_matches_every_profile(self, rng, n):
+        # The ratio minimum over all (n!)^n profiles of each side, computed
+        # here, equals the one the representative profile gives.
+        perms = list(itertools.permutations(range(n)))
+        for _ in range(3):
+            sides = [
+                RankBasedProfile(n, tuple(sorted(-rng.uniform(0.1, 10.0, size=n), reverse=True)))
+                for _ in range(2)
+            ]
+            best = math.inf
+            for side in sides:
+                for rows in itertools.product(perms, repeat=n):
+                    r = OrdinalProfile(n, rows)
+                    u = side.utilities(r).values
+                    for a in range(n):
+                        for i in range(n - 1):
+                            best = min(best, u[a][rows[a][i + 1]] / u[a][rows[a][i]])
+            assert robustness(MatchingMarket(*sides)) == best
+
     def test_supremum_characterization(self, rng):
         # robustness() is the threshold of is_c_robust.
         for _ in range(5):
@@ -117,6 +134,15 @@ class TestBisectionOracle:
     def test_n1_infinite(self):
         market = MatchingMarket(RankBasedProfile(1, (-1.0,)), RankBasedProfile(1, (-1.0,)))
         assert math.isinf(robustness_by_search(market))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1e-300])
+    def test_tol_below_float_spacing_stops_at_resolution(self, tol):
+        # The bracket closes on the float boundary at the ratio 2.
+        assert robustness_by_search(geometric_market(3, 2.0), tol=tol) == 2.0
+
+    def test_rejects_nan_tol(self):
+        with pytest.raises(ValueError):
+            robustness_by_search(geometric_market(3, 2.0), tol=math.nan)
 
 
 # Utilities at the edges: signed zeros, subnormals, and values that
@@ -336,6 +362,8 @@ class TestCriticalMarket:
             critical_market(3, 0.5, 0.2)
         with pytest.raises(ValueError):
             critical_market(3, 1.5, 0.0)
+        with pytest.raises(ValueError):
+            critical_market(3, 1.5, math.nan)
 
 
 class TestSpikeSampler:
