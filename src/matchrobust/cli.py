@@ -50,6 +50,11 @@ EX_VALIDATION = 2
 EX_USAGE = 64
 EX_DATAERR = 65
 
+#: What converting a parsed JSON document into library objects raises when
+#: the document is malformed; ``int()`` of an overflowed number such as
+#: ``1e400`` raises OverflowError.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -73,12 +78,14 @@ def _fail_validation(message: str):
 def _load_json(path: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail_data(f"{path}: {exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         _fail_data(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except RecursionError:
+        _fail_data(f"{path}: JSON nested too deeply")
 
 
 def _emit(text: str, out: str | None):
@@ -95,7 +102,7 @@ def _json_text(payload: dict) -> str:
 def _ordinal_from_dict(data: dict, path: str) -> OrdinalProfile:
     try:
         return OrdinalProfile.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         _fail_data(f"{path}: bad ordinal profile: {exc}")
 
 
@@ -123,7 +130,7 @@ def _market_profile_from_dict(data: dict, path: str):
                 u = UtilityProfile.from_json_dict({"n": data["n"], "values": entry["values"]})
                 table[r] = u
             return ExtensionalProfile(int(data["n"]), table)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         _fail_data(f"{path}: bad market profile: {exc}")
     _fail_data(f"{path}: market profile kind must be 'rank' or 'extensional'")
 
@@ -149,7 +156,7 @@ def _load_utilities(path: str) -> UtilityProfile:
     data = _load_json(path)
     try:
         return UtilityProfile.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         _fail_data(f"{path}: bad utility profile: {exc}")
 
 
@@ -157,7 +164,7 @@ def _load_space(path: str) -> tuple[MetricSpace, Placement | None]:
     data = _load_json(path)
     try:
         return space_from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         _fail_data(f"{path}: bad metric space: {exc}")
 
 
@@ -283,9 +290,9 @@ def _cmd_embed(args) -> int:
     space, _placement = _load_space(args.infile)
     placement = emb.bourgain_embed(space, quality=args.quality, seed=args.seed)
     lines = ["vertex," + ",".join(f"c{i}" for i in range(placement.dim))]
+    row_format = "%d" + ",%.10g" * placement.dim
     for v in range(space.n_vertices):
-        coords = ",".join(f"{c:.10g}" for c in placement.points[v])
-        lines.append(f"{v},{coords}")
+        lines.append(row_format % (v, *placement.points[v].tolist()))
     lines.append(f"# seed={args.seed} quality={args.quality}")
     _emit("\n".join(lines) + "\n", args.out)
     return EX_OK
@@ -330,7 +337,7 @@ def _functions_from_args(args):
     if args.config:
         try:
             text = Path(args.config).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             _fail_data(f"{args.config}: {exc}")
         try:
             return comm.functions_from_config(comm.parse_config(text))

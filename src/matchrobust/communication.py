@@ -146,7 +146,7 @@ def _invert_by_bisection(d: DecayFunction, y: float) -> float:
 class HardnessFunction:
     """Nondecreasing positive hardness of preference learning.
 
-    Families (scale > 0):
+    Families (scale > 0, exponent >= 0):
       constant       H(n) = scale
       log            H(n) = scale * ln(1 + n)
       polynomial     H(n) = scale * n**exponent
@@ -164,6 +164,8 @@ class HardnessFunction:
             raise ValueError(f"unknown hardness family {self.family!r}")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
+        if not self.exponent >= 0:  # a negative exponent would make H decrease
+            raise ValueError("exponent must be nonnegative")
 
     def value(self, n: int) -> float:
         if n < 1:
@@ -252,12 +254,17 @@ def admissibility_report(
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Calibration constants for the O() bounds; defaults are 1 and results
-    always echo them."""
+    """Positive calibration constants for the O() bounds; defaults are 1 and
+    results always echo them."""
 
     size_constant: float = 1.0
     genus_constant: float = 1.0
     market_constant: float = 1.0
+
+    def __post_init__(self):
+        for name in ("size_constant", "genus_constant", "market_constant"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)

@@ -74,13 +74,15 @@ def bourgain_embed(space: MetricSpace, quality: int = 10, seed: int = 0) -> Eucl
     reps = quality * int(math.ceil(math.log(v_count)))
     reps = max(reps, 1)
     rng = rng_for(seed)
-    dmat = space.distance_matrix()
+    # Row t of by_target holds every vertex's distance to t, so a subset's
+    # minima reduce contiguous rows rather than gathering scattered columns.
+    by_target = np.ascontiguousarray(space.distance_matrix().T)
     cols = []
     for i in range(1, levels + 1):
         size = min(2**i, v_count - 1)
         for _ in range(reps):
             subset = rng.choice(v_count, size=size, replace=False)
-            cols.append(dmat[:, subset].min(axis=1))
+            cols.append(by_target[subset].min(axis=0))
     coords = np.stack(cols, axis=1)
     coords /= math.sqrt(coords.shape[1])
     return EuclideanPlacement(dim=coords.shape[1], points=coords)

@@ -48,22 +48,29 @@ class PolarityCheck:
 def is_polarized(u: UtilityProfile, tol: float = 1e-12) -> PolarityCheck:
     """Check the polarity inequality over all (a, a', x, x') quadruples.
 
-    The condition: u(a,x') - u(a,x) <= -(u(a',x) + u(a',x')). Scanning is in
-    lexicographic quadruple order and the first violation is reported. The
-    tolerance absorbs floating-point error in distance sums; pass 0 for an
-    exact check.
+    The condition: u(a,x') - u(a,x) <= -(u(a',x) + u(a',x')), with slack
+    ``tol * max(1, |lhs|, |rhs|)``; the tolerance absorbs floating-point
+    error in distance sums, pass 0 for an exact check.
+
+    The right-hand sides form one (a', x, x') array, built once; each agent
+    a is then checked as one (n, n, n) block with the same IEEE operations
+    as the scalar inequality, so memory stays O(n^3). The first violation
+    in lexicographic (a, a', x, x') order is reported, as a scalar scan in
+    that order would find it. Overflowing sums and ``-inf`` utilities give
+    ``inf`` and NaN intermediates whose comparisons are false, exactly as
+    for Python floats; numpy's warnings about them are silenced.
     """
-    n = u.n
-    v = u.values
-    for a in range(n):
-        for a_prime in range(n):
-            for x in range(n):
-                for x_prime in range(n):
-                    lhs = v[a][x_prime] - v[a][x]
-                    rhs = -(v[a_prime][x] + v[a_prime][x_prime])
-                    slack = tol * max(1.0, abs(lhs), abs(rhs))
-                    if lhs > rhs + slack:
-                        return PolarityCheck(False, (a, a_prime, x, x_prime))
+    v = np.array(u.values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = -(v[:, :, None] + v[:, None, :])
+        abs_rhs = np.abs(rhs)
+        for a in range(u.n):
+            lhs = v[a][None, :] - v[a][:, None]
+            slack = tol * np.maximum(np.maximum(1.0, np.abs(lhs)), abs_rhs)
+            broken = lhs > rhs + slack
+            if broken.any():
+                a_prime, x, x_prime = np.unravel_index(int(broken.argmax()), broken.shape)
+                return PolarityCheck(False, (a, int(a_prime), int(x), int(x_prime)))
     return PolarityCheck(True)
 
 
@@ -117,8 +124,8 @@ class MetricSpace:
         for a, b, w in edges:
             if not (0 <= a < vertex_count and 0 <= b < vertex_count):
                 raise ValueError(f"edge ({a},{b}) out of range")
-            if w < 0:
-                raise ValueError(f"negative weight on edge ({a},{b})")
+            if not w >= 0:
+                raise ValueError(f"negative or NaN weight on edge ({a},{b})")
             if a == b and w > 0:
                 raise ValueError(f"positive self-loop on vertex {a}")
 
@@ -237,9 +244,16 @@ def space_from_json_dict(data: dict) -> tuple[MetricSpace, Placement | None]:
     placement = None
     if "alpha" in data and "beta" in data:
         qm = space.quotient_map
+
+        def vertex(v) -> int:
+            v = int(v)
+            if not 0 <= v < len(qm):
+                raise ValueError(f"placement vertex {v} out of range")
+            return qm[v]
+
         placement = Placement(
-            tuple(qm[int(v)] for v in data["alpha"]),
-            tuple(qm[int(v)] for v in data["beta"]),
+            tuple(vertex(v) for v in data["alpha"]),
+            tuple(vertex(v) for v in data["beta"]),
         )
     return space, placement
 

@@ -104,6 +104,25 @@ def reference_first_break(rows, c: float):
     return None
 
 
+def reference_is_polarized(u: UtilityProfile, tol: float = 1e-12):
+    """Scalar polarity scan: ``(ok, violation)`` for the first quadruple
+    (a, a', x, x') in lexicographic order with
+    u(a,x') - u(a,x) > -(u(a',x) + u(a',x')) + tol * max(1, |lhs|, |rhs|).
+    """
+    n = u.n
+    v = u.values
+    for a in range(n):
+        for a_prime in range(n):
+            for x in range(n):
+                for x_prime in range(n):
+                    lhs = v[a][x_prime] - v[a][x]
+                    rhs = -(v[a_prime][x] + v[a_prime][x_prime])
+                    slack = tol * max(1.0, abs(lhs), abs(rhs))
+                    if lhs > rhs + slack:
+                        return False, (a, a_prime, x, x_prime)
+    return True, None
+
+
 def random_profile(n: int, rng: np.random.Generator) -> OrdinalProfile:
     return OrdinalProfile(n, tuple(tuple(int(v) for v in rng.permutation(n)) for _ in range(n)))
 

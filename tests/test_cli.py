@@ -1,9 +1,15 @@
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchrobust.cli import EX_DATAERR, EX_USAGE, EX_VALIDATION, build_parser, main
 
@@ -139,6 +145,34 @@ class TestExitCodes:
             argv += ["--space-size", "64", "--genus", "2"]
         code, out, _err = run(capsys, *argv)
         assert code == EX_DATAERR and out == ""
+
+    @pytest.mark.parametrize("exponent", ["-1", "nan"])
+    def test_bad_hardness_exponent_is_2(self, capsys, exponent):
+        code, out, err = run(
+            capsys, "commreq", "--hardness", "polynomial", "--hardness-exponent", exponent, "--n", "3"
+        )
+        assert code == EX_VALIDATION and out == ""
+        assert "exponent must be nonnegative" in err
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("hardness", "exponent = -1"),
+            ("constants", "size_constant = nan"),
+            ("constants", "genus_constant = 0"),
+            ("constants", "market_constant = -2"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["commreq", "bound-table"])
+    def test_bad_config_value_is_65(self, capsys, tmp_path, command, section, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        argv = [command, "--n", "4", "--config", str(cfg)]
+        if command == "bound-table":
+            argv += ["--space-size", "64", "--genus", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == EX_DATAERR and out == ""
+        assert err.startswith(f"error: 65: {cfg}: ")
 
     @pytest.mark.parametrize("side", ["men", "women"])
     def test_nan_rank_utility_is_65(self, capsys, tmp_path, side):
@@ -363,3 +397,213 @@ class TestHelp:
                 main([cmd, "--help"])
             out = capsys.readouterr().out
             assert needle in out
+
+
+def _pinned_space() -> dict:
+    """A connected 60-vertex graph: a random spanning tree plus chords."""
+    rng = np.random.default_rng(60)
+    edges = [[v, int(rng.integers(0, v)), float(rng.uniform(0.5, 3.0))] for v in range(1, 60)]
+    edges += [
+        [int(a), int(b), float(rng.uniform(0.5, 3.0))]
+        for a, b in rng.integers(0, 60, (40, 2))
+        if a != b
+    ]
+    return {"schema": 1, "vertices": 60, "edges": edges}
+
+
+def _pinned_utilities(tripled_entry=None) -> dict:
+    """Utilities of 12 agents and 12 alternatives at random points of the
+    plane (u = -distance), so the profile is polarized; tripling one entry
+    breaks polarity."""
+    rng = np.random.default_rng(12)
+    agents, alternatives = rng.normal(size=(12, 2)), rng.normal(size=(12, 2))
+    values = (-np.linalg.norm(agents[:, None, :] - alternatives[None, :, :], axis=2)).tolist()
+    if tripled_entry is not None:
+        a, x = tripled_entry
+        values[a][x] *= 3.0
+    return {"schema": 1, "n": 12, "values": values}
+
+
+class TestPinnedGeometryOutputs:
+    """sha256 of geometry outputs, recorded before the polarity scan, the
+    subset minima and the embed row formatting were vectorised; any change
+    to those kernels must keep these bytes."""
+
+    @pytest.mark.parametrize(
+        "argv, infile, expected",
+        [
+            (
+                ("embed", "--quality", "3", "--seed", "11"),
+                _pinned_space(),
+                "0490bd151c35de8adfc3940f1a517deadcdd3c4c954cf69aee1762700c31cd91",
+            ),
+            (
+                ("distortion", "--quality", "3", "--seed", "11"),
+                _pinned_space(),
+                "eddecdfd1c882ac6b4e3b416cc231bd68424ccfde0d289daf28d36a11feca23f",
+            ),
+            (
+                ("polarity",),
+                _pinned_utilities(),
+                "1e1348b69fe65254a23ce839f5d64c31a8edd76dce9ddce56fc6988750fc0a2d",
+            ),
+            (
+                ("polarity",),
+                _pinned_utilities(tripled_entry=(7, 3)),
+                "31530fb09d9259932a8f0b493b8592c04fe3493b375e58112d09632986435f02",
+            ),
+            (
+                ("genspace",),
+                _pinned_utilities(),
+                "ebfee8e077a62a88c1cd4855f216dc1dd5b1e3e5ba9586d19974997c5ca0fafd",
+            ),
+        ],
+        ids=["embed", "distortion", "polarity", "polarity-violated", "genspace"],
+    )
+    def test_digest(self, tmp_path, argv, infile, expected):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(infile))
+        out = tmp_path / "out"
+        assert main([*argv, "--in", str(path), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+# Malformed-input fuzzing of the exit-code contract: every case below is a
+# broken input file and must exit 65 with a one-line message, never raise.
+
+_WRONG_SCALARS = ("abc", "", None, [], {}, [1], {"a": 1}, math.inf, math.nan)
+
+
+@st.composite
+def _valid_utilities(draw) -> dict:
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.floats(-10.0, -0.01), min_size=n, max_size=n)
+    return {"schema": 1, "n": n, "values": draw(st.lists(row, min_size=n, max_size=n))}
+
+
+@st.composite
+def _valid_space(draw) -> dict:
+    vertices = draw(st.integers(2, 6))
+    vertex = st.integers(0, vertices - 1)
+    edge = st.tuples(vertex, vertex, st.floats(0.5, 3.0)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(edge.map(list), min_size=1, max_size=8))
+    data = {"schema": 1, "vertices": vertices, "edges": edges}
+    if draw(st.booleans()):
+        data["alpha"], data["beta"] = [0], [vertices - 1]
+    return data
+
+
+def _truncated(valid):
+    return valid.map(json.dumps).flatmap(
+        lambda text: st.integers(0, len(text) - 1).map(lambda k: text[:k])
+    )
+
+
+_WRONG_TOP_LEVEL = st.sampled_from(([], "abc", 3, None, True, [[-1.0]])).map(json.dumps)
+
+
+@st.composite
+def _malformed_utilities(draw) -> str:
+    data = draw(_valid_utilities())
+    n, values = data["n"], data["values"]
+    a, x = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    fault = draw(st.sampled_from(("missing", "n", "values", "cell", "positive", "ragged", "rows")))
+    if fault == "missing":
+        del data["values"]
+    elif fault == "n":
+        data["n"] = draw(st.sampled_from(_WRONG_SCALARS))
+    elif fault == "values":
+        data["values"] = draw(st.sampled_from(("abc", None, 3, True, [3], [None])))
+    elif fault == "cell":
+        values[a][x] = draw(st.sampled_from(_WRONG_SCALARS + (True,)))
+    elif fault == "positive":
+        values[a][x] = draw(st.floats(min_value=5e-324))
+    elif fault == "ragged":
+        values[a] = values[a][:-1] if draw(st.booleans()) else values[a] + [-1.0]
+    else:
+        data["values"] = values[:-1] if draw(st.booleans()) else values + [[-1.0] * n]
+    return json.dumps(data)
+
+
+@st.composite
+def _malformed_space(draw) -> str:
+    data = draw(_valid_space())
+    vertices, edges = data["vertices"], data["edges"]
+    e = draw(st.integers(0, len(edges) - 1))
+    fault = draw(
+        st.sampled_from(
+            ("missing", "vertices", "edges", "edge", "endpoint", "weight", "ragged",
+             "out_of_range", "negative", "placement")
+        )
+    )
+    if fault == "missing":
+        del data[draw(st.sampled_from(("vertices", "edges")))]
+    elif fault == "vertices":
+        data["vertices"] = draw(st.sampled_from(("abc", "", None, [], {}, math.inf, math.nan, 0, -3)))
+    elif fault == "edges":
+        data["edges"] = draw(st.sampled_from(("abc", None, 5, True, {"a": 1})))
+    elif fault == "edge":
+        edges[e] = draw(st.sampled_from(("abc", None, 5, {}, [])))
+    elif fault == "endpoint":
+        edges[e][draw(st.integers(0, 1))] = draw(st.sampled_from(_WRONG_SCALARS))
+    elif fault == "weight":
+        # An infinite weight is a valid edge that no shortest path uses.
+        edges[e][2] = draw(st.sampled_from(tuple(v for v in _WRONG_SCALARS if v != math.inf)))
+    elif fault == "ragged":
+        edges[e] = edges[e][:2] if draw(st.booleans()) else edges[e] + [1.0]
+    elif fault == "out_of_range":
+        edges[e][draw(st.integers(0, 1))] = draw(
+            st.integers(vertices, vertices + 10) | st.integers(-10, -1)
+        )
+    elif fault == "negative":
+        edges[e][2] = draw(st.floats(max_value=-5e-324))
+    else:
+        data["alpha"], data["beta"] = [0], [0]
+        data[draw(st.sampled_from(("alpha", "beta")))] = [
+            draw(st.integers(vertices, vertices + 10) | st.integers(-10, -1))
+        ]
+    return json.dumps(data)
+
+
+class TestMalformedInputFuzz:
+    @staticmethod
+    def _assert_malformed(tmp_path_factory, argv, text):
+        # In-process, so an exception escaping main() fails the test the way
+        # a traceback would show from the command line.
+        path = tmp_path_factory.getbasetemp() / "malformed.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--in", str(path)])
+        assert code == EX_DATAERR and out.getvalue() == ""
+        assert err.getvalue().startswith("error: 65:") and err.getvalue().count("\n") == 1
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from((("polarity",), ("genspace",))),
+        _truncated(_valid_utilities()) | _WRONG_TOP_LEVEL | _malformed_utilities(),
+    )
+    def test_utilities_input_is_65(self, tmp_path_factory, argv, text):
+        self._assert_malformed(tmp_path_factory, argv, text)
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(
+            (("planarity",), ("embed", "--quality", "1"), ("distortion", "--quality", "1"))
+        ),
+        _truncated(_valid_space()) | _WRONG_TOP_LEVEL | _malformed_space(),
+    )
+    def test_space_input_is_65(self, tmp_path_factory, argv, text):
+        self._assert_malformed(tmp_path_factory, argv, text)
+
+    def test_deep_nesting_is_65(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "planarity", "--in", str(path))
+        assert code == EX_DATAERR and out == "" and err.startswith("error: 65:")
+
+    def test_undecodable_bytes_are_65(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'\xff{"n": 1, "values": [[-1.0]]}')
+        code, out, err = run(capsys, "polarity", "--in", str(path))
+        assert code == EX_DATAERR and out == "" and err.startswith("error: 65:")

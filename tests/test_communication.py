@@ -12,7 +12,7 @@ from matchrobust import (
     communication_requirement,
     decay_inverse,
 )
-from matchrobust.communication import functions_from_config, parse_config
+from matchrobust.communication import BoundConstants, functions_from_config, parse_config
 
 
 def decay_strategy():
@@ -140,6 +140,15 @@ class TestHardness:
         with pytest.raises(ValueError):
             HardnessFunction("constant", scale=math.nan)
 
+    @pytest.mark.parametrize("exponent", [-1.0, -1e-300, -math.inf, math.nan])
+    def test_rejects_negative_or_nan_exponent(self, exponent):
+        with pytest.raises(ValueError, match="exponent"):
+            HardnessFunction("polynomial", exponent=exponent)
+
+    def test_zero_exponent_is_constant(self):
+        h = HardnessFunction("polynomial", scale=2.0, exponent=0.0)
+        assert [h.value(n) for n in (1, 5, 50)] == [2.0, 2.0, 2.0]
+
 
 class TestCommunicationRequirement:
     def test_closed_form_example(self):
@@ -227,6 +236,12 @@ class TestBoundTable:
             self._table(n=1)
         with pytest.raises(ValueError):
             bound_table(3, 1, 1, HardnessFunction("log"), DecayFunction("linear"))
+
+    @pytest.mark.parametrize("name", ["size_constant", "genus_constant", "market_constant"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_constants_must_be_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            BoundConstants(**{name: value})
 
     def test_csv_and_text_rendering(self):
         t = self._table()

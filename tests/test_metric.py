@@ -1,7 +1,11 @@
 import math
+import warnings
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchrobust import (
     MetricSpace,
@@ -22,7 +26,57 @@ from matchrobust import (
 )
 from matchrobust.metric import component_labels, space_from_json_dict, space_to_json_dict
 
-from conftest import band_utup
+from conftest import band_utup, reference_is_polarized
+
+#: Utilities at the edges of the float range: signed zeros, the smallest
+#: subnormal and normal, values whose pairwise sums overflow, and -inf.
+EDGE_UTILITIES = (
+    0.0,
+    -0.0,
+    -5e-324,
+    -2.2250738585072014e-308,
+    -1.0,
+    -2.0,
+    -1e308,
+    -1.7e308,
+    -math.inf,
+)
+
+
+@st.composite
+def polarity_profiles(draw):
+    """Euclidean-realised (polarized), band (polarized), lattice (ties and
+    coincident points) and random (mostly non-polarized) profiles with
+    n = 1..7, scaled toward the float range edges, and with some entries
+    overwritten by edge values."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(("euclidean", "lattice", "band", "random")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("euclidean", "lattice"):
+        dim = int(rng.integers(1, 4))
+        if kind == "euclidean":
+            agents, alternatives = rng.normal(size=(n, dim)), rng.normal(size=(n, dim))
+        else:
+            agents, alternatives = rng.integers(-2, 3, (n, dim)), rng.integers(-2, 3, (n, dim))
+        vals = -np.linalg.norm(agents[:, None, :] - alternatives[None, :, :], axis=2)
+    elif kind == "band":
+        vals = rng.uniform(-2.0, -1.0, (n, n))
+    else:
+        vals = rng.uniform(-10.0, -0.01, (n, n))
+    vals = (vals * draw(st.sampled_from((1.0, 1e-300, 1e300, 1e307)))).tolist()
+    edits = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.sampled_from(EDGE_UTILITIES) | st.floats(max_value=0.0, allow_nan=False),
+            ),
+            max_size=n * n,
+        )
+    )
+    for a, x, value in edits:
+        vals[a][x] = value
+    return UtilityProfile(n, vals)
 
 
 class TestPolarity:
@@ -43,6 +97,27 @@ class TestPolarity:
     def test_exact_check_available(self):
         u = UtilityProfile(2, ((0.0, -10.0), (0.0, -10.0)))
         assert bool(is_polarized(u, tol=0.0))
+
+    @settings(max_examples=400)
+    @given(polarity_profiles(), st.sampled_from((0.0, 1e-12, 1e-6)))
+    def test_matches_scalar_reference(self, u, tol):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            check = is_polarized(u, tol=tol)
+        assert (check.ok, check.violation) == reference_is_polarized(u, tol)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-6])
+    def test_edge_values_emit_no_warning(self, tol):
+        # -inf - -inf, -1.7e308 + -1.7e308 and (at tol = 0) 0 * inf all
+        # occur in this profile; each would raise a RuntimeWarning unless
+        # silenced.
+        n = len(EDGE_UTILITIES)
+        vals = [[EDGE_UTILITIES[(a + x) % n] for x in range(n)] for a in range(n)]
+        u = UtilityProfile(n, vals)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            check = is_polarized(u, tol=tol)
+        assert (check.ok, check.violation) == reference_is_polarized(u, tol)
 
 
 class TestMetricSpace:
