@@ -24,6 +24,7 @@ from .markets import (
     UtilityProfile,
     geometric_market,
 )
+from .jsonvalues import json_int, json_number
 from .metric import (
     MetricSpace,
     Placement,
@@ -51,8 +52,8 @@ EX_USAGE = 64
 EX_DATAERR = 65
 
 #: What converting a parsed JSON document into library objects raises when
-#: the document is malformed; ``int()`` of an overflowed number such as
-#: ``1e400`` raises OverflowError.
+#: the document is malformed; ``float()`` of a JSON integer beyond the double
+#: range, such as ``1`` followed by 400 zeros, raises OverflowError.
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
@@ -81,11 +82,14 @@ def _load_json(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         _fail_data(f"{path}: {exc}")
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         _fail_data(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except RecursionError:
         _fail_data(f"{path}: JSON nested too deeply")
+    if not isinstance(data, dict):
+        _fail_data(f"{path}: top level must be a JSON object")
+    return data
 
 
 def _emit(text: str, out: str | None):
@@ -119,17 +123,20 @@ def _load_ordinal_market(path: str) -> tuple[OrdinalProfile, OrdinalProfile]:
 
 
 def _market_profile_from_dict(data: dict, path: str):
-    kind = data.get("kind")
+    kind = data.get("kind") if isinstance(data, dict) else None
     try:
         if kind == "rank":
-            return RankBasedProfile(int(data["n"]), [float(v) for v in data["rank_utilities"]])
+            rank_utilities = [json_number(v, "rank utility") for v in data["rank_utilities"]]
+            return RankBasedProfile(json_int(data["n"], "n"), rank_utilities)
         if kind == "extensional":
             table = {}
             for entry in data["entries"]:
                 r = OrdinalProfile.from_json_dict({"n": data["n"], "ranks": entry["ranks"]})
                 u = UtilityProfile.from_json_dict({"n": data["n"], "values": entry["values"]})
+                if r in table:
+                    raise ValueError(f"two entries for ranks {[list(row) for row in r.ranks]}")
                 table[r] = u
-            return ExtensionalProfile(int(data["n"]), table)
+            return ExtensionalProfile(json_int(data["n"], "n"), table)
     except _MALFORMED as exc:
         _fail_data(f"{path}: bad market profile: {exc}")
     _fail_data(f"{path}: market profile kind must be 'rank' or 'extensional'")
@@ -146,10 +153,11 @@ def _load_market(args) -> MatchingMarket:
     for key in ("men", "women"):
         if key not in data:
             _fail_data(f"{args.infile}: missing '{key}' market profile")
-    return MatchingMarket(
-        _market_profile_from_dict(data["men"], args.infile),
-        _market_profile_from_dict(data["women"], args.infile),
-    )
+    men = _market_profile_from_dict(data["men"], args.infile)
+    women = _market_profile_from_dict(data["women"], args.infile)
+    if men.n != women.n:
+        _fail_data(f"{args.infile}: sides disagree on n")
+    return MatchingMarket(men, women)
 
 
 def _load_utilities(path: str) -> UtilityProfile:

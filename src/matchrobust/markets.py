@@ -19,6 +19,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .jsonvalues import json_int, json_rows
 from .ordinal import OrdinalProfile, all_profiles, ordinal_from_utility
 
 
@@ -47,8 +48,8 @@ class UtilityProfile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "UtilityProfile":
-        values = tuple(tuple(row) for row in data["values"])
-        return cls(n=int(data.get("n", len(values))), values=values)
+        values = json_rows(data["values"], "utility", ints=False)
+        return cls(n=json_int(data.get("n", len(values)), "n"), values=values)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .jsonvalues import json_int, json_number
 from .markets import UtilityProfile
 from .ordinal import OrdinalProfile, TiePolicy, ordinal_from_utility
 
@@ -240,13 +241,17 @@ def space_to_json_dict(space: MetricSpace, placement: Placement | None = None) -
 
 
 def space_from_json_dict(data: dict) -> tuple[MetricSpace, Placement | None]:
-    space = MetricSpace(int(data["vertices"]), [tuple(e) for e in data["edges"]])
+    edges = [
+        (json_int(a, "edge endpoint"), json_int(b, "edge endpoint"), json_number(w, "edge weight"))
+        for a, b, w in data["edges"]
+    ]
+    space = MetricSpace(json_int(data["vertices"], "vertices"), edges)
     placement = None
     if "alpha" in data and "beta" in data:
         qm = space.quotient_map
 
         def vertex(v) -> int:
-            v = int(v)
+            v = json_int(v, "placement vertex")
             if not 0 <= v < len(qm):
                 raise ValueError(f"placement vertex {v} out of range")
             return qm[v]

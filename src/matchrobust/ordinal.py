@@ -15,6 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .jsonvalues import json_int, json_rows
+
 #: Hard cap for brute-force stable enumeration (n! bijections).
 STABLE_ENUM_CAP = 7
 
@@ -68,10 +70,12 @@ class OrdinalProfile:
 
     def position_table(self) -> list[list[int]]:
         """pos[a][x] = rank of alternative x for agent a. Fresh list each call."""
-        pos = [[0] * self.n for _ in range(self.n)]
-        for a, row in enumerate(self.ranks):
+        pos = []
+        for row in self.ranks:
+            inverse = [0] * self.n
             for r, x in enumerate(row):
-                pos[a][x] = r
+                inverse[x] = r
+            pos.append(inverse)
         return pos
 
     def to_json_dict(self) -> dict:
@@ -79,7 +83,7 @@ class OrdinalProfile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OrdinalProfile":
-        return cls(n=int(data["n"]), ranks=tuple(tuple(r) for r in data["ranks"]))
+        return cls(n=json_int(data["n"], "n"), ranks=json_rows(data["ranks"], "rank", ints=True))
 
 
 @dataclass(frozen=True)
@@ -94,12 +98,6 @@ class Assignment:
         if len(self.pairing) != self.n or frozenset(self.pairing) != frozenset(range(self.n)):
             raise ValueError("pairing is not a bijection on 0..n-1")
 
-    def inverse(self) -> tuple[int, ...]:
-        inv = [0] * self.n
-        for m, w in enumerate(self.pairing):
-            inv[w] = m
-        return tuple(inv)
-
 
 @dataclass(frozen=True)
 class StablePair:
@@ -112,9 +110,11 @@ def deferred_acceptance(
 ) -> Assignment:
     """Gale-Shapley deferred acceptance.
 
-    Returns the proposing side's optimal stable assignment. The lowest-index
-    free proposer moves first; the outcome of deferred acceptance is
-    independent of proposal order, it is fixed purely for reproducibility.
+    Returns the proposing side's optimal stable assignment. Proposers enter
+    in index order, and each entrant starts a chain (McVitie & Wilson 1971):
+    whoever is rejected or displaced proposes next, until a proposal lands
+    on a free responder. Each proposal is O(1), so the run is O(proposals).
+    The outcome of deferred acceptance does not depend on proposal order.
     """
     if men.n != women.n:
         raise ValueError(f"size mismatch: men n={men.n}, women n={women.n}")
@@ -124,22 +124,19 @@ def deferred_acceptance(
     else:
         proposers, responders = women, men
 
+    prefs = proposers.ranks
     resp_pos = responders.position_table()
     next_choice = [0] * n
     engaged = [-1] * n  # responder -> proposer
-    free = set(range(n))
-    while free:
-        p = min(free)
-        target = proposers.ranks[p][next_choice[p]]
-        next_choice[p] += 1
-        holder = engaged[target]
-        if holder < 0:
-            engaged[target] = p
-            free.remove(p)
-        elif resp_pos[target][p] < resp_pos[target][holder]:
-            engaged[target] = p
-            free.remove(p)
-            free.add(holder)
+    for entrant in range(n):
+        p = entrant
+        while p >= 0:
+            target = prefs[p][next_choice[p]]
+            next_choice[p] += 1
+            holder = engaged[target]
+            if holder < 0 or resp_pos[target][p] < resp_pos[target][holder]:
+                engaged[target] = p
+                p = holder
 
     if proposing_side is Side.MEN:
         pairing = [0] * n
@@ -158,29 +155,37 @@ def phi(men: OrdinalProfile, women: OrdinalProfile) -> StablePair:
     )
 
 
+def _blocking(men_ranks, women_pos, pairing) -> Iterator[tuple[int, int]]:
+    """Blocking pairs of ``pairing`` in (man, his rank of the woman) order.
+
+    A man scans his ranking down to his partner; a woman he meets on the way
+    blocks with him if she ranks him above her own partner.
+    """
+    inv = [0] * len(pairing)
+    for m, w in enumerate(pairing):
+        inv[w] = m
+    for m, partner in enumerate(pairing):
+        for w in men_ranks[m]:
+            if w == partner:
+                break
+            pos = women_pos[w]
+            if pos[m] < pos[inv[w]]:
+                yield m, w
+
+
 def blocking_pairs(
     men: OrdinalProfile, women: OrdinalProfile, mu: Assignment
 ) -> set[tuple[int, int]]:
     """All (man, woman) pairs who mutually prefer each other over their match."""
     if men.n != women.n or mu.n != men.n:
         raise ValueError("size mismatch")
-    n = men.n
-    men_pos = men.position_table()
-    women_pos = women.position_table()
-    inv = mu.inverse()
-    blocks = set()
-    for m in range(n):
-        matched_rank = men_pos[m][mu.pairing[m]]
-        for w in men.ranks[m]:
-            if men_pos[m][w] >= matched_rank:
-                break
-            if women_pos[w][m] < women_pos[w][inv[w]]:
-                blocks.add((m, w))
-    return blocks
+    return set(_blocking(men.ranks, women.position_table(), mu.pairing))
 
 
 def is_stable(men: OrdinalProfile, women: OrdinalProfile, mu: Assignment) -> bool:
-    return not blocking_pairs(men, women, mu)
+    if men.n != women.n or mu.n != men.n:
+        raise ValueError("size mismatch")
+    return next(_blocking(men.ranks, women.position_table(), mu.pairing), None) is None
 
 
 def enumerate_stable(
@@ -189,18 +194,19 @@ def enumerate_stable(
     """All stable assignments by exhaustive bijection enumeration.
 
     Brute-force oracle for the deferred-acceptance implementation; refuses
-    to run above ``cap`` because the search is n! wide.
+    to run above ``cap`` because the search is n! wide. Each bijection is
+    dropped at its first blocking pair.
     """
     if men.n != women.n:
         raise ValueError("size mismatch")
     if men.n > cap:
         raise ValueError(f"n={men.n} exceeds brute-force cap {cap}")
-    out = set()
-    for perm in itertools.permutations(range(men.n)):
-        mu = Assignment(men.n, perm)
-        if is_stable(men, women, mu):
-            out.add(mu)
-    return out
+    women_pos = women.position_table()
+    return {
+        Assignment(men.n, perm)
+        for perm in itertools.permutations(range(men.n))
+        if next(_blocking(men.ranks, women_pos, perm), None) is None
+    }
 
 
 def all_profiles(n: int) -> Iterator[OrdinalProfile]:
@@ -208,12 +214,6 @@ def all_profiles(n: int) -> Iterator[OrdinalProfile]:
     perms = list(itertools.permutations(range(n)))
     for rows in itertools.product(perms, repeat=n):
         yield OrdinalProfile(n, rows)
-
-
-def profile_count(n: int) -> int:
-    import math
-
-    return math.factorial(n) ** n
 
 
 def uniform_profile(n: int, rng: np.random.Generator) -> OrdinalProfile:

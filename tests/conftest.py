@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from matchrobust import OrdinalProfile, UtilityProfile
+from matchrobust import Assignment, OrdinalProfile, Side, UtilityProfile
 
 settings.register_profile(
     "default",
@@ -80,6 +80,46 @@ def oracle_female_optimal(men: OrdinalProfile, women: OrdinalProfile):
         if ok:
             return cand
     raise AssertionError("no female-optimal stable pairing found")
+
+
+def reference_deferred_acceptance(
+    men: OrdinalProfile, women: OrdinalProfile, proposing_side: Side = Side.MEN
+) -> Assignment:
+    """Deferred acceptance in which the lowest-index free proposer always
+    moves next (``min`` over the free set); O(n^3) on identical proposer
+    rankings, kept as the reference for the library's proposal chains."""
+    if men.n != women.n:
+        raise ValueError(f"size mismatch: men n={men.n}, women n={women.n}")
+    n = men.n
+    if proposing_side is Side.MEN:
+        proposers, responders = men, women
+    else:
+        proposers, responders = women, men
+
+    resp_pos = responders.position_table()
+    next_choice = [0] * n
+    engaged = [-1] * n  # responder -> proposer
+    free = set(range(n))
+    while free:
+        p = min(free)
+        target = proposers.ranks[p][next_choice[p]]
+        next_choice[p] += 1
+        holder = engaged[target]
+        if holder < 0:
+            engaged[target] = p
+            free.remove(p)
+        elif resp_pos[target][p] < resp_pos[target][holder]:
+            engaged[target] = p
+            free.remove(p)
+            free.add(holder)
+
+    if proposing_side is Side.MEN:
+        pairing = [0] * n
+        for w, m in enumerate(engaged):
+            pairing[m] = w
+        return Assignment(n, tuple(pairing))
+    # engaged maps man -> woman when women propose
+    return Assignment(n, tuple(engaged))
 
 
 def reference_first_break(rows, c: float):

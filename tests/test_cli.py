@@ -424,6 +424,15 @@ def _pinned_utilities(tripled_entry=None) -> dict:
     return {"schema": 1, "n": 12, "values": values}
 
 
+def _output_digest(tmp_path, argv, infile) -> str:
+    """sha256 of what ``argv --in FILE --out OUT`` writes for ``infile``."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(infile))
+    out = tmp_path / "out"
+    assert main([*argv, "--in", str(path), "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 class TestPinnedGeometryOutputs:
     """sha256 of geometry outputs, recorded before the polarity scan, the
     subset minima and the embed row formatting were vectorised; any change
@@ -461,17 +470,181 @@ class TestPinnedGeometryOutputs:
         ids=["embed", "distortion", "polarity", "polarity-violated", "genspace"],
     )
     def test_digest(self, tmp_path, argv, infile, expected):
-        path = tmp_path / "in.json"
-        path.write_text(json.dumps(infile))
-        out = tmp_path / "out"
-        assert main([*argv, "--in", str(path), "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+        assert _output_digest(tmp_path, argv, infile) == expected
+
+
+def _pinned_market(n: int, identical: bool = False) -> dict:
+    """A random ordinal market; ``identical`` gives every man one shared
+    ranking, the worst case for the order in which men propose."""
+    rng = np.random.default_rng(n)
+    if identical:
+        men = [rng.permutation(n).tolist()] * n
+    else:
+        men = [rng.permutation(n).tolist() for _ in range(n)]
+    women = [rng.permutation(n).tolist() for _ in range(n)]
+    return {"schema": 1, "men": {"n": n, "ranks": men}, "women": {"n": n, "ranks": women}}
+
+
+class TestPinnedMarketOutputs:
+    """sha256 of `solve` and `stable-set` outputs, recorded while deferred
+    acceptance still moved the lowest-index free proposer first and the
+    enumeration still checked every blocking pair; a faster proposal order
+    or an early exit must keep these bytes."""
+
+    @pytest.mark.parametrize(
+        "argv, infile, expected",
+        [
+            (
+                ("solve",),
+                _pinned_market(400, identical=True),
+                "57ab87a1fad19d3adeea0cea17f1ebcd83efdc3f0fcccb43bacfb804fec4de6f",
+            ),
+            (
+                ("solve", "--format", "text"),
+                _pinned_market(400, identical=True),
+                "c11b50a78aabf0a1755ab16d6bb50bfb698ef02aa462b1ecf4c3c90c489c1cd3",
+            ),
+            (
+                ("solve",),
+                _pinned_market(400),
+                "6615c156a2ba9c948aa6a06c8e8daeda466729ea4df5eac8312bfdc6b788637c",
+            ),
+            (
+                ("solve", "--format", "text"),
+                _pinned_market(400),
+                "a971083bff894e6c9c3491ed903be020346c9792eabf734d8156e84ef013039b",
+            ),
+            (
+                ("stable-set",),
+                _pinned_market(7),
+                "3de1c286ee9bcd8ebffccff5449881815d3157a95386e7ecc3dfdb68dbfa1293",
+            ),
+        ],
+        ids=["solve-identical", "solve-identical-text", "solve-random", "solve-random-text",
+             "stable-set"],
+    )
+    def test_digest(self, tmp_path, argv, infile, expected):
+        assert _output_digest(tmp_path, argv, infile) == expected
+
+
+def _assert_malformed(directory, argv, text):
+    """``text`` as the --in file must exit 65 with one stderr line. In-process,
+    so an exception escaping main() fails the test the way a traceback would
+    show from the command line."""
+    path = directory / "malformed.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--in", str(path)])
+    assert code == EX_DATAERR and out.getvalue() == ""
+    assert err.getvalue().startswith("error: 65:") and err.getvalue().count("\n") == 1
+
+
+_ORDINAL_2 = {"n": 2, "ranks": [[0, 1], [1, 0]]}
+_RANK_2 = {"kind": "rank", "n": 2, "rank_utilities": [-1.0, -2.0]}
+
+
+class TestStrictJsonNumbers:
+    """Counts, ranks and vertex indices must be JSON integers and values
+    JSON integers or floats: a bool, a string or (for an integer field) a
+    float is a malformed file, not a number to coerce."""
+
+    @pytest.mark.parametrize("command", ["solve", "stable-set"])
+    @pytest.mark.parametrize(
+        "side",
+        [
+            {"n": 2, "ranks": [[0.0, 1.0], [1.0, 0.0]]},
+            {"n": 2, "ranks": [[True, 0], [0, 1]]},
+            {"n": 2, "ranks": [[0, "1"], [1, 0]]},
+            {"n": 2.5, "ranks": [[0, 1], [1, 0]]},
+            {"n": 2.0, "ranks": [[0, 1], [1, 0]]},
+            {"n": "2", "ranks": [[0, 1], [1, 0]]},
+            {"n": True, "ranks": [[0]]},
+        ],
+        ids=["float-ranks", "true-rank", "string-rank", "n-2.5", "n-2.0", "n-string", "n-true"],
+    )
+    def test_ordinal_market(self, tmp_path, command, side):
+        _assert_malformed(tmp_path, (command,), json.dumps({"men": side, "women": _ORDINAL_2}))
+
+    @pytest.mark.parametrize("command", [("robustness",), ("witness", "--c", "1.5")])
+    @pytest.mark.parametrize(
+        "side",
+        [
+            {"kind": "rank", "n": "2", "rank_utilities": [-1.0, -2.0]},
+            {"kind": "rank", "n": 2.0, "rank_utilities": [-1.0, -2.0]},
+            {"kind": "rank", "n": 2, "rank_utilities": ["-1", -2.0]},
+            {"kind": "rank", "n": 2, "rank_utilities": [False, -2.0]},
+            {"kind": "extensional", "n": 1,
+             "entries": [{"ranks": [[0]], "values": [[True]]}]},
+            {"kind": "extensional", "n": 1,
+             "entries": [{"ranks": [[0.0]], "values": [[-1.0]]}]},
+        ],
+        ids=["n-string", "n-float", "string-utility", "false-utility", "true-value", "float-rank"],
+    )
+    def test_matching_market(self, tmp_path, command, side):
+        women = {"kind": "rank", "n": 1, "rank_utilities": [-1.0]} if side["n"] == 1 else _RANK_2
+        _assert_malformed(tmp_path, command, json.dumps({"men": side, "women": women}))
+
+    @pytest.mark.parametrize("command", ["polarity", "genspace"])
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"n": 2.5, "values": [[-1, -2], [-3, -4]]},
+            {"n": "2", "values": [[-1, -2], [-3, -4]]},
+            {"n": 2, "values": [[-1, False], [-3, -4]]},
+            {"n": 2, "values": [[-1, "-2"], [-3, -4]]},
+        ],
+        ids=["n-2.5", "n-string", "false-value", "string-value"],
+    )
+    def test_utilities(self, tmp_path, command, document):
+        _assert_malformed(tmp_path, (command,), json.dumps(document))
+
+    @pytest.mark.parametrize("command", ["planarity", "embed"])
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"vertices": 3.7, "edges": [[0, 1, 1.0], [1, 2, 2.0]]},
+            {"vertices": "3", "edges": [[0, 1, 1.0], [1, 2, 2.0]]},
+            {"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, "2"]]},
+            {"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, True]]},
+            {"vertices": 3, "edges": [[0, 1.0, 1.0], [1, 2, 2.0]]},
+            {"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]], "alpha": [0.0], "beta": [2]},
+            {"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]], "alpha": [0], "beta": [True]},
+            {"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, 10 ** 400]]},
+        ],
+        ids=["vertices-3.7", "vertices-string", "string-weight", "true-weight",
+             "float-endpoint", "float-alpha", "true-beta", "overflowing-weight"],
+    )
+    def test_space(self, tmp_path, command, document):
+        _assert_malformed(tmp_path, (command,), json.dumps(document))
+
+    def test_integer_values_still_read(self, capsys, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({"n": 2, "values": [[-1, -4], [-4, -1]]}))
+        assert run(capsys, "polarity", "--in", str(path))[0] == 0
+        path.write_text(json.dumps({"vertices": 3, "edges": [[0, 1, 1], [1, 2, 2]]}))
+        assert run(capsys, "planarity", "--in", str(path))[0] == 0
+        path.write_text(json.dumps({"men": dict(_RANK_2, rank_utilities=[-1, -2]), "women": _RANK_2}))
+        assert run(capsys, "robustness", "--in", str(path))[0] == 0
+
+    def test_library_boundary_raises_type_error(self):
+        from matchrobust import OrdinalProfile, UtilityProfile
+        from matchrobust.metric import space_from_json_dict
+
+        with pytest.raises(TypeError):
+            OrdinalProfile.from_json_dict({"n": 2, "ranks": [[0.0, 1.0], [1.0, 0.0]]})
+        with pytest.raises(TypeError):
+            UtilityProfile.from_json_dict({"n": 1, "values": [[False]]})
+        with pytest.raises(TypeError):
+            space_from_json_dict({"vertices": 2.0, "edges": [[0, 1, 1.0]]})
 
 
 # Malformed-input fuzzing of the exit-code contract: every case below is a
 # broken input file and must exit 65 with a one-line message, never raise.
 
 _WRONG_SCALARS = ("abc", "", None, [], {}, [1], {"a": 1}, math.inf, math.nan)
+# Numbers that are not JSON integers: floats, bools and numeric strings.
+_NOT_INTEGERS = (0.0, 1.0, 2.5, True, False, "0", "1")
 
 
 @st.composite
@@ -511,7 +684,7 @@ def _malformed_utilities(draw) -> str:
     if fault == "missing":
         del data["values"]
     elif fault == "n":
-        data["n"] = draw(st.sampled_from(_WRONG_SCALARS))
+        data["n"] = draw(st.sampled_from(_WRONG_SCALARS + _NOT_INTEGERS + (float(n), str(n))))
     elif fault == "values":
         data["values"] = draw(st.sampled_from(("abc", None, 3, True, [3], [None])))
     elif fault == "cell":
@@ -539,13 +712,17 @@ def _malformed_space(draw) -> str:
     if fault == "missing":
         del data[draw(st.sampled_from(("vertices", "edges")))]
     elif fault == "vertices":
-        data["vertices"] = draw(st.sampled_from(("abc", "", None, [], {}, math.inf, math.nan, 0, -3)))
+        data["vertices"] = draw(
+            st.sampled_from(_WRONG_SCALARS + _NOT_INTEGERS + (0, -3, float(vertices), str(vertices)))
+        )
     elif fault == "edges":
         data["edges"] = draw(st.sampled_from(("abc", None, 5, True, {"a": 1})))
     elif fault == "edge":
         edges[e] = draw(st.sampled_from(("abc", None, 5, {}, [])))
     elif fault == "endpoint":
-        edges[e][draw(st.integers(0, 1))] = draw(st.sampled_from(_WRONG_SCALARS))
+        edges[e][draw(st.integers(0, 1))] = draw(
+            st.sampled_from(_WRONG_SCALARS + _NOT_INTEGERS + (float(edges[e][0]),))
+        )
     elif fault == "weight":
         # An infinite weight is a valid edge that no shortest path uses.
         edges[e][2] = draw(st.sampled_from(tuple(v for v in _WRONG_SCALARS if v != math.inf)))
@@ -565,26 +742,138 @@ def _malformed_space(draw) -> str:
     return json.dumps(data)
 
 
-class TestMalformedInputFuzz:
-    @staticmethod
-    def _assert_malformed(tmp_path_factory, argv, text):
-        # In-process, so an exception escaping main() fails the test the way
-        # a traceback would show from the command line.
-        path = tmp_path_factory.getbasetemp() / "malformed.json"
-        path.write_text(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--in", str(path)])
-        assert code == EX_DATAERR and out.getvalue() == ""
-        assert err.getvalue().startswith("error: 65:") and err.getvalue().count("\n") == 1
+@st.composite
+def _valid_ordinal_market(draw) -> dict:
+    n = draw(st.integers(1, 4))
+    rows = st.lists(st.permutations(range(n)).map(list), min_size=n, max_size=n)
+    return {
+        "schema": 1,
+        "men": {"n": n, "ranks": draw(rows)},
+        "women": {"n": n, "ranks": draw(rows)},
+    }
 
+
+@st.composite
+def _malformed_ordinal_market(draw) -> str:
+    data = draw(_valid_ordinal_market())
+    name = draw(st.sampled_from(("men", "women")))
+    side = data[name]
+    n, ranks = side["n"], side["ranks"]
+    a, i = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    fault = draw(
+        st.sampled_from(
+            ("missing", "side", "n", "ranks", "row", "cell", "ragged", "rows", "permutation",
+             "mismatch")
+        )
+    )
+    if fault == "missing":
+        del data[name]
+    elif fault == "side":
+        data[name] = draw(st.sampled_from(("abc", None, 3, True, [], [[0]])))
+    elif fault == "n":
+        side["n"] = draw(st.sampled_from(_WRONG_SCALARS + _NOT_INTEGERS + (float(n), str(n))))
+    elif fault == "ranks":
+        side["ranks"] = draw(st.sampled_from(("abc", None, 3, True, [3], [None], {"a": 1})))
+    elif fault == "row":
+        ranks[a] = draw(st.sampled_from(("abc", None, 3, True, {"a": 1})))
+    elif fault == "cell":
+        ranks[a][i] = draw(
+            st.sampled_from(_WRONG_SCALARS + _NOT_INTEGERS + (float(ranks[a][i]), str(ranks[a][i])))
+        )
+    elif fault == "ragged":
+        ranks[a] = ranks[a][:-1] if draw(st.booleans()) else ranks[a] + [0]
+    elif fault == "rows":
+        side["ranks"] = ranks[:-1] if draw(st.booleans()) else ranks + [list(range(n))]
+    elif fault == "permutation":
+        if n > 1 and draw(st.booleans()):
+            ranks[a][i] = ranks[a][(i + 1) % n]
+        else:
+            ranks[a][i] = draw(st.integers(n, n + 10) | st.integers(-10, -1))
+    else:
+        data[name] = {"n": n + 1, "ranks": [list(range(n + 1))] * (n + 1)}
+    return json.dumps(data)
+
+
+@st.composite
+def _valid_matching_market(draw) -> dict:
+    def side():
+        if draw(st.booleans()):
+            return {"kind": "rank", "n": n, "rank_utilities": [-(2.0**k) for k in range(n)]}
+        rows = st.lists(st.permutations(range(n)).map(list), min_size=n, max_size=n)
+        entries = []
+        profiles = st.lists(rows, min_size=1, max_size=3, unique_by=lambda r: str(r))
+        for ranks in draw(profiles):
+            values = [[0.0] * n for _ in range(n)]
+            for agent, row in enumerate(ranks):
+                for pos, x in enumerate(row):
+                    values[agent][x] = -1.0 - pos
+            entries.append({"ranks": ranks, "values": values})
+        return {"kind": "extensional", "n": n, "entries": entries}
+
+    n = draw(st.integers(1, 3))
+    return {"schema": 1, "men": side(), "women": side()}
+
+
+@st.composite
+def _malformed_matching_market(draw) -> str:
+    data = draw(_valid_matching_market())
+    name = draw(st.sampled_from(("men", "women")))
+    side = data[name]
+    n = side["n"]
+    a, x = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    wrong_value = st.sampled_from(_WRONG_SCALARS + (True, False, "-1", 1.0))
+    common = ("missing", "side", "kind", "n", "mismatch")
+    if side["kind"] == "rank":
+        fault = draw(st.sampled_from(common + ("utilities", "utility", "ragged")))
+    else:
+        fault = draw(st.sampled_from(common + ("entries", "entry", "ranks", "rank", "value",
+                                               "inconsistent", "duplicate")))
+    entry = side.get("entries", [{}])[0]
+    if fault == "missing":
+        del data[name]
+    elif fault == "side":
+        data[name] = draw(st.sampled_from(("abc", None, 3, True, [], [[0]])))
+    elif fault == "kind":
+        side["kind"] = draw(st.sampled_from(("abc", None, 3, True, [], "Rank")))
+    elif fault == "n":
+        side["n"] = draw(st.sampled_from(_WRONG_SCALARS + _NOT_INTEGERS + (float(n), str(n))))
+    elif fault == "mismatch":
+        data[name] = {"kind": "rank", "n": n + 1, "rank_utilities": [-1.0 - k for k in range(n + 1)]}
+    elif fault == "utilities":
+        side["rank_utilities"] = draw(st.sampled_from(("abc", None, 3, True, {"a": 1})))
+    elif fault == "utility":
+        side["rank_utilities"][x] = draw(wrong_value)
+    elif fault == "ragged":
+        side["rank_utilities"] = side["rank_utilities"][:-1] or [-1.0, -2.0]
+    elif fault == "entries":
+        side["entries"] = draw(st.sampled_from(("abc", None, 3, True, [], [None], [{}])))
+    elif fault == "entry":
+        del entry[draw(st.sampled_from(("ranks", "values")))]
+    elif fault == "ranks":
+        entry["ranks"][a][x] = draw(st.sampled_from(_WRONG_SCALARS + _NOT_INTEGERS + (n,)))
+    elif fault == "rank":
+        entry["ranks"][a] = entry["ranks"][a][:-1]
+    elif fault == "value":
+        entry["values"][a][x] = draw(wrong_value)
+    elif fault == "duplicate":
+        side["entries"].append(json.loads(json.dumps(entry)))
+    else:
+        # Utilities that no longer induce the entry's ranking; a single
+        # alternative cannot be misordered, so at n = 1 the utility turns
+        # positive instead.
+        row = entry["values"][a]
+        entry["values"][a] = [-v for v in row] if n == 1 else row[::-1]
+    return json.dumps(data)
+
+
+class TestMalformedInputFuzz:
     @settings(max_examples=300)
     @given(
         st.sampled_from((("polarity",), ("genspace",))),
         _truncated(_valid_utilities()) | _WRONG_TOP_LEVEL | _malformed_utilities(),
     )
     def test_utilities_input_is_65(self, tmp_path_factory, argv, text):
-        self._assert_malformed(tmp_path_factory, argv, text)
+        _assert_malformed(tmp_path_factory.getbasetemp(), argv, text)
 
     @settings(max_examples=300)
     @given(
@@ -594,7 +883,33 @@ class TestMalformedInputFuzz:
         _truncated(_valid_space()) | _WRONG_TOP_LEVEL | _malformed_space(),
     )
     def test_space_input_is_65(self, tmp_path_factory, argv, text):
-        self._assert_malformed(tmp_path_factory, argv, text)
+        _assert_malformed(tmp_path_factory.getbasetemp(), argv, text)
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from((("solve",), ("solve", "--format", "text"), ("stable-set",))),
+        _truncated(_valid_ordinal_market()) | _WRONG_TOP_LEVEL | _malformed_ordinal_market(),
+    )
+    def test_ordinal_market_input_is_65(self, tmp_path_factory, argv, text):
+        _assert_malformed(tmp_path_factory.getbasetemp(), argv, text)
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from((("robustness",), ("witness", "--c", "1.5"))),
+        _truncated(_valid_matching_market()) | _WRONG_TOP_LEVEL | _malformed_matching_market(),
+    )
+    def test_matching_market_input_is_65(self, tmp_path_factory, argv, text):
+        _assert_malformed(tmp_path_factory.getbasetemp(), argv, text)
+
+    @given(st.sampled_from((("robustness",), ("witness", "--c", "1.5"))), _valid_matching_market())
+    def test_valid_matching_market_is_read(self, tmp_path_factory, argv, data):
+        # The fuzz above starts from these documents, so they must load.
+        path = tmp_path_factory.getbasetemp() / "valid.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--in", str(path)])
+        assert code == 0, err.getvalue()
 
     def test_deep_nesting_is_65(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchrobust import (
@@ -16,6 +16,7 @@ from matchrobust import (
     deferred_acceptance,
     distinguishing_profile,
     enumerate_stable,
+    is_stable,
     ordinal_from_utility,
     phi,
 )
@@ -23,9 +24,11 @@ from matchrobust.seeding import rng_for
 
 from conftest import (
     oracle_female_optimal,
+    oracle_is_stable,
     oracle_male_optimal,
     oracle_stable_set,
     random_profile,
+    reference_deferred_acceptance,
 )
 
 
@@ -45,6 +48,29 @@ def paired_profiles(min_n=1, max_n=4):
         return random_profile(n, rng), random_profile(n, rng)
 
     return st.builds(build, st.integers(min_n, max_n), st.integers(0, 2**32 - 1))
+
+
+def da_markets(max_n=30):
+    """Markets for the deferred-acceptance reference check. An identical
+    side is the worst case as proposers (every proposer chases the same
+    responders) and a single shared ranking as responders."""
+
+    def build(n, seed, kind):
+        rng = np.random.default_rng(seed)
+        men, women = random_profile(n, rng), random_profile(n, rng)
+        shared = OrdinalProfile(n, (tuple(int(v) for v in rng.permutation(n)),) * n)
+        if kind in ("identical men", "both identical"):
+            men = shared
+        if kind in ("identical women", "both identical"):
+            women = shared
+        return men, women
+
+    return st.builds(
+        build,
+        st.integers(1, max_n),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(("random", "identical men", "identical women", "both identical")),
+    )
 
 
 class TestProfileValidation:
@@ -93,6 +119,14 @@ class TestDeferredAcceptance:
             deferred_acceptance(
                 OrdinalProfile(1, ((0,),)), OrdinalProfile(2, ((0, 1), (0, 1)))
             )
+
+    @settings(max_examples=200)
+    @given(da_markets())
+    def test_matches_min_free_reference(self, market):
+        men, women = market
+        for side in (Side.MEN, Side.WOMEN):
+            got = deferred_acceptance(men, women, side)
+            assert got == reference_deferred_acceptance(men, women, side)
 
     @given(paired_profiles(2, 4))
     def test_outputs_are_stable(self, pair):
@@ -166,11 +200,39 @@ class TestEnumerateStable:
         with pytest.raises(ValueError):
             enumerate_stable(men, men, cap=2)
 
-    @given(paired_profiles(2, 4))
+    @given(paired_profiles(2, 6))
     def test_matches_definition_oracle(self, pair):
         men, women = pair
         got = {a.pairing for a in enumerate_stable(men, women)}
         assert got == oracle_stable_set(men, women)
+
+    def test_never_calls_deferred_acceptance(self, monkeypatch, rng):
+        # The enumeration is the independent route that deferred acceptance
+        # is checked against, so it must not lean on it.
+        import matchrobust.ordinal as ordinal
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enumerate_stable called deferred_acceptance")
+
+        monkeypatch.setattr(ordinal, "deferred_acceptance", forbidden)
+        monkeypatch.setattr(ordinal, "phi", forbidden)
+        men, women = random_profile(5, rng), random_profile(5, rng)
+        assert enumerate_stable(men, women)
+
+
+class TestIsStable:
+    @given(paired_profiles(1, 5), st.integers(0, 2**32 - 1))
+    def test_agrees_with_blocking_pairs(self, pair, seed):
+        men, women = pair
+        perm = tuple(int(v) for v in np.random.default_rng(seed).permutation(men.n))
+        mu = Assignment(men.n, perm)
+        assert is_stable(men, women, mu) == (not blocking_pairs(men, women, mu))
+        assert is_stable(men, women, mu) == oracle_is_stable(men, women, perm)
+
+    def test_size_mismatch(self):
+        p = OrdinalProfile(2, ((0, 1), (1, 0)))
+        with pytest.raises(ValueError):
+            is_stable(p, p, Assignment(1, (0,)))
 
 
 class TestDistinguishingProfile:
