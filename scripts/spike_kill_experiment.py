@@ -15,7 +15,6 @@ import argparse
 from matchrobust import (
     CriticalSpikeSampler,
     IidUniformFactorSampler,
-    critical_market,
     preservation_probability,
     sufficient_robustness_level,
 )
@@ -31,8 +30,8 @@ def main():
     for n in (2, 3, 4):
         for c in (1.25, 1.5, 2.0):
             for eps in (0.1, 0.2):
-                market = critical_market(n, c, eps)
-                spike = CriticalSpikeSampler(market, n, c, eps)
+                spike = CriticalSpikeSampler(n, c, eps)
+                market = spike.market
                 frac = preservation_probability(market, spike, args.trials, args.seed)
                 print(f"{n},{c},{eps},spike,{spike.level:.6g},"
                       f"{sufficient_robustness_level(n, c):.6g},{args.trials},{frac:.6g},{args.seed}")

@@ -76,7 +76,6 @@ from .planar import (
 )
 from .robustness import (
     AdversarialWitness,
-    AllOnesSampler,
     CriticalSpikeSampler,
     DivisionByZeroUtility,
     IidUniformFactorSampler,

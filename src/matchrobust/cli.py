@@ -39,7 +39,6 @@ from .robustness import (
     CriticalSpikeSampler,
     DivisionByZeroUtility,
     adversarial_witness,
-    critical_market,
     preservation_probability,
     robustness,
     robustness_by_search,
@@ -99,8 +98,21 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _json_value(value):
+    """``value`` with every infinite float, at any depth, written as the
+    string "inf" or "-inf"."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Indented JSON with sorted keys; a NaN anywhere raises ValueError."""
+    return json.dumps(_json_value(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _ordinal_from_dict(data: dict, path: str) -> OrdinalProfile:
@@ -217,8 +229,8 @@ def _cmd_robustness(args) -> int:
     payload = {
         "schema": 1,
         "n": market.n,
-        "robustness": xi if math.isfinite(xi) else "inf",
-        "bisection": cross if math.isfinite(cross) else "inf",
+        "robustness": xi,
+        "bisection": cross,
         "difference": abs(xi - cross) if math.isfinite(xi) and math.isfinite(cross) else 0.0,
         "tol": args.tol,
     }
@@ -249,9 +261,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_appendix_a(args) -> int:
-    market = critical_market(args.n, args.c, args.eps)
-    sampler = CriticalSpikeSampler(market, args.n, args.c, args.eps)
-    fraction = preservation_probability(market, sampler, args.trials, args.seed)
+    sampler = CriticalSpikeSampler(args.n, args.c, args.eps)
+    fraction = preservation_probability(sampler.market, sampler, args.trials, args.seed)
     lines = [
         "n,c,eps,trials,preserved_fraction,seed",
         f"{args.n},{args.c:.10g},{args.eps:.10g},{args.trials},{fraction:.10g},{args.seed}",
@@ -365,7 +376,7 @@ def _cmd_commreq(args) -> int:
     payload = {
         "schema": 1,
         "n": args.n,
-        "xi": "inf" if math.isinf(xi) else xi,
+        "xi": xi,
         "hardness": {"family": h.family, "scale": h.scale, "exponent": h.exponent},
         "decay": {"family": d.family, "scale": d.scale, "exponent": d.exponent},
         "requirement": t,
@@ -497,12 +508,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: Built once per process; parsing leaves the parser unchanged.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if not getattr(args, "command", None):
-            parser.print_usage(sys.stderr)
+            _PARSER.print_usage(sys.stderr)
             return EX_USAGE
         return args.func(args)
     except CliError as exc:

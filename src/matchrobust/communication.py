@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,8 +50,8 @@ class DecayFunction:
     def __post_init__(self):
         if self.family not in DECAY_FAMILIES:
             raise ValueError(f"unknown decay family {self.family!r}")
-        if not self.scale > 0 or not self.exponent > 0:
-            raise ValueError("scale and exponent must be positive")
+        if not 0 < self.scale < math.inf or not 0 < self.exponent < math.inf:
+            raise ValueError("scale and exponent must be positive and finite")
 
     def value(self, t: float) -> float:
         if t < 0:
@@ -70,23 +69,18 @@ class DecayFunction:
         return self.scale if self.family == "exponential" else 0.0
 
 
-def decay_inverse(d: DecayFunction, y: float, method: str = "closed") -> InverseResult:
-    """Solve D(t) = y for t >= 0.
+def decay_inverse(d: DecayFunction, y: float) -> InverseResult:
+    """Solve D(t) = y for t >= 0 in closed form.
 
     Values of y at or below the infimum of D clamp to t = 0 with the flag
     set. Targets whose inverse exceeds the float range come back as inf;
     where ``y / scale`` overflows but the root does not, the power and
     exponential closed forms are taken in log space.
-    ``method="bisect"`` ignores the closed forms and solves by bracket
-    doubling plus bisection to relative tolerance 1e-10; it exists to
-    cross-check the closed forms.
     """
     if not y > 0:
         raise ValueError("y must be positive")
     if y <= d.infimum():
         return InverseResult(0.0, True)
-    if method == "bisect":
-        return InverseResult(_invert_by_bisection(d, y), False)
     try:
         if d.family == "linear":
             return InverseResult(y / d.scale, False)
@@ -103,43 +97,6 @@ def decay_inverse(d: DecayFunction, y: float, method: str = "closed") -> Inverse
         return InverseResult(t, False)
     except OverflowError:
         return InverseResult(math.inf, False)
-
-
-def _value_or_inf(d: DecayFunction, t: float) -> float:
-    """D(t), with an overflow read as +inf, which lies above any target.
-
-    Power and exponential decay overflow before ``scale`` is applied, so
-    there D(t) is retried in log space, where a scale below 1 can bring it
-    back into range.
-    """
-    try:
-        return d.value(t)
-    except OverflowError:
-        pass
-    log_term = d.exponent * (t if d.family == "exponential" else math.log(t))
-    try:
-        return math.exp(math.log(d.scale) + log_term)
-    except OverflowError:
-        return math.inf
-
-
-def _invert_by_bisection(d: DecayFunction, y: float) -> float:
-    # Halving each end before adding keeps midpoints finite near the float
-    # maximum and is bitwise equal to 0.5 * (lo + hi) everywhere else.
-    lo, hi = 0.0, 1.0
-    while _value_or_inf(d, hi) < y:
-        if hi == sys.float_info.max:
-            return math.inf
-        lo, hi = hi, min(2.0 * hi, sys.float_info.max)
-    for _ in range(200):
-        mid = 0.5 * lo + 0.5 * hi
-        if _value_or_inf(d, mid) < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10 * max(1.0, hi):
-            break
-    return 0.5 * lo + 0.5 * hi
 
 
 @dataclass(frozen=True)
@@ -162,10 +119,10 @@ class HardnessFunction:
     def __post_init__(self):
         if self.family not in HARDNESS_FAMILIES:
             raise ValueError(f"unknown hardness family {self.family!r}")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-        if not self.exponent >= 0:  # a negative exponent would make H decrease
-            raise ValueError("exponent must be nonnegative")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
+        if not 0 <= self.exponent < math.inf:  # a negative exponent would make H decrease
+            raise ValueError("exponent must be nonnegative and finite")
 
     def value(self, n: int) -> float:
         if n < 1:
@@ -263,8 +220,8 @@ class BoundConstants:
 
     def __post_init__(self):
         for name in ("size_constant", "genus_constant", "market_constant"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@ from .seeding import rng_for
 #: ranking starts at alternative i and cycles upward.
 _CONDORCET_RANKS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
+#: Largest point dimension :func:`euclidean_profile_robustness` accepts.
+_MAX_POINT_DIM = 16
+
 
 @dataclass(frozen=True, eq=False)
 class EuclideanPlacement:
@@ -68,15 +71,17 @@ def bourgain_embed(space: MetricSpace, quality: int = 10, seed: int = 0) -> Eucl
     v_count = space.n_vertices
     if v_count < 2:
         raise ValueError("need at least 2 vertices")
-    if not space.is_connected():
+    if quality < 1:
+        raise ValueError("quality >= 1 required")
+    dmat = space.distance_matrix()
+    if not np.isfinite(dmat).all():
         raise ValueError("space must be connected (finite distances)")
     levels = int(math.floor(math.log2(v_count)))
     reps = quality * int(math.ceil(math.log(v_count)))
-    reps = max(reps, 1)
     rng = rng_for(seed)
     # Row t of by_target holds every vertex's distance to t, so a subset's
     # minima reduce contiguous rows rather than gathering scattered columns.
-    by_target = np.ascontiguousarray(space.distance_matrix().T)
+    by_target = np.ascontiguousarray(dmat.T)
     cols = []
     for i in range(1, levels + 1):
         size = min(2**i, v_count - 1)
@@ -93,9 +98,9 @@ def measure_distortion(space: MetricSpace, placement: EuclideanPlacement) -> Dis
     v_count = space.n_vertices
     if placement.points.shape[0] != v_count:
         raise ValueError("placement does not cover all vertices")
-    if not space.is_connected():
-        raise ValueError("distortion is only defined for connected spaces")
     dmat = space.distance_matrix()
+    if not np.isfinite(dmat).all():
+        raise ValueError("distortion is only defined for connected spaces")
     pts = placement.points
     sq = np.sum(pts**2, axis=1)
     gram = pts @ pts.T
@@ -147,7 +152,7 @@ def _condorcet_ratio(dists) -> float | None:
     return best
 
 
-def euclidean_profile_robustness(points_alpha, points_beta, max_dim: int = 16) -> float:
+def euclidean_profile_robustness(points_alpha, points_beta) -> float:
     """Inner ratio minimum of the cyclic profile for a Euclidean placement.
 
     ``points_alpha`` are the three agents, ``points_beta`` the three
@@ -161,8 +166,8 @@ def euclidean_profile_robustness(points_alpha, points_beta, max_dim: int = 16) -
     dims = {len(p) for p in points_alpha} | {len(p) for p in points_beta}
     if len(dims) != 1:
         raise ValueError("all points must share one dimension")
-    if dims.pop() > max_dim:
-        raise ValueError(f"dimension exceeds cap {max_dim}")
+    if dims.pop() > _MAX_POINT_DIM:
+        raise ValueError(f"dimension exceeds cap {_MAX_POINT_DIM}")
     dists = _pairwise_distances(points_alpha, points_beta)
     value = _condorcet_ratio(dists)
     if value is None:
@@ -225,6 +230,8 @@ def maximize_euclidean_robustness(
     """
     if not (1 <= dim <= 10):
         raise ValueError("dim must lie in 1..10")
+    if restarts < 1 or iters < 0:
+        raise ValueError("need restarts >= 1 and iters >= 0")
     best_value = -math.inf
     best_points = None
     feasible_restarts = 0

@@ -14,6 +14,7 @@ store an explicit table and are only practical for n <= 3 (full coverage is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -208,10 +209,18 @@ class MatchingMarket:
 
 
 def geometric_market(n: int, base: float) -> MatchingMarket:
-    """Rank-based market with consecutive utility ratio ``base`` on both sides."""
+    """Rank-based market with consecutive utility ratio ``base`` on both sides.
+
+    Rank utilities beyond the float range are rejected.
+    """
     if not base > 1:
         raise ValueError("base must exceed 1")
-    ru = tuple(-(base**i) for i in range(n))
+    try:
+        ru = tuple(-(base**i) for i in range(n))
+    except OverflowError:
+        ru = (-math.inf,)
+    if not all(map(math.isfinite, ru)):
+        raise ValueError("rank utilities overflow the float range")
     return MatchingMarket(RankBasedProfile(n, ru), RankBasedProfile(n, ru))
 
 

@@ -200,9 +200,6 @@ class MetricSpace:
             comps.setdefault(root, []).append(v)
         return list(comps.values())
 
-    def is_connected(self) -> bool:
-        return len(self.components()) == 1
-
     def support_edges(self) -> list[tuple[int, int]]:
         return [(a, b) for a, b, _w in self.edges]
 
@@ -263,25 +260,19 @@ def space_from_json_dict(data: dict) -> tuple[MetricSpace, Placement | None]:
     return space, placement
 
 
-def build_generating_space(u: UtilityProfile, tol: float = 1e-12) -> tuple[MetricSpace, Placement]:
+def build_generating_space(u: UtilityProfile) -> tuple[MetricSpace, Placement]:
     """Complete bipartite realization of a polarized utility profile.
 
-    Vertices 0..n-1 host the agents, n..2n-1 the alternatives, and the
-    (a, x) edge carries weight -u(a, x). Polarity makes every direct edge a
-    shortest path, which is verified before returning. Zero-utility pairs
-    collapse agent and alternative into one vertex via the quotient.
+    The one-block case of :func:`union_generating_space`: vertices 0..n-1
+    host the agents, n..2n-1 the alternatives, and the (a, x) edge carries
+    weight -u(a, x). Polarity makes every direct edge a shortest path, which
+    is verified before returning. Zero-utility pairs collapse agent and
+    alternative into one vertex via the quotient.
     """
-    check = is_polarized(u, tol=tol)
-    if not check:
-        raise NotPolarized(check.violation)
-    n = u.n
-    edges = [(a, n + x, -u.values[a][x]) for a in range(n) for x in range(n)]
-    space = MetricSpace(2 * n, edges)
-    qm = space.quotient_map
-    placement = Placement(tuple(qm[a] for a in range(n)), tuple(qm[n + x] for x in range(n)))
-    for a in range(n):
+    space, (placement,) = union_generating_space([u])
+    for a in range(u.n):
         row = space.dist_row(placement.alpha[a])
-        for x in range(n):
+        for x in range(u.n):
             want = -u.values[a][x]
             got = row[placement.beta[x]]
             if abs(got - want) > _REL_TOL * max(1.0, want):
@@ -292,12 +283,13 @@ def build_generating_space(u: UtilityProfile, tol: float = 1e-12) -> tuple[Metri
 
 
 def union_generating_space(
-    profiles: Sequence[UtilityProfile], tol: float = 1e-12
+    profiles: Sequence[UtilityProfile],
 ) -> tuple[MetricSpace, list[Placement]]:
     """Disjoint union of the bipartite realizations of several profiles.
 
-    With strictly negative utilities each block contributes 2n vertices, so
-    the union has 2n * len(profiles) vertices; zero utilities shrink their
+    Each profile must be polarized (:class:`NotPolarized` otherwise). With
+    strictly negative utilities each block contributes 2n vertices, so the
+    union has 2n * len(profiles) vertices; zero utilities shrink their
     block through the quotient.
     """
     if not profiles:
@@ -305,8 +297,8 @@ def union_generating_space(
     edges = []
     offsets = []
     offset = 0
-    for idx, u in enumerate(profiles):
-        check = is_polarized(u, tol=tol)
+    for u in profiles:
+        check = is_polarized(u)
         if not check:
             raise NotPolarized(check.violation)
         n = u.n

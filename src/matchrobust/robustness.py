@@ -29,9 +29,9 @@ from .markets import (
     MarketProfile,
     MatchingMarket,
     Perturbation,
-    RankBasedProfile,
     UtilityProfile,
     apply_perturbation,
+    geometric_market,
 )
 from .ordinal import (
     OrdinalProfile,
@@ -197,8 +197,8 @@ def adversarial_witness(market: MatchingMarket, c: float) -> AdversarialWitness 
     sink it; the others were not raised). Returns None when nothing in the
     scanned profiles breaks, which means the market is c-robust.
     """
-    if not c >= 1.0:
-        raise ValueError("c must be >= 1")
+    if not 1.0 <= c < math.inf:
+        raise ValueError("c must be finite and >= 1")
     for name, r, u, a, i, upper, lower in _consecutive_pairs(market):
         if c * upper <= lower:
             return _build_witness(name, r, u, a, i, c)
@@ -280,12 +280,7 @@ def _breakable(c: float, sides: tuple[_ScanSide, ...]) -> bool:
     return False
 
 
-def robustness_by_search(
-    market: MatchingMarket,
-    lo: float = 1.0,
-    hi: float | None = None,
-    tol: float = 1e-6,
-) -> float:
+def robustness_by_search(market: MatchingMarket, tol: float = 1e-6) -> float:
     """Bisection oracle for :func:`robustness`.
 
     At each candidate level the search applies every single-entry extremal
@@ -297,23 +292,21 @@ def robustness_by_search(
     independent of the formula it cross-checks. The first break in scan
     order (side, profile, agent, position) is verified through a
     distinguishing opposite-side profile: the deferred-acceptance pair must
-    move. The bracket is expanded upward automatically if ``hi`` is not
-    supplied or does not break. Bisection stops once the bracket is no wider
-    than ``tol`` or no float lies strictly between its ends, so a ``tol``
-    below the float spacing stops at float resolution; a NaN ``tol`` is
+    move. The bracket starts at [1, 2] and doubles its upper end until that
+    end breaks. Bisection stops once the bracket is no wider than ``tol`` or
+    no float lies strictly between its ends, so a ``tol`` below the float
+    spacing stops at float resolution; a NaN or infinite ``tol`` is
     rejected.
     """
-    if math.isnan(tol):
-        raise ValueError("tol must not be NaN")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     n = market.n
     if n == 1:
         return math.inf
     sides = tuple(_scan_side(*entry) for entry in _sides(market))
-    lo = max(1.0, lo)
+    lo, hi = 1.0, 2.0
     if _breakable(lo, sides):
         return lo
-    if hi is None:
-        hi = max(2.0, 2.0 * lo)
     while not _breakable(hi, sides):
         hi *= 2.0
         if hi > 2.0**80:
@@ -356,17 +349,18 @@ def critical_market(n: int, c: float, eps: float) -> MatchingMarket:
     The ratio strictly exceeds ``sufficient_robustness_level(n, c)``, so the market is
     robust at that level, yet a single random spike of size
     ``spike_factor(n, c, eps)`` placed at a uniform (agent, rank) slot
-    always flips one adjacent comparison.
+    always flips one adjacent comparison. Parameters whose rank utilities
+    or spike factor leave the float range are rejected.
     """
     if n < 2:
         raise ValueError("n >= 2 required")
-    if not c >= 1.0:
-        raise ValueError("c must be >= 1")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    ratio = critical_consecutive_ratio(n, c, eps)
-    ru = tuple(-(ratio**i) for i in range(n))
-    return MatchingMarket(RankBasedProfile(n, ru), RankBasedProfile(n, ru))
+    if not 1.0 <= c < math.inf:
+        raise ValueError("c must be finite and >= 1")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    if not math.isfinite(spike_factor(n, c, eps)):
+        raise ValueError("spike factor overflows the float range")
+    return geometric_market(n, critical_consecutive_ratio(n, c, eps))
 
 
 @dataclass(frozen=True)
@@ -377,20 +371,6 @@ class PerturbationSample:
     women_profile: OrdinalProfile
     men_factors: Perturbation
     women_factors: Perturbation
-
-
-class AllOnesSampler:
-    """Uniform random profiles, identity factors. Level 1."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.level = 1.0
-
-    def sample(self, rng: np.random.Generator) -> PerturbationSample:
-        ones = Perturbation.ones(self.n)
-        return PerturbationSample(
-            uniform_profile(self.n, rng), uniform_profile(self.n, rng), ones, ones
-        )
 
 
 class IidUniformFactorSampler:
@@ -421,7 +401,8 @@ class IidUniformFactorSampler:
 
 
 class CriticalSpikeSampler:
-    """Joint kill distribution for the critical market.
+    """Joint kill distribution for ``critical_market(n, c, eps)``, which the
+    sampler builds and keeps as ``self.market``.
 
     Each draw picks one (agent, rank) slot uniformly among the 2n(n-1)
     non-last slots across both sides, samples the spiked side's ordinal
@@ -434,19 +415,8 @@ class CriticalSpikeSampler:
     factor has expectation exactly (1 + eps) * c.
     """
 
-    def __init__(self, market: MatchingMarket, n: int, c: float, eps: float):
-        reference = critical_market(n, c, eps)
-        for side_name in ("men", "women"):
-            side = market.side(side_name)
-            ref = reference.side(side_name)
-            if not isinstance(side, RankBasedProfile):
-                raise ValueError("market is not in critical (rank-based) form")
-            if side.n != n or len(side.rank_utilities) != n:
-                raise ValueError("market size does not match")
-            for got, want in zip(side.rank_utilities, ref.rank_utilities):
-                if not math.isclose(got, want, rel_tol=1e-9):
-                    raise ValueError("market utilities do not match the critical form")
-        self.market = market
+    def __init__(self, n: int, c: float, eps: float):
+        self.market = critical_market(n, c, eps)
         self.n = n
         self.c = c
         self.eps = eps

@@ -1,10 +1,12 @@
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from matchrobust import Assignment, OrdinalProfile, Side, UtilityProfile
+from matchrobust import Assignment, DecayFunction, OrdinalProfile, Side, UtilityProfile
 
 settings.register_profile(
     "default",
@@ -161,6 +163,46 @@ def reference_is_polarized(u: UtilityProfile, tol: float = 1e-12):
                     if lhs > rhs + slack:
                         return False, (a, a_prime, x, x_prime)
     return True, None
+
+
+def _value_or_inf(d: DecayFunction, t: float) -> float:
+    """D(t), with an overflow read as +inf, which lies above any target.
+
+    Power and exponential decay overflow before ``scale`` is applied, so
+    there D(t) is retried in log space, where a scale below 1 can bring it
+    back into range.
+    """
+    try:
+        return d.value(t)
+    except OverflowError:
+        pass
+    log_term = d.exponent * (t if d.family == "exponential" else math.log(t))
+    try:
+        return math.exp(math.log(d.scale) + log_term)
+    except OverflowError:
+        return math.inf
+
+
+def reference_decay_inverse(d: DecayFunction, y: float) -> float:
+    """Solve D(t) = y by bracket doubling plus bisection to relative
+    tolerance 1e-10, without the closed forms; ``y`` must lie above the
+    infimum of D."""
+    # Halving each end before adding keeps midpoints finite near the float
+    # maximum and is bitwise equal to 0.5 * (lo + hi) everywhere else.
+    lo, hi = 0.0, 1.0
+    while _value_or_inf(d, hi) < y:
+        if hi == sys.float_info.max:
+            return math.inf
+        lo, hi = hi, min(2.0 * hi, sys.float_info.max)
+    for _ in range(200):
+        mid = 0.5 * lo + 0.5 * hi
+        if _value_or_inf(d, mid) < y:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-10 * max(1.0, hi):
+            break
+    return 0.5 * lo + 0.5 * hi
 
 
 def random_profile(n: int, rng: np.random.Generator) -> OrdinalProfile:

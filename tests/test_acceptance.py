@@ -26,7 +26,6 @@ from matchrobust import (
     bourgain_embed,
     build_generating_space,
     communication_requirement,
-    critical_market,
     decay_inverse,
     enumerate_stable,
     geometric_market,
@@ -149,8 +148,8 @@ def test_criterion_03_formula_vs_bisection():
 def test_criterion_04_critical_market_reproduction():
     t0 = time.time()
     n, c, eps = 3, 1.5, 0.2
-    market = critical_market(n, c, eps)
-    sampler = CriticalSpikeSampler(market, n, c, eps)
+    sampler = CriticalSpikeSampler(n, c, eps)
+    market = sampler.market
 
     level = sufficient_robustness_level(n, c)
     part_a = is_c_robust(market, level - 1e-9)

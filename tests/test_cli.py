@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchrobust.cli import EX_DATAERR, EX_USAGE, EX_VALIDATION, build_parser, main
+from matchrobust.cli import EX_DATAERR, EX_USAGE, EX_VALIDATION, _json_text, build_parser, main
 
 
 @pytest.fixture
@@ -59,6 +59,7 @@ def space_file(tmp_path):
 
 
 DISCONNECTED_SPACE = {"vertices": 4, "edges": [[0, 1, 1.0], [2, 3, 1.0]]}
+PATH_SPACE = {"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}
 IDENTITY_8 = {"n": 8, "ranks": [list(range(8))] * 8}
 
 
@@ -107,6 +108,17 @@ class TestExitCodes:
             (("stable-set",), {"men": IDENTITY_8, "women": IDENTITY_8}),
             (("appendix-a", "--n", "1", "--c", "1.5", "--eps", "0.2", "--trials", "10"), None),
             (("appendix-a", "--n", "3", "--c", "1.5", "--eps", "0.2", "--trials", "0"), None),
+            # Rank utilities beyond the float range.
+            (("robustness", "--geometric-base", "2", "--n", "2000"), None),
+            (("witness", "--geometric-base", "1e200", "--n", "3", "--c", "2"), None),
+            (("appendix-a", "--n", "40", "--c", "1e10", "--eps", "0.2", "--trials", "2"), None),
+            # Counts below their minimum.
+            (("embed", "--quality", "0"), PATH_SPACE),
+            (("embed", "--quality", "-2"), PATH_SPACE),
+            (("distortion", "--quality", "0"), PATH_SPACE),
+            (("banach-search", "--dim", "2", "--restarts", "-1"), None),
+            (("banach-search", "--dim", "2", "--restarts", "0"), None),
+            (("banach-search", "--dim", "2", "--iters", "-5"), None),
         ],
     )
     def test_library_parameter_checks_are_2(self, capsys, tmp_path, argv, infile):
@@ -129,17 +141,42 @@ class TestExitCodes:
             ("commreq", "--decay-scale", "nan", "--n", "3"),
             ("commreq", "--decay-exponent", "nan", "--n", "3"),
             ("bound-table", "--n", "4", "--space-size", "64", "--genus", "2", "--hardness-scale", "nan"),
+            # Infinities fail the same checks; ``--flag=-inf`` keeps argparse
+            # from reading "-inf" as an option.
+            ("robustness", "--geometric-base", "inf", "--n", "3"),
+            ("witness", "--geometric-base", "2.0", "--n", "3", "--c", "inf"),
+            ("appendix-a", "--n", "2", "--c", "inf", "--eps", "0.2", "--trials", "3"),
+            ("appendix-a", "--n", "2", "--c", "1.5", "--eps", "inf", "--trials", "3"),
+            ("robustness", "--geometric-base", "2.0", "--n", "3", "--tol", "inf"),
+            ("robustness", "--geometric-base", "2.0", "--n", "3", "--tol=-inf"),
+            ("commreq", "--hardness-scale", "inf", "--n", "3"),
+            ("commreq", "--hardness", "polynomial", "--hardness-exponent", "inf", "--n", "3"),
+            ("commreq", "--decay-scale", "inf", "--n", "3"),
+            ("commreq", "--decay-exponent", "inf", "--n", "3"),
+            ("commreq", "--xi=-inf", "--n", "3"),
+            ("bound-table", "--n", "4", "--space-size", "64", "--genus", "2", "--decay-scale", "inf"),
         ],
     )
     def test_nan_parameter_is_2(self, capsys, argv):
-        code, out, _err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == EX_VALIDATION and out == ""
+        assert err.startswith("error: 2:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["commreq", "bound-table"])
-    @pytest.mark.parametrize("section", ["hardness", "decay"])
-    def test_nan_config_scale_is_65(self, capsys, tmp_path, command, section):
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            pytest.param("hardness", "nan", id="hardness"),
+            pytest.param("decay", "nan", id="decay"),
+            pytest.param("hardness", "inf", id="hardness-inf"),
+            pytest.param("decay", "inf", id="decay-inf"),
+            pytest.param("constants", "inf", id="constants-inf"),
+        ],
+    )
+    def test_nan_config_scale_is_65(self, capsys, tmp_path, command, section, value):
         cfg = tmp_path / "nan.cfg"
-        cfg.write_text(f"[{section}]\nscale = nan\n")
+        key = "size_constant" if section == "constants" else "scale"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
         argv = [command, "--n", "4", "--config", str(cfg)]
         if command == "bound-table":
             argv += ["--space-size", "64", "--genus", "2"]
@@ -303,6 +340,24 @@ class TestSubcommands:
         payload = json.loads(out)
         assert code == 0 and payload["requirement"] == 5.0
 
+    def test_commreq_overflow_is_the_string_inf(self, capsys):
+        code, out, _err = run(
+            capsys, "commreq", "--n", "3", "--xi", "1",
+            "--hardness-scale", "1e300", "--decay-scale", "1e-300",
+        )
+        assert code == 0 and json.loads(out)["requirement"] == "inf"
+
+    @pytest.mark.parametrize("argv", [("--xi", "inf"), ("--xi-infinite",)])
+    def test_commreq_infinite_xi_sentinel(self, capsys, argv):
+        code, out, _err = run(capsys, "commreq", "--n", "3", *argv)
+        payload = json.loads(out)
+        assert code == 0 and payload["xi"] == "inf" and payload["requirement"] == 0.0
+
+    def test_robustness_of_one_agent_is_the_string_inf(self, capsys):
+        code, out, _err = run(capsys, "robustness", "--geometric-base", "2", "--n", "1")
+        payload = json.loads(out)
+        assert code == 0 and payload["robustness"] == payload["bisection"] == "inf"
+
     def test_commreq_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "comm.cfg"
         cfg.write_text("[hardness]\nfamily = polynomial\nexponent = 1.0\n[decay]\nfamily = linear\n")
@@ -333,6 +388,20 @@ class TestSubcommands:
         prob = lines[2].split(",")
         assert det[1] == prob[1]  # size column identical
         assert float(prob[2]) >= float(det[2])  # genus column loses the n^2 factor
+
+
+class TestJsonText:
+    def test_infinities_become_strings_at_any_depth(self):
+        payload = {"a": math.inf, "b": [1.0, -math.inf, {"c": math.inf}], "d": 2}
+        assert json.loads(_json_text(payload)) == {"a": "inf", "b": [1.0, "-inf", {"c": "inf"}], "d": 2}
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError):
+            _json_text({"a": [math.nan]})
+
+    def test_finite_payload_unchanged(self):
+        payload = {"schema": 1, "x": [0.1, -0.0, 1e308], "y": {"z": None, "w": True}}
+        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class TestReproducibility:

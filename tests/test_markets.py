@@ -109,6 +109,12 @@ class TestMarketProfiles:
         with pytest.raises(ValueError):
             geometric_market(3, math.nan)
 
+    @pytest.mark.parametrize("n, base", [(2000, 2.0), (3, 1e200), (2, math.inf)])
+    def test_geometric_market_rejects_overflowing_utilities(self, n, base):
+        with pytest.raises(ValueError, match="overflow"):
+            geometric_market(n, base)
+        assert geometric_market(1, base).men.rank_utilities == (-1.0,)
+
     def test_rank_based_consistency(self):
         side = RankBasedProfile(3, (-1.0, -2.0, -4.0))
         for t in range(20):

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matchrobust import (
-    AllOnesSampler,
     CriticalSpikeSampler,
     DivisionByZeroUtility,
     IidUniformFactorSampler,
@@ -63,8 +62,9 @@ class TestIsCRobust:
     def test_rejects_nan_level(self):
         with pytest.raises(ValueError):
             is_c_robust(geometric_market(2, 2.0), math.nan)
-        with pytest.raises(ValueError):
-            adversarial_witness(geometric_market(2, 2.0), math.nan)
+        for c in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                adversarial_witness(geometric_market(2, 2.0), c)
 
 
 class TestRobustnessFormula:
@@ -141,8 +141,9 @@ class TestBisectionOracle:
         assert robustness_by_search(geometric_market(3, 2.0), tol=tol) == 2.0
 
     def test_rejects_nan_tol(self):
-        with pytest.raises(ValueError):
-            robustness_by_search(geometric_market(3, 2.0), tol=math.nan)
+        for tol in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                robustness_by_search(geometric_market(3, 2.0), tol=tol)
 
 
 # Utilities at the edges: signed zeros, subnormals, and values that
@@ -364,30 +365,45 @@ class TestCriticalMarket:
             critical_market(3, 1.5, 0.0)
         with pytest.raises(ValueError):
             critical_market(3, 1.5, math.nan)
+        for c, eps in ((math.inf, 0.2), (1.5, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                critical_market(2, c, eps)
+        with pytest.raises(ValueError, match="rank utilities overflow"):
+            critical_market(40, 1e10, 0.2)
+        # The consecutive ratio 1.76e308 is finite, the spike factor is not.
+        with pytest.raises(ValueError, match="spike factor overflows"):
+            critical_market(2, 4e307, 0.2)
 
 
 class TestSpikeSampler:
-    def test_rejects_non_critical_market(self):
+    def test_builds_the_critical_market(self):
+        for n, c, eps in ((2, 1.5, 0.2), (3, 1.25, 0.1), (4, 2.0, 1.0)):
+            sampler = CriticalSpikeSampler(n, c, eps)
+            expected = critical_market(n, c, eps)
+            for side in ("men", "women"):
+                got = sampler.market.side(side).rank_utilities
+                assert got == expected.side(side).rank_utilities
+
+    @pytest.mark.parametrize("n, c, eps", [(1, 1.5, 0.2), (3, 0.5, 0.2), (3, 1.5, 0.0)])
+    def test_rejects_what_critical_market_rejects(self, n, c, eps):
         with pytest.raises(ValueError):
-            CriticalSpikeSampler(geometric_market(3, 2.0), 3, 1.5, 0.2)
+            CriticalSpikeSampler(n, c, eps)
 
     def test_spike_value(self):
-        market = critical_market(3, 1.5, 0.2)
-        sampler = CriticalSpikeSampler(market, 3, 1.5, 0.2)
+        sampler = CriticalSpikeSampler(3, 1.5, 0.2)
         assert math.isclose(sampler.spike, 10.6)
         assert math.isclose(sampler.level, 1.8)
 
     def test_every_factor_at_least_one(self):
-        market = critical_market(2, 1.5, 0.2)
-        sampler = CriticalSpikeSampler(market, 2, 1.5, 0.2)
+        sampler = CriticalSpikeSampler(2, 1.5, 0.2)
         for t in range(100):
             s = sampler.sample(rng_for(17, t))
             for mat in (s.men_factors, s.women_factors):
                 assert min(min(row) for row in mat.factors) >= 1.0
 
     def test_perturbed_side_is_adjacent_swap(self):
-        market = critical_market(3, 1.5, 0.2)
-        sampler = CriticalSpikeSampler(market, 3, 1.5, 0.2)
+        sampler = CriticalSpikeSampler(3, 1.5, 0.2)
+        market = sampler.market
         for t in range(50):
             s = sampler.sample(rng_for(23, t))
             spiked = "men" if s.men_factors.factors != Perturbation.ones(3).factors else "women"
@@ -402,8 +418,7 @@ class TestSpikeSampler:
             assert len(diffs) == 1
 
     def test_factor_means_small_scale(self):
-        market = critical_market(3, 1.5, 0.2)
-        sampler = CriticalSpikeSampler(market, 3, 1.5, 0.2)
+        sampler = CriticalSpikeSampler(3, 1.5, 0.2)
         means, errs = rank_slot_factor_stats(sampler, draws=4000, seed=5)
         assert means.shape == (6, 2)
         for a in range(6):
@@ -412,15 +427,21 @@ class TestSpikeSampler:
 
 
 class TestPreservationProbability:
+    def test_level_one_iid_sampler_draws_all_ones(self):
+        for n in (2, 3, 5):
+            ones = Perturbation.ones(n)
+            for t in range(50):
+                s = IidUniformFactorSampler(n, 1.0).sample(rng_for(9, t))
+                assert s.men_factors == ones and s.women_factors == ones
+
     def test_all_ones_sampler_preserves(self):
         market = geometric_market(3, 2.0)
-        assert preservation_probability(market, AllOnesSampler(3), 300, 9) == 1.0
+        assert preservation_probability(market, IidUniformFactorSampler(3, 1.0), 300, 9) == 1.0
 
     def test_kill_property_exact_zero(self):
         for n in (2, 3):
-            market = critical_market(n, 1.5, 0.2)
-            sampler = CriticalSpikeSampler(market, n, 1.5, 0.2)
-            assert preservation_probability(market, sampler, 10_000, 4) == 0.0
+            sampler = CriticalSpikeSampler(n, 1.5, 0.2)
+            assert preservation_probability(sampler.market, sampler, 10_000, 4) == 0.0
 
     def test_non_flipping_spike_preserves(self):
         # Deterministic single spike at the theorem level never reaches the
@@ -452,7 +473,7 @@ class TestPreservationProbability:
     def test_trials_validation(self):
         market = geometric_market(2, 2.0)
         with pytest.raises(ValueError):
-            preservation_probability(market, AllOnesSampler(2), 0, 1)
+            preservation_probability(market, IidUniformFactorSampler(2, 1.0), 0, 1)
 
 
 class TestSamplerLevels:
