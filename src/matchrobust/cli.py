@@ -1,7 +1,8 @@
 """Command-line interface: one executable, one subcommand per analysis.
 
 Exit codes follow the sysexits convention: 0 success, 2 parameter
-validation errors, 64 unknown subcommand / usage, 65 malformed input file.
+validation errors and unwritable output paths, 64 unknown subcommand /
+usage, 65 malformed input file.
 All stochastic subcommands take a --seed (default 1729) and identical
 invocations produce byte-identical outputs. File schemas are documented in
 docs/formats.md and carry a top-level "schema": 1 field.
@@ -19,6 +20,7 @@ from . import communication as comm
 from . import embedding as emb
 from .markets import (
     ExtensionalProfile,
+    MarketProfile,
     MatchingMarket,
     RankBasedProfile,
     UtilityProfile,
@@ -26,8 +28,6 @@ from .markets import (
 )
 from .jsonvalues import json_int, json_number
 from .metric import (
-    MetricSpace,
-    Placement,
     build_generating_space,
     is_polarized,
     space_from_json_dict,
@@ -50,9 +50,9 @@ EX_VALIDATION = 2
 EX_USAGE = 64
 EX_DATAERR = 65
 
-#: What converting a parsed JSON document into library objects raises when
-#: the document is malformed; ``float()`` of a JSON integer beyond the double
-#: range, such as ``1`` followed by 400 zeros, raises OverflowError.
+#: What converting a parsed JSON document or config file into library
+#: objects raises when it is malformed; ``float()`` of an integer beyond the
+#: double range, such as ``1`` followed by 400 zeros, raises OverflowError.
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
@@ -75,11 +75,22 @@ def _fail_validation(message: str):
     raise CliError(EX_VALIDATION, message)
 
 
-def _load_json(path: str) -> dict:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         _fail_data(f"{path}: {exc}")
+
+
+def _write_text(path: str, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _fail_validation(f"{path}: {exc.strerror or exc}")
+
+
+def _load_json(path: str) -> dict:
+    text = _read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -89,13 +100,6 @@ def _load_json(path: str) -> dict:
     if not isinstance(data, dict):
         _fail_data(f"{path}: top level must be a JSON object")
     return data
-
-
-def _emit(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _json_value(value):
@@ -115,43 +119,42 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_json_value(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _ordinal_from_dict(data: dict, path: str) -> OrdinalProfile:
+def _parse(path: str, what: str, parse, data):
+    """``parse(data)``, with a malformed document reported as exit 65."""
     try:
-        return OrdinalProfile.from_json_dict(data)
+        return parse(data)
     except _MALFORMED as exc:
-        _fail_data(f"{path}: bad ordinal profile: {exc}")
+        _fail_data(f"{path}: bad {what}: {exc}")
 
 
-def _load_ordinal_market(path: str) -> tuple[OrdinalProfile, OrdinalProfile]:
+def _load_sides(path: str, what: str, parse_side):
+    """The file's "men" and "women" documents, each read by ``parse_side``."""
     data = _load_json(path)
     for key in ("men", "women"):
         if key not in data:
-            _fail_data(f"{path}: missing '{key}' profile")
-    men = _ordinal_from_dict(data["men"], path)
-    women = _ordinal_from_dict(data["women"], path)
+            _fail_data(f"{path}: missing '{key}' {what}")
+    men = _parse(path, what, parse_side, data["men"])
+    women = _parse(path, what, parse_side, data["women"])
     if men.n != women.n:
         _fail_data(f"{path}: sides disagree on n")
     return men, women
 
 
-def _market_profile_from_dict(data: dict, path: str):
+def _market_profile(data: dict) -> MarketProfile:
     kind = data.get("kind") if isinstance(data, dict) else None
-    try:
-        if kind == "rank":
-            rank_utilities = [json_number(v, "rank utility") for v in data["rank_utilities"]]
-            return RankBasedProfile(json_int(data["n"], "n"), rank_utilities)
-        if kind == "extensional":
-            table = {}
-            for entry in data["entries"]:
-                r = OrdinalProfile.from_json_dict({"n": data["n"], "ranks": entry["ranks"]})
-                u = UtilityProfile.from_json_dict({"n": data["n"], "values": entry["values"]})
-                if r in table:
-                    raise ValueError(f"two entries for ranks {[list(row) for row in r.ranks]}")
-                table[r] = u
-            return ExtensionalProfile(json_int(data["n"], "n"), table)
-    except _MALFORMED as exc:
-        _fail_data(f"{path}: bad market profile: {exc}")
-    _fail_data(f"{path}: market profile kind must be 'rank' or 'extensional'")
+    if kind == "rank":
+        rank_utilities = [json_number(v, "rank utility") for v in data["rank_utilities"]]
+        return RankBasedProfile(json_int(data["n"], "n"), rank_utilities)
+    if kind == "extensional":
+        table = {}
+        for entry in data["entries"]:
+            r = OrdinalProfile.from_json_dict({"n": data["n"], "ranks": entry["ranks"]})
+            u = UtilityProfile.from_json_dict({"n": data["n"], "values": entry["values"]})
+            if r in table:
+                raise ValueError(f"two entries for ranks {[list(row) for row in r.ranks]}")
+            table[r] = u
+        return ExtensionalProfile(json_int(data["n"], "n"), table)
+    raise ValueError("kind must be 'rank' or 'extensional'")
 
 
 def _load_market(args) -> MatchingMarket:
@@ -161,39 +164,19 @@ def _load_market(args) -> MatchingMarket:
         return geometric_market(args.n, args.geometric_base)
     if not getattr(args, "infile", None):
         _fail_validation("provide --in FILE or --geometric-base with --n")
-    data = _load_json(args.infile)
-    for key in ("men", "women"):
-        if key not in data:
-            _fail_data(f"{args.infile}: missing '{key}' market profile")
-    men = _market_profile_from_dict(data["men"], args.infile)
-    women = _market_profile_from_dict(data["women"], args.infile)
-    if men.n != women.n:
-        _fail_data(f"{args.infile}: sides disagree on n")
-    return MatchingMarket(men, women)
+    return MatchingMarket(*_load_sides(args.infile, "market profile", _market_profile))
 
 
-def _load_utilities(path: str) -> UtilityProfile:
-    data = _load_json(path)
-    try:
-        return UtilityProfile.from_json_dict(data)
-    except _MALFORMED as exc:
-        _fail_data(f"{path}: bad utility profile: {exc}")
-
-
-def _load_space(path: str) -> tuple[MetricSpace, Placement | None]:
-    data = _load_json(path)
-    try:
-        return space_from_json_dict(data)
-    except _MALFORMED as exc:
-        _fail_data(f"{path}: bad metric space: {exc}")
+def _load(path: str, what: str, parse):
+    return _parse(path, what, parse, _load_json(path))
 
 
 def _assignment_json(a) -> list[int]:
     return list(a.pairing)
 
 
-def _cmd_solve(args) -> int:
-    men, women = _load_ordinal_market(args.infile)
+def _cmd_solve(args) -> str:
+    men, women = _load_sides(args.infile, "ordinal profile", OrdinalProfile.from_json_dict)
     pair = phi(men, women)
     payload = {
         "schema": 1,
@@ -205,21 +188,18 @@ def _cmd_solve(args) -> int:
             "male-optimal:   " + " ".join(f"{m}->{w}" for m, w in enumerate(pair.male_optimal.pairing)),
             "female-optimal: " + " ".join(f"{m}->{w}" for m, w in enumerate(pair.female_optimal.pairing)),
         ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(payload), args.out)
-    return EX_OK
+        return "\n".join(lines) + "\n"
+    return _json_text(payload)
 
 
-def _cmd_stable_set(args) -> int:
-    men, women = _load_ordinal_market(args.infile)
-    stable = sorted(enumerate_stable(men, women, cap=args.cap), key=lambda a: a.pairing)
+def _cmd_stable_set(args) -> str:
+    men, women = _load_sides(args.infile, "ordinal profile", OrdinalProfile.from_json_dict)
+    stable = sorted(enumerate_stable(men, women), key=lambda a: a.pairing)
     payload = {"schema": 1, "count": len(stable), "stable": [_assignment_json(a) for a in stable]}
-    _emit(_json_text(payload), args.out)
-    return EX_OK
+    return _json_text(payload)
 
 
-def _cmd_robustness(args) -> int:
+def _cmd_robustness(args) -> str:
     market = _load_market(args)
     try:
         xi = robustness(market)
@@ -234,11 +214,10 @@ def _cmd_robustness(args) -> int:
         "difference": abs(xi - cross) if math.isfinite(xi) and math.isfinite(cross) else 0.0,
         "tol": args.tol,
     }
-    _emit(_json_text(payload), args.out)
-    return EX_OK
+    return _json_text(payload)
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> str:
     market = _load_market(args)
     witness = adversarial_witness(market, args.c)
     if witness is None:
@@ -256,44 +235,39 @@ def _cmd_witness(args) -> int:
                 "tie_created": witness.tie_created,
             },
         }
-    _emit(_json_text(payload), args.out)
-    return EX_OK
+    return _json_text(payload)
 
 
-def _cmd_appendix_a(args) -> int:
+def _cmd_appendix_a(args) -> str:
     sampler = CriticalSpikeSampler(args.n, args.c, args.eps)
     fraction = preservation_probability(sampler.market, sampler, args.trials, args.seed)
     lines = [
         "n,c,eps,trials,preserved_fraction,seed",
         f"{args.n},{args.c:.10g},{args.eps:.10g},{args.trials},{fraction:.10g},{args.seed}",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return EX_OK
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_polarity(args) -> int:
-    u = _load_utilities(args.infile)
+def _cmd_polarity(args) -> str:
+    u = _load(args.infile, "utility profile", UtilityProfile.from_json_dict)
     check = is_polarized(u)
     payload = {"schema": 1, "polarized": check.ok}
     if not check.ok:
         a, ap, x, xp = check.violation
         payload["violation"] = {"a": a, "a_prime": ap, "x": x, "x_prime": xp}
-    _emit(_json_text(payload), args.out)
-    return EX_OK
+    return _json_text(payload)
 
 
-def _cmd_genspace(args) -> int:
-    u = _load_utilities(args.infile)
+def _cmd_genspace(args) -> str:
+    u = _load(args.infile, "utility profile", UtilityProfile.from_json_dict)
     space, placement = build_generating_space(u)
-    payload = space_to_json_dict(space, placement)
-    _emit(_json_text(payload), args.out)
     if args.dot:
-        Path(args.dot).write_text(space.to_dot())
-    return EX_OK
+        _write_text(args.dot, space.to_dot())
+    return _json_text(space_to_json_dict(space, placement))
 
 
-def _cmd_planarity(args) -> int:
-    space, _placement = _load_space(args.infile)
+def _cmd_planarity(args) -> str:
+    space, _placement = _load(args.infile, "metric space", space_from_json_dict)
     payload = {
         "schema": 1,
         "vertices": space.n_vertices,
@@ -301,24 +275,22 @@ def _cmd_planarity(args) -> int:
         "planar": is_planar(space),
         "genus_lower_bound": genus_lower_bound(space),
     }
-    _emit(_json_text(payload), args.out)
-    return EX_OK
+    return _json_text(payload)
 
 
-def _cmd_embed(args) -> int:
-    space, _placement = _load_space(args.infile)
+def _cmd_embed(args) -> str:
+    space, _placement = _load(args.infile, "metric space", space_from_json_dict)
     placement = emb.bourgain_embed(space, quality=args.quality, seed=args.seed)
     lines = ["vertex," + ",".join(f"c{i}" for i in range(placement.dim))]
     row_format = "%d" + ",%.10g" * placement.dim
     for v in range(space.n_vertices):
         lines.append(row_format % (v, *placement.points[v].tolist()))
     lines.append(f"# seed={args.seed} quality={args.quality}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EX_OK
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_distortion(args) -> int:
-    space, _placement = _load_space(args.infile)
+def _cmd_distortion(args) -> str:
+    space, _placement = _load(args.infile, "metric space", space_from_json_dict)
     placement = emb.bourgain_embed(space, quality=args.quality, seed=args.seed)
     report = emb.measure_distortion(space, placement)
     payload = {
@@ -331,11 +303,10 @@ def _cmd_distortion(args) -> int:
         "quality": args.quality,
         "seed": args.seed,
     }
-    _emit(_json_text(payload), args.out)
-    return EX_OK
+    return _json_text(payload)
 
 
-def _cmd_banach_search(args) -> int:
+def _cmd_banach_search(args) -> str:
     result = emb.maximize_euclidean_robustness(args.dim, args.restarts, args.iters, args.seed)
     payload = {
         "schema": 1,
@@ -348,26 +319,19 @@ def _cmd_banach_search(args) -> int:
         "alpha": [list(p) for p in result.alpha] if result.alpha else None,
         "beta": [list(p) for p in result.beta] if result.beta else None,
     }
-    _emit(_json_text(payload), args.out)
-    return EX_OK
+    return _json_text(payload)
 
 
 def _functions_from_args(args):
     if args.config:
-        try:
-            text = Path(args.config).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            _fail_data(f"{args.config}: {exc}")
-        try:
-            return comm.functions_from_config(comm.parse_config(text))
-        except ValueError as exc:
-            _fail_data(f"{args.config}: {exc}")
+        sections = _parse(args.config, "config", comm.parse_config, _read_text(args.config))
+        return _parse(args.config, "config", comm.functions_from_config, sections)
     h = comm.HardnessFunction(args.hardness, args.hardness_scale, args.hardness_exponent)
     d = comm.DecayFunction(args.decay, args.decay_scale, args.decay_exponent)
     return h, d, comm.BoundConstants()
 
 
-def _cmd_commreq(args) -> int:
+def _cmd_commreq(args) -> str:
     h, d, _constants = _functions_from_args(args)
     if not args.xi >= 1.0:  # with --xi-infinite the library never sees --xi
         _fail_validation("--xi must be >= 1")
@@ -381,15 +345,13 @@ def _cmd_commreq(args) -> int:
         "decay": {"family": d.family, "scale": d.scale, "exponent": d.exponent},
         "requirement": t,
     }
-    _emit(_json_text(payload), args.out)
-    return EX_OK
+    return _json_text(payload)
 
 
-def _cmd_bound_table(args) -> int:
+def _cmd_bound_table(args) -> str:
     h, d, constants = _functions_from_args(args)
     table = comm.bound_table(args.n, args.space_size, args.genus, h, d, constants)
-    _emit(table.to_csv() if args.format == "csv" else table.to_text(), args.out)
-    return EX_OK
+    return table.to_csv() if args.format == "csv" else table.to_text()
 
 
 def _add_common(p, seed=False):
@@ -429,7 +391,6 @@ def build_parser() -> _Parser:
 
     p = add("stable-set", help="brute-force enumeration of all stable assignments")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cap", type=int, default=7, help="refuse above this n (n! search)")
     _add_common(p)
     p.set_defaults(func=_cmd_stable_set)
 
@@ -518,7 +479,12 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             _PARSER.print_usage(sys.stderr)
             return EX_USAGE
-        return args.func(args)
+        text = args.func(args)
+        if args.out:
+            _write_text(args.out, text)
+        else:
+            sys.stdout.write(text)
+        return EX_OK
     except CliError as exc:
         sys.stderr.write(f"error: {exc.code}: {exc}\n")
         return exc.code

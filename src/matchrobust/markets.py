@@ -224,27 +224,27 @@ def geometric_market(n: int, base: float) -> MatchingMarket:
     return MatchingMarket(RankBasedProfile(n, ru), RankBasedProfile(n, ru))
 
 
-def _random_strict_rows(
-    n: int, rng: np.random.Generator, lo: float, hi: float
-) -> list[list[float]]:
-    """Per-agent strictly decreasing utility draws in [lo, hi], lo < hi <= 0."""
+#: Range [lo, hi] of the utilities in random extensional profiles.
+_RANDOM_UTILITY_RANGE = (-10.0, -0.1)
+
+
+def _random_strict_rows(n: int, rng: np.random.Generator) -> list[list[float]]:
+    """Per-agent strictly decreasing utility draws in ``_RANDOM_UTILITY_RANGE``."""
     rows = []
     for _ in range(n):
         while True:
-            draws = sorted(float(v) for v in rng.uniform(lo, hi, size=n))
+            draws = sorted(float(v) for v in rng.uniform(*_RANDOM_UTILITY_RANGE, size=n))
             if all(draws[i] < draws[i + 1] for i in range(n - 1)):
                 rows.append(draws[::-1])  # best (closest to zero) first
                 break
     return rows
 
 
-def random_extensional_profile(
-    n: int, rng: np.random.Generator, lo: float = -10.0, hi: float = -0.1
-) -> ExtensionalProfile:
+def random_extensional_profile(n: int, rng: np.random.Generator) -> ExtensionalProfile:
     """Random fully-covered extensional profile; practical for n <= 3 only."""
     table = {}
     for r in all_profiles(n):
-        rows = _random_strict_rows(n, rng, lo, hi)
+        rows = _random_strict_rows(n, rng)
         values = []
         for a in range(n):
             row = [0.0] * n
@@ -255,10 +255,5 @@ def random_extensional_profile(
     return ExtensionalProfile(n, table)
 
 
-def random_extensional_market(
-    n: int, rng: np.random.Generator, lo: float = -10.0, hi: float = -0.1
-) -> MatchingMarket:
-    return MatchingMarket(
-        random_extensional_profile(n, rng, lo, hi),
-        random_extensional_profile(n, rng, lo, hi),
-    )
+def random_extensional_market(n: int, rng: np.random.Generator) -> MatchingMarket:
+    return MatchingMarket(random_extensional_profile(n, rng), random_extensional_profile(n, rng))

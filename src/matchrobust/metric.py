@@ -365,12 +365,14 @@ class PathAgreementResult:
         return self.ok
 
 
+#: Quadruples the path agreement check samples when there are more, and the
+#: seed of that sample.
+_PATH_CHECK_SAMPLES = 500
+_PATH_CHECK_SEED = 0
+
+
 def path_preference_agreement_check(
-    space: MetricSpace,
-    placement: Placement,
-    profile: OrdinalProfile,
-    samples: int = 500,
-    seed: int = 0,
+    space: MetricSpace, placement: Placement, profile: OrdinalProfile
 ) -> PathAgreementResult:
     """Agreement property of intersecting shortest paths.
 
@@ -405,16 +407,17 @@ def path_preference_agreement_check(
         for xp in range(n)
         if x != xp
     ]
-    if len(candidates) > samples:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(candidates), size=samples, replace=False)
+    if len(candidates) > _PATH_CHECK_SAMPLES:
+        rng = np.random.default_rng(_PATH_CHECK_SEED)
+        idx = rng.choice(len(candidates), size=_PATH_CHECK_SAMPLES, replace=False)
         candidates = [candidates[int(i)] for i in idx]
 
+    pos = profile.position_table()
     for a, x, ap, xp in candidates:
         meet = path_sets[(a, x)] & path_sets[(ap, xp)]
         if not meet:
             continue
-        if profile.prefers(a, x, xp) and profile.prefers(ap, xp, x):
+        if pos[a][x] < pos[a][xp] and pos[ap][xp] < pos[ap][x]:
             return PathAgreementResult(False, (a, x, ap, xp, min(meet)))
     return PathAgreementResult(True)
 

@@ -60,14 +60,6 @@ class OrdinalProfile:
             if len(row) != self.n or frozenset(row) != full:
                 raise ValueError(f"row {a} is not a permutation of 0..{self.n - 1}")
 
-    def position(self, agent: int, alternative: int) -> int:
-        """Rank position (0 = best) of ``alternative`` for ``agent``."""
-        return self.ranks[agent].index(alternative)
-
-    def prefers(self, agent: int, x: int, x_prime: int) -> bool:
-        """True if ``agent`` strictly ranks ``x`` above ``x_prime``."""
-        return self.position(agent, x) < self.position(agent, x_prime)
-
     def position_table(self) -> list[list[int]]:
         """pos[a][x] = rank of alternative x for agent a. Fresh list each call."""
         pos = []
@@ -188,19 +180,17 @@ def is_stable(men: OrdinalProfile, women: OrdinalProfile, mu: Assignment) -> boo
     return next(_blocking(men.ranks, women.position_table(), mu.pairing), None) is None
 
 
-def enumerate_stable(
-    men: OrdinalProfile, women: OrdinalProfile, cap: int = STABLE_ENUM_CAP
-) -> set[Assignment]:
+def enumerate_stable(men: OrdinalProfile, women: OrdinalProfile) -> set[Assignment]:
     """All stable assignments by exhaustive bijection enumeration.
 
     Brute-force oracle for the deferred-acceptance implementation; refuses
-    to run above ``cap`` because the search is n! wide. Each bijection is
-    dropped at its first blocking pair.
+    to run above ``STABLE_ENUM_CAP`` because the search is n! wide. Each
+    bijection is dropped at its first blocking pair.
     """
     if men.n != women.n:
         raise ValueError("size mismatch")
-    if men.n > cap:
-        raise ValueError(f"n={men.n} exceeds brute-force cap {cap}")
+    if men.n > STABLE_ENUM_CAP:
+        raise ValueError(f"n={men.n} exceeds brute-force cap {STABLE_ENUM_CAP}")
     women_pos = women.position_table()
     return {
         Assignment(men.n, perm)

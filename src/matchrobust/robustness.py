@@ -350,7 +350,10 @@ def critical_market(n: int, c: float, eps: float) -> MatchingMarket:
     robust at that level, yet a single random spike of size
     ``spike_factor(n, c, eps)`` placed at a uniform (agent, rank) slot
     always flips one adjacent comparison. Parameters whose rank utilities
-    or spike factor leave the float range are rejected.
+    or spike factor leave the float range are rejected, and so are those
+    where rounding breaks that flip: the ratio rounds to 1, or the spiked
+    utility at some rank ties another rank's utility or stays above the
+    next rank's.
     """
     if n < 2:
         raise ValueError("n >= 2 required")
@@ -358,9 +361,23 @@ def critical_market(n: int, c: float, eps: float) -> MatchingMarket:
         raise ValueError("c must be finite and >= 1")
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    if not math.isfinite(spike_factor(n, c, eps)):
+    spike = spike_factor(n, c, eps)
+    if not math.isfinite(spike):
         raise ValueError("spike factor overflows the float range")
-    return geometric_market(n, critical_consecutive_ratio(n, c, eps))
+    too_small = f"eps = {eps!r} is too small for c = {c!r}"
+    ratio = critical_consecutive_ratio(n, c, eps)
+    if not ratio > 1.0:
+        raise ValueError(f"{too_small}: the consecutive utility ratio rounds to 1")
+    market = geometric_market(n, ratio)
+    ru = market.men.rank_utilities
+    for i in range(n - 1):
+        v = spike * ru[i]  # the product apply_perturbation forms
+        if not v < ru[i + 1] or v in ru:
+            raise ValueError(
+                f"{too_small}: after rounding, a spike at rank {i} does not move "
+                "exactly one alternative"
+            )
+    return market
 
 
 @dataclass(frozen=True)
@@ -422,6 +439,7 @@ class CriticalSpikeSampler:
         self.eps = eps
         self.spike = spike_factor(n, c, eps)
         self.level = (1.0 + eps) * c
+        self._ones = Perturbation.ones(n)
 
     def sample(self, rng: np.random.Generator) -> PerturbationSample:
         n = self.n
@@ -431,21 +449,15 @@ class CriticalSpikeSampler:
         side_name = "men" if a_star < n else "women"
 
         r = uniform_profile(n, rng)
-        alt = r.ranks[agent][i_star]
-        delta = Perturbation.single_entry(n, agent, alt, self.spike)
-        perturbed = apply_perturbation(delta, self.market.side(side_name).utilities(r))
-        r_tilde, had_ties = ordinal_from_utility_flagged(perturbed, TiePolicy.INDEX)
-        # The spike lies strictly between the consecutive ratio and its
-        # square, so the extraction is tie-free and moves the spiked
-        # alternative down exactly one position.
-        if had_ties or r_tilde == r:
-            raise RuntimeError("spike did not move exactly one alternative; this is a bug")
-        other = distinguishing_profile(r, r_tilde)
-
-        ones = Perturbation.ones(n)
+        delta = Perturbation.single_entry(n, agent, r.ranks[agent][i_star], self.spike)
+        # critical_market proved that the spike sinks the alternative at
+        # i_star below the one at i_star + 1 without a tie. The distinguishing
+        # profile reads only that first flipped pair, so the adjacent swap
+        # stands in for re-extracting the spiked utilities.
+        other = distinguishing_profile(r, _adjacent_swap(r, agent, i_star))
         if side_name == "men":
-            return PerturbationSample(r, other, delta, ones)
-        return PerturbationSample(other, r, ones, delta)
+            return PerturbationSample(r, other, delta, self._ones)
+        return PerturbationSample(other, r, self._ones, delta)
 
 
 def preservation_probability(

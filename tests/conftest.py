@@ -6,7 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from matchrobust import Assignment, DecayFunction, OrdinalProfile, Side, UtilityProfile
+from matchrobust import (
+    Assignment,
+    DecayFunction,
+    OrdinalProfile,
+    Perturbation,
+    Side,
+    UtilityProfile,
+    apply_perturbation,
+    critical_consecutive_ratio,
+    geometric_market,
+    ordinal_from_utility_flagged,
+    spike_factor,
+)
+from matchrobust.ordinal import TiePolicy
 
 settings.register_profile(
     "default",
@@ -144,6 +157,51 @@ def reference_first_break(rows, c: float):
             if any(row[order[k]] == row[order[k + 1]] for k in range(n - 1)):
                 return index, i
     return None
+
+
+def reference_spike_flips(n: int, c: float, eps: float) -> bool:
+    """The spike sampler's former per-draw check, run on every slot.
+
+    Builds the geometric market with the critical consecutive ratio (a
+    ratio that rounds to 1 is rejected there) and, on both sides, for every
+    agent and every non-last rank, spikes that slot by ``spike_factor``,
+    re-extracts the ranking under index tie-breaking and requires a changed
+    ranking without a tie. True when every slot passes.
+    """
+    try:
+        market = geometric_market(n, critical_consecutive_ratio(n, c, eps))
+    except ValueError:
+        return False
+    spike = spike_factor(n, c, eps)
+    r = OrdinalProfile(n, tuple(tuple(range(n)) for _ in range(n)))
+    for side in (market.men, market.women):
+        u = side.utilities(r)
+        for agent in range(n):
+            for i in range(n - 1):
+                delta = Perturbation.single_entry(n, agent, r.ranks[agent][i], spike)
+                r_tilde, ties = ordinal_from_utility_flagged(
+                    apply_perturbation(delta, u), TiePolicy.INDEX
+                )
+                if ties or r_tilde == r:
+                    return False
+    return True
+
+
+@pytest.fixture
+def phi_witness():
+    """The cyclic placement on the unit circle whose robustness is the golden
+    ratio: alternative i at angle 2*pi*i/3, agent i at 2*pi*i/3 + theta with
+    theta = 2*atan(sqrt(3)/phi**3), about 44.4775 degrees. There
+    d(a_i, b_{i+1}) = phi * d(a_i, b_i), and van Schooten's theorem gives
+    d(a_i, b_{i+2}) = d(a_i, b_i) + d(a_i, b_{i+1}) = phi**2 * d(a_i, b_i).
+    Returns (agent points, alternative points).
+    """
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    theta = 2.0 * math.atan(math.sqrt(3.0) / golden**3)
+    angles = [2.0 * math.pi * i / 3.0 for i in range(3)]
+    alpha = [(math.cos(t + theta), math.sin(t + theta)) for t in angles]
+    beta = [(math.cos(t), math.sin(t)) for t in angles]
+    return alpha, beta
 
 
 def reference_is_polarized(u: UtilityProfile, tol: float = 1e-12):

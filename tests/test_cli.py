@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchrobust.cli import EX_DATAERR, EX_USAGE, EX_VALIDATION, _json_text, build_parser, main
+from matchrobust.communication import DECAY_FAMILIES, HARDNESS_FAMILIES
 
 
 @pytest.fixture
@@ -198,6 +199,8 @@ class TestExitCodes:
             ("constants", "size_constant = nan"),
             ("constants", "genus_constant = 0"),
             ("constants", "market_constant = -2"),
+            pytest.param("hardness", "scale = 1" + "0" * 400, id="hardness-int-overflow"),
+            pytest.param("decay", "exponent = 1" + "0" * 400, id="decay-int-overflow"),
         ],
     )
     @pytest.mark.parametrize("command", ["commreq", "bound-table"])
@@ -238,6 +241,40 @@ class TestExitCodes:
         bad = tmp_path / "nan_u.json"
         bad.write_text(json.dumps({"schema": 1, "n": 2, "values": [[-1.0, math.nan], [-1.6, -1.1]]}))
         assert run(capsys, "polarity", "--in", str(bad))[0] == EX_DATAERR
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (("robustness", "--geometric-base", "2", "--n", "3", "--out"), "missing/out.json"),
+            (("genspace", "--dot"), "missing/x.dot"),
+            (("solve", "--out"), "."),
+        ],
+        ids=["out-missing-dir", "dot-missing-dir", "out-is-dir"],
+    )
+    def test_unwritable_output_is_2(self, capsys, tmp_path, market_file, utilities_file,
+                                    argv, target):
+        path = str(tmp_path / target)
+        inputs = {"genspace": utilities_file, "solve": market_file}
+        if argv[0] in inputs:
+            argv = (argv[0], "--in", inputs[argv[0]], *argv[1:])
+        code, out, err = run(capsys, *argv, path)
+        assert code == EX_VALIDATION and out == ""
+        assert err.startswith(f"error: 2: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("eps", ["3e-16", "1e-16"])
+    def test_spike_lost_to_rounding_is_2(self, capsys, eps):
+        code, out, err = run(
+            capsys, "appendix-a", "--n", "2", "--c", "1", "--eps", eps, "--trials", "5"
+        )
+        assert code == EX_VALIDATION and out == ""
+        assert err.startswith("error: 2:") and err.count("\n") == 1
+        assert "eps" in err and "base" not in err
+
+    def test_stable_set_cap_is_not_an_option(self, capsys, tmp_path):
+        path = tmp_path / "n8.json"
+        path.write_text(json.dumps({"men": IDENTITY_8, "women": IDENTITY_8}))
+        code, out, _err = run(capsys, "stable-set", "--in", str(path), "--cap", "8")
+        assert code == EX_USAGE and out == ""
 
 
 class TestSubcommands:
@@ -687,6 +724,26 @@ class TestStrictJsonNumbers:
     def test_space(self, tmp_path, command, document):
         _assert_malformed(tmp_path, (command,), json.dumps(document))
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("planarity",), '{"vertices": 2, "edges": [[0, 1, Infinity]]}'),
+            (("planarity",), '{"vertices": 2, "edges": [[0, 1, 1e400]]}'),
+            (("polarity",), '{"n": 2, "values": [[-1.0, -Infinity], [-2.0, -1.0]]}'),
+            (("polarity",), '{"n": 2, "values": [[-1.0, -1e400], [-2.0, -1.0]]}'),
+            (("genspace",), '{"n": 2, "values": [[-1.0, -Infinity], [-2.0, -1.0]]}'),
+            (("genspace",), '{"n": 2, "values": [[-1.0, -1e400], [-2.0, -1.0]]}'),
+            (("robustness",), '{"men": {"kind": "rank", "n": 2, "rank_utilities": [-1.0, -Infinity]},'
+                              ' "women": {"kind": "rank", "n": 2, "rank_utilities": [-1.0, -2.0]}}'),
+            (("robustness",), '{"men": {"kind": "rank", "n": 2, "rank_utilities": [-1.0, -2.0]},'
+                              ' "women": {"kind": "rank", "n": 2, "rank_utilities": [-1.0, -1e400]}}'),
+        ],
+        ids=["planarity-inf", "planarity-1e400", "polarity-inf", "polarity-1e400",
+             "genspace-inf", "genspace-1e400", "robustness-inf", "robustness-1e400"],
+    )
+    def test_non_finite_number(self, tmp_path, argv, text):
+        _assert_malformed(tmp_path, argv, text)
+
     def test_integer_values_still_read(self, capsys, tmp_path):
         path = tmp_path / "ints.json"
         path.write_text(json.dumps({"n": 2, "values": [[-1, -4], [-4, -1]]}))
@@ -793,8 +850,7 @@ def _malformed_space(draw) -> str:
             st.sampled_from(_WRONG_SCALARS + _NOT_INTEGERS + (float(edges[e][0]),))
         )
     elif fault == "weight":
-        # An infinite weight is a valid edge that no shortest path uses.
-        edges[e][2] = draw(st.sampled_from(tuple(v for v in _WRONG_SCALARS if v != math.inf)))
+        edges[e][2] = draw(st.sampled_from(_WRONG_SCALARS))
     elif fault == "ragged":
         edges[e] = edges[e][:2] if draw(st.booleans()) else edges[e] + [1.0]
     elif fault == "out_of_range":
@@ -991,3 +1047,67 @@ class TestMalformedInputFuzz:
         path.write_bytes(b'\xff{"n": 1, "values": [[-1.0]]}')
         code, out, err = run(capsys, "polarity", "--in", str(path))
         assert code == EX_DATAERR and out == "" and err.startswith("error: 65:")
+
+
+# Malformed --config files: every case must exit 65 naming the file, with
+# one stderr line and nothing on stdout.
+
+_CONFIG_KEYS = {
+    "hardness": ("scale", "exponent"),
+    "decay": ("scale", "exponent"),
+    "constants": ("size_constant", "genus_constant", "market_constant"),
+}
+_FAMILIES = {"hardness": HARDNESS_FAMILIES, "decay": DECAY_FAMILIES}
+_BAD_CONFIG_NUMBERS = (
+    "abc", "", "0x10", "1.5.2", "-1", "nan", "NaN", "inf", "-inf", "Infinity", "-Infinity",
+    "1e400", "-1e400", "1" + "0" * 400, "-1" + "0" * 400, '"1' + "0" * 400 + '"',
+)
+
+
+@st.composite
+def _truncated_config(draw) -> str:
+    """A valid family line cut short: inside the section header, or inside
+    the line so that the key loses its "=" or the family name its tail."""
+    section = draw(st.sampled_from(("hardness", "decay")))
+    header = f"[{section}]"
+    line = f"family = {draw(st.sampled_from(_FAMILIES[section]))}"
+    if draw(st.booleans()):
+        return header[: draw(st.integers(1, len(header) - 1))]
+    return header + "\n" + line[: draw(st.integers(1, len(line) - 1))]
+
+
+@st.composite
+def _malformed_config(draw) -> str:
+    section = draw(st.sampled_from(tuple(_CONFIG_KEYS)))
+    key = draw(st.sampled_from(_CONFIG_KEYS[section]))
+    fault = draw(st.sampled_from(("outside", "family", "value")))
+    if fault == "outside":
+        return f"{key} = 1\n[{section}]\n"
+    if fault == "family" and section in _FAMILIES:
+        name = draw(
+            st.text("abcdefghijklmnopqrstuvwxyz_", max_size=14).filter(
+                lambda v: v not in _FAMILIES[section]
+            )
+        )
+        return f"[{section}]\nfamily = {name}\n"
+    return f"[{section}]\n{key} = {draw(st.sampled_from(_BAD_CONFIG_NUMBERS))}\n"
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(("commreq", "bound-table")),
+        _truncated_config() | _malformed_config(),
+    )
+    def test_config_is_65(self, tmp_path_factory, command, text):
+        path = tmp_path_factory.getbasetemp() / "malformed.cfg"
+        path.write_text(text)
+        argv = [command, "--n", "4", "--config", str(path)]
+        if command == "bound-table":
+            argv += ["--space-size", "64", "--genus", "2"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == EX_DATAERR and out.getvalue() == ""
+        assert err.getvalue().startswith(f"error: 65: {path}: ")
+        assert err.getvalue().count("\n") == 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchrobust import (
     EuclideanPlacement,
@@ -18,6 +20,12 @@ from matchrobust import (
     log_genus_robustness_cap,
 )
 from matchrobust.seeding import rng_for
+
+
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+#: The cyclic profile's robustness in any inner-product space is at most the
+#: golden ratio (Ptolemy's inequality); this allows float rounding above it.
+GOLDEN_CAP = GOLDEN * (1.0 + 1e-12)
 
 
 def path_graph(v, w=1.0):
@@ -215,17 +223,84 @@ class TestMaximize:
     def test_feasible_value_at_least_one(self):
         result = maximize_euclidean_robustness(2, 30, 100, seed=5)
         assert result.feasible_restarts > 0
-        assert result.best_value >= 1.0
+        assert 1.0 <= result.best_value <= GOLDEN_CAP
 
     def test_doubling_iters_monotone(self):
         a = maximize_euclidean_robustness(3, 20, 80, seed=12).best_value
         b = maximize_euclidean_robustness(3, 20, 160, seed=12).best_value
-        assert b >= a
+        assert a <= b <= GOLDEN_CAP
 
     def test_best_placement_reproduces_value(self):
         result = maximize_euclidean_robustness(2, 30, 120, seed=3)
         v = euclidean_profile_robustness(result.alpha, result.beta)
         assert math.isclose(v, result.best_value, rel_tol=1e-12)
+        assert v <= GOLDEN_CAP
+
+
+def _cyclic_ratio(d):
+    """Min consecutive ratio of the cyclic profile from agent-to-alternative
+    distances ``d[i][j]``, or None unless agent i strictly ranks
+    alternatives i, i+1, i+2 (mod 3) in that order at positive distance."""
+    best = math.inf
+    for i in range(3):
+        x, y, z = (d[i][(i + k) % 3] for k in range(3))
+        if not 0.0 < x < y < z:
+            return None
+        best = min(best, y / x, z / y)
+    return best
+
+
+class TestRobustnessBounds:
+    """The cyclic profile's robustness: at most phi in inner-product spaces,
+    attained on the unit circle, and at most 2 in any metric space."""
+
+    def test_phi_witness_attains_golden_ratio(self, phi_witness):
+        alpha, beta = phi_witness
+        value = euclidean_profile_robustness(alpha, beta)
+        assert math.isclose(value, GOLDEN, rel_tol=1e-14, abs_tol=0.0)
+
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from((2, 3, 4)),
+        st.lists(st.floats(-0.4, 0.4), min_size=24, max_size=24),
+        st.floats(0.1, 10.0),
+    )
+    def test_strict_placements_stay_below_golden_ratio(self, dim, offsets, scale):
+        alpha, beta = feasible_template(scale=scale)
+        points = [list(p) + [0.0] * (dim - 2) for p in alpha + beta]
+        for k, p in enumerate(points):
+            for c in range(dim):
+                p[c] += scale * offsets[k * 4 + c]
+        try:
+            value = euclidean_profile_robustness(points[:3], points[3:])
+        except ValueError:  # the offsets broke the strict cyclic order
+            return
+        assert 1.0 <= value <= GOLDEN_CAP
+
+    def test_graph_metrics_stay_below_two(self):
+        # Shortest-path metrics of random graphs on the six points: agent i
+        # reaches alternatives i, i+1, i+2 at increasing weights, and random
+        # same-side edges add shortcuts. Triangle inequalities alone cap the
+        # ratio at 2, and graph metrics do pass phi.
+        values = []
+        for t in range(600):
+            rng = rng_for(2, t)
+            edges = []
+            for i in range(3):
+                w = float(rng.uniform(0.5, 2.0))
+                for k in range(3):
+                    edges.append((i, 3 + (i + k) % 3, w))
+                    w *= float(rng.uniform(1.0, 3.0))
+            for p in range(6):
+                for q in range(p + 1, 6):
+                    if (p < 3) == (q < 3) and rng.random() < 0.7:
+                        edges.append((p, q, float(rng.uniform(0.5, 10.0))))
+            space = MetricSpace(6, edges)
+            value = _cyclic_ratio([[space.dist(a, 3 + b) for b in range(3)] for a in range(3)])
+            if value is not None:
+                values.append(value)
+        assert len(values) > 100
+        assert GOLDEN < max(values) <= 2.0 * (1.0 + 1e-12)
 
 
 class TestBoundFormulas:

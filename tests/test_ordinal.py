@@ -20,6 +20,7 @@ from matchrobust import (
     ordinal_from_utility,
     phi,
 )
+from matchrobust.ordinal import STABLE_ENUM_CAP
 from matchrobust.seeding import rng_for
 
 from conftest import (
@@ -196,9 +197,10 @@ class TestEnumerateStable:
         assert {a.pairing for a in enumerate_stable(men, women)} == {(0, 1, 2)}
 
     def test_cap(self):
-        men = OrdinalProfile(3, ((0, 1, 2),) * 3)
-        with pytest.raises(ValueError):
-            enumerate_stable(men, men, cap=2)
+        n = STABLE_ENUM_CAP + 1
+        men = OrdinalProfile(n, (tuple(range(n)),) * n)
+        with pytest.raises(ValueError, match="exceeds brute-force cap"):
+            enumerate_stable(men, men)
 
     @given(paired_profiles(2, 6))
     def test_matches_definition_oracle(self, pair):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from matchrobust import (
     CriticalSpikeSampler,
+    distinguishing_profile,
     DivisionByZeroUtility,
     IidUniformFactorSampler,
     MatchingMarket,
@@ -37,7 +38,7 @@ from matchrobust.ordinal import TiePolicy
 from matchrobust.robustness import _first_break, _scan_side
 from matchrobust.seeding import rng_for
 
-from conftest import reference_first_break
+from conftest import reference_first_break, reference_spike_flips
 
 # The package re-exports the function ``robustness`` under the module's name.
 robustness_module = importlib.import_module("matchrobust.robustness")
@@ -344,6 +345,16 @@ class TestSufficiencyLevels:
                     assert rho < spike < rho * rho
 
 
+# n, c and eps where rounding decides whether the spike flips one pair:
+# eps within a few ulps of c's float spacing, at c = 1, next to 1 and 1.5.
+SPIKE_ROUNDING_GRID = [
+    (n, c, float(eps))
+    for n in (2, 3, 4)
+    for c in (1.0, 1.0 + 2.0**-52, 1.5)
+    for eps in np.geomspace(1e-17, 1e-13, 40)
+]
+
+
 class TestCriticalMarket:
     def test_construction(self):
         market = critical_market(3, 1.5, 0.2)
@@ -373,6 +384,19 @@ class TestCriticalMarket:
         # The consecutive ratio 1.76e308 is finite, the spike factor is not.
         with pytest.raises(ValueError, match="spike factor overflows"):
             critical_market(2, 4e307, 0.2)
+
+    def test_accepts_exactly_where_every_spike_flips(self):
+        accepted = 0
+        for n, c, eps in SPIKE_ROUNDING_GRID:
+            try:
+                critical_market(n, c, eps)
+            except ValueError as exc:
+                assert "eps" in str(exc) and "base" not in str(exc)
+                assert not reference_spike_flips(n, c, eps), (n, c, eps)
+            else:
+                assert reference_spike_flips(n, c, eps), (n, c, eps)
+                accepted += 1
+        assert accepted == 197
 
 
 class TestSpikeSampler:
@@ -416,6 +440,26 @@ class TestSpikeSampler:
             assert not ties
             diffs = [a for a in range(3) if perturbed.ranks[a] != r.ranks[a]]
             assert len(diffs) == 1
+
+    def test_distinguishing_profile_matches_reextraction(self):
+        # At the grid points where rounding sinks the spiked alternative
+        # more than one place, the first flipped pair is still the adjacent
+        # one, so the sampler's distinguishing profile is unchanged.
+        for n, c, eps in SPIKE_ROUNDING_GRID:
+            if not reference_spike_flips(n, c, eps):
+                continue
+            sampler = CriticalSpikeSampler(n, c, eps)
+            for t in range(10):
+                s = sampler.sample(rng_for(41, t))
+                spiked = "men" if s.men_factors != Perturbation.ones(n) else "women"
+                r = s.men_profile if spiked == "men" else s.women_profile
+                factors = s.men_factors if spiked == "men" else s.women_factors
+                u = sampler.market.side(spiked).utilities(r)
+                r_tilde, _ties = ordinal_from_utility_flagged(
+                    apply_perturbation(factors, u), TiePolicy.INDEX
+                )
+                other = s.women_profile if spiked == "men" else s.men_profile
+                assert distinguishing_profile(r, r_tilde) == other
 
     def test_factor_means_small_scale(self):
         sampler = CriticalSpikeSampler(3, 1.5, 0.2)
