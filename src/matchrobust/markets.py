@@ -24,28 +24,46 @@ from .jsonvalues import json_int, json_rows
 from .ordinal import OrdinalProfile, all_profiles, ordinal_from_utility
 
 
-@dataclass(frozen=True)
+def _matrix(n: int, rows, what: str) -> np.ndarray:
+    """``rows`` as a fresh read-only float64 n x n array."""
+    if n < 1:
+        raise ValueError(f"{what} matrix needs n >= 1")
+    try:
+        m = np.array(rows, dtype=float)
+    except ValueError as exc:  # ragged rows or a non-number
+        raise ValueError(f"{what} rows must form an n x n matrix of numbers") from exc
+    if m.shape != (n, n):
+        raise ValueError(f"{what} rows must form an n x n matrix")
+    m.flags.writeable = False
+    return m
+
+
+def _require(ok: np.ndarray, m: np.ndarray, what: str, fault: str) -> None:
+    """Raise for the row-major first entry of ``m`` where ``ok`` is False."""
+    first = int(ok.argmin())  # the first False, or 0 when all hold
+    if not ok.flat[first]:
+        a, x = divmod(first, len(m))
+        raise ValueError(f"{what} ({a},{x}) = {m[a, x]} {fault}")
+
+
+@dataclass(frozen=True, eq=False)
 class UtilityProfile:
-    """n x n matrix; entry (a, x) is agent a's utility for alternative x, <= 0."""
+    """n x n matrix; entry (a, x) is agent a's utility for alternative x, <= 0.
+
+    ``values`` is a read-only float64 array. Profiles compare by identity;
+    compare values with ``np.array_equal``.
+    """
 
     n: int
-    values: tuple[tuple[float, ...], ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(tuple(float(v) for v in row) for row in self.values)
-        )
-        if self.n < 1:
-            raise ValueError("utility profile needs n >= 1")
-        if len(self.values) != self.n or any(len(row) != self.n for row in self.values):
-            raise ValueError("values must be an n x n matrix")
-        for a, row in enumerate(self.values):
-            for x, v in enumerate(row):
-                if not v <= 0.0:
-                    raise ValueError(f"utility ({a},{x}) = {v} is positive or NaN")
+        values = _matrix(self.n, self.values, "utility")
+        _require(values <= 0.0, values, "utility", "is positive or NaN")
+        object.__setattr__(self, "values", values)
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "values": [list(row) for row in self.values]}
+        return {"n": self.n, "values": self.values.tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "UtilityProfile":
@@ -53,50 +71,57 @@ class UtilityProfile:
         return cls(n=json_int(data.get("n", len(values)), "n"), values=values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Perturbation:
-    """n x n matrix of multiplicative factors, every entry >= 1."""
+    """n x n matrix of multiplicative factors, every entry finite and >= 1.
+
+    ``factors`` is a read-only float64 array; perturbations compare by
+    identity.
+    """
 
     n: int
-    factors: tuple[tuple[float, ...], ...]
+    factors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "factors", tuple(tuple(float(v) for v in row) for row in self.factors)
-        )
-        if len(self.factors) != self.n or any(len(row) != self.n for row in self.factors):
-            raise ValueError("factors must be an n x n matrix")
-        for a, row in enumerate(self.factors):
-            for x, v in enumerate(row):
-                if not v >= 1.0:
-                    raise ValueError(f"factor ({a},{x}) = {v} is below 1 or NaN")
+        factors = _matrix(self.n, self.factors, "factor")
+        ok = (factors >= 1.0) & (factors < math.inf)
+        _require(ok, factors, "factor", "is below 1, infinite or NaN")
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
     def ones(cls, n: int) -> "Perturbation":
-        return cls(n, tuple(tuple(1.0 for _ in range(n)) for _ in range(n)))
+        return cls(n, np.ones((n, n)))
 
     @classmethod
     def single_entry(cls, n: int, agent: int, alternative: int, factor: float) -> "Perturbation":
-        rows = [[1.0] * n for _ in range(n)]
-        rows[agent][alternative] = float(factor)
-        return cls(n, tuple(tuple(r) for r in rows))
+        factors = np.ones((n, n))
+        factors[agent, alternative] = factor
+        return cls(n, factors)
 
     def level(self) -> float:
-        return max(max(row) for row in self.factors)
+        return float(self.factors.max())
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "factors": [list(row) for row in self.factors]}
+        return {"n": self.n, "factors": self.factors.tolist()}
 
 
 def apply_perturbation(delta: Perturbation, u: UtilityProfile) -> UtilityProfile:
-    """Entrywise product. Never raises any utility; zeros stay zero."""
+    """Entrywise product. Never raises any utility; zeros stay zero, and a
+    product beyond the float range becomes -inf."""
     if delta.n != u.n:
         raise ValueError(f"size mismatch: perturbation n={delta.n}, utilities n={u.n}")
-    values = tuple(
-        tuple(f * v for f, v in zip(frow, vrow))
-        for frow, vrow in zip(delta.factors, u.values)
-    )
-    return UtilityProfile(u.n, values)
+    with np.errstate(over="ignore"):
+        return UtilityProfile(u.n, delta.factors * u.values)
+
+
+def rank_scatter(ranks, rank_values) -> np.ndarray:
+    """Matrix whose entry (a, ranks[a][i]) is ``rank_values[i]``, or
+    ``rank_values[a][i]`` when rank values are given per agent: each agent's
+    i-th ranked alternative gets the i-th rank value."""
+    ranks = np.asarray(ranks)
+    out = np.empty(ranks.shape)
+    out[np.arange(len(ranks))[:, None], ranks] = rank_values
+    return out
 
 
 class MarketProfile:
@@ -140,13 +165,7 @@ class RankBasedProfile(MarketProfile):
     def utilities(self, profile: OrdinalProfile) -> UtilityProfile:
         if profile.n != self.n:
             raise ValueError("size mismatch")
-        rows = []
-        for a in range(self.n):
-            row = [0.0] * self.n
-            for pos, x in enumerate(profile.ranks[a]):
-                row[x] = self.rank_utilities[pos]
-            rows.append(tuple(row))
-        return UtilityProfile(self.n, tuple(rows))
+        return UtilityProfile(self.n, rank_scatter(profile.ranks, self.rank_utilities))
 
     def representable_profiles(self) -> Iterator[OrdinalProfile]:
         return all_profiles(self.n)
@@ -244,14 +263,7 @@ def random_extensional_profile(n: int, rng: np.random.Generator) -> ExtensionalP
     """Random fully-covered extensional profile; practical for n <= 3 only."""
     table = {}
     for r in all_profiles(n):
-        rows = _random_strict_rows(n, rng)
-        values = []
-        for a in range(n):
-            row = [0.0] * n
-            for pos, x in enumerate(r.ranks[a]):
-                row[x] = rows[a][pos]
-            values.append(tuple(row))
-        table[r] = UtilityProfile(n, tuple(values))
+        table[r] = UtilityProfile(n, rank_scatter(r.ranks, _random_strict_rows(n, rng)))
     return ExtensionalProfile(n, table)
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .jsonvalues import json_int, json_number
-from .markets import UtilityProfile
+from .markets import UtilityProfile, _require
 from .ordinal import OrdinalProfile, TiePolicy, ordinal_from_utility
 
 _REL_TOL = 1e-9
@@ -61,7 +61,7 @@ def is_polarized(u: UtilityProfile, tol: float = 1e-12) -> PolarityCheck:
     ``inf`` and NaN intermediates whose comparisons are false, exactly as
     for Python floats; numpy's warnings about them are silenced.
     """
-    v = np.array(u.values, dtype=float)
+    v = u.values
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = -(v[:, :, None] + v[:, None, :])
         abs_rhs = np.abs(rhs)
@@ -125,8 +125,8 @@ class MetricSpace:
         for a, b, w in edges:
             if not (0 <= a < vertex_count and 0 <= b < vertex_count):
                 raise ValueError(f"edge ({a},{b}) out of range")
-            if not w >= 0:
-                raise ValueError(f"negative or NaN weight on edge ({a},{b})")
+            if not 0 <= w < math.inf:
+                raise ValueError(f"negative, infinite or NaN weight on edge ({a},{b})")
             if a == b and w > 0:
                 raise ValueError(f"positive self-loop on vertex {a}")
 
@@ -270,15 +270,11 @@ def build_generating_space(u: UtilityProfile) -> tuple[MetricSpace, Placement]:
     alternative into one vertex via the quotient.
     """
     space, (placement,) = union_generating_space([u])
-    for a in range(u.n):
-        row = space.dist_row(placement.alpha[a])
-        for x in range(u.n):
-            want = -u.values[a][x]
-            got = row[placement.beta[x]]
-            if abs(got - want) > _REL_TOL * max(1.0, want):
-                raise RuntimeError(
-                    f"direct edge ({a},{x}) is not a shortest path; this is a bug"
-                )
+    got = utilities_from_space(space, placement, u.n).values
+    off = np.abs(got - u.values) > _REL_TOL * np.maximum(1.0, -u.values)
+    if off.any():
+        a, x = divmod(int(off.argmax()), u.n)
+        raise RuntimeError(f"direct edge ({a},{x}) is not a shortest path; this is a bug")
     return space, placement
 
 
@@ -287,10 +283,11 @@ def union_generating_space(
 ) -> tuple[MetricSpace, list[Placement]]:
     """Disjoint union of the bipartite realizations of several profiles.
 
-    Each profile must be polarized (:class:`NotPolarized` otherwise). With
-    strictly negative utilities each block contributes 2n vertices, so the
-    union has 2n * len(profiles) vertices; zero utilities shrink their
-    block through the quotient.
+    Each profile must have finite utilities (ValueError otherwise) and be
+    polarized (:class:`NotPolarized` otherwise). With strictly negative
+    utilities each block contributes 2n vertices, so the union has
+    2n * len(profiles) vertices; zero utilities shrink their block through
+    the quotient.
     """
     if not profiles:
         raise ValueError("need at least one profile")
@@ -298,14 +295,14 @@ def union_generating_space(
     offsets = []
     offset = 0
     for u in profiles:
+        n = u.n
+        _require(np.isfinite(u.values), u.values, "utility", "has no finite distance to realize it")
         check = is_polarized(u)
         if not check:
             raise NotPolarized(check.violation)
-        n = u.n
         offsets.append((offset, n))
-        for a in range(n):
-            for x in range(n):
-                edges.append((offset + a, offset + n + x, -u.values[a][x]))
+        for a, row in enumerate((-u.values).tolist()):
+            edges += [(offset + a, offset + n + x, w) for x, w in enumerate(row)]
         offset += 2 * n
     space = MetricSpace(offset, edges)
     qm = space.quotient_map
@@ -320,25 +317,25 @@ def union_generating_space(
 
 
 def utilities_from_space(space: MetricSpace, placement: Placement, n: int) -> UtilityProfile:
-    """Utility profile induced by a placement: u(a, x) = -d(alpha(a), beta(x))."""
+    """Utility profile induced by a placement: u(a, x) = -d(alpha(a), beta(x)).
+
+    Rows are read one agent at a time, so a placement whose first agent is
+    cut off from an alternative fails before the other agents' shortest
+    paths are computed.
+    """
     if len(placement.alpha) != n or len(placement.beta) != n:
         raise ValueError("placement does not cover n agents and n alternatives")
     for v in placement.alpha + placement.beta:
         if not (0 <= v < space.n_vertices):
             raise ValueError(f"placement vertex {v} out of range")
-    rows = []
-    for a in range(n):
-        row = space.dist_row(placement.alpha[a])
-        vals = []
-        for x in range(n):
-            d = row[placement.beta[x]]
-            if math.isinf(d):
-                raise ValueError(
-                    f"agent {a} and alternative {x} lie in different components"
-                )
-            vals.append(-d)
-        rows.append(tuple(vals))
-    return UtilityProfile(n, tuple(rows))
+    d = []
+    for a, v in enumerate(placement.alpha):
+        row = space.dist_row(v)
+        d.append([row[w] for w in placement.beta])
+        if math.inf in d[a]:
+            x = d[a].index(math.inf)
+            raise ValueError(f"agent {a} and alternative {x} lie in different components")
+    return UtilityProfile(n, -np.array(d))
 
 
 def verify_generating(
@@ -350,10 +347,7 @@ def verify_generating(
         induced = utilities_from_space(space, placement, u.n)
     except ValueError:
         return False
-    worst = max(
-        abs(u.values[a][x] - induced.values[a][x]) for a in range(u.n) for x in range(u.n)
-    )
-    return worst <= tol
+    return bool(np.abs(u.values - induced.values).max() <= tol)
 
 
 @dataclass(frozen=True)

@@ -271,24 +271,21 @@ def ordinal_from_utility_flagged(
 ) -> tuple[OrdinalProfile, bool]:
     """Extract the ordinal profile of a utility profile, reporting ties.
 
-    Under the strict policy equal utilities in a row raise :class:`TieError`.
-    Under the index policy ties are broken by ascending alternative index and
-    the returned flag is True whenever any tie was broken.
+    Under the strict policy equal utilities in a row raise :class:`TieError`
+    for the first tie in row-major order. Under the index policy ties are
+    broken by ascending alternative index and the returned flag is True
+    whenever any tie was broken. One stable sort of the negated utilities
+    orders each row by (-utility, index); ties are equal neighbours in it.
     """
-    values = u.values
-    n = u.n
-    had_ties = False
-    rows = []
-    for a in range(n):
-        row = values[a]
-        order = sorted(range(n), key=lambda x: (-row[x], x))
-        for i in range(n - 1):
-            if row[order[i]] == row[order[i + 1]]:
-                if tie_policy is TiePolicy.STRICT:
-                    raise TieError(a, order[i], order[i + 1])
-                had_ties = True
-        rows.append(tuple(order))
-    return OrdinalProfile(n, tuple(rows)), had_ties
+    ranked = -u.values
+    order = ranked.argsort(axis=1, kind="stable")
+    ranked.sort(axis=1)  # the same values as ranked[order]
+    ties = ranked[:, 1:] == ranked[:, :-1]
+    had_ties = bool(np.count_nonzero(ties))
+    if had_ties and tie_policy is TiePolicy.STRICT:
+        a, i = divmod(int(ties.argmax()), u.n - 1)
+        raise TieError(a, int(order[a, i]), int(order[a, i + 1]))
+    return OrdinalProfile(u.n, tuple(map(tuple, order.tolist()))), had_ties
 
 
 def ordinal_from_utility(u, tie_policy: TiePolicy = TiePolicy.STRICT) -> OrdinalProfile:

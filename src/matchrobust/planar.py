@@ -13,8 +13,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
 
-from .markets import UtilityProfile
+from .markets import UtilityProfile, rank_scatter
 from .metric import (
     MetricSpace,
     Placement,
@@ -147,10 +148,7 @@ def search_planar_representation(
     """
     profile = nonplanar_profile(9)
     n = 9
-    base_weights = [[0.0] * n for _ in range(n)]
-    for a in range(n):
-        for pos, x in enumerate(profile.ranks[a]):
-            base_weights[a][x] = 2.0**pos
+    base_weights = rank_scatter(profile.ranks, 2.0 ** np.arange(n)).tolist()
     full_edges = [(a, n + x, base_weights[a][x]) for a in range(n) for x in range(n)]
 
     for t in range(candidates):

@@ -83,9 +83,7 @@ def _consecutive_pairs(market: MatchingMarket):
     for name, side, profiles in _sides(market):
         for r in profiles:
             u = side.utilities(r)
-            for a in range(n):
-                row = u.values[a]
-                ranks = r.ranks[a]
+            for a, (row, ranks) in enumerate(zip(u.values.tolist(), r.ranks)):
                 for i in range(n - 1):
                     yield name, r, u, a, i, row[ranks[i]], row[ranks[i + 1]]
 
@@ -226,7 +224,7 @@ def _scan_side(name: str, side: MarketProfile, profiles) -> _ScanSide:
     profiles = list(profiles)
     utilities = [side.utilities(r) for r in profiles]
     ranks = np.array([r.ranks for r in profiles], dtype=np.intp).reshape(-1, n)
-    values = np.array([u.values for u in utilities], dtype=float).reshape(-1, n)
+    values = np.concatenate([u.values for u in utilities])
     return _ScanSide(name, profiles, utilities, ranks, values)
 
 
@@ -399,14 +397,13 @@ class IidUniformFactorSampler:
     """
 
     def __init__(self, n: int, level: float):
-        if level < 1.0:
-            raise ValueError("level must be >= 1")
+        if not 1.0 <= level < math.inf:
+            raise ValueError("level must be finite and >= 1")
         self.n = n
         self.level = level
 
     def _factors(self, rng) -> Perturbation:
-        mat = rng.uniform(1.0, self.level, size=(self.n, self.n))
-        return Perturbation(self.n, tuple(tuple(float(v) for v in row) for row in mat))
+        return Perturbation(self.n, rng.uniform(1.0, self.level, size=(self.n, self.n)))
 
     def sample(self, rng: np.random.Generator) -> PerturbationSample:
         return PerturbationSample(
@@ -499,20 +496,18 @@ def rank_slot_factor_stats(sampler, draws: int, seed: int):
     the alternative that the slot's agent ranks at that position under the
     drawn profile.
     """
+    if draws < 1:
+        raise ValueError("draws >= 1 required")
     n = sampler.n
     sums = np.zeros((2 * n, n - 1))
     sumsq = np.zeros((2 * n, n - 1))
     for t in range(draws):
-        rng = rng_for(seed, t)
-        s = sampler.sample(rng)
-        for a in range(n):
-            for i in range(n - 1):
-                f_m = s.men_factors.factors[a][s.men_profile.ranks[a][i]]
-                f_w = s.women_factors.factors[a][s.women_profile.ranks[a][i]]
-                sums[a, i] += f_m
-                sumsq[a, i] += f_m * f_m
-                sums[n + a, i] += f_w
-                sumsq[n + a, i] += f_w * f_w
+        s = sampler.sample(rng_for(seed, t))
+        factors = np.concatenate((s.men_factors.factors, s.women_factors.factors))
+        ranks = np.array(s.men_profile.ranks + s.women_profile.ranks)[:, :-1]
+        f = np.take_along_axis(factors, ranks, axis=1)
+        sums += f
+        sumsq += f * f
     means = sums / draws
     variances = np.maximum(sumsq / draws - means**2, 0.0)
     std_errs = np.sqrt(variances / draws)

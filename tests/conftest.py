@@ -19,7 +19,7 @@ from matchrobust import (
     ordinal_from_utility_flagged,
     spike_factor,
 )
-from matchrobust.ordinal import TiePolicy
+from matchrobust.ordinal import TieError, TiePolicy
 
 settings.register_profile(
     "default",
@@ -137,6 +137,27 @@ def reference_deferred_acceptance(
     return Assignment(n, tuple(engaged))
 
 
+def reference_ordinal_from_utility(u: UtilityProfile, tie_policy: TiePolicy):
+    """Scalar ordinal extraction: ``(profile, had_ties)``.
+
+    Sorts each row by (-utility, index). Under the strict policy the first
+    pair of equal neighbours, in row-major order, raises :class:`TieError`;
+    under the index policy ``had_ties`` reports whether any row had one.
+    """
+    n = u.n
+    had_ties = False
+    rows = []
+    for a, row in enumerate(u.values.tolist()):
+        order = sorted(range(n), key=lambda x: (-row[x], x))
+        for i in range(n - 1):
+            if row[order[i]] == row[order[i + 1]]:
+                if tie_policy is TiePolicy.STRICT:
+                    raise TieError(a, order[i], order[i + 1])
+                had_ties = True
+        rows.append(tuple(order))
+    return OrdinalProfile(n, tuple(rows)), had_ties
+
+
 def reference_first_break(rows, c: float):
     """Per-entry level scan: the first (row, position) whose single-entry
     perturbation changes the row's extracted ranking or creates a tie.
@@ -210,7 +231,7 @@ def reference_is_polarized(u: UtilityProfile, tol: float = 1e-12):
     u(a,x') - u(a,x) > -(u(a',x) + u(a',x')) + tol * max(1, |lhs|, |rhs|).
     """
     n = u.n
-    v = u.values
+    v = u.values.tolist()
     for a in range(n):
         for a_prime in range(n):
             for x in range(n):

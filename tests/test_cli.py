@@ -530,12 +530,15 @@ def _pinned_utilities(tripled_entry=None) -> dict:
     return {"schema": 1, "n": 12, "values": values}
 
 
-def _output_digest(tmp_path, argv, infile) -> str:
-    """sha256 of what ``argv --in FILE --out OUT`` writes for ``infile``."""
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(infile))
+def _output_digest(tmp_path, argv, infile=None) -> str:
+    """sha256 of what ``argv --in FILE --out OUT`` writes for ``infile``;
+    without ``infile``, of what ``argv --out OUT`` writes."""
+    if infile is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(infile))
+        argv = (*argv, "--in", str(path))
     out = tmp_path / "out"
-    assert main([*argv, "--in", str(path), "--out", str(out)]) == 0
+    assert main([*argv, "--out", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -628,6 +631,99 @@ class TestPinnedMarketOutputs:
         ],
         ids=["solve-identical", "solve-identical-text", "solve-random", "solve-random-text",
              "stable-set"],
+    )
+    def test_digest(self, tmp_path, argv, infile, expected):
+        assert _output_digest(tmp_path, argv, infile) == expected
+
+
+def _pinned_rank_market(n: int) -> dict:
+    """A rank-based market, top utility -1 on each side, whose consecutive
+    utility ratios are drawn from [1.05, 3)."""
+    rng = np.random.default_rng(100 + n)
+    sides = {}
+    for side in ("men", "women"):
+        ratios = np.concatenate(([1.0], rng.uniform(1.05, 3.0, size=n - 1)))
+        sides[side] = {"kind": "rank", "n": n, "rank_utilities": (-np.cumprod(ratios)).tolist()}
+    return {"schema": 1, **sides}
+
+
+def _pinned_extensional_market(n: int, entries: int) -> dict:
+    """An extensional market storing ``entries`` distinct random profiles
+    per side, each agent's utilities drawn from [-10, -0.1] and sorted to
+    decrease along its ranking."""
+    rng = np.random.default_rng(200 + n)
+    sides = {}
+    for side in ("men", "women"):
+        table = {}
+        while len(table) < entries:
+            ranks = np.array([rng.permutation(n) for _ in range(n)])
+            values = np.empty((n, n))
+            np.put_along_axis(values, ranks, -np.sort(rng.uniform(0.1, 10.0, (n, n))), axis=1)
+            table.setdefault(ranks.tobytes(), {"ranks": ranks.tolist(), "values": values.tolist()})
+        sides[side] = {"kind": "extensional", "n": n, "entries": list(table.values())}
+    return {"schema": 1, **sides}
+
+
+_TIED_RANK_MARKET = {
+    "schema": 1,
+    "men": {"kind": "rank", "n": 3, "rank_utilities": [-1.0, -2.0, -4.0]},
+    "women": {"kind": "rank", "n": 3, "rank_utilities": [-1.0, -3.0, -9.0]},
+}
+
+
+class TestPinnedRobustnessOutputs:
+    """sha256 of `robustness`, `witness` and `appendix-a` outputs, recorded
+    while utilities and factors were still tuples of Python floats; the
+    array representation must keep these bytes."""
+
+    @pytest.mark.parametrize(
+        "argv, infile, expected",
+        [
+            (
+                ("robustness",),
+                _pinned_rank_market(6),
+                "e3e638c0365da0293e784bf9068a3c43bc5a779bec26bb738f24edda5ffc5edc",
+            ),
+            (
+                ("robustness",),
+                _pinned_extensional_market(3, 8),
+                "2c770f7141e413c0efaa0d28222d3d1c42ea8eaa04ac54a985b16c8d1f432584",
+            ),
+            (
+                ("witness", "--c", "2.5"),
+                _pinned_rank_market(6),
+                "5205f550ea0470106f90149b3c574d1eefa3720bbfbd5b6ae37806868e7bb42a",
+            ),
+            (
+                ("witness", "--c", "2"),
+                _TIED_RANK_MARKET,
+                "c1f7f32e6d41444c8a7d02947a942770b7b555225eebd2c52115ba37af357710",
+            ),
+            (
+                ("witness", "--c", "1.8"),
+                _pinned_extensional_market(3, 8),
+                "90642e2c5e82630529e13d5221f68bf6e2e33b8a06c1eb8bad3f39f0faa9f3b0",
+            ),
+            (
+                ("witness", "--c", "1.01"),
+                _pinned_extensional_market(3, 8),
+                "2055a1c53c1ab5748d9338fc4d88b7270b4bca41aed8938bee78522270ca8f2d",
+            ),
+            (
+                ("appendix-a", "--n", "4", "--c", "1.2", "--eps", "0.3", "--trials", "300",
+                 "--seed", "5"),
+                None,
+                "e7889b4240f4577de745597d5d638906ddcd00e327457e1e6989cde9d8664cd6",
+            ),
+            (
+                ("appendix-a", "--n", "2", "--c", "1", "--eps", "1e-3", "--trials", "50",
+                 "--seed", "6"),
+                None,
+                "493e4d2e3880c189588dcc3f5b7d965b519a55867c73b5eeee557962b548cc7d",
+            ),
+        ],
+        ids=["robustness-rank", "robustness-extensional", "witness-rank", "witness-tie",
+             "witness-extensional", "witness-extensional-near-one", "appendix-a-4", "appendix-a-2"],
     )
     def test_digest(self, tmp_path, argv, infile, expected):
         assert _output_digest(tmp_path, argv, infile) == expected

@@ -51,21 +51,63 @@ class TestPerturbation:
         with pytest.raises(ValueError):
             Perturbation(2, ((1.0, 0.5), (1.0, 1.0)))
 
+    @pytest.mark.parametrize("factor", [math.inf, -math.inf])
+    def test_rejects_infinite_factor(self, factor):
+        # An infinite factor would turn a zero utility into NaN.
+        with pytest.raises(ValueError, match=rf"factor \(1,0\) = {factor}"):
+            Perturbation(2, ((1.0, 2.0), (factor, 1.0)))
+        with pytest.raises(ValueError, match="factor"):
+            Perturbation.single_entry(2, 1, 0, factor)
+
     def test_single_entry(self):
         d = Perturbation.single_entry(2, 0, 1, 3.0)
-        assert d.factors == ((1.0, 3.0), (1.0, 1.0))
+        assert np.array_equal(d.factors, ((1.0, 3.0), (1.0, 1.0)))
         assert d.level() == 3.0
+
+
+class TestMatrices:
+    def test_error_names_first_bad_entry_in_row_major_order(self):
+        with pytest.raises(ValueError, match=r"utility \(0,1\) = 1.0"):
+            UtilityProfile(2, ((-1.0, 1.0), (2.0, -1.0)))
+        with pytest.raises(ValueError, match=r"factor \(1,0\) = 0.5"):
+            Perturbation(2, ((1.0, 1.0), (0.5, 0.0)))
+
+    @pytest.mark.parametrize(
+        "n, rows",
+        [(0, ()), (2, ((1.0, 1.0),)), (1, ((1.0, 1.0),)), (2, ((1.0,), (1.0, 1.0)))],
+        ids=["empty", "too-few-rows", "too-many-columns", "ragged"],
+    )
+    def test_rejects_wrong_shape(self, n, rows):
+        # 1.0 is a valid factor and -1.0 a valid utility: only the shape fails.
+        with pytest.raises(ValueError, match="n x n|n >= 1"):
+            Perturbation(n, rows)
+        with pytest.raises(ValueError, match="n x n|n >= 1"):
+            UtilityProfile(n, [[-v for v in row] for row in rows])
+
+    def test_values_and_factors_are_read_only_float64(self):
+        u = UtilityProfile(2, ((-1, -2), (-3, -4)))
+        d = Perturbation.ones(2)
+        for m in (u.values, d.factors, apply_perturbation(d, u).values):
+            assert m.dtype == np.float64 and m.shape == (2, 2)
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = -5.0
+
+    def test_constructor_copies_its_input(self):
+        rows = np.array([[-1.0, -2.0], [-3.0, -4.0]])
+        u = UtilityProfile(2, rows)
+        rows[0, 0] = -9.0
+        assert u.values[0, 0] == -1.0 and rows.flags.writeable
 
 
 class TestApplyPerturbation:
     def test_all_ones_identity(self):
         u = UtilityProfile(2, ((-1.0, -2.0), (0.0, -3.0)))
-        assert apply_perturbation(Perturbation.ones(2), u) == u
+        assert np.array_equal(apply_perturbation(Perturbation.ones(2), u).values, u.values)
 
     def test_arithmetic(self):
         u = UtilityProfile(2, ((-1.0, -2.0), (-1.0, -2.0)))
         d = Perturbation(2, ((3.0, 1.0), (1.0, 1.0)))
-        assert apply_perturbation(d, u).values[0] == (-3.0, -2.0)
+        assert np.array_equal(apply_perturbation(d, u).values[0], (-3.0, -2.0))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -150,7 +192,7 @@ class TestMarketProfiles:
         m = geometric_market(3, 2.0)
         r = OrdinalProfile(3, ((0, 1, 2),) * 3)
         u = m.men.utilities(r)
-        assert u.values[0] == (-1.0, -2.0, -4.0)
+        assert np.array_equal(u.values[0], (-1.0, -2.0, -4.0))
 
     def test_random_extensional_market_consistent(self):
         market = random_extensional_market(2, rng_for(3))

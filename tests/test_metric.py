@@ -135,6 +135,11 @@ class TestMetricSpace:
         with pytest.raises(ValueError):
             MetricSpace(2, [(0, 1, -1.0)])
 
+    def test_rejects_infinite_weight(self):
+        # An infinite edge would join a component whose distances are infinite.
+        with pytest.raises(ValueError, match="infinite"):
+            MetricSpace(2, [(0, 1, math.inf)])
+
     def test_disconnected_distance_infinite(self):
         space = MetricSpace(4, [(0, 1, 1.0), (2, 3, 1.0)])
         assert math.isinf(space.dist(0, 2))
@@ -282,6 +287,14 @@ class TestUnionGeneratingSpace:
         assert space.n_vertices == 1296
         assert len(placements) == 216
 
+    def test_rejects_infinite_utility(self, rng):
+        # No finite distance realizes -inf, so the space would not generate u.
+        u = UtilityProfile(2, ((-1.0, -math.inf), (-1.0, -1.0)))
+        with pytest.raises(ValueError, match=r"\(0,1\)"):
+            union_generating_space([band_utup(2, rng), u])
+        with pytest.raises(ValueError, match=r"\(0,1\)"):
+            build_generating_space(u)
+
     def test_component_not_polarized_rejected(self, rng):
         good = band_utup(2, rng)
         bad = UtilityProfile(2, ((-1.0, -10.0), (0.0, 0.0)))
@@ -293,7 +306,7 @@ class TestUtilitiesFromSpace:
     def test_round_trip(self, rng):
         u = band_utup(3, rng)
         space, placement = build_generating_space(u)
-        assert utilities_from_space(space, placement, 3) == u
+        assert np.array_equal(utilities_from_space(space, placement, 3).values, u.values)
 
     def test_coincident_placement_zero_utility(self, rng):
         space = random_connected_space(5, 3, rng)

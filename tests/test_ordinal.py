@@ -18,6 +18,7 @@ from matchrobust import (
     enumerate_stable,
     is_stable,
     ordinal_from_utility,
+    ordinal_from_utility_flagged,
     phi,
 )
 from matchrobust.ordinal import STABLE_ENUM_CAP
@@ -28,6 +29,7 @@ from conftest import (
     oracle_is_stable,
     oracle_male_optimal,
     oracle_stable_set,
+    reference_ordinal_from_utility,
     random_profile,
     reference_deferred_acceptance,
 )
@@ -296,8 +298,6 @@ class TestOrdinalFromUtility:
             ordinal_from_utility(u)
 
     def test_index_policy_breaks_ties(self):
-        from matchrobust import ordinal_from_utility_flagged
-
         u = UtilityProfile(2, ((-2.0, -2.0), (-1.0, -2.0)))
         profile, had_ties = ordinal_from_utility_flagged(u, TiePolicy.INDEX)
         assert had_ties and profile.ranks[0] == (0, 1)
@@ -338,3 +338,33 @@ class TestOrdinalFromUtility:
                 new[x] = float(vals[a][x] * mult[pos])
             scaled.append(tuple(new))
         assert ordinal_from_utility(UtilityProfile(n, tuple(scaled))) == order
+
+
+# Few distinct values, so rows tie often, plus both signed zeros, -inf and
+# the smallest subnormal.
+_TIE_PRONE = st.sampled_from((0.0, -0.0, -5e-324, -1.0, -2.0, -1e308, -float("inf")))
+
+
+@st.composite
+def tie_prone_utilities(draw):
+    n = draw(st.integers(1, 6))
+    entry = _TIE_PRONE | st.floats(max_value=0.0, allow_nan=False)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return UtilityProfile(n, rows)
+
+
+class TestOrdinalFromUtilityReference:
+    """The array extraction against the scalar per-row sort."""
+
+    @given(tie_prone_utilities(), st.sampled_from(TiePolicy))
+    def test_matches_scalar_extraction(self, u, policy):
+        try:
+            want = reference_ordinal_from_utility(u, policy)
+        except TieError as exc:
+            with pytest.raises(TieError) as got:
+                ordinal_from_utility_flagged(u, policy)
+            assert (got.value.agent, got.value.alternatives) == (exc.agent, exc.alternatives)
+            assert str(got.value) == str(exc)
+        else:
+            got = ordinal_from_utility_flagged(u, policy)
+            assert got == want and type(got[1]) is bool

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import math
@@ -168,7 +169,11 @@ def _levels(values):
 
 
 def _rows(profiles, utilities):
-    return [(r.ranks[a], u.values[a]) for r, u in zip(profiles, utilities) for a in range(r.n)]
+    return [
+        (ranks, row)
+        for r, u in zip(profiles, utilities)
+        for ranks, row in zip(r.ranks, u.values.tolist())
+    ]
 
 
 @st.composite
@@ -258,6 +263,54 @@ class TestPinnedSearchOutputs:
     def test_random_extensional(self, seed, expected):
         market = random_extensional_market(3, np.random.default_rng(seed))
         assert repr(robustness_by_search(market)) == expected
+
+
+class TestPinnedMonteCarloOutputs:
+    """Exact Monte Carlo outputs, recorded while utilities and factors were
+    still tuples of Python floats; the array representation must keep them
+    bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_sampler, draws, seed, expected",
+        [
+            (
+                lambda: IidUniformFactorSampler(4, 2.5),
+                500,
+                3,
+                "7fc139dfe2ff0615686c319ecd7541d6f2bc87752d8546013aa89564419e45eb",
+            ),
+            (
+                lambda: IidUniformFactorSampler(2, 1.0),
+                50,
+                4,
+                "7559012cb25316ff8189a650a4682019422044477245151fd48f7ec8d18536b9",
+            ),
+            (
+                lambda: CriticalSpikeSampler(4, 1.2, 0.3),
+                500,
+                5,
+                "1cc8c051527362365c2848ee08a869d51c9088007716cc79f6644760ba29a9d9",
+            ),
+        ],
+        ids=["iid", "iid-level-one", "critical"],
+    )
+    def test_factor_stats_bytes(self, make_sampler, draws, seed, expected):
+        means, errs = rank_slot_factor_stats(make_sampler(), draws, seed)
+        digest = hashlib.sha256(means.tobytes() + errs.tobytes()).hexdigest()
+        assert digest == expected
+
+    @pytest.mark.parametrize(
+        "make_market, level, trials, seed, expected",
+        [
+            (lambda: geometric_market(4, 1.3), 1.6, 400, 6, "0.6325"),
+            (lambda: random_extensional_market(3, rng_for(8)), 1.5, 300, 7, "0.7433333333333333"),
+        ],
+        ids=["geometric", "random-extensional"],
+    )
+    def test_preservation_repr(self, make_market, level, trials, seed, expected):
+        market = make_market()
+        sampler = IidUniformFactorSampler(market.n, level)
+        assert repr(preservation_probability(market, sampler, trials, seed)) == expected
 
 
 class TestAdversarialWitness:
@@ -430,7 +483,7 @@ class TestSpikeSampler:
         market = sampler.market
         for t in range(50):
             s = sampler.sample(rng_for(23, t))
-            spiked = "men" if s.men_factors.factors != Perturbation.ones(3).factors else "women"
+            spiked = "women" if np.array_equal(s.men_factors.factors, np.ones((3, 3))) else "men"
             r = s.men_profile if spiked == "men" else s.women_profile
             u = market.side(spiked).utilities(r)
             factors = s.men_factors if spiked == "men" else s.women_factors
@@ -451,7 +504,8 @@ class TestSpikeSampler:
             sampler = CriticalSpikeSampler(n, c, eps)
             for t in range(10):
                 s = sampler.sample(rng_for(41, t))
-                spiked = "men" if s.men_factors != Perturbation.ones(n) else "women"
+                unspiked_men = np.array_equal(s.men_factors.factors, np.ones((n, n)))
+                spiked = "women" if unspiked_men else "men"
                 r = s.men_profile if spiked == "men" else s.women_profile
                 factors = s.men_factors if spiked == "men" else s.women_factors
                 u = sampler.market.side(spiked).utilities(r)
@@ -476,7 +530,8 @@ class TestPreservationProbability:
             ones = Perturbation.ones(n)
             for t in range(50):
                 s = IidUniformFactorSampler(n, 1.0).sample(rng_for(9, t))
-                assert s.men_factors == ones and s.women_factors == ones
+                assert np.array_equal(s.men_factors.factors, ones.factors)
+                assert np.array_equal(s.women_factors.factors, ones.factors)
 
     def test_all_ones_sampler_preserves(self):
         market = geometric_market(3, 2.0)
@@ -518,6 +573,18 @@ class TestPreservationProbability:
         market = geometric_market(2, 2.0)
         with pytest.raises(ValueError):
             preservation_probability(market, IidUniformFactorSampler(2, 1.0), 0, 1)
+
+
+class TestMonteCarloInputs:
+    @pytest.mark.parametrize("level", [0.5, math.inf, math.nan])
+    def test_iid_sampler_rejects_level(self, level):
+        with pytest.raises(ValueError, match="level"):
+            IidUniformFactorSampler(3, level)
+
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_factor_stats_rejects_draws_below_one(self, draws):
+        with pytest.raises(ValueError, match="draws"):
+            rank_slot_factor_stats(IidUniformFactorSampler(3, 2.0), draws, 1)
 
 
 class TestSamplerLevels:
