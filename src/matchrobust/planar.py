@@ -1,9 +1,20 @@
 """Planarity, genus lower bounds, and the nine-agent nonplanar profile.
 
 Planarity is decided on the unweighted simple support graph (weights,
-self-loops and repeated edges do not affect genus). The test delegates to
-networkx's left-right planarity algorithm behind a fast edge-count
-rejection.
+self-loops and repeated edges do not affect genus), one connected component
+at a time, since a graph is planar exactly when each component is. Each
+component goes through theorem-backed rules first:
+
+1. At most 8 edges: planar (K_{3,3} has 9 edges and K_5 has 10, so by
+   Kuratowski's theorem a smaller graph has neither as a subdivision).
+2. More than 3V - 6 edges, or a bipartite component with more than 2V - 4
+   edges: nonplanar (Euler's formula; a bipartite graph has no triangles).
+3. Delete vertices of degree 0 or 1 and smooth out vertices of degree 2
+   until none is left, dropping an edge the smoothing would repeat; this
+   keeps planarity either way. Then rules 1 and 2 again.
+
+Only what the rules leave goes to networkx's left-right planarity test, and
+networkx is imported then, not with this module.
 """
 
 from __future__ import annotations
@@ -12,7 +23,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .markets import UtilityProfile, rank_scatter
@@ -40,21 +50,93 @@ def _support(space_or_edges) -> tuple[int, list[tuple[int, int]]]:
     if isinstance(space_or_edges, MetricSpace):
         return space_or_edges.n_vertices, space_or_edges.support_edges()
     vertex_count, edges = space_or_edges
-    return vertex_count, list(dict.fromkeys((min(a, b), max(a, b)) for a, b in edges if a != b))
+    simple: dict[tuple[int, int], None] = {}
+    for a, b in edges:
+        if not (0 <= a < vertex_count and 0 <= b < vertex_count):
+            raise ValueError(f"edge ({a}, {b}) has an endpoint outside 0..{vertex_count - 1}")
+        if a != b:
+            simple[min(a, b), max(a, b)] = None
+    return vertex_count, list(simple)
+
+
+def _components(vertex_count: int, edges: list[tuple[int, int]]):
+    """``(V, edges, bipartite)`` of each component that has an edge; the
+    edges keep the graph's vertex ids."""
+    label, parity = component_labels(vertex_count, edges)
+    sizes = Counter(label)
+    comp_edges: dict[int, list[tuple[int, int]]] = {}
+    for a, b in edges:
+        comp_edges.setdefault(label[a], []).append((a, b))
+    for root, es in comp_edges.items():
+        yield sizes[root], es, all(parity[a] != parity[b] for a, b in es)
+
+
+def _by_edge_count(v_count: int, e_count: int, bipartite: bool) -> bool | None:
+    """Rules 1 and 2 on a connected simple graph; None when neither decides."""
+    if e_count <= 8:
+        return True
+    if e_count > 3 * v_count - 6 or (bipartite and e_count > 2 * v_count - 4):
+        return False
+    return None
+
+
+def _reduce(edges: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """Rule 3: the simple graph left once degree-0 and degree-1 vertices are
+    deleted and degree-2 vertices smoothed out, relabelled to 0..V-1.
+
+    Every vertex left has degree at least 3, and a connected graph stays
+    connected.
+    """
+    adj: dict[int, set[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    stack = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
+    while stack:
+        v = stack.pop()
+        nbrs = adj.get(v)
+        if nbrs is None or len(nbrs) > 2:
+            continue
+        del adj[v]
+        for u in nbrs:
+            adj[u].discard(v)
+        if len(nbrs) == 2:
+            u, w = nbrs
+            if w not in adj[u]:
+                # The new edge u-w keeps both degrees as they were.
+                adj[u].add(w)
+                adj[w].add(u)
+                continue
+        stack.extend(nbrs)
+    index = {v: i for i, v in enumerate(adj)}
+    return len(index), [(index[a], index[b]) for a in adj for b in adj[a] if a < b]
+
+
+def _component_planar(v_count: int, edges: list[tuple[int, int]], bipartite: bool) -> bool:
+    """Planarity of one connected component of a simple graph."""
+    verdict = _by_edge_count(v_count, len(edges), bipartite)
+    if verdict is not None:
+        return verdict
+    v_count, edges = _reduce(edges)
+    # Smoothing changes cycle lengths, so the reduced graph has its own parity.
+    _, parity = component_labels(v_count, edges)
+    verdict = _by_edge_count(v_count, len(edges), all(parity[a] != parity[b] for a, b in edges))
+    if verdict is not None:
+        return verdict
+    import networkx as nx
+
+    return nx.check_planarity(nx.Graph(edges), counterexample=False)[0]
 
 
 def is_planar(space_or_edges) -> bool:
     """Planarity of the support graph (genus 0).
 
-    Accepts a :class:`MetricSpace` or a ``(vertex_count, edges)`` pair.
-    Dense graphs are rejected by the Euler edge bound E <= 3V - 6 before the
-    full test runs.
+    Accepts a :class:`MetricSpace` or a ``(vertex_count, edges)`` pair whose
+    endpoints lie in ``0..vertex_count-1`` (ValueError otherwise). Each
+    component is decided by the edge-count rules of the module docstring,
+    before and after reduction, and only what they leave by networkx.
     """
-    vertex_count, edges = _support(space_or_edges)
-    if vertex_count >= 3 and len(edges) > 3 * vertex_count - 6:
-        return False
-    # Isolated vertices do not affect planarity.
-    return nx.check_planarity(nx.Graph(edges), counterexample=False)[0]
+    return all(_component_planar(*comp) for comp in _components(*_support(space_or_edges)))
 
 
 def genus_lower_bound(space_or_edges) -> int:
@@ -65,22 +147,13 @@ def genus_lower_bound(space_or_edges) -> int:
     bipartite components the sharper ceil((E - 2V + 4) / 4) coming from the
     absence of triangles.
     """
-    vertex_count, edges = _support(space_or_edges)
-    label, parity = component_labels(vertex_count, edges)
-    sizes = Counter(label)
-    comp_edges: dict[int, list[tuple[int, int]]] = {}
-    for a, b in edges:
-        comp_edges.setdefault(label[a], []).append((a, b))
     total = 0
-    for root, es in comp_edges.items():
-        v_count = sizes[root]
-        # es keeps global vertex ids; is_planar uses the count only for its
-        # Euler edge bound.
-        if is_planar((v_count, es)):
+    for v_count, es, bipartite in _components(*_support(space_or_edges)):
+        if _component_planar(v_count, es, bipartite):
             continue
         e_count = len(es)
         bound = max(1, math.ceil((e_count - 3 * v_count + 6) / 6))
-        if all(parity[a] != parity[b] for a, b in es):
+        if bipartite:
             bound = max(bound, math.ceil((e_count - 2 * v_count + 4) / 4))
         total += bound
     return total

@@ -400,6 +400,26 @@ def _is_bipartite(adj: list[list[int]], comp: list[int]) -> bool:
     return True
 
 
+def petersen():
+    """The Petersen graph: 3-regular, 15 edges on 10 vertices, with 5-cycles.
+    No edge-count rule or degree-2 reduction settles it; it is nonplanar."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return 10, outer + spokes + inner
+
+
+def subdivided(graph, length):
+    """Every edge replaced by a path through ``length`` new vertices."""
+    v, edges = graph
+    out = []
+    for a, b in edges:
+        chain = [a, *range(v, v + length), b]
+        v += length
+        out += zip(chain, chain[1:])
+    return v, out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

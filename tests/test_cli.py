@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,10 @@ from hypothesis import strategies as st
 
 from matchrobust.cli import EX_DATAERR, EX_USAGE, EX_VALIDATION, _json_text, build_parser, main
 from matchrobust.communication import DECAY_FAMILIES, HARDNESS_FAMILIES
+
+from conftest import petersen, subdivided
+
+SRC = Path(__file__).parents[1] / "src"
 
 
 @pytest.fixture
@@ -465,6 +472,60 @@ class TestReproducibility:
             assert main(list(argv) + ["--out", str(a)]) == 0
             assert main(list(argv) + ["--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes(), argv
+
+
+_STARTUP_SCRIPT = """
+import json, sys
+import matchrobust
+import matchrobust.cli as cli
+loaded = ["networkx" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+    loaded.append("networkx" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _write_space(path, vertex_count, edges) -> str:
+    data = {"schema": 1, "vertices": vertex_count, "edges": [[a, b, 1.0] for a, b in edges]}
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestStartupImports:
+    def test_networkx_loaded_only_for_graphs_the_rules_leave(
+        self, tmp_path, market_file, rank_market_file
+    ):
+        eight_edges = _write_space(
+            tmp_path / "eight.json", 6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)]
+        )
+        # K5 with every edge subdivided reduces back to K5, an Euler reject.
+        k5 = (5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+        subdivided_k5 = _write_space(tmp_path / "k5.json", *subdivided(k5, 1))
+        petersen_graph = _write_space(tmp_path / "petersen.json", *petersen())
+        jobs = [
+            ["solve", "--in", market_file],
+            ["robustness", "--in", rank_market_file],
+            ["appendix-a", "--n", "3", "--c", "1.5", "--eps", "0.2", "--trials", "5"],
+            ["distortion", "--in", eight_edges, "--quality", "2"],
+            ["banach-search", "--dim", "2", "--restarts", "1", "--iters", "10"],
+            ["planarity", "--in", eight_edges],
+            ["planarity", "--in", subdivided_k5],
+            ["planarity", "--in", petersen_graph],
+        ]
+        outs = [tmp_path / f"job{k}.out" for k in range(len(jobs))]
+        argvs = [job + ["--out", str(out)] for job, out in zip(jobs, outs)]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_SCRIPT, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # networkx is absent after the imports and after each job but the last.
+        assert json.loads(proc.stdout) == [False] * len(jobs) + [True]
+        assert [json.loads(out.read_text())["planar"] for out in outs[-3:]] == [True, False, False]
 
 
 class TestHelp:

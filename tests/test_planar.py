@@ -1,6 +1,9 @@
 import itertools
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchrobust import (
     UtilityProfile,
@@ -12,7 +15,7 @@ from matchrobust import (
 )
 from matchrobust.planar import matches_nine_agent_cells
 
-from conftest import planar_by_kuratowski
+from conftest import petersen, planar_by_kuratowski, subdivided
 
 
 def complete_graph(v):
@@ -57,6 +60,143 @@ class TestIsPlanar:
         with pytest.raises(ValueError):
             planar_by_kuratowski(9, [])
 
+    @pytest.mark.parametrize("edge", [(0, 7), (0, -1), (3, 0), (-1, -1)])
+    @pytest.mark.parametrize("function", [is_planar, genus_lower_bound])
+    def test_out_of_range_endpoint_rejected(self, function, edge):
+        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
+            function((3, [(0, 1), edge, (1, 2)]))
+
+
+def disjoint_union(*graphs):
+    offset, edges = 0, []
+    for v, es in graphs:
+        edges += [(a + offset, b + offset) for a, b in es]
+        offset += v
+    return offset, edges
+
+
+KURATOWSKI = [complete_graph(5), complete_bipartite(3, 3)]
+
+
+def nx_planar(vertex_count, edges):
+    g = nx.Graph()
+    g.add_nodes_from(range(vertex_count))
+    g.add_edges_from((a, b) for a, b in edges if a != b)
+    return nx.check_planarity(g, counterexample=False)[0]
+
+
+@st.composite
+def _dense_core(draw):
+    v = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(v), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return v, [p for i, p in enumerate(pairs) if mask >> i & 1]
+
+
+@st.composite
+def _bipartite_core(draw):
+    # Edge count one under, at, or one over the bipartite planar bound 2V - 4.
+    a, b = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    pairs = draw(st.permutations(complete_bipartite(a, b)[1]))
+    count = 2 * (a + b) - 4 + draw(st.sampled_from([-1, 0, 1]))
+    return a + b, pairs[: max(0, count)]
+
+
+@st.composite
+def multigraphs(draw, max_vertices):
+    """A multigraph of at most ``max_vertices`` vertices: disjoint small
+    cores with edges subdivided into degree-2 chains, pendant trees,
+    isolated vertices, self-loops and repeated edges, shuffled."""
+    named = [g for g in KURATOWSKI + [petersen()] if g[0] <= max_vertices]
+    core = st.one_of(_dense_core(), _bipartite_core(), st.sampled_from(named))
+    v, edges = 0, []
+    for _ in range(draw(st.integers(1, 3))):
+        core_v, core_edges = draw(core)
+        if v and v + core_v > max_vertices:
+            break
+        v, edges = disjoint_union((v, edges), (core_v, core_edges))
+    for index, length in draw(st.lists(st.tuples(st.integers(0), st.integers(1, 4)), max_size=4)):
+        if edges and v + length <= max_vertices:
+            a, b = edges.pop(index % len(edges))
+            chain = [a, *range(v, v + length), b]
+            v += length
+            edges += zip(chain, chain[1:])
+    for anchor in draw(st.lists(st.integers(0), max_size=5)):
+        if v < max_vertices:
+            edges.append((anchor % v, v))
+            v += 1
+    v = min(max_vertices, v + draw(st.integers(0, 2)))
+    edges += [(x % v, x % v) for x in draw(st.lists(st.integers(0), max_size=2))]
+    if edges:
+        edges += [edges[i % len(edges)][::-1] for i in draw(st.lists(st.integers(0), max_size=3))]
+    perm = draw(st.permutations(range(v)))
+    return v, [(perm[a], perm[b]) for a, b in edges]
+
+
+class TestPlanarityRules:
+    @settings(max_examples=300)
+    @given(multigraphs(max_vertices=40))
+    def test_matches_networkx(self, graph):
+        planar = nx_planar(*graph)
+        assert is_planar(graph) is planar
+        assert (genus_lower_bound(graph) == 0) is planar
+
+    @settings(max_examples=100)
+    @given(multigraphs(max_vertices=8))
+    def test_matches_kuratowski_search(self, graph):
+        assert is_planar(graph) is planar_by_kuratowski(*graph)
+
+
+class TestDecidedWithoutNetworkx:
+    @pytest.fixture(autouse=True)
+    def refuse_networkx(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise RuntimeError("networkx.check_planarity called")
+
+        monkeypatch.setattr(nx, "check_planarity", refuse)
+
+    @pytest.mark.parametrize(
+        "graph, planar",
+        [
+            # At most 8 edges.
+            ((6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4)]), True),
+            ((6, complete_bipartite(3, 3)[1][:-1]), True),
+            (complete_graph(4), True),
+            ((12, complete_graph(4)[1] * 3), True),
+            # Euler bound.
+            (complete_graph(5), False),
+            (complete_graph(7), False),
+            # Bipartite bound.
+            (complete_bipartite(3, 3), False),
+            (complete_bipartite(4, 4), False),
+            (complete_bipartite(3, 5), False),
+            # Settled once degree-2 chains and pendant trees are reduced.
+            (subdivided(complete_graph(5), 2), False),
+            (subdivided(complete_bipartite(3, 3), 1), False),
+            (subdivided(complete_graph(4), 3), True),
+            ((40, [(i, i + 1) for i in range(39)] + [(0, 39), (5, 20)]), True),
+            # Twelve triangles around a ring: smoothing each apex repeats a
+            # ring edge, and only dropping it lets the ring collapse too.
+            (
+                (24, [e for i in range(12)
+                      for e in ((i, 12 + i), (12 + i, (i + 1) % 12), (i, (i + 1) % 12))]),
+                True,
+            ),
+        ],
+    )
+    def test_rules_decide(self, graph, planar):
+        assert is_planar(graph) is planar
+        assert (genus_lower_bound(graph) == 0) is planar
+
+    def test_k33_union(self):
+        union = disjoint_union(*[complete_bipartite(3, 3)] * 96)
+        assert is_planar(union) is False
+        assert genus_lower_bound(union) == 96
+
+    def test_rules_leave_petersen_graph(self):
+        with pytest.raises(RuntimeError, match="check_planarity"):
+            is_planar(petersen())
+
 
 class TestGenusLowerBound:
     def test_k4_zero(self):
@@ -82,9 +222,7 @@ class TestGenusLowerBound:
 
     def test_sums_over_components(self, rng):
         # Two disjoint 3,3-bicliques.
-        v1, e1 = complete_bipartite(3, 3)
-        edges = e1 + [(a + 6, b + 6) for a, b in e1]
-        assert genus_lower_bound((12, edges)) == 2
+        assert genus_lower_bound(disjoint_union(*[complete_bipartite(3, 3)] * 2)) == 2
 
         # Bipartite and non-bipartite nonplanar blocks, a planar block and an
         # isolated vertex, under a shuffled vertex numbering. Per block:
@@ -98,10 +236,7 @@ class TestGenusLowerBound:
             (1, []),
         ]
         assert [genus_lower_bound(b) for b in blocks] == [1, 2, 3, 1, 0, 0]
-        offset, edges = 0, []
-        for v, block_edges in blocks:
-            edges += [(a + offset, b + offset) for a, b in block_edges]
-            offset += v
+        offset, edges = disjoint_union(*blocks)
         perm = [int(x) for x in rng.permutation(offset)]
         shuffled = [(perm[a], perm[b]) for a, b in edges]
         assert genus_lower_bound((offset, shuffled)) == 7

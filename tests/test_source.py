@@ -34,6 +34,35 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
 
 
+def _import_time_modules(tree: ast.Module) -> list[tuple[str, int]]:
+    """Modules imported, with line numbers, when the module itself is
+    imported: every import outside a function body."""
+    found, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.module, node.lineno))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_networkx_import(path):
+    # networkx costs most of the CLI's start-up; planarity imports it inside
+    # the one branch that needs it, so no other command pays for it.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        line
+        for name, line in _import_time_modules(tree)
+        if name == "networkx" or name.startswith("networkx.")
+    ]
+    assert lines == [], f"{path.name}: module-level networkx imports at lines {lines}"
+
+
 @pytest.mark.parametrize(
     "module, target",
     [(m, t) for m, targets in _traced_targets().items() for t in targets],
