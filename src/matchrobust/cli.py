@@ -34,7 +34,7 @@ from .metric import (
     space_to_json_dict,
 )
 from .ordinal import OrdinalProfile, enumerate_stable, phi
-from .planar import genus_lower_bound, is_planar
+from .planar import genus_lower_bound
 from .robustness import (
     CriticalSpikeSampler,
     DivisionByZeroUtility,
@@ -268,12 +268,13 @@ def _cmd_genspace(args) -> str:
 
 def _cmd_planarity(args) -> str:
     space, _placement = _load(args.infile, "metric space", space_from_json_dict)
+    bound = genus_lower_bound(space)  # each nonplanar component adds at least 1
     payload = {
         "schema": 1,
         "vertices": space.n_vertices,
         "edges": len(space.edges),
-        "planar": is_planar(space),
-        "genus_lower_bound": genus_lower_bound(space),
+        "planar": bound == 0,
+        "genus_lower_bound": bound,
     }
     return _json_text(payload)
 

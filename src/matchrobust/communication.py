@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .embedding import log_genus_robustness_cap, log_size_robustness_cap
+
 DECAY_FAMILIES = ("linear", "power", "logarithmic", "exponential")
 HARDNESS_FAMILIES = ("constant", "log", "polynomial", "quadratic_log")
 
@@ -299,17 +301,16 @@ def bound_table(
     def t_for(bound: float) -> float:
         return decay_inverse(d, hn / bound).value
 
-    size_bound = constants.size_constant * math.log(space_size)
-    genus_log = math.log(1 + genus)
+    size_bound = log_size_robustness_cap(space_size, constants.size_constant)
     market_bound = constants.market_constant * n * n * math.log(n)
     det = (
         t_for(size_bound),
-        t_for(constants.genus_constant * n * n * genus_log),
+        t_for(log_genus_robustness_cap(genus, constants.genus_constant * n * n)),
         t_for(market_bound),
     )
     prob = (
         t_for(size_bound),
-        t_for(constants.genus_constant * genus_log),
+        t_for(log_genus_robustness_cap(genus, constants.genus_constant)),
         t_for(market_bound),
     )
     return BoundTable(n, space_size, genus, constants, det, prob)

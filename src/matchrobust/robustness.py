@@ -10,12 +10,13 @@ with an independent bisection search that perturbs, re-extracts ordinals
 and reruns deferred acceptance, and provides the probabilistic spike
 construction that separates deterministic from probabilistic robustness.
 
-The bisection search never forms a utility ratio. At each level it
-re-extracts every single-entry perturbation of a side at once: the
-side's agent rows are stacked into arrays a single time, and one stable
-``argsort`` per block of perturbed rows stands in for sorting each row
-by (-utility, index). A changed order or an exact tie breaks the level,
-and the first break is confirmed through deferred acceptance.
+Both routes read one stacked table of agent rows per side: the formula
+route forms consecutive utility ratios from it, and the bisection search,
+which never forms a ratio, re-extracts every single-entry perturbation of
+a side at once, one stable ``argsort`` per block of perturbed rows standing
+in for sorting each row by (-utility, index). A changed order or an exact
+tie breaks the level, and the first break is confirmed through deferred
+acceptance.
 """
 
 from __future__ import annotations
@@ -59,33 +60,49 @@ class DivisionByZeroUtility(ZeroDivisionError):
         self.alternative = alternative
 
 
-def _sides(market: MatchingMarket):
-    """Each side with the ordinal profiles to scan. A rank-symmetric side
-    collapses to a single representative profile (the ratio multiset is
-    identical at every profile); an extensional side scans its stored table.
+@dataclass(frozen=True)
+class _ScanSide:
+    """One market side's scanned profiles, stacked once as agent rows.
+
+    Row ``k * n + a`` holds agent ``a`` at ``profiles[k]``: ``ranks`` its
+    ordinal ranking and ``values`` its utilities, both of shape
+    ``(len(profiles) * n, n)``.
     """
+
+    name: str
+    profiles: list[OrdinalProfile]
+    utilities: list[UtilityProfile]
+    ranks: np.ndarray
+    values: np.ndarray
+
+
+def _scan_side(name: str, side: MarketProfile, profiles) -> _ScanSide:
+    n = side.n
+    profiles = list(profiles)
+    utilities = [side.utilities(r) for r in profiles]
+    ranks = np.array([r.ranks for r in profiles], dtype=np.intp).reshape(-1, n)
+    values = np.concatenate([u.values for u in utilities])
+    return _ScanSide(name, profiles, utilities, ranks, values)
+
+
+def _scan_sides(market: MatchingMarket):
+    """Both sides' tables in scan order, each built when the scan reaches it.
+    A rank-symmetric side collapses to a single representative profile (the
+    ratio multiset is identical at every profile); an extensional side
+    scans its stored table."""
     for name, side in (("men", market.men), ("women", market.women)):
-        if side.rank_symmetric:
-            yield name, side, [side.representative_profile()]
-        else:
-            yield name, side, list(side.representable_profiles())
+        symmetric = side.rank_symmetric
+        profiles = [side.representative_profile()] if symmetric else side.representable_profiles()
+        yield _scan_side(name, side, profiles)
 
 
-def _consecutive_pairs(market: MatchingMarket):
-    """Every consecutive-rank utility pair of both sides, in scan order
-    (side, profile, agent, position).
-
-    Yields ``(side, profile, utilities, agent, position, upper, lower)``:
-    ``upper`` is the utility of the alternative the agent ranks at
-    ``position`` and ``lower`` that of the one ranked just below it.
+def _consecutive(side: _ScanSide) -> tuple[np.ndarray, np.ndarray]:
+    """``(upper, lower)``: at ``[row, i]`` the utility of the alternative the
+    row's agent ranks at position ``i`` and that of the one ranked just
+    below it. Row-major order is the scan order (profile, agent, position).
     """
-    n = market.n
-    for name, side, profiles in _sides(market):
-        for r in profiles:
-            u = side.utilities(r)
-            for a, (row, ranks) in enumerate(zip(u.values.tolist(), r.ranks)):
-                for i in range(n - 1):
-                    yield name, r, u, a, i, row[ranks[i]], row[ranks[i + 1]]
+    ranked = np.take_along_axis(side.values, side.ranks, axis=1)
+    return ranked[:, :-1], ranked[:, 1:]
 
 
 def is_c_robust(market: MatchingMarket, c: float) -> bool:
@@ -94,7 +111,13 @@ def is_c_robust(market: MatchingMarket, c: float) -> bool:
     utility of everything ranked below it."""
     if not c >= 1.0:
         raise ValueError("c must be >= 1")
-    return all(c * upper > lower for *_, upper, lower in _consecutive_pairs(market))
+    for side in _scan_sides(market):
+        upper, lower = _consecutive(side)
+        # c * upper may overflow, and is NaN at c = inf and a zero utility.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not (c * upper > lower).all():
+                return False
+    return True
 
 
 def robustness(market: MatchingMarket) -> float:
@@ -106,12 +129,15 @@ def robustness(market: MatchingMarket) -> float:
     on the exception.
     """
     best = math.inf
-    for name, r, _u, a, i, upper, lower in _consecutive_pairs(market):
-        if upper == 0.0:
-            raise DivisionByZeroUtility(name, r, a, r.ranks[a][i])
-        ratio = lower / upper
-        if ratio < best:
-            best = ratio
+    for side in _scan_sides(market):
+        upper, lower = _consecutive(side)
+        zeros = np.flatnonzero(upper == 0.0)
+        if zeros.size:
+            row, i = divmod(int(zeros[0]), upper.shape[1])
+            k, agent = divmod(row, side.ranks.shape[1])
+            raise DivisionByZeroUtility(side.name, side.profiles[k], agent, int(side.ranks[row, i]))
+        with np.errstate(over="ignore"):
+            best = float(np.min(lower / upper, initial=best))
     return best
 
 
@@ -145,15 +171,12 @@ def _adjacent_swap(r: OrdinalProfile, agent: int, position: int) -> OrdinalProfi
     return OrdinalProfile(r.n, tuple(tuple(row) for row in rows))
 
 
-def _build_witness(
-    side_name: str,
-    r: OrdinalProfile,
-    u: UtilityProfile,
-    agent: int,
-    position: int,
-    c: float,
-) -> AdversarialWitness:
-    n = r.n
+def _build_witness(side: _ScanSide, row: int, position: int, c: float) -> AdversarialWitness:
+    """The verified witness for perturbing, at level ``c``, the alternative
+    that table row ``row`` ranks at ``position`` (a non-last rank)."""
+    n = side.ranks.shape[1]
+    k, agent = divmod(row, n)
+    r, u = side.profiles[k], side.utilities[k]
     alt = r.ranks[agent][position]
     delta = Perturbation.single_entry(n, agent, alt, c)
     perturbed = apply_perturbation(delta, u)
@@ -165,7 +188,7 @@ def _build_witness(
         r_tilde = _adjacent_swap(r, agent, position)
         had_ties = True
     other = distinguishing_profile(r, r_tilde)
-    if side_name == "men":
+    if side.name == "men":
         original = phi(r, other)
         changed = phi(r_tilde, other)
     else:
@@ -174,7 +197,7 @@ def _build_witness(
     if original == changed:
         raise RuntimeError("witness verification failed; this is a bug")
     return AdversarialWitness(
-        side=side_name,
+        side=side.name,
         profile=r,
         perturbation=delta,
         perturbed_profile=r_tilde,
@@ -197,35 +220,13 @@ def adversarial_witness(market: MatchingMarket, c: float) -> AdversarialWitness 
     """
     if not 1.0 <= c < math.inf:
         raise ValueError("c must be finite and >= 1")
-    for name, r, u, a, i, upper, lower in _consecutive_pairs(market):
-        if c * upper <= lower:
-            return _build_witness(name, r, u, a, i, c)
+    for side in _scan_sides(market):
+        upper, lower = _consecutive(side)
+        with np.errstate(over="ignore"):
+            hits = np.flatnonzero(c * upper <= lower)
+        if hits.size:
+            return _build_witness(side, *divmod(int(hits[0]), upper.shape[1]), c)
     return None
-
-
-@dataclass(frozen=True)
-class _ScanSide:
-    """One market side's scanned profiles, stacked once as agent rows.
-
-    Row ``k * n + a`` holds agent ``a`` at ``profiles[k]``: ``ranks`` its
-    ordinal ranking and ``values`` its utilities, both of shape
-    ``(len(profiles) * n, n)``.
-    """
-
-    name: str
-    profiles: list[OrdinalProfile]
-    utilities: list[UtilityProfile]
-    ranks: np.ndarray
-    values: np.ndarray
-
-
-def _scan_side(name: str, side: MarketProfile, profiles) -> _ScanSide:
-    n = side.n
-    profiles = list(profiles)
-    utilities = [side.utilities(r) for r in profiles]
-    ranks = np.array([r.ranks for r in profiles], dtype=np.intp).reshape(-1, n)
-    values = np.concatenate([u.values for u in utilities])
-    return _ScanSide(name, profiles, utilities, ranks, values)
 
 
 #: Elements per temporary array in one level-scan block (2 MiB of float64).
@@ -267,13 +268,9 @@ def _breakable(c: float, sides: tuple[_ScanSide, ...]) -> bool:
         hit = _first_break(side.ranks, side.values, c)
         if hit is not None:
             row, position = hit
-            n = side.ranks.shape[1]
-            k, agent = divmod(row, n)
             # Confirm through deferred acceptance that the ordinal change
             # really moves a stable pair.
-            _build_witness(
-                side.name, side.profiles[k], side.utilities[k], agent, min(position, n - 2), c
-            )
+            _build_witness(side, row, min(position, side.ranks.shape[1] - 2), c)
             return True
     return False
 
@@ -301,7 +298,7 @@ def robustness_by_search(market: MatchingMarket, tol: float = 1e-6) -> float:
     n = market.n
     if n == 1:
         return math.inf
-    sides = tuple(_scan_side(*entry) for entry in _sides(market))
+    sides = tuple(_scan_sides(market))
     lo, hi = 1.0, 2.0
     if _breakable(lo, sides):
         return lo

@@ -158,6 +158,29 @@ def reference_ordinal_from_utility(u: UtilityProfile, tie_policy: TiePolicy):
     return OrdinalProfile(n, tuple(rows)), had_ties
 
 
+def reference_consecutive_pairs(market):
+    """Every consecutive-rank utility pair of both sides, walked one scalar
+    at a time in scan order (side, profile, agent, position).
+
+    Yields ``(side, profile, agent, position, upper, lower)``: ``upper`` is
+    the utility of the alternative the agent ranks at ``position`` and
+    ``lower`` that of the one ranked just below it. A rank-symmetric side is
+    walked at its representative profile only, an extensional side at
+    every stored profile.
+    """
+    n = market.n
+    for name, side in (("men", market.men), ("women", market.women)):
+        if side.rank_symmetric:
+            profiles = [side.representative_profile()]
+        else:
+            profiles = list(side.representable_profiles())
+        for r in profiles:
+            rows = side.utilities(r).values.tolist()
+            for a, (row, ranks) in enumerate(zip(rows, r.ranks)):
+                for i in range(n - 1):
+                    yield name, r, a, i, row[ranks[i]], row[ranks[i + 1]]
+
+
 def reference_first_break(rows, c: float):
     """Per-entry level scan: the first (row, position) whose single-entry
     perturbation changes the row's extracted ranking or creates a tie.
@@ -383,20 +406,6 @@ def planar_by_kuratowski(vertex_count: int, edges) -> bool:
                     k33.append((part_a, part_b))
         if _has_subdivision(adj, vertices, k33):
             return False
-    return True
-
-
-def _is_bipartite(adj: list[list[int]], comp: list[int]) -> bool:
-    color = {comp[0]: 0}
-    stack = [comp[0]]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in color:
-                color[v] = 1 - color[u]
-                stack.append(v)
-            elif color[v] == color[u]:
-                return False
     return True
 
 

@@ -357,6 +357,23 @@ class TestSubcommands:
         payload = json.loads(out)
         assert code == 0 and payload["planar"] is True and payload["genus_lower_bound"] == 0
 
+    def test_planarity_decides_each_component_once(self, capsys, tmp_path, monkeypatch):
+        # No edge-count rule settles the Petersen graph, so it reaches the
+        # networkx test, and the verdict and the bound must share that call.
+        import networkx as nx
+
+        calls = []
+        check = nx.check_planarity
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(nx, "check_planarity", counted)
+        code, out, _err = run(capsys, "planarity", "--in", _write_space(tmp_path / "p.json", *petersen()))
+        assert code == 0 and json.loads(out)["planar"] is False
+        assert len(calls) == 1
+
     def test_embed_csv(self, capsys, space_file):
         code, out, _err = run(capsys, "embed", "--in", space_file, "--quality", "3", "--seed", "7")
         assert code == 0
@@ -788,6 +805,78 @@ class TestPinnedRobustnessOutputs:
     )
     def test_digest(self, tmp_path, argv, infile, expected):
         assert _output_digest(tmp_path, argv, infile) == expected
+
+
+def _pinned_graph(*graphs) -> dict:
+    """The disjoint union of ``(vertex_count, edges)`` graphs as a space
+    with unit edge weights."""
+    offset, edges = 0, []
+    for vertex_count, part in graphs:
+        edges += [[a + offset, b + offset, 1.0] for a, b in part]
+        offset += vertex_count
+    return {"schema": 1, "vertices": offset, "edges": edges}
+
+
+_GRID_6X6 = (36, [(v, v + 1) for v in range(36) if v % 6 < 5] + [(v, v + 6) for v in range(30)])
+_K33 = (6, [(a, b) for a in range(3) for b in range(3, 6)])
+_TRIANGLE = (3, [(0, 1), (1, 2), (2, 0)])
+
+_PINNED_CONFIG = """\
+[hardness]
+family = polynomial
+scale = 1.3
+exponent = 1.5
+[decay]
+family = power
+scale = 0.7
+exponent = 2.0
+[constants]
+size_constant = 0.3
+genus_constant = 1.7
+market_constant = 2.9
+"""
+
+
+class TestPinnedPlanarityAndBoundOutputs:
+    """sha256 of `planarity` and `bound-table` outputs, recorded while
+    `planarity` still decided each component twice and `bound_table` still
+    spelled out its own cap formulas; reading the verdict off the genus bound
+    and the caps from the embedding module must keep these bytes."""
+
+    @pytest.mark.parametrize(
+        "infile, expected",
+        [
+            (
+                _pinned_graph(_GRID_6X6),
+                "14740616a920bffee14c6188f49dc48d38289744ab3e0fbd1afa5c45b6d3dbfe",
+            ),
+            (
+                _pinned_graph(petersen()),
+                "e6ba4dec7a62f49703bd4afcd3219bc2de615916da77229755d04b544f2e7677",
+            ),
+            (
+                _pinned_graph(_K33, _TRIANGLE, _K33),
+                "c358c384d8c266b070f88befa12394a4959d5bd8d3eef057784471e9bd4e539b",
+            ),
+        ],
+        ids=["grid", "petersen", "k33-union"],
+    )
+    def test_planarity_digest(self, tmp_path, infile, expected):
+        assert _output_digest(tmp_path, ("planarity",), infile) == expected
+
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [
+            ("csv", "9002c568a0077e56cdbe95d0dc000c36a439fe5eaf649d1adb51ec4b20196ce0"),
+            ("text", "2ff853f7d5d71cbfa768b715253d8cd229add372d2a0c452d52b6930d4781d27"),
+        ],
+    )
+    def test_bound_table_digest(self, tmp_path, fmt, expected):
+        config = tmp_path / "comm.cfg"
+        config.write_text(_PINNED_CONFIG)
+        argv = ("bound-table", "--n", "7", "--space-size", "1000", "--genus", "5",
+                "--format", fmt, "--config", str(config))
+        assert _output_digest(tmp_path, argv) == expected
 
 
 def _assert_malformed(directory, argv, text):

@@ -13,12 +13,14 @@ from matchrobust import (
     CriticalSpikeSampler,
     distinguishing_profile,
     DivisionByZeroUtility,
+    ExtensionalProfile,
     IidUniformFactorSampler,
     MatchingMarket,
     OrdinalProfile,
     Perturbation,
     PerturbationSample,
     RankBasedProfile,
+    UtilityProfile,
     adversarial_witness,
     spike_factor,
     apply_perturbation,
@@ -39,7 +41,7 @@ from matchrobust.ordinal import TiePolicy
 from matchrobust.robustness import _first_break, _scan_side
 from matchrobust.seeding import rng_for
 
-from conftest import reference_first_break, reference_spike_flips
+from conftest import reference_consecutive_pairs, reference_first_break, reference_spike_flips
 
 # The package re-exports the function ``robustness`` under the module's name.
 robustness_module = importlib.import_module("matchrobust.robustness")
@@ -240,6 +242,113 @@ class TestLevelScan:
         with mock.patch.object(robustness_module, "_SCAN_BLOCK_ELEMENTS", 9 * 2):
             assert _first_break(scan.ranks, scan.values, 1.6) == (7, 0)
             assert _first_break(scan.ranks, scan.values, 1.4) is None
+
+
+def _rank_market(men, women) -> MatchingMarket:
+    return MatchingMarket(RankBasedProfile(len(men), men), RankBasedProfile(len(women), women))
+
+
+def _extensional(*matrices) -> ExtensionalProfile:
+    """A side storing each utility matrix at the profile it induces."""
+    table = {}
+    for rows in matrices:
+        u = UtilityProfile(len(rows), rows)
+        table[ordinal_from_utility_flagged(u, TiePolicy.STRICT)[0]] = u
+    return ExtensionalProfile(len(matrices[0]), table)
+
+
+# Agent 1's top utility is 0 at the second stored profile only, so the first
+# zero denominator lies past the first profile and the first agent.
+_LATE_ZERO = MatchingMarket(
+    RankBasedProfile(3, (-1.0, -2.0, -4.0)),
+    _extensional(
+        [[-1.0, -2.0, -3.0], [-2.0, -1.0, -3.0], [-3.0, -2.0, -1.0]],
+        [[-1.0, -2.0, -3.0], [-2.0, -3.0, 0.0], [-3.0, -2.0, -1.0]],
+    ),
+)
+
+
+@st.composite
+def formula_case(draw):
+    """A random extensional n = 3 market, or a rank market of n = 1..5 with
+    utilities from the edge pool, and levels at, just below and just above
+    a few of its consecutive ratios."""
+    if draw(st.booleans()):
+        market = random_extensional_market(3, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    else:
+        n = draw(st.integers(1, 5))
+        pool = st.one_of(st.sampled_from(_EDGE_UTILITIES), st.floats(-1e308, 0.0))
+        side = st.lists(pool, min_size=n, max_size=n, unique=True).map(
+            lambda ru: sorted(ru, reverse=True)
+        )
+        market = _rank_market(draw(side), draw(side))
+    pairs = list(reference_consecutive_pairs(market))
+    picked = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return market, _levels([v for *_, upper, lower in picked for v in (upper, lower)])
+
+
+def _formula_outcomes(market):
+    """``robustness`` or the fields of its DivisionByZeroUtility."""
+    try:
+        return robustness(market)
+    except DivisionByZeroUtility as exc:
+        return exc.side, exc.profile, exc.agent, exc.alternative
+
+
+def _reference_formula_outcomes(market):
+    best = math.inf
+    for name, r, a, i, upper, lower in reference_consecutive_pairs(market):
+        if upper == 0.0:
+            return name, r, a, r.ranks[a][i]
+        best = min(best, lower / upper)
+    return best
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFormulaMatchesScalarWalk:
+    """The array formula route against the scalar walk over consecutive
+    pairs it replaced: same value bit for bit, same first zero denominator,
+    same robustness verdicts and the same first witness. Runtime warnings
+    are errors, so the array code must not let an overflow or a NaN product
+    reach stderr."""
+
+    def check(self, market, levels):
+        assert repr(_formula_outcomes(market)) == repr(_reference_formula_outcomes(market))
+        pairs = list(reference_consecutive_pairs(market))
+        for c in levels:
+            assert is_c_robust(market, c) is all(c * upper > lower for *_, upper, lower in pairs)
+            if c == math.inf:
+                continue
+            hit = next((p for p in pairs if c * p[4] <= p[5]), None)
+            witness = adversarial_witness(market, c)
+            if hit is None:
+                assert witness is None
+                continue
+            name, r, a, i, _upper, _lower = hit
+            single = Perturbation.single_entry(market.n, a, r.ranks[a][i], c)
+            assert (witness.side, witness.profile) == (name, r)
+            assert np.array_equal(witness.perturbation.factors, single.factors)
+
+    @given(formula_case())
+    def test_random_markets(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize(
+        "market, levels",
+        [
+            (_rank_market([-1.0, -2.0, -4.0], [0.0, -3.0, -9.0]), [1.0, 2.0, 4.0, math.inf]),
+            (_rank_market([-1.0, -2.0, -math.inf], [-1.0, -3.0, -9.0]), [1.5, 2.0, 3.0, math.inf]),
+            (_rank_market([-1.7e308, -1.75e308], [-1.0, -3.0]), [1.01, 2.0, math.inf]),
+            (_rank_market([-0.0, -1.0], [-1.0, -2.0]), [1.0, 2.0, math.inf]),
+            (_rank_market([-1.0, -2.0], [-5e-324, -1e308]), [1.5, 2.0, math.inf]),
+            (_rank_market([-1.0], [-2.0]), [1.0, 2.0, math.inf]),
+            (_LATE_ZERO, [1.0, 1.5, 2.0, 3.0, math.inf]),
+        ],
+        ids=["zero-top-women", "neg-inf-last", "huge-c2", "neg-zero-top-men", "ratio-overflow", "n1",
+             "late-zero"],
+    )
+    def test_edge_markets(self, market, levels):
+        self.check(market, levels)
 
 
 class TestPinnedSearchOutputs:

@@ -77,3 +77,21 @@ def test_traced_targets_resolve(module, target):
         assert method in vars(getattr(mod, owner))
     else:
         assert callable(getattr(mod, target))
+
+
+def test_robustness_routes_stay_independent():
+    # The ratio formula and the bisection search cross-check each other, so
+    # neither may call into the other: they share only the stacked tables
+    # and the deferred-acceptance check of a witness.
+    tree = ast.parse((ROOT / "src" / "matchrobust" / "robustness.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("is_c_robust", "robustness", "adversarial_witness"):
+        names = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+        assert not names & {"_first_break", "_breakable"}, name
+    # Block sizing uses integer ``//``; a true division would be a ratio.
+    divisions = [
+        node.lineno
+        for node in ast.walk(functions["_first_break"])
+        if isinstance(getattr(node, "op", None), ast.Div)
+    ]
+    assert divisions == [], f"_first_break divides at lines {divisions}"
