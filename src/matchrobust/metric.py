@@ -24,6 +24,13 @@ from .ordinal import OrdinalProfile, TiePolicy, ordinal_from_utility
 
 _REL_TOL = 1e-9
 
+#: Fewest vertices for which ``distance_matrix`` runs the all-sources array
+#: kernel. Each of its V steps costs some twenty numpy calls whatever the
+#: graph's size, so below this size V heap searches are cheaper. The two
+#: meet at about 32 vertices on random trees with chords and on stars,
+#: about 20 on complete graphs and about 64 on paths.
+_LOCK_STEP_MIN_VERTICES = 32
+
 
 class NotPolarized(ValueError):
     """Raised when a generating-space construction is attempted on a
@@ -106,16 +113,72 @@ def component_labels(
     return label, parity
 
 
+def _all_sources_dijkstra(n_vertices: int, edges: Sequence[tuple[int, int, float]]) -> np.ndarray:
+    """Shortest-path distances from every source, by Dijkstra run from all
+    sources in lock step over a CSR adjacency of ``edges``.
+
+    ``dist[s, v]`` holds the tentative, then final, distance; ``keys`` the
+    same for unsettled vertices and ``inf`` for settled ones. Each step,
+    every source settles its nearest unsettled vertex (a row argmin of
+    ``keys``) and relaxes that vertex's neighbour slice through flat
+    indices. Within one step each source relaxes one vertex's distinct
+    neighbours, so no flat index is written twice. A source whose nearest
+    key is ``inf`` has settled all it can reach; its relaxations add to
+    ``inf`` and change nothing, and the loop ends when every source is
+    there. Sums past the float range give ``inf``, which is never an
+    improvement.
+    """
+    size = n_vertices
+    ends = np.array([(a, b) for a, b, _w in edges], dtype=np.intp).reshape(-1, 2)
+    tails = np.concatenate((ends[:, 0], ends[:, 1]))
+    order = tails.argsort(kind="stable")
+    neighbours = np.concatenate((ends[:, 1], ends[:, 0]))[order]
+    weights = np.array([w for _a, _b, w in edges] * 2, dtype=float)[order]
+    degrees = np.bincount(tails, minlength=size)
+    firsts = np.cumsum(degrees) - degrees
+
+    dist = np.full((size, size), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    flat_dist = dist.reshape(-1)
+    keys = dist.copy()
+    flat_keys = keys.reshape(-1)
+    rows = np.arange(size)
+    base = rows * size
+    with np.errstate(over="ignore"):
+        for _ in range(size):
+            nearest = keys.argmin(axis=1)
+            settled = base + nearest
+            reach = flat_keys[settled]
+            if reach.min() == np.inf:
+                break
+            flat_keys[settled] = np.inf
+            degree = degrees[nearest]
+            owner = np.repeat(rows, degree)
+            slot = np.arange(owner.size) + (firsts[nearest] - np.cumsum(degree) + degree)[owner]
+            candidate = reach[owner] + weights[slot]
+            cells = base[owner] + neighbours[slot]
+            better = candidate < flat_dist[cells]
+            cells, candidate = cells[better], candidate[better]
+            flat_dist[cells] = candidate
+            flat_keys[cells] = candidate
+    return dist
+
+
 class MetricSpace:
     """Weighted undirected graph with shortest-path distances.
 
     Zero-weight edges would break the axiom that distinct points have
     positive distance, so their endpoints are merged at construction (the
     standard pseudometric quotient; shortest paths are unchanged).
-    ``quotient_map`` records where each original vertex ended up. Distances
-    are computed lazily by Dijkstra per source and cached; the cache is
-    write-once per row, after which the object is effectively immutable and
-    safe to read concurrently.
+    ``quotient_map`` records where each original vertex ended up.
+
+    Distances come by two independent routes. ``dist_row`` runs a heap
+    Dijkstra from one source and caches the row; ``shortest_path`` uses the
+    same heap search for its predecessors. ``distance_matrix`` runs one
+    array Dijkstra from every source at once (on spaces of at least
+    ``_LOCK_STEP_MIN_VERTICES`` vertices) and caches the whole matrix.
+    Each cache is written once, after which the object is effectively
+    immutable and safe to read concurrently.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int, float]]):
@@ -154,6 +217,7 @@ class MetricSpace:
             self._adj[a].append((b, w))
             self._adj[b].append((a, w))
         self._dist_rows: dict[int, tuple[float, ...]] = {}
+        self._dist_matrix: np.ndarray | None = None
 
     def _dijkstra(self, source: int) -> tuple[list[float], list[int]]:
         dist = [math.inf] * self.n_vertices
@@ -181,7 +245,27 @@ class MetricSpace:
         return self.dist_row(u)[v]
 
     def distance_matrix(self) -> np.ndarray:
-        return np.array([self.dist_row(s) for s in range(self.n_vertices)])
+        """All-pairs shortest-path distances as a read-only (V, V) array.
+
+        Computed on first call and cached; later calls return the same
+        object. From ``_LOCK_STEP_MIN_VERTICES`` vertices up it comes from
+        :func:`_all_sources_dijkstra`, which runs Dijkstra from every source
+        in lock step; smaller spaces stack their ``dist_row`` heap rows.
+        Either way entry (s, v) equals ``dist_row(s)[v]`` byte for byte:
+        any correct Dijkstra returns, for each pair, the minimum over walks
+        from s to v of the walk's left-to-right float sum (adding a
+        nonnegative weight is monotone and never decreases a sum), and the
+        order in which vertices are settled does not change that minimum.
+        Unreachable pairs are ``inf``.
+        """
+        if self._dist_matrix is None:
+            if self.n_vertices < _LOCK_STEP_MIN_VERTICES:
+                dist = np.array([self.dist_row(s) for s in range(self.n_vertices)])
+            else:
+                dist = _all_sources_dijkstra(self.n_vertices, self.edges)
+            dist.flags.writeable = False
+            self._dist_matrix = dist
+        return self._dist_matrix
 
     def shortest_path(self, source: int, target: int) -> tuple[int, ...]:
         """One canonical shortest path (deterministic tie-breaking)."""

@@ -60,6 +60,16 @@ class OrdinalProfile:
             if len(row) != self.n or frozenset(row) != full:
                 raise ValueError(f"row {a} is not a permutation of 0..{self.n - 1}")
 
+    @classmethod
+    def _of_permutations(cls, n: int, ranks: tuple[tuple[int, ...], ...]) -> "OrdinalProfile":
+        """A profile from rows that are permutations of 0..n-1 by
+        construction (an argsort, ``rng.permutation``), as a tuple of int
+        tuples; skips the check the public constructor makes."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "n", n)
+        object.__setattr__(profile, "ranks", ranks)
+        return profile
+
     def position_table(self) -> list[list[int]]:
         """pos[a][x] = rank of alternative x for agent a. Fresh list each call."""
         pos = []
@@ -208,8 +218,10 @@ def all_profiles(n: int) -> Iterator[OrdinalProfile]:
 
 def uniform_profile(n: int, rng: np.random.Generator) -> OrdinalProfile:
     """A profile drawn uniformly at random from all (n!)^n strict profiles."""
+    if n < 1:
+        raise ValueError("profile needs n >= 1")
     rows = tuple(tuple(int(v) for v in rng.permutation(n)) for _ in range(n))
-    return OrdinalProfile(n, rows)
+    return OrdinalProfile._of_permutations(n, rows)
 
 
 def distinguishing_profile(r: OrdinalProfile, r_prime: OrdinalProfile) -> OrdinalProfile:
@@ -285,7 +297,7 @@ def ordinal_from_utility_flagged(
     if had_ties and tie_policy is TiePolicy.STRICT:
         a, i = divmod(int(ties.argmax()), u.n - 1)
         raise TieError(a, int(order[a, i]), int(order[a, i + 1]))
-    return OrdinalProfile(u.n, tuple(map(tuple, order.tolist()))), had_ties
+    return OrdinalProfile._of_permutations(u.n, tuple(map(tuple, order.tolist()))), had_ties
 
 
 def ordinal_from_utility(u, tie_policy: TiePolicy = TiePolicy.STRICT) -> OrdinalProfile:

@@ -595,6 +595,32 @@ def _pinned_space() -> dict:
     return {"schema": 1, "vertices": 60, "edges": edges}
 
 
+def _pinned_grid(side: int) -> dict:
+    """A ``side`` x ``side`` grid with weights drawn from [0.5, 3)."""
+    rng = np.random.default_rng(side)
+    edges = [
+        [r * side + c, r * side + c + step, float(rng.uniform(0.5, 3.0))]
+        for r in range(side)
+        for c in range(side)
+        for step, fits in ((1, c + 1 < side), (side, r + 1 < side))
+        if fits
+    ]
+    return {"schema": 1, "vertices": side * side, "edges": edges}
+
+
+def _pinned_hub(vertices: int) -> dict:
+    """A star on vertex 0 plus ``vertices`` random chords between leaves:
+    one vertex of degree V - 1 next to many of small degree."""
+    rng = np.random.default_rng(vertices)
+    edges = [[0, v, float(rng.uniform(0.5, 3.0))] for v in range(1, vertices)]
+    edges += [
+        [int(a), int(b), float(rng.uniform(0.5, 3.0))]
+        for a, b in rng.integers(1, vertices, (vertices, 2))
+        if a != b
+    ]
+    return {"schema": 1, "vertices": vertices, "edges": edges}
+
+
 def _pinned_utilities(tripled_entry=None) -> dict:
     """Utilities of 12 agents and 12 alternatives at random points of the
     plane (u = -distance), so the profile is polarized; tripling one entry
@@ -622,8 +648,10 @@ def _output_digest(tmp_path, argv, infile=None) -> str:
 
 class TestPinnedGeometryOutputs:
     """sha256 of geometry outputs, recorded before the polarity scan, the
-    subset minima and the embed row formatting were vectorised; any change
-    to those kernels must keep these bytes."""
+    subset minima and the embed row formatting were vectorised, and (the
+    grid and hub cases) while all-pairs distances still came from one heap
+    Dijkstra per source; any change to those kernels must keep these
+    bytes."""
 
     @pytest.mark.parametrize(
         "argv, infile, expected",
@@ -653,8 +681,29 @@ class TestPinnedGeometryOutputs:
                 _pinned_utilities(),
                 "ebfee8e077a62a88c1cd4855f216dc1dd5b1e3e5ba9586d19974997c5ca0fafd",
             ),
+            (
+                ("embed", "--quality", "3", "--seed", "11"),
+                _pinned_grid(24),
+                "4573912d52f9ab89721848f301e72f5b2e8829971b92d5d7cc365d4cfdb7a7eb",
+            ),
+            (
+                ("distortion", "--quality", "3", "--seed", "11"),
+                _pinned_grid(24),
+                "19419182443e94b995bc2e705f259958cfc7579f3aa678e9bd5ed6e9f9aec5ff",
+            ),
+            (
+                ("embed", "--quality", "3", "--seed", "11"),
+                _pinned_hub(512),
+                "cae65375f98c07ea1dc6fa0a7a9600336fd72b2a2ab4cdb6727b6bf376b0982b",
+            ),
+            (
+                ("distortion", "--quality", "3", "--seed", "11"),
+                _pinned_hub(512),
+                "af3278d71d11f3a723055efb603ace86eac77eccdb5538a580fcb66158a17ba8",
+            ),
         ],
-        ids=["embed", "distortion", "polarity", "polarity-violated", "genspace"],
+        ids=["embed", "distortion", "polarity", "polarity-violated", "genspace",
+             "embed-grid", "distortion-grid", "embed-hub", "distortion-hub"],
     )
     def test_digest(self, tmp_path, argv, infile, expected):
         assert _output_digest(tmp_path, argv, infile) == expected

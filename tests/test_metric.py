@@ -24,7 +24,13 @@ from matchrobust import (
     utilities_from_space,
     verify_generating,
 )
-from matchrobust.metric import component_labels, space_from_json_dict, space_to_json_dict
+from matchrobust.metric import (
+    _LOCK_STEP_MIN_VERTICES,
+    _all_sources_dijkstra,
+    component_labels,
+    space_from_json_dict,
+    space_to_json_dict,
+)
 
 from conftest import band_utup, reference_is_polarized
 
@@ -209,6 +215,118 @@ class TestMetricSpace:
         space = MetricSpace(2, [(0, 1, 1.0)])
         dot = space.to_dot()
         assert dot.startswith("graph") and "v0 -- v1" in dot
+
+
+#: Edge weights for the distance kernels: integer ties, zero weights (merged
+#: at construction), weights a sum of 1.0 absorbs, and weights whose sums
+#: overflow to inf.
+WEIGHT_PALETTES = {
+    "uniform": None,
+    "integer": (1.0, 2.0, 3.0),
+    "zero": (0.0, 0.0, 1.0, 2.0),
+    "absorbed": (1e-320, 3e-16, 1.0),
+    "overflow": (1.7e308, 1.7e308, 1.0),
+}
+
+
+def _shape_edges(shape: str, v: int, rng: np.random.Generator) -> tuple[int, list]:
+    """Vertex count and unweighted edges of a graph of the given shape."""
+    if shape == "grid":
+        side = max(1, round(math.sqrt(v)))
+        edges = [
+            (r * side + c, r * side + c + step)
+            for r in range(side)
+            for c in range(side)
+            for step, fits in ((1, c + 1 < side), (side, r + 1 < side))
+            if fits
+        ]
+        return side * side, edges
+    if shape == "path":
+        return v, [(i, i + 1) for i in range(v - 1)]
+    if shape == "star":
+        return v, [(0, i) for i in range(1, v)]
+    if shape == "edgeless":
+        return v, []
+    if shape == "connected":
+        order = rng.permutation(v).tolist()
+        tree = [(order[i], order[int(rng.integers(0, i))]) for i in range(1, v)]
+        return v, tree + [tuple(e) for e in rng.integers(0, v, (v, 2)).tolist()]
+    return v, [tuple(e) for e in rng.integers(0, v, (int(rng.integers(0, v + 1)), 2)).tolist()]
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Random connected and disconnected graphs, paths, stars, grids and
+    edgeless graphs with 1..40 vertices, under one weight palette each."""
+    shape = draw(st.sampled_from(("connected", "random", "path", "star", "grid", "edgeless")))
+    palette = WEIGHT_PALETTES[draw(st.sampled_from(tuple(WEIGHT_PALETTES)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v, pairs = _shape_edges(shape, draw(st.integers(1, 40)), rng)
+    if palette is None:
+        weights = rng.uniform(0.5, 3.0, len(pairs)).tolist()
+    else:
+        weights = [palette[int(i)] for i in rng.integers(0, len(palette), len(pairs))]
+    return MetricSpace(v, [(a, b, w if a != b else 0.0) for (a, b), w in zip(pairs, weights)])
+
+
+def _heap_rows(space: MetricSpace) -> np.ndarray:
+    return np.array([space.dist_row(s) for s in range(space.n_vertices)])
+
+
+def _kernel(space: MetricSpace) -> np.ndarray:
+    return _all_sources_dijkstra(space.n_vertices, space.edges)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDistanceMatrix:
+    """The all-sources array kernel against one heap Dijkstra per source:
+    the same bytes, with no RuntimeWarning from sums that overflow."""
+
+    @settings(max_examples=300)
+    @given(weighted_graphs())
+    def test_matches_heap_rows_byte_for_byte(self, space):
+        assert _kernel(space).tobytes() == _heap_rows(space).tobytes()
+
+    @pytest.mark.parametrize("shape", ["connected", "random", "path", "star", "grid"])
+    @pytest.mark.parametrize("palette", list(WEIGHT_PALETTES))
+    def test_larger_shapes_match_heap_rows(self, shape, palette):
+        rng = np.random.default_rng(7)
+        v, pairs = _shape_edges(shape, 150, rng)
+        weights = WEIGHT_PALETTES[palette] or (0.5, 1.25, 2.75)
+        edges = [(a, b, weights[i % len(weights)] if a != b else 0.0) for i, (a, b) in enumerate(pairs)]
+        space = MetricSpace(v, edges)
+        assert _kernel(space).tobytes() == _heap_rows(space).tobytes()
+
+    @pytest.mark.parametrize(
+        "v, edges, expected",
+        [
+            (1, [], [[0.0]]),
+            (2, [], [[0.0, math.inf], [math.inf, 0.0]]),
+            (3, [(0, 1, 1.7e308), (1, 2, 1.7e308)],
+             [[0.0, 1.7e308, math.inf], [1.7e308, 0.0, 1.7e308], [math.inf, 1.7e308, 0.0]]),
+            (3, [(0, 1, 1.0), (1, 2, 1e-320), (0, 2, 2.0)],
+             [[0.0, 1.0, 1.0], [1.0, 0.0, 1e-320], [1.0, 1e-320, 0.0]]),
+            (3, [(0, 1, 1.0), (1, 2, 3e-16), (0, 2, 1.0 + 4e-16)],
+             [[0.0, 1.0, 1.0 + 3e-16], [1.0, 0.0, 3e-16], [3e-16 + 1.0, 3e-16, 0.0]]),
+        ],
+        ids=["single-vertex", "edgeless", "overflow", "absorbed", "rounded"],
+    )
+    def test_small_cases(self, v, edges, expected):
+        assert _kernel(MetricSpace(v, edges)).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "vertices", [_LOCK_STEP_MIN_VERTICES - 1, _LOCK_STEP_MIN_VERTICES, 150]
+    )
+    def test_cached_read_only_on_either_route(self, vertices):
+        space = random_connected_space(vertices, vertices // 2, np.random.default_rng(vertices))
+        d = space.distance_matrix()
+        # Only the heap route fills the per-source row cache.
+        assert bool(space._dist_rows) == (vertices < _LOCK_STEP_MIN_VERTICES)
+        assert space.distance_matrix() is d
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0, 1] = 0.0
+        assert d.tobytes() == _heap_rows(space).tobytes()
 
 
 class TestComponentLabels:

@@ -21,7 +21,7 @@ from matchrobust import (
     ordinal_from_utility_flagged,
     phi,
 )
-from matchrobust.ordinal import STABLE_ENUM_CAP
+from matchrobust.ordinal import STABLE_ENUM_CAP, uniform_profile
 from matchrobust.seeding import rng_for
 
 from conftest import (
@@ -88,6 +88,38 @@ class TestProfileValidation:
     def test_json_round_trip(self):
         p = OrdinalProfile(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
         assert OrdinalProfile.from_json_dict(p.to_json_dict()) == p
+
+    @pytest.mark.parametrize(
+        "ranks",
+        [
+            ((0, 1, 2), (1, 1, 2), (2, 0, 1)),
+            ((0, 1, 2), (1, 2, 3), (2, 0, 1)),
+            ((0, 1, 2), (1, 2), (2, 0, 1)),
+            ((0, 1, 2), (1, 2, 0, 0), (2, 0, 1)),
+            ((0, 1, 2), (-1, 0, 1), (2, 0, 1)),
+        ],
+        ids=["repeat", "out-of-range", "short", "long", "negative"],
+    )
+    def test_both_boundaries_reject_non_permutations(self, ranks):
+        # Internal builders skip this check on rows that are permutations by
+        # construction; the public constructor and the JSON reader keep it.
+        with pytest.raises(ValueError, match="not a permutation"):
+            OrdinalProfile(3, ranks)
+        with pytest.raises(ValueError, match="not a permutation"):
+            OrdinalProfile.from_json_dict({"n": 3, "ranks": [list(row) for row in ranks]})
+
+    def test_uniform_profile_rejects_empty(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            uniform_profile(0, rng_for(0))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_unchecked_builders_match_checked_constructor(self, n):
+        rng = rng_for(n)
+        extracted = ordinal_from_utility(UtilityProfile(n, -rng.permutation(n * n).reshape(n, n)))
+        for profile in (uniform_profile(n, rng), extracted):
+            checked = OrdinalProfile(n, [list(row) for row in profile.ranks])
+            assert profile == checked and hash(profile) == hash(checked)
+            assert all(type(x) is int for row in profile.ranks for x in row)
 
 
 class TestDeferredAcceptance:

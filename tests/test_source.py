@@ -95,3 +95,19 @@ def test_robustness_routes_stay_independent():
         if isinstance(getattr(node, "op", None), ast.Div)
     ]
     assert divisions == [], f"_first_break divides at lines {divisions}"
+
+
+def test_distance_routes_stay_independent():
+    # The all-sources array kernel and the per-source heap Dijkstra check
+    # each other byte for byte, so the kernel may not reach the heap route.
+    tree = ast.parse((ROOT / "src" / "matchrobust" / "metric.py").read_text())
+    (kernel,) = (
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_all_sources_dijkstra"
+    )
+    nodes = list(ast.walk(kernel))
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert not names & {"_dijkstra", "dist_row", "MetricSpace", "heapq"}
+    assert not attributes & {"_dijkstra", "dist_row", "dist", "_dist_rows", "_adj"}
