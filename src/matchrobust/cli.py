@@ -211,7 +211,7 @@ def _cmd_robustness(args) -> str:
         "n": market.n,
         "robustness": xi,
         "bisection": cross,
-        "difference": abs(xi - cross) if math.isfinite(xi) and math.isfinite(cross) else 0.0,
+        "difference": 0.0 if xi == cross else abs(xi - cross),
         "tol": args.tol,
     }
     return _json_text(payload)

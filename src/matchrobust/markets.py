@@ -125,10 +125,18 @@ def rank_scatter(ranks, rank_values) -> np.ndarray:
 
 
 class MarketProfile:
-    """Rule mapping ordinal profiles to consistent utility profiles."""
+    """Rule mapping ordinal profiles to consistent utility profiles.
+
+    Each side stacks, once at construction, the table that robustness scans:
+    row ``k * n + a`` of the read-only arrays ``table_ranks`` (intp) and
+    ``table_values`` (float64), both of shape ``(len(table_profiles) * n, n)``,
+    holds agent ``a``'s ranking and utilities at ``table_profiles[k]``.
+    """
 
     n: int
-    rank_symmetric: bool
+    table_profiles: tuple[OrdinalProfile, ...]
+    table_ranks: np.ndarray
+    table_values: np.ndarray
 
     def utilities(self, profile: OrdinalProfile) -> UtilityProfile:
         raise NotImplementedError
@@ -144,10 +152,9 @@ class RankBasedProfile(MarketProfile):
     alternative; the sequence must be strictly decreasing and nonpositive so
     that the induced ranking always recovers the input profile. Because the
     multiset of utility ratios is identical at every ordinal profile, any
-    minimum over all profiles collapses to a single representative.
+    minimum over all profiles collapses to a single representative, the
+    identity profile, which is the whole table.
     """
-
-    rank_symmetric = True
 
     def __init__(self, n: int, rank_utilities: Sequence[float]):
         if n < 1:
@@ -161,6 +168,10 @@ class RankBasedProfile(MarketProfile):
             raise ValueError("rank utilities must be strictly decreasing")
         self.n = n
         self.rank_utilities = ru
+        self.table_profiles = (OrdinalProfile._of_permutations(n, (tuple(range(n)),) * n),)
+        # Broadcast views: every agent holds the same row, and views are read-only.
+        self.table_ranks = np.broadcast_to(np.arange(n, dtype=np.intp), (n, n))
+        self.table_values = np.broadcast_to(np.array(ru), (n, n))
 
     def utilities(self, profile: OrdinalProfile) -> UtilityProfile:
         if profile.n != self.n:
@@ -170,18 +181,15 @@ class RankBasedProfile(MarketProfile):
     def representable_profiles(self) -> Iterator[OrdinalProfile]:
         return all_profiles(self.n)
 
-    def representative_profile(self) -> OrdinalProfile:
-        return OrdinalProfile(self.n, tuple(tuple(range(self.n)) for _ in range(self.n)))
-
 
 class ExtensionalProfile(MarketProfile):
     """Explicit ordinal-profile -> utility-profile table.
 
     Every entry is checked for consistency at construction: the utilities
-    stored for R must induce exactly R.
+    stored for R must induce exactly R. One stable sort of the stacked
+    negated utilities checks every entry at once; the first bad entry in
+    table order is re-extracted to raise its error.
     """
-
-    rank_symmetric = False
 
     def __init__(self, n: int, table: Mapping[OrdinalProfile, UtilityProfile]):
         if n < 1:
@@ -190,11 +198,22 @@ class ExtensionalProfile(MarketProfile):
             raise ValueError("empty table")
         self.n = n
         self.table = dict(table)
-        for r, u in self.table.items():
-            if r.n != n or u.n != n:
-                raise ValueError("table entry size mismatch")
-            if ordinal_from_utility(u) != r:
-                raise ValueError(f"inconsistent table entry: utilities do not induce {r.ranks}")
+        if any(r.n != n or u.n != n for r, u in self.table.items()):
+            raise ValueError("table entry size mismatch")
+        self.table_profiles = tuple(self.table)
+        ranks = np.array([r.ranks for r in self.table_profiles], dtype=np.intp).reshape(-1, n)
+        values = np.concatenate([u.values for u in self.table.values()])
+        order = np.argsort(-values, axis=1, kind="stable")
+        ranked = np.take_along_axis(values, order, axis=1)
+        bad = (order != ranks).any(axis=1) | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        if bad.any():
+            r = self.table_profiles[int(bad.argmax()) // n]
+            ordinal_from_utility(self.table[r])  # raises TieError on a tie
+            raise ValueError(f"inconsistent table entry: utilities do not induce {r.ranks}")
+        ranks.flags.writeable = False
+        values.flags.writeable = False
+        self.table_ranks = ranks
+        self.table_values = values
 
     def utilities(self, profile: OrdinalProfile) -> UtilityProfile:
         try:

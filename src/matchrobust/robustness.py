@@ -10,18 +10,21 @@ with an independent bisection search that perturbs, re-extracts ordinals
 and reruns deferred acceptance, and provides the probabilistic spike
 construction that separates deterministic from probabilistic robustness.
 
-Both routes read one stacked table of agent rows per side: the formula
-route forms consecutive utility ratios from it, and the bisection search,
-which never forms a ratio, re-extracts every single-entry perturbation of
-a side at once, one stable ``argsort`` per block of perturbed rows standing
-in for sorting each row by (-utility, index). A changed order or an exact
-tie breaks the level, and the first break is confirmed through deferred
-acceptance.
+Both routes read the table each market side stacks once at construction
+(``table_profiles``, ``table_ranks``, ``table_values``: the representative
+profile of a rank-based side, the stored entries of an extensional one).
+The formula route forms consecutive utility ratios from it, and the
+bisection search, which never forms a ratio, re-extracts every
+single-entry perturbation of a side at once, one stable ``argsort`` per
+block of perturbed rows standing in for sorting each row by (-utility,
+index). A changed order or an exact tie breaks the level, and the first
+break is confirmed through deferred acceptance.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,6 @@ from .markets import (
     MarketProfile,
     MatchingMarket,
     Perturbation,
-    UtilityProfile,
     apply_perturbation,
     geometric_market,
 )
@@ -60,48 +62,12 @@ class DivisionByZeroUtility(ZeroDivisionError):
         self.alternative = alternative
 
 
-@dataclass(frozen=True)
-class _ScanSide:
-    """One market side's scanned profiles, stacked once as agent rows.
-
-    Row ``k * n + a`` holds agent ``a`` at ``profiles[k]``: ``ranks`` its
-    ordinal ranking and ``values`` its utilities, both of shape
-    ``(len(profiles) * n, n)``.
-    """
-
-    name: str
-    profiles: list[OrdinalProfile]
-    utilities: list[UtilityProfile]
-    ranks: np.ndarray
-    values: np.ndarray
-
-
-def _scan_side(name: str, side: MarketProfile, profiles) -> _ScanSide:
-    n = side.n
-    profiles = list(profiles)
-    utilities = [side.utilities(r) for r in profiles]
-    ranks = np.array([r.ranks for r in profiles], dtype=np.intp).reshape(-1, n)
-    values = np.concatenate([u.values for u in utilities])
-    return _ScanSide(name, profiles, utilities, ranks, values)
-
-
-def _scan_sides(market: MatchingMarket):
-    """Both sides' tables in scan order, each built when the scan reaches it.
-    A rank-symmetric side collapses to a single representative profile (the
-    ratio multiset is identical at every profile); an extensional side
-    scans its stored table."""
-    for name, side in (("men", market.men), ("women", market.women)):
-        symmetric = side.rank_symmetric
-        profiles = [side.representative_profile()] if symmetric else side.representable_profiles()
-        yield _scan_side(name, side, profiles)
-
-
-def _consecutive(side: _ScanSide) -> tuple[np.ndarray, np.ndarray]:
+def _consecutive(side: MarketProfile) -> tuple[np.ndarray, np.ndarray]:
     """``(upper, lower)``: at ``[row, i]`` the utility of the alternative the
-    row's agent ranks at position ``i`` and that of the one ranked just
+    side's table row ranks at position ``i`` and that of the one ranked just
     below it. Row-major order is the scan order (profile, agent, position).
     """
-    ranked = np.take_along_axis(side.values, side.ranks, axis=1)
+    ranked = np.take_along_axis(side.table_values, side.table_ranks, axis=1)
     return ranked[:, :-1], ranked[:, 1:]
 
 
@@ -111,7 +77,7 @@ def is_c_robust(market: MatchingMarket, c: float) -> bool:
     utility of everything ranked below it."""
     if not c >= 1.0:
         raise ValueError("c must be >= 1")
-    for side in _scan_sides(market):
+    for side in (market.men, market.women):
         upper, lower = _consecutive(side)
         # c * upper may overflow, and is NaN at c = inf and a zero utility.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -129,13 +95,14 @@ def robustness(market: MatchingMarket) -> float:
     on the exception.
     """
     best = math.inf
-    for side in _scan_sides(market):
+    for name, side in (("men", market.men), ("women", market.women)):
         upper, lower = _consecutive(side)
         zeros = np.flatnonzero(upper == 0.0)
         if zeros.size:
             row, i = divmod(int(zeros[0]), upper.shape[1])
-            k, agent = divmod(row, side.ranks.shape[1])
-            raise DivisionByZeroUtility(side.name, side.profiles[k], agent, int(side.ranks[row, i]))
+            k, agent = divmod(row, side.n)
+            alternative = int(side.table_ranks[row, i])
+            raise DivisionByZeroUtility(name, side.table_profiles[k], agent, alternative)
         with np.errstate(over="ignore"):
             best = float(np.min(lower / upper, initial=best))
     return best
@@ -171,12 +138,16 @@ def _adjacent_swap(r: OrdinalProfile, agent: int, position: int) -> OrdinalProfi
     return OrdinalProfile(r.n, tuple(tuple(row) for row in rows))
 
 
-def _build_witness(side: _ScanSide, row: int, position: int, c: float) -> AdversarialWitness:
+def _build_witness(
+    name: str, side: MarketProfile, row: int, position: int, c: float
+) -> AdversarialWitness:
     """The verified witness for perturbing, at level ``c``, the alternative
-    that table row ``row`` ranks at ``position`` (a non-last rank)."""
-    n = side.ranks.shape[1]
+    that the ``name`` side's table row ``row`` ranks at ``position`` (a
+    non-last rank)."""
+    n = side.n
     k, agent = divmod(row, n)
-    r, u = side.profiles[k], side.utilities[k]
+    r = side.table_profiles[k]
+    u = side.utilities(r)
     alt = r.ranks[agent][position]
     delta = Perturbation.single_entry(n, agent, alt, c)
     perturbed = apply_perturbation(delta, u)
@@ -188,7 +159,7 @@ def _build_witness(side: _ScanSide, row: int, position: int, c: float) -> Advers
         r_tilde = _adjacent_swap(r, agent, position)
         had_ties = True
     other = distinguishing_profile(r, r_tilde)
-    if side.name == "men":
+    if name == "men":
         original = phi(r, other)
         changed = phi(r_tilde, other)
     else:
@@ -197,7 +168,7 @@ def _build_witness(side: _ScanSide, row: int, position: int, c: float) -> Advers
     if original == changed:
         raise RuntimeError("witness verification failed; this is a bug")
     return AdversarialWitness(
-        side=side.name,
+        side=name,
         profile=r,
         perturbation=delta,
         perturbed_profile=r_tilde,
@@ -220,12 +191,12 @@ def adversarial_witness(market: MatchingMarket, c: float) -> AdversarialWitness 
     """
     if not 1.0 <= c < math.inf:
         raise ValueError("c must be finite and >= 1")
-    for side in _scan_sides(market):
+    for name, side in (("men", market.men), ("women", market.women)):
         upper, lower = _consecutive(side)
         with np.errstate(over="ignore"):
             hits = np.flatnonzero(c * upper <= lower)
         if hits.size:
-            return _build_witness(side, *divmod(int(hits[0]), upper.shape[1]), c)
+            return _build_witness(name, side, *divmod(int(hits[0]), upper.shape[1]), c)
     return None
 
 
@@ -263,14 +234,14 @@ def _first_break(ranks: np.ndarray, values: np.ndarray, c: float) -> tuple[int, 
     return None
 
 
-def _breakable(c: float, sides: tuple[_ScanSide, ...]) -> bool:
-    for side in sides:
-        hit = _first_break(side.ranks, side.values, c)
+def _breakable(c: float, market: MatchingMarket) -> bool:
+    for name, side in (("men", market.men), ("women", market.women)):
+        hit = _first_break(side.table_ranks, side.table_values, c)
         if hit is not None:
             row, position = hit
             # Confirm through deferred acceptance that the ordinal change
             # really moves a stable pair.
-            _build_witness(side, row, min(position, side.ranks.shape[1] - 2), c)
+            _build_witness(name, side, row, min(position, side.n - 2), c)
             return True
     return False
 
@@ -280,41 +251,42 @@ def robustness_by_search(market: MatchingMarket, tol: float = 1e-6) -> float:
 
     At each candidate level the search applies every single-entry extremal
     perturbation on both sides and every scanned profile and re-extracts the
-    perturbed agent's ranking. The scanned profiles are stacked once per
-    side as agent rows, and each level re-extracts all perturbed rows of a
-    block with one stable ``argsort``; a changed ranking or an exact tie
-    breaks the level. No utility ratio is formed, so this route stays
-    independent of the formula it cross-checks. The first break in scan
-    order (side, profile, agent, position) is verified through a
-    distinguishing opposite-side profile: the deferred-acceptance pair must
-    move. The bracket starts at [1, 2] and doubles its upper end until that
-    end breaks. Bisection stops once the bracket is no wider than ``tol`` or
+    perturbed agent's ranking. It reads each side's stacked table, and
+    each level re-extracts all perturbed rows of a block with one stable
+    ``argsort``; a changed ranking or an exact tie breaks the level. No
+    utility ratio is formed, so this route stays independent of the formula
+    it cross-checks. The first break in scan order (side, profile, agent,
+    position) is verified through a distinguishing opposite-side profile:
+    the deferred-acceptance pair must move. The bracket starts at [1, 2]
+    and doubles its upper end, capped at the largest float, until that end
+    breaks; if even the largest float does not break, the search returns
+    ``inf``. Bisection stops once the bracket is no wider than ``tol`` or
     no float lies strictly between its ends, so a ``tol`` below the float
     spacing stops at float resolution; a NaN or infinite ``tol`` is
     rejected.
     """
     if not math.isfinite(tol):
         raise ValueError("tol must be finite")
-    n = market.n
-    if n == 1:
+    if market.n == 1:
         return math.inf
-    sides = tuple(_scan_sides(market))
     lo, hi = 1.0, 2.0
-    if _breakable(lo, sides):
+    if _breakable(lo, market):
         return lo
-    while not _breakable(hi, sides):
-        hi *= 2.0
-        if hi > 2.0**80:
+    while not _breakable(hi, market):
+        if hi == sys.float_info.max:
             return math.inf
+        hi = min(2.0 * hi, sys.float_info.max)
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        # Halving is exact, so this rounds as 0.5 * (lo + hi) does, without
+        # overflowing next to the largest float.
+        mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:
             break
-        if _breakable(mid, sides):
+        if _breakable(mid, market):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def sufficient_robustness_level(n: int, c: float) -> float:

@@ -11,6 +11,7 @@ from matchrobust import (
     DecayFunction,
     OrdinalProfile,
     Perturbation,
+    RankBasedProfile,
     Side,
     UtilityProfile,
     apply_perturbation,
@@ -158,20 +159,31 @@ def reference_ordinal_from_utility(u: UtilityProfile, tie_policy: TiePolicy):
     return OrdinalProfile(n, tuple(rows)), had_ties
 
 
+def reference_extensional_check(n: int, table) -> None:
+    """Per-entry consistency check of an extensional table: every entry, in
+    table order, must have size ``n`` and its utilities must induce its
+    profile, else the first bad entry raises."""
+    for r, u in table.items():
+        if r.n != n or u.n != n:
+            raise ValueError("table entry size mismatch")
+        if reference_ordinal_from_utility(u, TiePolicy.STRICT)[0] != r:
+            raise ValueError(f"inconsistent table entry: utilities do not induce {r.ranks}")
+
+
 def reference_consecutive_pairs(market):
     """Every consecutive-rank utility pair of both sides, walked one scalar
     at a time in scan order (side, profile, agent, position).
 
     Yields ``(side, profile, agent, position, upper, lower)``: ``upper`` is
     the utility of the alternative the agent ranks at ``position`` and
-    ``lower`` that of the one ranked just below it. A rank-symmetric side is
-    walked at its representative profile only, an extensional side at
-    every stored profile.
+    ``lower`` that of the one ranked just below it. A rank-based side is
+    walked at the identity profile only (its ratio multiset is the same at
+    every profile), an extensional side at every stored profile.
     """
     n = market.n
     for name, side in (("men", market.men), ("women", market.women)):
-        if side.rank_symmetric:
-            profiles = [side.representative_profile()]
+        if isinstance(side, RankBasedProfile):
+            profiles = [OrdinalProfile(n, tuple(tuple(range(n)) for _ in range(n)))]
         else:
             profiles = list(side.representable_profiles())
         for r in profiles:

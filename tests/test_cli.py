@@ -419,6 +419,24 @@ class TestSubcommands:
         payload = json.loads(out)
         assert code == 0 and payload["robustness"] == payload["bisection"] == "inf"
 
+    def test_robustness_bisection_brackets_huge_ratios(self, capsys):
+        code, out, _err = run(capsys, "robustness", "--geometric-base", "1e30", "--n", "2")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["robustness"] == payload["bisection"] == 1e30
+        assert payload["difference"] == 0.0
+
+    def test_robustness_difference_of_unequal_routes(self, capsys, tmp_path):
+        # At the largest float ratio the bracket closes one float below it.
+        side = {"kind": "rank", "n": 2, "rank_utilities": [-1.0, -sys.float_info.max]}
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps({"schema": 1, "men": side, "women": side}))
+        code, out, _err = run(capsys, "robustness", "--in", str(path))
+        payload = json.loads(out)
+        assert code == 0 and payload["robustness"] == sys.float_info.max
+        assert payload["bisection"] == math.nextafter(sys.float_info.max, 0.0)
+        assert payload["difference"] == math.ulp(payload["bisection"]) > 0.0
+
     def test_commreq_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "comm.cfg"
         cfg.write_text("[hardness]\nfamily = polynomial\nexponent = 1.0\n[decay]\nfamily = linear\n")
@@ -925,6 +943,16 @@ class TestPinnedPlanarityAndBoundOutputs:
         config.write_text(_PINNED_CONFIG)
         argv = ("bound-table", "--n", "7", "--space-size", "1000", "--genus", "5",
                 "--format", fmt, "--config", str(config))
+        assert _output_digest(tmp_path, argv) == expected
+
+
+class TestPinnedSearchOutputs:
+    """sha256 of a `banach-search` output, recorded before any rewrite of
+    the Euclidean cap search; a faster search must keep these bytes."""
+
+    def test_banach_search_digest(self, tmp_path):
+        argv = ("banach-search", "--dim", "3", "--restarts", "20", "--iters", "200", "--seed", "5")
+        expected = "2bd761f8ce60269b74e4463c77fa8f1ab9e16cb651777323f5fb7f63df807960"
         assert _output_digest(tmp_path, argv) == expected
 
 

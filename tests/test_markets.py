@@ -20,6 +20,8 @@ from matchrobust import (
 )
 from matchrobust.seeding import rng_for
 
+from conftest import reference_extensional_check
+
 
 class TestUtilityProfile:
     def test_rejects_positive_entries(self):
@@ -198,3 +200,95 @@ class TestMarketProfiles:
         market = random_extensional_market(2, rng_for(3))
         for r in market.men.representable_profiles():
             assert ordinal_from_utility(market.men.utilities(r)) == r
+
+
+class TestSideTables:
+    def test_rank_based_table_is_the_identity_profile(self):
+        side = RankBasedProfile(3, (-1.0, -2.0, -4.0))
+        (r,) = side.table_profiles
+        assert r == OrdinalProfile(3, ((0, 1, 2),) * 3)
+        assert side.table_ranks.dtype == np.intp
+        assert np.array_equal(side.table_ranks, [[0, 1, 2]] * 3)
+        assert side.table_values.tobytes() == side.utilities(r).values.tobytes()
+
+    def test_extensional_table_stacks_entries_in_table_order(self):
+        side = random_extensional_market(3, rng_for(4)).men
+        profiles = list(side.representable_profiles())
+        assert side.table_profiles == tuple(profiles)
+        ranks = np.array([r.ranks for r in profiles]).reshape(-1, 3)
+        values = np.concatenate([side.utilities(r).values for r in profiles])
+        assert side.table_ranks.dtype == np.intp and side.table_values.dtype == np.float64
+        assert np.array_equal(side.table_ranks, ranks)
+        assert side.table_values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("kind", ["rank", "extensional"])
+    def test_tables_are_read_only(self, kind):
+        market = geometric_market(3, 2.0) if kind == "rank" else random_extensional_market(2, rng_for(5))
+        for table in (market.men.table_ranks, market.men.table_values):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+    def test_extensional_rejects_size_mismatch(self):
+        r = OrdinalProfile(2, ((0, 1), (0, 1)))
+        u = UtilityProfile(3, [[-1.0, -2.0, -3.0]] * 3)
+        with pytest.raises(ValueError, match="size mismatch"):
+            ExtensionalProfile(2, {r: u})
+
+
+# Utilities that a consistent row may hold, signed zeros and -inf included.
+_ROW_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, -math.inf, -1e-320, -1.7e308]), st.floats(-1e308, 0.0)
+)
+
+# Value pairs that make a tie: equal finite values, 0.0 beside -0.0, two -inf.
+_TIE_PAIRS = st.one_of(
+    st.floats(-1e308, 0.0).map(lambda v: (v, v)),
+    st.just((0.0, -0.0)),
+    st.just((-0.0, 0.0)),
+    st.just((-math.inf, -math.inf)),
+)
+
+
+@st.composite
+def extensional_table(draw):
+    """A table over distinct profiles whose entries induce their profiles,
+    except for up to two bad entries at random positions: a swapped pair of
+    values (a mismatch) or an exact tie."""
+    n = draw(st.integers(1, 3))
+    profiles = list(all_profiles(n))
+    keys = draw(st.lists(st.sampled_from(profiles), min_size=1, max_size=8, unique=True))
+    bad = draw(st.lists(st.integers(0, len(keys) - 1), max_size=2, unique=True))
+    table = {}
+    for k, r in enumerate(keys):
+        rows = []
+        for ranking in r.ranks:
+            best_first = sorted(draw(st.lists(_ROW_VALUES, min_size=n, max_size=n, unique=True)), reverse=True)
+            row = [0.0] * n
+            for position, x in enumerate(ranking):
+                row[x] = best_first[position]
+            rows.append(row)
+        if k in bad and n > 1:
+            a = draw(st.integers(0, n - 1))
+            x, y = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            if draw(st.booleans()):
+                rows[a][x], rows[a][y] = rows[a][y], rows[a][x]
+            else:
+                rows[a][x], rows[a][y] = draw(_TIE_PAIRS)
+        table[r] = UtilityProfile(n, rows)
+    return n, table
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestExtensionalCheckMatchesPerEntryOracle:
+    @given(extensional_table())
+    def test_same_exception_as_oracle(self, case):
+        n, table = case
+        expected = _outcome(reference_extensional_check, n, table)
+        assert _outcome(ExtensionalProfile, n, table) == expected

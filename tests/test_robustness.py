@@ -2,11 +2,12 @@ import hashlib
 import importlib
 import itertools
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from matchrobust import (
@@ -38,7 +39,7 @@ from matchrobust import (
     uniform_profile,
 )
 from matchrobust.ordinal import TiePolicy
-from matchrobust.robustness import _first_break, _scan_side
+from matchrobust.robustness import _first_break
 from matchrobust.seeding import rng_for
 
 from conftest import reference_consecutive_pairs, reference_first_break, reference_spike_flips
@@ -149,6 +150,34 @@ class TestBisectionOracle:
             with pytest.raises(ValueError):
                 robustness_by_search(geometric_market(3, 2.0), tol=tol)
 
+    @given(
+        st.one_of(
+            st.floats(1.0, 1e300, exclude_min=True),
+            st.floats(0.0, 300.0).map(lambda e: 10.0**e),
+        ),
+        st.integers(2, 3),
+    )
+    def test_agrees_with_formula_up_to_huge_bases(self, base, n):
+        # The bracket keeps doubling far beyond any fixed cap.
+        assume(base > 1.0 and (n == 2 or base < 1e150))  # base ** (n - 1) stays finite
+        market = geometric_market(n, base)
+        xi = robustness(market)
+        assert abs(robustness_by_search(market) - xi) <= 1e-6 + 4 * math.ulp(xi)
+
+    @pytest.mark.parametrize(
+        "ru, expected",
+        [
+            ((-1.0, -1.7e308), 1.7e308),
+            ((-1.0, -sys.float_info.max), math.nextafter(sys.float_info.max, 0.0)),
+            ((-1.0, -math.inf), math.inf),
+            ((-1e-300, -1e300), math.inf),
+        ],
+    )
+    def test_bracket_reaches_the_largest_float(self, ru, expected):
+        market = _rank_market(ru, ru)
+        assert robustness_by_search(market) == expected
+        assert robustness(market) >= expected
+
 
 # Utilities at the edges: signed zeros, subnormals, and values that
 # overflow to -inf under any level above 1.8.
@@ -178,6 +207,14 @@ def _rows(profiles, utilities):
     ]
 
 
+def _stack(side, profiles):
+    """``(utilities, ranks, values)`` of ``side`` at ``profiles``, stacked
+    as agent rows: row ``k * n + a`` holds agent ``a`` at ``profiles[k]``."""
+    utilities = [side.utilities(r) for r in profiles]
+    ranks = np.array([r.ranks for r in profiles], dtype=np.intp).reshape(-1, side.n)
+    return utilities, ranks, np.concatenate([u.values for u in utilities])
+
+
 @st.composite
 def rank_scan_case(draw):
     n = draw(st.integers(2, 8))
@@ -200,20 +237,21 @@ class TestLevelScan:
     @given(rank_scan_case())
     def test_rank_markets_match_reference(self, case):
         side, profiles = case
-        scan = _scan_side("men", side, profiles)
-        rows = _rows(scan.profiles, scan.utilities)
+        utilities, ranks, values = _stack(side, profiles)
+        rows = _rows(profiles, utilities)
         for c in _levels(side.rank_utilities):
-            assert _first_break(scan.ranks, scan.values, c) == reference_first_break(rows, c)
+            assert _first_break(ranks, values, c) == reference_first_break(rows, c)
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 647), st.booleans())
     def test_extensional_markets_match_reference(self, seed, row, one_row_blocks):
         market = random_extensional_market(3, np.random.default_rng(seed))
-        scan = _scan_side("women", market.women, market.women.representable_profiles())
-        rows = _rows(scan.profiles, scan.utilities)
+        profiles = list(market.women.representable_profiles())
+        utilities, ranks, values = _stack(market.women, profiles)
+        rows = _rows(profiles, utilities)
         elements = 1 if one_row_blocks else robustness_module._SCAN_BLOCK_ELEMENTS
         with mock.patch.object(robustness_module, "_SCAN_BLOCK_ELEMENTS", elements):
             for c in _levels(rows[row][1]):
-                assert _first_break(scan.ranks, scan.values, c) == reference_first_break(rows, c)
+                assert _first_break(ranks, values, c) == reference_first_break(rows, c)
 
     @given(
         st.integers(2, 5).flatmap(
@@ -237,11 +275,11 @@ class TestLevelScan:
     def test_blocks_report_global_row(self):
         side = RankBasedProfile(3, (-1.0, -2.0, -8.0))
         profiles = [OrdinalProfile(3, ((0, 1, 2),) * 3)] * 4
-        scan = _scan_side("men", side, profiles)
-        scan.values[7, 1] = -1.5  # agent 1 at the third profile: ratio 1.5
+        _utilities, ranks, values = _stack(side, profiles)
+        values[7, 1] = -1.5  # agent 1 at the third profile: ratio 1.5
         with mock.patch.object(robustness_module, "_SCAN_BLOCK_ELEMENTS", 9 * 2):
-            assert _first_break(scan.ranks, scan.values, 1.6) == (7, 0)
-            assert _first_break(scan.ranks, scan.values, 1.4) is None
+            assert _first_break(ranks, values, 1.6) == (7, 0)
+            assert _first_break(ranks, values, 1.4) is None
 
 
 def _rank_market(men, women) -> MatchingMarket:
@@ -349,6 +387,42 @@ class TestFormulaMatchesScalarWalk:
     )
     def test_edge_markets(self, market, levels):
         self.check(market, levels)
+
+
+class TestRoutesReadStoredTables:
+    """The routes scan each side's table stored at construction: neither
+    route looks utilities up again, except to confirm a witness."""
+
+    @pytest.fixture
+    def counted(self):
+        calls = {"utilities": 0, "witnesses": 0}
+        utilities, build = ExtensionalProfile.utilities, robustness_module._build_witness
+
+        def counting_utilities(side, profile):
+            calls["utilities"] += 1
+            return utilities(side, profile)
+
+        def counting_build(*args):
+            calls["witnesses"] += 1
+            return build(*args)
+
+        with mock.patch.object(ExtensionalProfile, "utilities", counting_utilities), \
+                mock.patch.object(robustness_module, "_build_witness", counting_build):
+            yield calls
+
+    def test_formula_route_reads_no_utilities(self, counted):
+        market = random_extensional_market(3, rng_for(21))
+        xi = robustness(market)
+        assert is_c_robust(market, xi * (1 - 1e-9)) is True
+        assert adversarial_witness(market, xi * (1 - 1e-9)) is None
+        assert counted == {"utilities": 0, "witnesses": 0}
+        assert adversarial_witness(market, xi) is not None
+        assert counted == {"utilities": 1, "witnesses": 1}
+
+    def test_search_reads_utilities_only_to_confirm_witnesses(self, counted):
+        robustness_by_search(random_extensional_market(3, rng_for(22)))
+        assert counted["witnesses"] > 0
+        assert counted["utilities"] == counted["witnesses"]
 
 
 class TestPinnedSearchOutputs:
