@@ -127,15 +127,23 @@ class HardnessFunction:
             raise ValueError("exponent must be nonnegative and finite")
 
     def value(self, n: int) -> float:
+        """H(n); a value past the float range is inf."""
         if n < 1:
             raise ValueError("n >= 1 required")
+        try:
+            x = float(n)
+        except OverflowError:
+            raise ValueError("n is too large for a float") from None
         if self.family == "constant":
             return self.scale
         if self.family == "log":
-            return self.scale * math.log1p(n)
+            return self.scale * math.log1p(x)
         if self.family == "polynomial":
-            return self.scale * float(n) ** self.exponent
-        return self.scale * n * n * math.log1p(n)
+            try:
+                return self.scale * x**self.exponent
+            except OverflowError:  # float ** raises where * rounds to inf
+                return math.inf
+        return self.scale * x * x * math.log1p(x)
 
 
 def communication_requirement(

@@ -126,27 +126,19 @@ def condorcet_profile() -> OrdinalProfile:
     return OrdinalProfile(3, _CONDORCET_RANKS)
 
 
-def _pairwise_distances(points_alpha, points_beta) -> list[list[float]]:
-    d = []
-    for a in points_alpha:
-        row = []
-        for b in points_beta:
-            row.append(math.sqrt(sum((float(ai) - float(bi)) ** 2 for ai, bi in zip(a, b))))
-        d.append(row)
-    return d
+def _dist(p, q) -> float:
+    return math.sqrt(sum((x - y) ** 2 for x, y in zip(p, q)))
 
 
-def _condorcet_ratio(dists) -> float | None:
-    """Min of the six consecutive distance ratios if the cyclic profile is
-    realized strictly with nonzero denominators, else None."""
+def _condorcet_value(points) -> float | None:
+    """Min of the six consecutive distance ratios of the cyclic profile over
+    six float rows (three agents, then three alternatives), or None at the
+    first agent that does not realize its ranking strictly at nonzero
+    distance."""
     best = math.inf
-    for a, order in enumerate(_CONDORCET_RANKS):
-        d0 = dists[a][order[0]]
-        d1 = dists[a][order[1]]
-        d2 = dists[a][order[2]]
-        if not (d0 < d1 < d2):
-            return None
-        if d0 <= 0.0 or d1 <= 0.0:
+    for agent, order in zip(points, _CONDORCET_RANKS):
+        d0, d1, d2 = [_dist(agent, points[3 + b]) for b in order]
+        if not 0.0 < d0 < d1 < d2:
             return None
         best = min(best, d1 / d0, d2 / d1)
     return best
@@ -168,12 +160,15 @@ def euclidean_profile_robustness(points_alpha, points_beta) -> float:
         raise ValueError("all points must share one dimension")
     if dims.pop() > _MAX_POINT_DIM:
         raise ValueError(f"dimension exceeds cap {_MAX_POINT_DIM}")
-    dists = _pairwise_distances(points_alpha, points_beta)
-    value = _condorcet_ratio(dists)
+    rows = [[float(v) for v in p] for p in (*points_alpha, *points_beta)]
+    value = _condorcet_value(rows)
     if value is None:
-        for a, order in enumerate(_CONDORCET_RANKS):
-            if dists[a][order[0]] == 0.0 or dists[a][order[1]] == 0.0:
-                raise ValueError("coincident agent/alternative points (zero denominator)")
+        if any(
+            _dist(agent, rows[3 + b]) == 0.0
+            for agent, order in zip(rows, _CONDORCET_RANKS)
+            for b in order[:2]
+        ):
+            raise ValueError("coincident agent/alternative points (zero denominator)")
         raise ValueError("placement does not realize the cyclic profile strictly")
     return value
 
@@ -207,12 +202,6 @@ def _template_points(dim: int, rng: np.random.Generator, jitter: float) -> np.nd
     return pts
 
 
-def _evaluate(points: np.ndarray) -> float | None:
-    rows = points.tolist()  # plain floats; this sits in the search hot loop
-    dists = _pairwise_distances(rows[:3], rows[3:])
-    return _condorcet_ratio(dists)
-
-
 def maximize_euclidean_robustness(
     dim: int, restarts: int, iters: int, seed: int
 ) -> BanachSearchResult:
@@ -240,49 +229,48 @@ def maximize_euclidean_robustness(
         points = None
         if dim >= 2:
             for _ in range(40):
-                cand = _template_points(dim, rng, float(rng.uniform(0.02, 0.35)))
-                if _evaluate(cand) is not None:
+                cand = _template_points(dim, rng, float(rng.uniform(0.02, 0.35))).tolist()
+                if _condorcet_value(cand) is not None:
                     points = cand
                     break
         if points is None:
             for _ in range(60):
-                cand = rng.standard_normal((6, dim))
-                if _evaluate(cand) is not None:
+                cand = rng.standard_normal((6, dim)).tolist()
+                if _condorcet_value(cand) is not None:
                     points = cand
                     break
         if points is None:
             continue
         feasible_restarts += 1
-        value = _evaluate(points)
+        value = _condorcet_value(points)
         step = 0.5
         evals = 0
         while evals < iters and step > 1e-12:
             improved = False
-            for p in range(6):
-                for c in range(dim):
-                    for sgn in (1.0, -1.0):
-                        if evals >= iters:
-                            break
-                        evals += 1
-                        points[p, c] += sgn * step
-                        cand_value = _evaluate(points)
-                        if cand_value is not None and cand_value > value:
-                            value = cand_value
-                            improved = True
-                            break
-                        points[p, c] -= sgn * step
-                    else:
-                        continue
-                    break
+            moves = [(c, move) for c in range(dim) for move in (step, -step)]
+            for row in points:
+                # The first improving move of a point is kept, then the
+                # climb goes on to the next point.
+                for c, move in moves:
+                    if evals >= iters:
+                        break
+                    evals += 1
+                    row[c] += move
+                    cand_value = _condorcet_value(points)
+                    if cand_value is not None and cand_value > value:
+                        value = cand_value
+                        improved = True
+                        break
+                    row[c] -= move
             if not improved:
                 step *= 0.5
         if value > best_value:
             best_value = value
-            best_points = points.copy()
+            best_points = points
     if best_points is None:
         return BanachSearchResult(-math.inf, None, None, 0, dim, restarts, iters, seed)
-    alpha = tuple(tuple(float(v) for v in row) for row in best_points[:3])
-    beta = tuple(tuple(float(v) for v in row) for row in best_points[3:])
+    alpha = tuple(map(tuple, best_points[:3]))
+    beta = tuple(map(tuple, best_points[3:]))
     return BanachSearchResult(
         best_value, alpha, beta, feasible_restarts, dim, restarts, iters, seed
     )

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .jsonvalues import json_int, json_rows
-from .ordinal import OrdinalProfile, all_profiles, ordinal_from_utility
+from .ordinal import OrdinalProfile, _stable_ranking, all_profiles, ordinal_from_utility
 
 
 def _matrix(n: int, rows, what: str) -> np.ndarray:
@@ -203,9 +203,8 @@ class ExtensionalProfile(MarketProfile):
         self.table_profiles = tuple(self.table)
         ranks = np.array([r.ranks for r in self.table_profiles], dtype=np.intp).reshape(-1, n)
         values = np.concatenate([u.values for u in self.table.values()])
-        order = np.argsort(-values, axis=1, kind="stable")
-        ranked = np.take_along_axis(values, order, axis=1)
-        bad = (order != ranks).any(axis=1) | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        order, ties = _stable_ranking(values)
+        bad = (order != ranks).any(axis=1) | ties.any(axis=1)
         if bad.any():
             r = self.table_profiles[int(bad.argmax()) // n]
             ordinal_from_utility(self.table[r])  # raises TieError on a tie

@@ -244,38 +244,43 @@ def distinguishing_profile(r: OrdinalProfile, r_prime: OrdinalProfile) -> Ordina
         raise ValueError("profiles are identical; nothing to distinguish")
     n = r.n
 
-    a1 = b1 = b2 = -1
-    for a in range(n):
-        if r.ranks[a] == r_prime.ranks[a]:
-            continue
-        prime_pos = {x: i for i, x in enumerate(r_prime.ranks[a])}
-        row = r.ranks[a]
-        found = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                if prime_pos[row[i]] > prime_pos[row[j]]:
-                    a1, b1, b2 = a, row[i], row[j]
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            break
-    if a1 < 0:
+    flips = (
+        (a, row[i], row[j])
+        for a, (row, prime_row) in enumerate(zip(r.ranks, r_prime.ranks))
+        if row != prime_row
+        for prime_pos in [{x: k for k, x in enumerate(prime_row)}]
+        for i in range(n)
+        for j in range(i + 1, n)
+        if prime_pos[row[i]] > prime_pos[row[j]]
+    )
+    first = next(flips, None)
+    if first is None:
         raise RuntimeError("distinct profiles must disagree on some pair; this is a bug")
+    a1, b1, b2 = first
 
     a2 = 0 if a1 != 0 else 1
     spare_agents = [a for a in range(n) if a not in (a1, a2)]
     other_alts = [b for b in range(n) if b not in (b1, b2)]
 
     rows: list[tuple[int, ...]] = [()] * n
-    for b in (b1, b2):
-        tail = [a for a in range(n) if a not in (a1, a2)]
-        rows[b] = tuple([a1, a2] + tail)
+    rows[b1] = rows[b2] = (a1, a2, *spare_agents)
     for b, top in zip(other_alts, spare_agents):
         tail = [a for a in range(n) if a != top]
         rows[b] = tuple([top] + tail)
     return OrdinalProfile(n, tuple(rows))
+
+
+def _stable_ranking(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rankings and ties of utility rows along the last axis.
+
+    ``order`` is a stable argsort of the negated values, so each row is
+    ranked by (-utility, index); ``ties[..., i]`` is True where sorted
+    neighbours i and i + 1 are equal.
+    """
+    ranked = -values
+    order = ranked.argsort(axis=-1, kind="stable")
+    ranked.sort(axis=-1)  # the same values as ranked[order]
+    return order, ranked[..., 1:] == ranked[..., :-1]
 
 
 def ordinal_from_utility_flagged(
@@ -286,13 +291,9 @@ def ordinal_from_utility_flagged(
     Under the strict policy equal utilities in a row raise :class:`TieError`
     for the first tie in row-major order. Under the index policy ties are
     broken by ascending alternative index and the returned flag is True
-    whenever any tie was broken. One stable sort of the negated utilities
-    orders each row by (-utility, index); ties are equal neighbours in it.
+    whenever any tie was broken.
     """
-    ranked = -u.values
-    order = ranked.argsort(axis=1, kind="stable")
-    ranked.sort(axis=1)  # the same values as ranked[order]
-    ties = ranked[:, 1:] == ranked[:, :-1]
+    order, ties = _stable_ranking(u.values)
     had_ties = bool(np.count_nonzero(ties))
     if had_ties and tie_policy is TiePolicy.STRICT:
         a, i = divmod(int(ties.argmax()), u.n - 1)

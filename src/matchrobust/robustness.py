@@ -40,6 +40,7 @@ from .ordinal import (
     OrdinalProfile,
     StablePair,
     TiePolicy,
+    _stable_ranking,
     distinguishing_profile,
     ordinal_from_utility_flagged,
     phi,
@@ -209,7 +210,7 @@ def _first_break(ranks: np.ndarray, values: np.ndarray, c: float) -> tuple[int, 
     re-extracted ranking or creates an exact tie, or None.
 
     Entry ``[row, i]`` multiplies the utility of alternative ``ranks[row, i]``
-    by ``c`` and re-extracts the row with a stable sort on negated utilities,
+    by ``c`` and re-extracts the row with the ordinal extraction's stable sort,
     which orders by (-value, index) exactly as index tie-breaking does. Rows
     are walked in blocks so temporaries stay bounded at any n.
     """
@@ -223,10 +224,8 @@ def _first_break(ranks: np.ndarray, values: np.ndarray, c: float) -> tuple[int, 
         perturbed = np.repeat(v[:, None, :], n, axis=1)
         with np.errstate(over="ignore"):
             perturbed[local, positions, r] = v[local, r] * c
-        order = np.argsort(-perturbed, axis=2, kind="stable")
-        ranked = np.take_along_axis(perturbed, order, axis=2)
-        breaks = (order != r[:, None, :]).any(axis=2)
-        breaks |= (ranked[:, :, 1:] == ranked[:, :, :-1]).any(axis=2)
+        order, ties = _stable_ranking(perturbed)
+        breaks = (order != r[:, None, :]).any(axis=2) | ties.any(axis=2)
         hits = np.flatnonzero(breaks)
         if hits.size:
             row, position = divmod(int(hits[0]), n)

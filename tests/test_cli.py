@@ -408,6 +408,38 @@ class TestSubcommands:
         )
         assert code == 0 and json.loads(out)["requirement"] == "inf"
 
+    @pytest.mark.parametrize("config", [False, True])
+    @pytest.mark.parametrize("command", ["commreq", "bound-table"])
+    def test_polynomial_hardness_past_the_float_range_is_inf(
+        self, capsys, tmp_path, command, config
+    ):
+        if config:
+            cfg = tmp_path / "comm.cfg"
+            cfg.write_text("[hardness]\nfamily = polynomial\nexponent = 400\n")
+            flags = ["--config", str(cfg)]
+        else:
+            flags = ["--hardness", "polynomial", "--hardness-exponent", "400"]
+        argv = [command, "--n", "10", *flags]
+        if command == "bound-table":
+            argv += ["--space-size", "64", "--genus", "2"]
+        code, out, _err = run(capsys, *argv)
+        assert code == 0
+        if command == "commreq":
+            assert json.loads(out)["requirement"] == "inf"
+        else:
+            for line in out.splitlines()[1:]:
+                assert line.split(",")[1:4] == ["inf", "inf", "inf"]
+
+    @pytest.mark.parametrize("hardness", HARDNESS_FAMILIES)
+    @pytest.mark.parametrize("command", ["commreq", "bound-table"])
+    def test_n_beyond_the_float_range_is_2(self, capsys, command, hardness):
+        argv = [command, "--n", "1" + "0" * 400, "--hardness", hardness]
+        if command == "bound-table":
+            argv += ["--space-size", "64", "--genus", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == EX_VALIDATION and out == ""
+        assert err == "error: 2: n is too large for a float\n"
+
     @pytest.mark.parametrize("argv", [("--xi", "inf"), ("--xi-infinite",)])
     def test_commreq_infinite_xi_sentinel(self, capsys, argv):
         code, out, _err = run(capsys, "commreq", "--n", "3", *argv)

@@ -155,6 +155,16 @@ class TestHardness:
         assert [h.value(n) for n in (1, 5, 50)] == [2.0, 2.0, 2.0]
 
 
+    def test_past_the_float_range_is_inf(self):
+        assert HardnessFunction("polynomial", exponent=400.0).value(10) == math.inf
+        assert HardnessFunction("quadratic_log", scale=1e308).value(10) == math.inf
+
+    @pytest.mark.parametrize("family", ["constant", "log", "polynomial", "quadratic_log"])
+    def test_rejects_n_beyond_the_float_range(self, family):
+        with pytest.raises(ValueError, match="n is too large for a float"):
+            HardnessFunction(family).value(10**400)
+
+
 class TestCommunicationRequirement:
     def test_closed_form_example(self):
         h = HardnessFunction("polynomial", exponent=1.0)  # H(n) = n

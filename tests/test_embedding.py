@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -205,6 +206,43 @@ class TestEuclideanProfileRobustness:
         alpha = [beta[0], (0.0, 0.4), (0.0, -0.4)]
         with pytest.raises(ValueError):
             euclidean_profile_robustness(alpha, beta)
+
+    def test_coincidence_reported_after_an_earlier_disorder(self):
+        # Agent 0 sits nearest alternative 1, out of its cyclic order, and
+        # agent 2 on alternative 2; the coincidence decides the message.
+        beta = [(1.0, 0.0), (-0.5, 0.9), (-0.5, -0.9)]
+        alpha = [(-0.4, 0.8), (-0.2, 0.4), beta[2]]
+        with pytest.raises(ValueError) as info:
+            euclidean_profile_robustness(alpha, beta)
+        assert str(info.value) == "coincident agent/alternative points (zero denominator)"
+
+
+class TestPinnedSearchResults:
+    """sha256 of ``repr(maximize_euclidean_robustness(dim, 60, iters, 606))``,
+    recorded while the climb still moved coordinates of a numpy array.
+    Dim 1 has no feasible restart, iters 0 runs no climb and dim 10 is the
+    largest dim accepted; a rewrite of the climb must keep these bytes."""
+
+    @pytest.mark.parametrize(
+        "dim, iters, expected",
+        [
+            (1, 0, "d4a4fc265ffdfb1e251790f23cf5a1c83e1c493e0e682cfa1afdef6a82e791d3"),
+            (1, 7, "d8dfa99c4e0ebc15e4dc28d0c65f2a3b52a17d24970bb941bf6b3ac3b3e2d3bb"),
+            (1, 500, "a657ee9307efd0df02f04899a706e3ad0012495d1329699ffd43e8192b5fceee"),
+            (2, 0, "55fff392b62755003956d32e313f668c705b7e6c6b3357b3eb7a1a91d01eaab6"),
+            (2, 7, "3537d343628f43660df9fa649e1f5006bdd5aae38992b81609110b85c0664e16"),
+            (2, 500, "ea1afdad133385fc6eaa306e189bbcbef609116855b842c8887cf3727662da1b"),
+            (5, 0, "98b6919489fadcafb3b4e9599a3d8282a34de29d705015260f6c7c7e3e06ea68"),
+            (5, 7, "674eef4ea2edcf6547f8e818175a9e6d83851e8c6482aeed9baeea83e2637943"),
+            (5, 500, "30513c7941da602d776437d2092df9c06bff998a717d90a025bc06ec56bfc598"),
+            (10, 0, "497a95dbbb96b8c1673d668ef58f46742f5d22572101c84490ca53ca55b1795c"),
+            (10, 7, "c15482defe3f44e33e0db24f1cbd21ad6c446c58b9fdb5da7fdc3f6215d25627"),
+            (10, 500, "213e8a759b3d100b09f754498d57fbf4f39b94b28741bcee502ace2c76ad77b7"),
+        ],
+    )
+    def test_result_digest(self, dim, iters, expected):
+        result = maximize_euclidean_robustness(dim, 60, iters, seed=606)
+        assert hashlib.sha256(repr(result).encode()).hexdigest() == expected
 
 
 class TestMaximize:
