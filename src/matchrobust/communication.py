@@ -311,9 +311,16 @@ def bound_table(
 
     size_bound = log_size_robustness_cap(space_size, constants.size_constant)
     market_bound = constants.market_constant * n * n * math.log(n)
+    genus_scale = constants.genus_constant * n * n
+    for what, value in (
+        ("market_constant * n^2 * ln(n)", market_bound),
+        ("genus_constant * n^2", genus_scale),
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"n is too large: {what} is past the float range")
     det = (
         t_for(size_bound),
-        t_for(log_genus_robustness_cap(genus, constants.genus_constant * n * n)),
+        t_for(log_genus_robustness_cap(genus, genus_scale)),
         t_for(market_bound),
     )
     prob = (

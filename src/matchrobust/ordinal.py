@@ -107,29 +107,19 @@ class StablePair:
     female_optimal: Assignment
 
 
-def deferred_acceptance(
-    men: OrdinalProfile, women: OrdinalProfile, proposing_side: Side = Side.MEN
-) -> Assignment:
-    """Gale-Shapley deferred acceptance.
+def _proposal_chain(prefs, resp_pos) -> list[int]:
+    """Deferred acceptance over plain lists, returning ``engaged``
+    (responder -> proposer).
 
-    Returns the proposing side's optimal stable assignment. Proposers enter
-    in index order, and each entrant starts a chain (McVitie & Wilson 1971):
-    whoever is rejected or displaced proposes next, until a proposal lands
-    on a free responder. Each proposal is O(1), so the run is O(proposals).
-    The outcome of deferred acceptance does not depend on proposal order.
+    ``prefs[p]`` is proposer p's ranking and ``resp_pos[r][p]`` responder
+    r's rank of proposer p. Proposers enter in index order, and each entrant
+    starts a chain (McVitie & Wilson 1971): whoever is rejected or displaced
+    proposes next, until a proposal lands on a free responder. Each proposal
+    is O(1), so the run is O(proposals).
     """
-    if men.n != women.n:
-        raise ValueError(f"size mismatch: men n={men.n}, women n={women.n}")
-    n = men.n
-    if proposing_side is Side.MEN:
-        proposers, responders = men, women
-    else:
-        proposers, responders = women, men
-
-    prefs = proposers.ranks
-    resp_pos = responders.position_table()
+    n = len(prefs)
     next_choice = [0] * n
-    engaged = [-1] * n  # responder -> proposer
+    engaged = [-1] * n
     for entrant in range(n):
         p = entrant
         while p >= 0:
@@ -139,7 +129,27 @@ def deferred_acceptance(
             if holder < 0 or resp_pos[target][p] < resp_pos[target][holder]:
                 engaged[target] = p
                 p = holder
+    return engaged
 
+
+def deferred_acceptance(
+    men: OrdinalProfile, women: OrdinalProfile, proposing_side: Side = Side.MEN
+) -> Assignment:
+    """Gale-Shapley deferred acceptance.
+
+    Returns the proposing side's optimal stable assignment, found by one
+    :func:`_proposal_chain` run. The outcome of deferred acceptance does
+    not depend on proposal order.
+    """
+    if men.n != women.n:
+        raise ValueError(f"size mismatch: men n={men.n}, women n={women.n}")
+    n = men.n
+    if proposing_side is Side.MEN:
+        proposers, responders = men, women
+    else:
+        proposers, responders = women, men
+
+    engaged = _proposal_chain(proposers.ranks, responders.position_table())
     if proposing_side is Side.MEN:
         pairing = [0] * n
         for w, m in enumerate(engaged):
@@ -242,22 +252,33 @@ def distinguishing_profile(r: OrdinalProfile, r_prime: OrdinalProfile) -> Ordina
         raise ValueError("size mismatch")
     if r == r_prime:
         raise ValueError("profiles are identical; nothing to distinguish")
-    n = r.n
+    return OrdinalProfile(r.n, _distinguishing_rows(r.n, *_first_flip(r, r_prime)))
 
-    flips = (
-        (a, row[i], row[j])
-        for a, (row, prime_row) in enumerate(zip(r.ranks, r_prime.ranks))
-        if row != prime_row
-        for prime_pos in [{x: k for k, x in enumerate(prime_row)}]
-        for i in range(n)
-        for j in range(i + 1, n)
-        if prime_pos[row[i]] > prime_pos[row[j]]
-    )
-    first = next(flips, None)
-    if first is None:
-        raise RuntimeError("distinct profiles must disagree on some pair; this is a bug")
-    a1, b1, b2 = first
 
+def _first_flip(r: OrdinalProfile, r_prime: OrdinalProfile) -> tuple[int, int, int]:
+    """``(a, b1, b2)``: the first agent a whose rows differ and, in scan order
+    over a's row of ``r``, the first pair b1 above b2 that ``r_prime`` ranks
+    the other way round.
+
+    Positions before the first differing position k hold the same prefix in
+    both rows and cannot flip, so b1 is the alternative at k and b2 the first
+    one after it that ``r_prime`` ranks above b1: O(n) per row.
+    """
+    for a, (row, prime_row) in enumerate(zip(r.ranks, r_prime.ranks)):
+        if row == prime_row:
+            continue
+        k = next(i for i, (x, y) in enumerate(zip(row, prime_row)) if x != y)
+        prime_pos = [0] * r.n
+        for i, x in enumerate(prime_row):
+            prime_pos[x] = i
+        above = prime_pos[row[k]]
+        return a, row[k], next(x for x in row[k + 1 :] if prime_pos[x] < above)
+    raise RuntimeError("distinct profiles must disagree on some pair; this is a bug")
+
+
+def _distinguishing_rows(n: int, a1: int, b1: int, b2: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the opposite-side profile that hinges on agent a1's choice
+    between alternatives b1 and b2 (see :func:`distinguishing_profile`)."""
     a2 = 0 if a1 != 0 else 1
     spare_agents = [a for a in range(n) if a not in (a1, a2)]
     other_alts = [b for b in range(n) if b not in (b1, b2)]
@@ -265,9 +286,8 @@ def distinguishing_profile(r: OrdinalProfile, r_prime: OrdinalProfile) -> Ordina
     rows: list[tuple[int, ...]] = [()] * n
     rows[b1] = rows[b2] = (a1, a2, *spare_agents)
     for b, top in zip(other_alts, spare_agents):
-        tail = [a for a in range(n) if a != top]
-        rows[b] = tuple([top] + tail)
-    return OrdinalProfile(n, tuple(rows))
+        rows[b] = (top, *range(top), *range(top + 1, n))
+    return tuple(rows)
 
 
 def _stable_ranking(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

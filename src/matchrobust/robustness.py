@@ -33,6 +33,7 @@ from .markets import (
     MarketProfile,
     MatchingMarket,
     Perturbation,
+    RankBasedProfile,
     apply_perturbation,
     geometric_market,
 )
@@ -40,11 +41,12 @@ from .ordinal import (
     OrdinalProfile,
     StablePair,
     TiePolicy,
+    _distinguishing_rows,
+    _proposal_chain,
     _stable_ranking,
     distinguishing_profile,
     ordinal_from_utility_flagged,
     phi,
-    uniform_profile,
 )
 from .seeding import rng_for
 
@@ -356,6 +358,25 @@ class PerturbationSample:
     women_factors: Perturbation
 
 
+def _permutation_rows(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill every row of ``out`` (last axis of length n) with a uniform
+    permutation of 0..n-1, in row-major order: the draws of one
+    ``rng.permutation(n)`` per row, made in one call."""
+    out[...] = np.arange(out.shape[-1])
+    rng.permuted(out, axis=-1, out=out)
+
+
+def _sample_of(sampler, rng: np.random.Generator) -> PerturbationSample:
+    """One ``sampler.draw`` as profile and perturbation objects, which check
+    the draw as their constructors do."""
+    n = sampler.n
+    ranks = np.empty((2, n, n), dtype=np.intp)
+    factors = np.empty((2, n, n))
+    sampler.draw(rng, ranks, factors)
+    men, women = (OrdinalProfile(n, side.tolist()) for side in ranks)
+    return PerturbationSample(men, women, Perturbation(n, factors[0]), Perturbation(n, factors[1]))
+
+
 class IidUniformFactorSampler:
     """Independent factors uniform on [1, level]; profiles uniform.
 
@@ -365,21 +386,23 @@ class IidUniformFactorSampler:
     """
 
     def __init__(self, n: int, level: float):
+        if n < 1:
+            raise ValueError("n >= 1 required")
         if not 1.0 <= level < math.inf:
             raise ValueError("level must be finite and >= 1")
         self.n = n
         self.level = level
 
-    def _factors(self, rng) -> Perturbation:
-        return Perturbation(self.n, rng.uniform(1.0, self.level, size=(self.n, self.n)))
+    def draw(self, rng: np.random.Generator, ranks: np.ndarray, factors: np.ndarray) -> None:
+        """Write one trial: side s's profile to ``ranks[s]`` (2n uniform
+        permutations, men first), then its factors to ``factors[s]``."""
+        n = self.n
+        _permutation_rows(rng, ranks)
+        factors[0] = rng.uniform(1.0, self.level, size=(n, n))
+        factors[1] = rng.uniform(1.0, self.level, size=(n, n))
 
     def sample(self, rng: np.random.Generator) -> PerturbationSample:
-        return PerturbationSample(
-            uniform_profile(self.n, rng),
-            uniform_profile(self.n, rng),
-            self._factors(rng),
-            self._factors(rng),
-        )
+        return _sample_of(self, rng)
 
 
 class CriticalSpikeSampler:
@@ -404,25 +427,72 @@ class CriticalSpikeSampler:
         self.eps = eps
         self.spike = spike_factor(n, c, eps)
         self.level = (1.0 + eps) * c
-        self._ones = Perturbation.ones(n)
 
-    def sample(self, rng: np.random.Generator) -> PerturbationSample:
+    def draw(self, rng: np.random.Generator, ranks: np.ndarray, factors: np.ndarray) -> None:
+        """Write one trial: the slot, the spiked side's profile (n uniform
+        permutations), the spike, and the opposite side's distinguishing
+        profile. Side 0 is the men's side."""
         n = self.n
         a_star = int(rng.integers(0, 2 * n))
         i_star = int(rng.integers(0, n - 1))
-        agent = a_star % n
-        side_name = "men" if a_star < n else "women"
+        side, agent = divmod(a_star, n)
+        _permutation_rows(rng, ranks[side])
+        b1, b2 = ranks[side, agent, i_star : i_star + 2].tolist()
+        factors.fill(1.0)
+        factors[side, agent, b1] = self.spike
+        # critical_market proved that the spike sinks b1 below b2 without a
+        # tie, so the adjacent swap of b1 and b2 is the first flipped pair.
+        ranks[1 - side] = _distinguishing_rows(n, agent, b1, b2)
 
-        r = uniform_profile(n, rng)
-        delta = Perturbation.single_entry(n, agent, r.ranks[agent][i_star], self.spike)
-        # critical_market proved that the spike sinks the alternative at
-        # i_star below the one at i_star + 1 without a tie. The distinguishing
-        # profile reads only that first flipped pair, so the adjacent swap
-        # stands in for re-extracting the spiked utilities.
-        other = distinguishing_profile(r, _adjacent_swap(r, agent, i_star))
-        if side_name == "men":
-            return PerturbationSample(r, other, delta, self._ones)
-        return PerturbationSample(other, r, self._ones, delta)
+    def sample(self, rng: np.random.Generator) -> PerturbationSample:
+        return _sample_of(self, rng)
+
+
+def _trial_blocks(sampler, trials: int, seed: int):
+    """Yield ``(ranks, factors)`` blocks of consecutive trials, both of shape
+    ``(T, 2, n, n)``, trial ``t`` drawn by ``sampler.draw`` from
+    ``rng_for(seed, t)``.
+
+    A block holds at most ``_SCAN_BLOCK_ELEMENTS`` entries per array. Each
+    block is checked once: every factor finite and >= 1, every rank row a
+    permutation of 0..n-1.
+    """
+    n = sampler.n
+    block = max(1, _SCAN_BLOCK_ELEMENTS // (2 * n * n))
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        ranks = np.empty((size, 2, n, n), dtype=np.intp)
+        factors = np.empty((size, 2, n, n))
+        for k in range(size):
+            sampler.draw(rng_for(seed, start + k), ranks[k], factors[k])
+        bad = ~((factors >= 1.0) & (factors < math.inf))
+        if bad.any():
+            t, side, a, x = np.unravel_index(int(bad.argmax()), bad.shape)
+            raise ValueError(
+                f"trial {start + t}: {('men', 'women')[side]} factor ({a},{x}) = "
+                f"{factors[t, side, a, x]} is below 1, infinite or NaN"
+            )
+        bad = (np.sort(ranks, axis=-1) != np.arange(n)).any(axis=-1)
+        if bad.any():
+            t, side, a = np.unravel_index(int(bad.argmax()), bad.shape)
+            raise ValueError(
+                f"trial {start + t}: {('men', 'women')[side]} row {a} "
+                f"is not a permutation of 0..{n - 1}"
+            )
+        yield ranks, factors
+
+
+def _block_utilities(side: MarketProfile, ranks: np.ndarray) -> np.ndarray:
+    """The utilities ``side`` assigns to each profile of a ``(T, n, n)`` block
+    of rankings: a rank-based side's rank utilities scattered to the ranked
+    alternatives, any other side's table entry per profile."""
+    if isinstance(side, RankBasedProfile):
+        out = np.empty(ranks.shape)
+        np.put_along_axis(out, ranks, np.array(side.rank_utilities), axis=-1)
+        return out
+    n = side.n
+    profiles = (OrdinalProfile._of_permutations(n, tuple(map(tuple, r))) for r in ranks.tolist())
+    return np.array([side.utilities(r).values for r in profiles])
 
 
 def preservation_probability(
@@ -434,24 +504,35 @@ def preservation_probability(
     Each trial draws a joint sample, applies the factors to the true
     utilities, re-extracts ordinal profiles (index tie policy; any tie
     counts as non-preservation) and compares the stable pair before and
-    after. Trials use split seeds, so the estimate is independent of
-    execution order.
+    after. Trial ``t`` is written by ``sampler.draw`` from
+    ``rng_for(seed, t)``, so the estimate is independent of execution
+    order. Trials are judged a block at a time (see :func:`_trial_blocks`):
+    one product, one stable ranking with its per-trial tie mask and one
+    ``argsort`` for every position table per block, then the proposal
+    chains of each tie-free trial (both directions, before and after).
     """
     if trials < 1:
         raise ValueError("trials >= 1 required")
+    if sampler.n != market.n:
+        raise ValueError(f"size mismatch: sampler n={sampler.n}, market n={market.n}")
+    sides = (market.men, market.women)
     preserved = 0
-    for t in range(trials):
-        rng = rng_for(seed, t)
-        s = sampler.sample(rng)
-        true_pair = phi(s.men_profile, s.women_profile)
-        um = apply_perturbation(s.men_factors, market.men.utilities(s.men_profile))
-        uw = apply_perturbation(s.women_factors, market.women.utilities(s.women_profile))
-        rm, ties_m = ordinal_from_utility_flagged(um, TiePolicy.INDEX)
-        rw, ties_w = ordinal_from_utility_flagged(uw, TiePolicy.INDEX)
-        if ties_m or ties_w:
-            continue
-        if phi(rm, rw) == true_pair:
-            preserved += 1
+    for ranks, factors in _trial_blocks(sampler, trials, seed):
+        utilities = np.stack([_block_utilities(side, ranks[:, s]) for s, side in enumerate(sides)], 1)
+        with np.errstate(over="ignore"):
+            perturbed = factors * utilities
+        order, ties = _stable_ranking(perturbed)
+        profiles = np.stack((ranks, order), axis=1)  # (trial, before/after, side, n, n)
+        positions = profiles.argsort(axis=-1)
+        for t in np.flatnonzero(~ties.any(axis=(1, 2, 3))).tolist():
+            (men, women), (men_after, women_after) = profiles[t].tolist()
+            (men_pos, women_pos), (men_pos_after, women_pos_after) = positions[t].tolist()
+            # Equal responder -> proposer maps are equal assignments.
+            if (
+                _proposal_chain(men, women_pos) == _proposal_chain(men_after, women_pos_after)
+                and _proposal_chain(women, men_pos) == _proposal_chain(women_after, men_pos_after)
+            ):
+                preserved += 1
     return preserved / trials
 
 
@@ -462,20 +543,19 @@ def rank_slot_factor_stats(sampler, draws: int, seed: int):
     n..2n-1 the women's side, columns the non-last rank positions 0..n-2.
     The factor observed at a slot in one draw is the multiplier applied to
     the alternative that the slot's agent ranks at that position under the
-    drawn profile.
+    drawn profile. Draws are gathered a block at a time and summed in trial
+    order.
     """
     if draws < 1:
         raise ValueError("draws >= 1 required")
     n = sampler.n
     sums = np.zeros((2 * n, n - 1))
     sumsq = np.zeros((2 * n, n - 1))
-    for t in range(draws):
-        s = sampler.sample(rng_for(seed, t))
-        factors = np.concatenate((s.men_factors.factors, s.women_factors.factors))
-        ranks = np.array(s.men_profile.ranks + s.women_profile.ranks)[:, :-1]
-        f = np.take_along_axis(factors, ranks, axis=1)
-        sums += f
-        sumsq += f * f
+    for ranks, factors in _trial_blocks(sampler, draws, seed):
+        gathered = np.take_along_axis(factors, ranks[..., :-1], axis=-1)
+        for f in gathered.reshape(len(ranks), 2 * n, n - 1):
+            sums += f
+            sumsq += f * f
     means = sums / draws
     variances = np.maximum(sumsq / draws - means**2, 0.0)
     std_errs = np.sqrt(variances / draws)

@@ -138,6 +138,24 @@ def reference_deferred_acceptance(
     return Assignment(n, tuple(engaged))
 
 
+def reference_first_flip(r: OrdinalProfile, r_prime: OrdinalProfile):
+    """The first flipped pair by exhaustive scan: over agents whose rows
+    differ, then over position pairs i < j of the agent's row in ``r``, the
+    first (agent, row[i], row[j]) that ``r_prime`` ranks the other way
+    round; O(n^2) per differing row. None when no pair flips."""
+    n = r.n
+    flips = (
+        (a, row[i], row[j])
+        for a, (row, prime_row) in enumerate(zip(r.ranks, r_prime.ranks))
+        if row != prime_row
+        for prime_pos in [{x: k for k, x in enumerate(prime_row)}]
+        for i in range(n)
+        for j in range(i + 1, n)
+        if prime_pos[row[i]] > prime_pos[row[j]]
+    )
+    return next(flips, None)
+
+
 def reference_ordinal_from_utility(u: UtilityProfile, tie_policy: TiePolicy):
     """Scalar ordinal extraction: ``(profile, had_ties)``.
 

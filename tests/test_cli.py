@@ -440,6 +440,15 @@ class TestSubcommands:
         assert code == EX_VALIDATION and out == ""
         assert err == "error: 2: n is too large for a float\n"
 
+    @pytest.mark.parametrize("hardness", HARDNESS_FAMILIES)
+    def test_bound_table_caps_beyond_the_float_range_are_2(self, capsys, hardness):
+        # n = 10^200 fits a float, but n^2 ln n and n^2 do not.
+        argv = ["bound-table", "--n", "1" + "0" * 200, "--space-size", "100", "--genus", "2"]
+        code, out, err = run(capsys, *argv, "--hardness", hardness)
+        assert code == EX_VALIDATION and out == ""
+        assert err.startswith("error: 2: n is too large: ")
+        assert "float range" in err and "y must be positive" not in err
+
     @pytest.mark.parametrize("argv", [("--xi", "inf"), ("--xi-infinite",)])
     def test_commreq_infinite_xi_sentinel(self, capsys, argv):
         code, out, _err = run(capsys, "commreq", "--n", "3", *argv)

@@ -21,7 +21,7 @@ from matchrobust import (
     ordinal_from_utility_flagged,
     phi,
 )
-from matchrobust.ordinal import STABLE_ENUM_CAP, uniform_profile
+from matchrobust.ordinal import STABLE_ENUM_CAP, _first_flip, uniform_profile
 from matchrobust.seeding import rng_for
 
 from conftest import (
@@ -32,6 +32,7 @@ from conftest import (
     reference_ordinal_from_utility,
     random_profile,
     reference_deferred_acceptance,
+    reference_first_flip,
 )
 
 
@@ -51,6 +52,19 @@ def paired_profiles(min_n=1, max_n=4):
         return random_profile(n, rng), random_profile(n, rng)
 
     return st.builds(build, st.integers(min_n, max_n), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def differing_profiles(draw, min_n=2, max_n=9):
+    """Two distinct profiles of one size that differ in one or several rows."""
+    n = draw(st.integers(min_n, max_n))
+    rows = st.permutations(range(n))
+    r = draw(st.lists(rows, min_size=n, max_size=n))
+    changed = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    r_prime = list(r)
+    for a in changed:
+        r_prime[a] = draw(rows.filter(lambda row, a=a: row != r[a]))
+    return OrdinalProfile(n, r), OrdinalProfile(n, r_prime)
 
 
 def da_markets(max_n=30):
@@ -306,6 +320,15 @@ class TestDistinguishingProfile:
             return
         rw = distinguishing_profile(r, r_prime)
         assert phi(r, rw) != phi(r_prime, rw)
+
+    @settings(max_examples=300)
+    @given(differing_profiles())
+    def test_first_flip_matches_exhaustive_scan(self, pair):
+        r, r_prime = pair
+        assert _first_flip(r, r_prime) == reference_first_flip(r, r_prime)
+        a, b1, b2 = _first_flip(r, r_prime)
+        row, prime_row = r.ranks[a], r_prime.ranks[a]
+        assert row.index(b1) < row.index(b2) and prime_row.index(b2) < prime_row.index(b1)
 
     def test_works_as_mirrored_construction(self):
         # Feeding women's profiles yields a men's profile separating them

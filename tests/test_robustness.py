@@ -39,7 +39,7 @@ from matchrobust import (
     uniform_profile,
 )
 from matchrobust.ordinal import TiePolicy
-from matchrobust.robustness import _first_break
+from matchrobust.robustness import _adjacent_swap, _first_break, _trial_blocks
 from matchrobust.seeding import rng_for
 
 from conftest import reference_consecutive_pairs, reference_first_break, reference_spike_flips
@@ -738,13 +738,30 @@ class TestPreservationProbability:
                 self.n = n
                 self.level = level
 
-            def sample(self, rng):
-                r_m = uniform_profile(n, rng)
-                r_w = uniform_profile(n, rng)
-                delta = Perturbation.single_entry(n, 0, r_m.ranks[0][0], level)
-                return PerturbationSample(r_m, r_w, delta, Perturbation.ones(n))
+            def draw(self, rng, ranks, factors):
+                for side in ranks:
+                    side[:] = uniform_profile(n, rng).ranks
+                factors.fill(1.0)
+                factors[0, 0, ranks[0, 0, 0]] = level
 
         assert preservation_probability(market, FixedSpikeSampler(), 300, 2) == 1.0
+
+    def test_exact_tie_is_not_preserved(self):
+        # Doubling the top utility of geometric_market(3, 2.0) ties it with
+        # the second one in every trial. Where index tie-breaking keeps the
+        # ranking the stable pair cannot move, yet a tie never counts as
+        # preserved.
+        class TopTieSampler:
+            n = 3
+
+            def draw(self, rng, ranks, factors):
+                for side in ranks:
+                    side[:] = uniform_profile(3, rng).ranks
+                factors.fill(1.0)
+                factors[0, 0, ranks[0, 0, 0]] = 2.0
+
+        market = geometric_market(3, 2.0)
+        assert preservation_probability(market, TopTieSampler(), 200, 3) == 0.0
 
     def test_sandwich_bounded_sampler_never_fails(self, rng):
         # Factors almost surely below the robustness leave every trial intact.
@@ -777,3 +794,187 @@ class TestSamplerLevels:
         for a in range(4):
             for i in range(1):
                 assert means[a, i] - 3 * errs[a, i] <= 3.0
+
+
+def _sample_as_before(sampler, rng) -> PerturbationSample:
+    """Reference draw from profile and perturbation objects, one
+    ``rng.permutation`` per row and one ``uniform`` call per side: the
+    stream each sampler's ``draw`` must reproduce."""
+    n = sampler.n
+    if isinstance(sampler, IidUniformFactorSampler):
+        men, women = uniform_profile(n, rng), uniform_profile(n, rng)
+        factors = [Perturbation(n, rng.uniform(1.0, sampler.level, size=(n, n))) for _ in "mw"]
+        return PerturbationSample(men, women, *factors)
+    a_star = int(rng.integers(0, 2 * n))
+    i_star = int(rng.integers(0, n - 1))
+    agent = a_star % n
+    r = uniform_profile(n, rng)
+    delta = Perturbation.single_entry(n, agent, r.ranks[agent][i_star], sampler.spike)
+    other = distinguishing_profile(r, _adjacent_swap(r, agent, i_star))
+    if a_star < n:
+        return PerturbationSample(r, other, delta, Perturbation.ones(n))
+    return PerturbationSample(other, r, Perturbation.ones(n), delta)
+
+
+def _same_sample(got: PerturbationSample, expected: PerturbationSample) -> bool:
+    return (
+        got.men_profile == expected.men_profile
+        and got.women_profile == expected.women_profile
+        and got.men_factors.factors.tobytes() == expected.men_factors.factors.tobytes()
+        and got.women_factors.factors.tobytes() == expected.women_factors.factors.tobytes()
+    )
+
+
+def _accepted_grid_samplers():
+    return [
+        CriticalSpikeSampler(n, c, eps)
+        for n, c, eps in SPIKE_ROUNDING_GRID
+        if reference_spike_flips(n, c, eps)
+    ]
+
+
+def _samplers_n2_to_6():
+    return [
+        sampler
+        for n in range(2, 7)
+        for sampler in (IidUniformFactorSampler(n, 1.7), CriticalSpikeSampler(n, 1.5, 0.2))
+    ]
+
+
+class TestTrialBlocks:
+    """The block path against one ``sample`` per trial."""
+
+    def test_draw_reproduces_the_reference_stream(self):
+        for sampler in _samplers_n2_to_6() + _accepted_grid_samplers()[::7]:
+            for t in range(8):
+                got = sampler.sample(rng_for(3, t))
+                assert _same_sample(got, _sample_as_before(sampler, rng_for(3, t)))
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["n2-6", "rounding-grid"])
+    def test_block_rows_are_samples(self, monkeypatch, grid):
+        # A bound of 5 trials per block spreads the 12 trials over three blocks.
+        samplers = _accepted_grid_samplers() if grid else _samplers_n2_to_6()
+        assert len(samplers) == (197 if grid else 10)
+        for sampler in samplers:
+            n = sampler.n
+            monkeypatch.setattr(robustness_module, "_SCAN_BLOCK_ELEMENTS", 5 * 2 * n * n)
+            blocks = list(_trial_blocks(sampler, 12, 29))
+            assert [len(ranks) for ranks, _ in blocks] == [5, 5, 2]
+            rows = [(r, f) for ranks, factors in blocks for r, f in zip(ranks, factors)]
+            for t, (ranks, factors) in enumerate(rows):
+                s = sampler.sample(rng_for(29, t))
+                profiles = (s.men_profile, s.women_profile)
+                assert ranks.tolist() == [list(map(list, p.ranks)) for p in profiles]
+                assert factors[0].tobytes() == s.men_factors.factors.tobytes()
+                assert factors[1].tobytes() == s.women_factors.factors.tobytes()
+
+    @pytest.mark.parametrize("trials_per_block", [1, 7])
+    def test_block_bound_moves_no_output(self, monkeypatch, trials_per_block):
+        # The pinned Monte Carlo cases and three spike runs, at the default
+        # bound and at a bound of 1 or 7 trials per block.
+        preservation = [
+            (lambda: geometric_market(4, 1.3), 1.6, 400, 6),
+            (lambda: random_extensional_market(3, rng_for(8)), 1.5, 300, 7),
+        ]
+        stats = [
+            (lambda: IidUniformFactorSampler(4, 2.5), 500, 3),
+            (lambda: IidUniformFactorSampler(2, 1.0), 50, 4),
+            (lambda: CriticalSpikeSampler(4, 1.2, 0.3), 500, 5),
+        ]
+
+        def outputs(bound):
+            out = []
+            for make_market, level, trials, seed in preservation:
+                market = make_market()
+                bound(market.n)
+                sampler = IidUniformFactorSampler(market.n, level)
+                out.append(repr(preservation_probability(market, sampler, trials, seed)))
+            for make_sampler, draws, seed in stats:
+                sampler = make_sampler()
+                bound(sampler.n)
+                means, errs = rank_slot_factor_stats(sampler, draws, seed)
+                out.append(means.tobytes() + errs.tobytes())
+            for n in (2, 3, 5):
+                sampler = CriticalSpikeSampler(n, 1.5, 0.2)
+                bound(n)
+                out.append(repr(preservation_probability(sampler.market, sampler, 60, n)))
+            return out
+
+        def patched(n):
+            elements = trials_per_block * 2 * n * n
+            monkeypatch.setattr(robustness_module, "_SCAN_BLOCK_ELEMENTS", elements)
+            sampler = IidUniformFactorSampler(n, 1.5)
+            assert len(next(_trial_blocks(sampler, 100, 0))[0]) == trials_per_block
+
+        expected = outputs(lambda n: None)
+        assert expected[:2] == ["0.6325", "0.7433333333333333"]
+        assert outputs(patched) == expected
+
+    def test_spike_slot_means_follow_from_the_slot_law(self):
+        # The spike lands on the alternative at slot (a*, i*) whatever the
+        # drawn profile, so each draw's gathered factors are the spike at
+        # that slot and 1 elsewhere: the slot means follow from the first
+        # two draws of each trial alone.
+        for n, draws, seed in ((2, 300, 1), (3, 2000, 405), (5, 700, 2)):
+            sampler = CriticalSpikeSampler(n, 1.5, 0.2)
+            hits = np.zeros((2 * n, n - 1))
+            for t in range(draws):
+                rng = rng_for(seed, t)
+                hits[int(rng.integers(0, 2 * n)), int(rng.integers(0, n - 1))] += 1
+            means, _errs = rank_slot_factor_stats(sampler, draws, seed)
+            expected = 1.0 + (sampler.spike - 1.0) * hits / draws
+            np.testing.assert_allclose(means, expected, rtol=1e-12)
+
+    class _BrokenSampler:
+        def __init__(self, fault):
+            self.n = 3
+            self.fault = fault
+
+        def draw(self, rng, ranks, factors):
+            IidUniformFactorSampler(3, 2.0).draw(rng, ranks, factors)
+            if self.fault == "factor below 1":
+                factors[1, 2, 0] = 0.5
+            elif self.fault == "nan factor":
+                factors[0, 0, 0] = math.nan
+            elif self.fault == "infinite factor":
+                factors[0, 1, 1] = math.inf
+            elif self.fault == "repeated alternative":
+                ranks[1, 0] = (0, 0, 2)
+            else:
+                ranks[0, 2] = (0, 1, 3)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("factor below 1", r"trial 0: women factor \(2,0\) = 0.5 is below 1"),
+            ("nan factor", r"trial 0: men factor \(0,0\) = nan is below 1, infinite or NaN"),
+            ("infinite factor", r"trial 0: men factor \(1,1\) = inf is below 1, infinite"),
+            ("repeated alternative", r"trial 0: women row 0 is not a permutation of 0..2"),
+            ("alternative out of range", r"trial 0: men row 2 is not a permutation of 0..2"),
+        ],
+    )
+    def test_bad_draws_are_rejected(self, fault, message):
+        sampler = self._BrokenSampler(fault)
+        market = geometric_market(3, 2.0)
+        with pytest.raises(ValueError, match=message):
+            preservation_probability(market, sampler, 20, 1)
+        with pytest.raises(ValueError, match=message):
+            rank_slot_factor_stats(sampler, 20, 1)
+        with pytest.raises(ValueError):  # a single sample checks through its constructors
+            robustness_module._sample_of(sampler, rng_for(1, 0))
+
+    def test_sampler_and_market_sizes_must_agree(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            preservation_probability(geometric_market(3, 2.0), IidUniformFactorSampler(4, 1.5), 5, 1)
+
+    def test_iid_sampler_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            IidUniformFactorSampler(0, 1.5)
+
+    def test_unrepresented_profile_is_rejected(self):
+        market = random_extensional_market(2, rng_for(3))
+        table = market.men.table
+        first = next(iter(table))
+        partial = MatchingMarket(ExtensionalProfile(2, {first: table[first]}), market.women)
+        with pytest.raises(ValueError, match="not represented"):
+            preservation_probability(partial, IidUniformFactorSampler(2, 1.5), 50, 1)

@@ -97,6 +97,40 @@ def test_robustness_routes_stay_independent():
     assert divisions == [], f"_first_break divides at lines {divisions}"
 
 
+def _functions(path: Path) -> dict:
+    tree = ast.parse(path.read_text())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _names_and_attributes(node: ast.AST) -> set:
+    nodes = list(ast.walk(node))
+    return {n.id for n in nodes if isinstance(n, ast.Name)} | {
+        n.attr for n in nodes if isinstance(n, ast.Attribute)
+    }
+
+
+def test_one_proposal_chain():
+    # Deferred acceptance runs as one McVitie-Wilson chain in src/, shared by
+    # ``deferred_acceptance`` and the Monte Carlo block path; the test
+    # oracle ``reference_deferred_acceptance`` stays its own route.
+    chains = [
+        (path.name, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and "next_choice" in _names_and_attributes(node)
+    ]
+    assert chains == [("ordinal.py", "_proposal_chain")]
+    ordinal = _functions(ROOT / "src" / "matchrobust" / "ordinal.py")
+    robustness = _functions(ROOT / "src" / "matchrobust" / "robustness.py")
+    assert "_proposal_chain" in _names_and_attributes(ordinal["deferred_acceptance"])
+    assert "_proposal_chain" in _names_and_attributes(robustness["preservation_probability"])
+    for name in ("preservation_probability", "rank_slot_factor_stats", "_trial_blocks"):
+        assert "sample" not in _names_and_attributes(robustness[name]), name
+    reference = _functions(ROOT / "tests" / "conftest.py")["reference_deferred_acceptance"]
+    used = _names_and_attributes(reference)
+    assert not used & {"deferred_acceptance", "_proposal_chain", "phi", "ordinal"}
+
+
 def test_distance_routes_stay_independent():
     # The all-sources array kernel and the per-source heap Dijkstra check
     # each other byte for byte, so the kernel may not reach the heap route.
