@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import communication as comm
@@ -158,12 +159,12 @@ def _market_profile(data: dict) -> MarketProfile:
 
 
 def _load_market(args) -> MatchingMarket:
-    if getattr(args, "geometric_base", None) is not None:
+    if args.infile is None:
         if args.n is None:
-            _fail_validation("--geometric-base requires --n")
+            raise CliError(EX_USAGE, "argument --geometric-base: requires --n")
         return geometric_market(args.n, args.geometric_base)
-    if not getattr(args, "infile", None):
-        _fail_validation("provide --in FILE or --geometric-base with --n")
+    if args.n is not None:
+        raise CliError(EX_USAGE, "argument --n: not allowed with argument --in")
     return MatchingMarket(*_load_sides(args.infile, "market profile", _market_profile))
 
 
@@ -324,27 +325,30 @@ def _cmd_banach_search(args) -> str:
 
 
 def _functions_from_args(args):
-    if args.config:
-        sections = _parse(args.config, "config", comm.parse_config, _read_text(args.config))
-        return _parse(args.config, "config", comm.functions_from_config, sections)
-    h = comm.HardnessFunction(args.hardness, args.hardness_scale, args.hardness_exponent)
-    d = comm.DecayFunction(args.decay, args.decay_scale, args.decay_exponent)
-    return h, d, comm.BoundConstants()
+    """H, D and the bound constants from --config, or else from the function flags given."""
+    given = [dest for dest in _FUNCTION_FLAGS if getattr(args, dest) is not None]
+    if args.config is None:
+        sections = {}
+        for dest in given:
+            section, _, key = dest.partition("_")
+            sections.setdefault(section, {})[key or "family"] = getattr(args, dest)
+        return comm.functions_from_config(sections)
+    if given:
+        flag = "--" + given[0].replace("_", "-")
+        raise CliError(EX_USAGE, f"argument {flag}: not allowed with argument --config")
+    sections = _parse(args.config, "config", comm.parse_config, _read_text(args.config))
+    return _parse(args.config, "config", comm.functions_from_config, sections)
 
 
 def _cmd_commreq(args) -> str:
     h, d, _constants = _functions_from_args(args)
-    if not args.xi >= 1.0:  # with --xi-infinite the library never sees --xi
-        _fail_validation("--xi must be >= 1")
-    xi = math.inf if args.xi_infinite else args.xi
-    t = comm.communication_requirement(xi, h, d, args.n)
     payload = {
         "schema": 1,
         "n": args.n,
-        "xi": xi,
-        "hardness": {"family": h.family, "scale": h.scale, "exponent": h.exponent},
-        "decay": {"family": d.family, "scale": d.scale, "exponent": d.exponent},
-        "requirement": t,
+        "xi": args.xi,
+        "hardness": asdict(h),
+        "decay": asdict(d),
+        "requirement": comm.communication_requirement(args.xi, h, d, args.n),
     }
     return _json_text(payload)
 
@@ -362,19 +366,22 @@ def _add_common(p, seed=False):
 
 
 def _add_market_inputs(p):
-    p.add_argument("--in", dest="infile", help="matching-market JSON (see docs/formats.md)")
-    p.add_argument("--n", type=int, help="market size for --geometric-base")
-    p.add_argument("--geometric-base", type=float, help="build a geometric rank market instead of reading a file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", help="matching-market JSON (see docs/formats.md)")
+    source.add_argument("--geometric-base", type=float, help="utility ratio of a geometric rank market")
+    p.add_argument("--n", type=int, help="market size, required with --geometric-base")
+
+
+#: Function flag destinations: "<section>" holds a family, "<section>_<key>" a number.
+_FUNCTION_FLAGS = ("hardness", "hardness_scale", "hardness_exponent", "decay", "decay_scale", "decay_exponent")
 
 
 def _add_function_flags(p):
     p.add_argument("--config", help="key-value config file with [hardness]/[decay]/[constants] sections")
-    p.add_argument("--hardness", default="constant", choices=comm.HARDNESS_FAMILIES)
-    p.add_argument("--hardness-scale", type=float, default=1.0)
-    p.add_argument("--hardness-exponent", type=float, default=1.0)
-    p.add_argument("--decay", default="linear", choices=comm.DECAY_FAMILIES)
-    p.add_argument("--decay-scale", type=float, default=1.0)
-    p.add_argument("--decay-exponent", type=float, default=1.0)
+    for section, families in (("hardness", comm.HARDNESS_FAMILIES), ("decay", comm.DECAY_FAMILIES)):
+        p.add_argument(f"--{section}", choices=families)
+        p.add_argument(f"--{section}-scale", type=float)
+        p.add_argument(f"--{section}-exponent", type=float)
 
 
 def build_parser() -> _Parser:
@@ -451,8 +458,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_banach_search)
 
     p = add("commreq", help="communication requirement T = D^-1(H(n)/xi)")
-    p.add_argument("--xi", type=float, default=1.0)
-    p.add_argument("--xi-infinite", action="store_true", help="use the infinite-robustness sentinel")
+    p.add_argument("--xi", type=float, default=1.0, help="robustness, or inf for the infinite sentinel")
     p.add_argument("--n", type=int, required=True)
     _add_function_flags(p)
     _add_common(p)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +45,7 @@ class DecayFunction:
       exponential   D(t) = scale * exp(exponent * t), infimum scale at t = 0
     """
 
-    family: str
+    family: str = "linear"
     scale: float = 1.0
     exponent: float = 1.0
 
@@ -114,7 +114,7 @@ class HardnessFunction:
     The ln(1 + n) convention keeps the log families positive at n = 1.
     """
 
-    family: str
+    family: str = "constant"
     scale: float = 1.0
     exponent: float = 1.0
 
@@ -333,10 +333,11 @@ def bound_table(
 
 def parse_config(text: str) -> dict[str, dict[str, float | str]]:
     """INI config: every key sits under a [section] header, # starts a
-    comment (also inline) and key case is kept. Values are parsed as int,
-    then float, then bare/quoted string. Malformed text raises ValueError.
+    comment (also inline) and key case is kept. No header can name the empty
+    section, so [DEFAULT] is a section like any other. Values are parsed as
+    int, then float, then bare/quoted string. Malformed text raises ValueError.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None, default_section="")
     parser.optionxform = str
     try:
         parser.read_string(text, source="config")
@@ -355,25 +356,24 @@ def _parse_value(value: str) -> float | str:
     return value
 
 
+#: Each config section and the dataclass its keys build.
+_SECTIONS = {"hardness": HardnessFunction, "decay": DecayFunction, "constants": BoundConstants}
+
+
 def functions_from_config(
     sections: dict[str, dict],
 ) -> tuple[HardnessFunction, DecayFunction, BoundConstants]:
-    hsec = sections.get("hardness", {})
-    dsec = sections.get("decay", {})
-    csec = sections.get("constants", {})
-    h = HardnessFunction(
-        family=str(hsec.get("family", "constant")),
-        scale=float(hsec.get("scale", 1.0)),
-        exponent=float(hsec.get("exponent", 1.0)),
+    """H, D and the bound constants from ``sections`` (as :func:`parse_config`
+    returns them); a missing section or key keeps the dataclass default. An
+    unknown section or key raises ValueError naming it."""
+    for name, section in sections.items():
+        if name not in _SECTIONS:
+            raise ValueError(f"unknown section [{name}]; expected one of {', '.join(_SECTIONS)}")
+        keys = {f.name for f in fields(_SECTIONS[name])}
+        for key in section:
+            if key not in keys:
+                raise ValueError(f"unknown key {key!r} in [{name}]")
+    return tuple(
+        cls(**{k: str(v) if k == "family" else float(v) for k, v in sections.get(name, {}).items()})
+        for name, cls in _SECTIONS.items()
     )
-    d = DecayFunction(
-        family=str(dsec.get("family", "linear")),
-        scale=float(dsec.get("scale", 1.0)),
-        exponent=float(dsec.get("exponent", 1.0)),
-    )
-    constants = BoundConstants(
-        size_constant=float(csec.get("size_constant", 1.0)),
-        genus_constant=float(csec.get("genus_constant", 1.0)),
-        market_constant=float(csec.get("market_constant", 1.0)),
-    )
-    return h, d, constants

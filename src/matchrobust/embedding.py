@@ -185,21 +185,31 @@ class BanachSearchResult:
     seed: int
 
 
-# Feasible two-dimensional template: alternatives on a triangle, each agent
-# pulled a quarter of the way toward the next alternative in the cycle.
+# Feasible two-dimensional template: three agents, each pulled a quarter of
+# the way toward the next alternative in the cycle, then three on a triangle.
 _TRIANGLE = ((1.0, 0.0), (-0.5, math.sqrt(3.0) / 2.0), (-0.5, -math.sqrt(3.0) / 2.0))
+_TEMPLATE = tuple(
+    tuple(0.75 * x + 0.25 * y for x, y in zip(b, b_next))
+    for b, b_next in zip(_TRIANGLE, _TRIANGLE[1:] + _TRIANGLE[:1])
+) + _TRIANGLE
 
 
-def _template_points(dim: int, rng: np.random.Generator, jitter: float) -> np.ndarray:
-    pts = np.zeros((6, dim))
-    for i in range(3):
-        b = np.array(_TRIANGLE[i])
-        b_next = np.array(_TRIANGLE[(i + 1) % 3])
-        a = 0.75 * b + 0.25 * b_next
-        pts[i, :2] = a
-        pts[3 + i, :2] = b
-    pts += jitter * rng.standard_normal((6, dim))
-    return pts
+def _feasible_start(dim: int, rng: np.random.Generator) -> tuple[list[list[float]], float] | None:
+    """The first of up to 40 jittered templates, then up to 60 Gaussian
+    draws, that realizes the cyclic profile, as float rows with its value;
+    None when every draw fails."""
+    for attempt in range(100):
+        if attempt < 40:
+            cand = np.zeros((6, dim))
+            cand[:, :2] = _TEMPLATE
+            cand += rng.uniform(0.02, 0.35) * rng.standard_normal((6, dim))
+        else:
+            cand = rng.standard_normal((6, dim))
+        rows = cand.tolist()
+        value = _condorcet_value(rows)
+        if value is not None:
+            return rows, value
+    return None
 
 
 def maximize_euclidean_robustness(
@@ -208,14 +218,16 @@ def maximize_euclidean_robustness(
     """Multistart coordinate search for the most robust Euclidean placement
     of the cyclic profile.
 
-    Each restart draws an initial placement (a jittered feasible template
-    when dim >= 2, otherwise pure rejection sampling; one dimension admits
-    no strict realization of the cyclic profile, so those restarts come up
-    empty) and then hill-climbs: single-coordinate moves of +-step are
-    accepted when they stay feasible and improve the ratio minimum, and the
-    step is halved after any full sweep without improvement. ``iters``
-    counts candidate evaluations per restart, so doubling it extends each
+    Each restart draws an initial placement (see :func:`_feasible_start`)
+    and then hill-climbs: single-coordinate moves of +-step are accepted
+    when they stay feasible and improve the ratio minimum, and the step is
+    halved after any full sweep without improvement. ``iters`` counts
+    candidate evaluations per restart, so doubling it extends each
     trajectory and can only improve the result.
+
+    One dimension is decided without drawing: on a line every ranking by
+    distance is single-peaked, so the middle alternative is never last,
+    while the cyclic profile ranks each alternative last for some agent.
     """
     if not (1 <= dim <= 10):
         raise ValueError("dim must lie in 1..10")
@@ -224,25 +236,12 @@ def maximize_euclidean_robustness(
     best_value = -math.inf
     best_points = None
     feasible_restarts = 0
-    for r in range(restarts):
-        rng = rng_for(seed, r)
-        points = None
-        if dim >= 2:
-            for _ in range(40):
-                cand = _template_points(dim, rng, float(rng.uniform(0.02, 0.35))).tolist()
-                if _condorcet_value(cand) is not None:
-                    points = cand
-                    break
-        if points is None:
-            for _ in range(60):
-                cand = rng.standard_normal((6, dim)).tolist()
-                if _condorcet_value(cand) is not None:
-                    points = cand
-                    break
-        if points is None:
+    for r in range(restarts if dim >= 2 else 0):  # dim 1: no feasible restart
+        start = _feasible_start(dim, rng_for(seed, r))
+        if start is None:
             continue
+        points, value = start
         feasible_restarts += 1
-        value = _condorcet_value(points)
         step = 0.5
         evals = 0
         while evals < iters and step > 1e-12:

@@ -115,12 +115,12 @@ def apply_perturbation(delta: Perturbation, u: UtilityProfile) -> UtilityProfile
 
 
 def rank_scatter(ranks, rank_values) -> np.ndarray:
-    """Matrix whose entry (a, ranks[a][i]) is ``rank_values[i]``, or
-    ``rank_values[a][i]`` when rank values are given per agent: each agent's
-    i-th ranked alternative gets the i-th rank value."""
+    """Array whose entry (..., a, ranks[..., a, i]) is ``rank_values[i]``, or
+    ``rank_values[..., a, i]`` when given per agent, for ``ranks`` of one
+    profile or a ``(T, n, n)`` block: the i-th ranked gets the i-th value."""
     ranks = np.asarray(ranks)
     out = np.empty(ranks.shape)
-    out[np.arange(len(ranks))[:, None], ranks] = rank_values
+    np.put_along_axis(out, ranks, rank_values, axis=-1)
     return out
 
 
@@ -140,6 +140,11 @@ class MarketProfile:
 
     def utilities(self, profile: OrdinalProfile) -> UtilityProfile:
         raise NotImplementedError
+
+    def block_utilities(self, ranks: np.ndarray) -> np.ndarray:
+        """The utilities of each profile in a ``(T, n, n)`` block of rankings."""
+        profiles = (OrdinalProfile._of_permutations(self.n, tuple(map(tuple, r))) for r in ranks.tolist())
+        return np.array([self.utilities(r).values for r in profiles])
 
     def representable_profiles(self) -> Iterator[OrdinalProfile]:
         raise NotImplementedError
@@ -177,6 +182,9 @@ class RankBasedProfile(MarketProfile):
         if profile.n != self.n:
             raise ValueError("size mismatch")
         return UtilityProfile(self.n, rank_scatter(profile.ranks, self.rank_utilities))
+
+    def block_utilities(self, ranks: np.ndarray) -> np.ndarray:
+        return rank_scatter(ranks, self.rank_utilities)
 
     def representable_profiles(self) -> Iterator[OrdinalProfile]:
         return all_profiles(self.n)

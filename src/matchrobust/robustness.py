@@ -33,7 +33,6 @@ from .markets import (
     MarketProfile,
     MatchingMarket,
     Perturbation,
-    RankBasedProfile,
     apply_perturbation,
     geometric_market,
 )
@@ -482,19 +481,6 @@ def _trial_blocks(sampler, trials: int, seed: int):
         yield ranks, factors
 
 
-def _block_utilities(side: MarketProfile, ranks: np.ndarray) -> np.ndarray:
-    """The utilities ``side`` assigns to each profile of a ``(T, n, n)`` block
-    of rankings: a rank-based side's rank utilities scattered to the ranked
-    alternatives, any other side's table entry per profile."""
-    if isinstance(side, RankBasedProfile):
-        out = np.empty(ranks.shape)
-        np.put_along_axis(out, ranks, np.array(side.rank_utilities), axis=-1)
-        return out
-    n = side.n
-    profiles = (OrdinalProfile._of_permutations(n, tuple(map(tuple, r))) for r in ranks.tolist())
-    return np.array([side.utilities(r).values for r in profiles])
-
-
 def preservation_probability(
     market: MatchingMarket, sampler, trials: int, seed: int
 ) -> float:
@@ -518,7 +504,7 @@ def preservation_probability(
     sides = (market.men, market.women)
     preserved = 0
     for ranks, factors in _trial_blocks(sampler, trials, seed):
-        utilities = np.stack([_block_utilities(side, ranks[:, s]) for s, side in enumerate(sides)], 1)
+        utilities = np.stack([side.block_utilities(ranks[:, s]) for s, side in enumerate(sides)], 1)
         with np.errstate(over="ignore"):
             perturbed = factors * utilities
         order, ties = _stable_ranking(perturbed)

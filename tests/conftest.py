@@ -21,6 +21,7 @@ from matchrobust import (
     spike_factor,
 )
 from matchrobust.ordinal import TieError, TiePolicy
+from matchrobust.seeding import rng_for
 
 settings.register_profile(
     "default",
@@ -276,6 +277,24 @@ def phi_witness():
     alpha = [(math.cos(t + theta), math.sin(t + theta)) for t in angles]
     beta = [(math.cos(t), math.sin(t)) for t in angles]
     return alpha, beta
+
+
+def reference_line_placements(seed: int, restarts: int, draws: int = 60):
+    """The Gaussian rejection draws that the cap search once made in one
+    dimension that realize the cyclic profile: ``draws`` standard normal
+    ``(6, 1)`` placements (three agents, then three alternatives) from each
+    restart's ``rng_for(seed, r)``, kept when every agent i ranks
+    alternatives i, i+1, i+2 (mod 3) strictly by distance, at nonzero
+    distance. The theorem says the list is always empty."""
+    found = []
+    for r in range(restarts):
+        rng = rng_for(seed, r)
+        for _ in range(draws):
+            x = [row[0] for row in rng.standard_normal((6, 1)).tolist()]
+            d = [[abs(x[i] - x[3 + (i + k) % 3]) for k in range(3)] for i in range(3)]
+            if all(0.0 < d0 < d1 < d2 for d0, d1, d2 in d):
+                found.append((r, x))
+    return found
 
 
 def reference_is_polarized(u: UtilityProfile, tol: float = 1e-12):

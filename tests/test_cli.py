@@ -221,6 +221,22 @@ class TestExitCodes:
         assert code == EX_DATAERR and out == ""
         assert err.startswith(f"error: 65: {cfg}: ")
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [("[hardnes]\nfamily = polynomial\n", "[hardnes]"), ("[hardness]\nScale = 2\n", "'Scale'")],
+    )
+    @pytest.mark.parametrize("command", ["commreq", "bound-table"])
+    def test_unknown_config_section_or_key_is_65(self, capsys, tmp_path, command, text, named):
+        # Once ignored, so the default constant hardness stayed in force.
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(text)
+        argv = [command, "--n", "4", "--config", str(cfg)]
+        if command == "bound-table":
+            argv += ["--space-size", "64", "--genus", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == EX_DATAERR and out == ""
+        assert err.startswith(f"error: 65: {cfg}: bad config: unknown ") and named in err
+
     @pytest.mark.parametrize("side", ["men", "women"])
     def test_nan_rank_utility_is_65(self, capsys, tmp_path, side):
         data = {
@@ -282,6 +298,49 @@ class TestExitCodes:
         path.write_text(json.dumps({"men": IDENTITY_8, "women": IDENTITY_8}))
         code, out, _err = run(capsys, "stable-set", "--in", str(path), "--cap", "8")
         assert code == EX_USAGE and out == ""
+
+
+# Every input of robustness, witness, commreq and bound-table has one source:
+# giving a value two ways, or no market at all, is a usage error.
+_MARKET_SOURCES = [
+    pytest.param(("--in", "FILE", "--geometric-base", "2", "--n", "3"), ("--in", "--geometric-base"), id="both"),
+    pytest.param((), ("--in", "--geometric-base"), id="neither"),
+    pytest.param(("--n", "3"), ("--in", "--geometric-base"), id="n-alone"),
+    pytest.param(("--in", "FILE", "--n", "7"), ("--n", "--in"), id="n-beside-in"),
+    pytest.param(("--geometric-base", "2"), ("--geometric-base", "--n"), id="base-without-n"),
+]
+_FUNCTION_FLAGS = [
+    ("--hardness", "log"),
+    ("--hardness-scale", "2"),
+    ("--hardness-exponent", "2"),
+    ("--decay", "power"),
+    ("--decay-scale", "2"),
+    ("--decay-exponent", "2"),
+]
+
+
+class TestOneSourcePerValue:
+    @pytest.mark.parametrize("argv, named", _MARKET_SOURCES)
+    @pytest.mark.parametrize("command", [("robustness",), ("witness", "--c", "2")], ids=["robustness", "witness"])
+    def test_market_source(self, capsys, rank_market_file, command, argv, named):
+        argv = [rank_market_file if a == "FILE" else a for a in argv]
+        code, out, err = run(capsys, *command, *argv)
+        assert code == EX_USAGE and out == ""
+        assert err.startswith("error: 64: ") and err.count("\n") == 1
+        assert all(flag in err for flag in named)
+
+    @pytest.mark.parametrize("flag, value", _FUNCTION_FLAGS)
+    @pytest.mark.parametrize(
+        "command",
+        [("commreq", "--n", "4"), ("bound-table", "--n", "4", "--space-size", "64", "--genus", "2")],
+        ids=["commreq", "bound-table"],
+    )
+    def test_config_beside_a_function_flag(self, capsys, tmp_path, command, flag, value):
+        cfg = tmp_path / "comm.cfg"
+        cfg.write_text("[hardness]\nfamily = log\n")
+        code, out, err = run(capsys, *command, "--config", str(cfg), flag, value)
+        assert code == EX_USAGE and out == ""
+        assert err == f"error: 64: argument {flag}: not allowed with argument --config\n"
 
 
 class TestSubcommands:
@@ -449,11 +508,15 @@ class TestSubcommands:
         assert err.startswith("error: 2: n is too large: ")
         assert "float range" in err and "y must be positive" not in err
 
-    @pytest.mark.parametrize("argv", [("--xi", "inf"), ("--xi-infinite",)])
-    def test_commreq_infinite_xi_sentinel(self, capsys, argv):
-        code, out, _err = run(capsys, "commreq", "--n", "3", *argv)
+    def test_commreq_infinite_xi_sentinel(self, capsys):
+        code, out, _err = run(capsys, "commreq", "--n", "3", "--xi", "inf")
         payload = json.loads(out)
         assert code == 0 and payload["xi"] == "inf" and payload["requirement"] == 0.0
+
+    def test_xi_infinite_is_an_unknown_option(self, capsys):
+        code, out, err = run(capsys, "commreq", "--n", "3", "--xi-infinite")
+        assert code == EX_USAGE and out == ""
+        assert err == "error: 64: unrecognized arguments: --xi-infinite\n"
 
     def test_robustness_of_one_agent_is_the_string_inf(self, capsys):
         code, out, _err = run(capsys, "robustness", "--geometric-base", "2", "--n", "1")
@@ -1444,9 +1507,15 @@ def _truncated_config(draw) -> str:
 def _malformed_config(draw) -> str:
     section = draw(st.sampled_from(tuple(_CONFIG_KEYS)))
     key = draw(st.sampled_from(_CONFIG_KEYS[section]))
-    fault = draw(st.sampled_from(("outside", "family", "value")))
+    fault = draw(st.sampled_from(("outside", "family", "value", "unknown section", "unknown key")))
     if fault == "outside":
         return f"{key} = 1\n[{section}]\n"
+    if fault.startswith("unknown"):
+        name = draw(st.from_regex(r"[A-Za-z_]{1,14}", fullmatch=True))
+        if fault == "unknown section" and name not in _CONFIG_KEYS:
+            return f"[{name}]\n{key} = 1\n"
+        if name not in ("family", *_CONFIG_KEYS[section]):
+            return f"[{section}]\n{name} = 1\n"
     if fault == "family" and section in _FAMILIES:
         name = draw(
             st.text("abcdefghijklmnopqrstuvwxyz_", max_size=14).filter(

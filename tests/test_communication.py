@@ -300,3 +300,20 @@ size_constant = 1.5
     def test_parse_rejects_key_outside_section(self):
         with pytest.raises(ValueError):
             parse_config("family = power\n")
+
+    def test_empty_config_is_the_dataclass_defaults(self):
+        assert functions_from_config({}) == (HardnessFunction(), DecayFunction(), BoundConstants())
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[hardnes]\nfamily = polynomial\n", "unknown section [hardnes]"),
+            ("[DEFAULT]\nfamily = log\n", "unknown section [DEFAULT]"),
+            ("[hardness]\nScale = 2\n", "unknown key 'Scale' in [hardness]"),
+            ("[constants]\nfamily = log\n", "unknown key 'family' in [constants]"),
+        ],
+    )
+    def test_unknown_section_or_key_is_named(self, text, named):
+        with pytest.raises(ValueError) as info:
+            functions_from_config(parse_config(text))
+        assert str(info.value).startswith(named)

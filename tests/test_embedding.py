@@ -20,7 +20,11 @@ from matchrobust import (
     random_connected_space,
     log_genus_robustness_cap,
 )
+from matchrobust import embedding
+from matchrobust.embedding import BanachSearchResult
 from matchrobust.seeding import rng_for
+
+from conftest import reference_line_placements
 
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -257,6 +261,19 @@ class TestMaximize:
         assert result.feasible_restarts == 0
         assert result.best_value == -math.inf
         assert result.alpha is None
+
+    def test_dim_one_draws_nothing(self, monkeypatch):
+        def no_draws(*_key):
+            raise AssertionError("dim 1 drew a start")
+
+        monkeypatch.setattr(embedding, "rng_for", no_draws)
+        result = maximize_euclidean_robustness(1, 1000, 500, seed=606)
+        assert result == BanachSearchResult(-math.inf, None, None, 0, 1, 1000, 500, 606)
+
+    @given(st.integers(0, 2**64 - 1))
+    def test_dim_one_rejection_draws_stay_empty(self, seed):
+        # The draws the search skips in one dimension never held a start.
+        assert reference_line_placements(seed, restarts=20) == []
 
     def test_feasible_value_at_least_one(self):
         result = maximize_euclidean_robustness(2, 30, 100, seed=5)
