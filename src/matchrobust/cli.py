@@ -38,7 +38,6 @@ from .ordinal import OrdinalProfile, enumerate_stable, phi
 from .planar import genus_lower_bound
 from .robustness import (
     CriticalSpikeSampler,
-    DivisionByZeroUtility,
     adversarial_witness,
     preservation_probability,
     robustness,
@@ -68,26 +67,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EX_USAGE, message)
 
 
-def _fail_data(message: str):
-    raise CliError(EX_DATAERR, message)
-
-
-def _fail_validation(message: str):
-    raise CliError(EX_VALIDATION, message)
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        _fail_data(f"{path}: {exc}")
+        raise CliError(EX_DATAERR, f"{path}: {exc}")
 
 
 def _write_text(path: str, text: str):
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        _fail_validation(f"{path}: {exc.strerror or exc}")
+        raise CliError(EX_VALIDATION, f"{path}: {exc.strerror or exc}")
 
 
 def _load_json(path: str) -> dict:
@@ -95,11 +86,11 @@ def _load_json(path: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        _fail_data(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+        raise CliError(EX_DATAERR, f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except RecursionError:
-        _fail_data(f"{path}: JSON nested too deeply")
+        raise CliError(EX_DATAERR, f"{path}: JSON nested too deeply")
     if not isinstance(data, dict):
-        _fail_data(f"{path}: top level must be a JSON object")
+        raise CliError(EX_DATAERR, f"{path}: top level must be a JSON object")
     return data
 
 
@@ -125,7 +116,7 @@ def _parse(path: str, what: str, parse, data):
     try:
         return parse(data)
     except _MALFORMED as exc:
-        _fail_data(f"{path}: bad {what}: {exc}")
+        raise CliError(EX_DATAERR, f"{path}: bad {what}: {exc}")
 
 
 def _load_sides(path: str, what: str, parse_side):
@@ -133,11 +124,11 @@ def _load_sides(path: str, what: str, parse_side):
     data = _load_json(path)
     for key in ("men", "women"):
         if key not in data:
-            _fail_data(f"{path}: missing '{key}' {what}")
+            raise CliError(EX_DATAERR, f"{path}: missing '{key}' {what}")
     men = _parse(path, what, parse_side, data["men"])
     women = _parse(path, what, parse_side, data["women"])
     if men.n != women.n:
-        _fail_data(f"{path}: sides disagree on n")
+        raise CliError(EX_DATAERR, f"{path}: sides disagree on n")
     return men, women
 
 
@@ -172,17 +163,13 @@ def _load(path: str, what: str, parse):
     return _parse(path, what, parse, _load_json(path))
 
 
-def _assignment_json(a) -> list[int]:
-    return list(a.pairing)
-
-
 def _cmd_solve(args) -> str:
     men, women = _load_sides(args.infile, "ordinal profile", OrdinalProfile.from_json_dict)
     pair = phi(men, women)
     payload = {
         "schema": 1,
-        "male_optimal": _assignment_json(pair.male_optimal),
-        "female_optimal": _assignment_json(pair.female_optimal),
+        "male_optimal": list(pair.male_optimal.pairing),
+        "female_optimal": list(pair.female_optimal.pairing),
     }
     if args.format == "text":
         lines = [
@@ -196,16 +183,13 @@ def _cmd_solve(args) -> str:
 def _cmd_stable_set(args) -> str:
     men, women = _load_sides(args.infile, "ordinal profile", OrdinalProfile.from_json_dict)
     stable = sorted(enumerate_stable(men, women), key=lambda a: a.pairing)
-    payload = {"schema": 1, "count": len(stable), "stable": [_assignment_json(a) for a in stable]}
+    payload = {"schema": 1, "count": len(stable), "stable": [list(a.pairing) for a in stable]}
     return _json_text(payload)
 
 
 def _cmd_robustness(args) -> str:
     market = _load_market(args)
-    try:
-        xi = robustness(market)
-    except DivisionByZeroUtility as exc:
-        _fail_validation(str(exc))
+    xi = robustness(market)
     cross = robustness_by_search(market, tol=args.tol)
     payload = {
         "schema": 1,

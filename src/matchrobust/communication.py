@@ -318,16 +318,9 @@ def bound_table(
     ):
         if not math.isfinite(value):
             raise ValueError(f"n is too large: {what} is past the float range")
-    det = (
-        t_for(size_bound),
-        t_for(log_genus_robustness_cap(genus, genus_scale)),
-        t_for(market_bound),
-    )
-    prob = (
-        t_for(size_bound),
-        t_for(log_genus_robustness_cap(genus, constants.genus_constant)),
-        t_for(market_bound),
-    )
+    by_size, by_market = t_for(size_bound), t_for(market_bound)
+    det = (by_size, t_for(log_genus_robustness_cap(genus, genus_scale)), by_market)
+    prob = (by_size, t_for(log_genus_robustness_cap(genus, constants.genus_constant)), by_market)
     return BoundTable(n, space_size, genus, constants, det, prob)
 
 

@@ -57,6 +57,14 @@ class DistortionReport:
     scale: float
 
 
+def _connected_distances(space: MetricSpace) -> np.ndarray:
+    """The space's distance matrix; ValueError when some pair is disconnected."""
+    dmat = space.distance_matrix()
+    if not np.isfinite(dmat).all():
+        raise ValueError("space must be connected (finite distances)")
+    return dmat
+
+
 def bourgain_embed(space: MetricSpace, quality: int = 10, seed: int = 0) -> EuclideanPlacement:
     """Distance-to-random-subset embedding into Euclidean space.
 
@@ -73,9 +81,7 @@ def bourgain_embed(space: MetricSpace, quality: int = 10, seed: int = 0) -> Eucl
         raise ValueError("need at least 2 vertices")
     if quality < 1:
         raise ValueError("quality >= 1 required")
-    dmat = space.distance_matrix()
-    if not np.isfinite(dmat).all():
-        raise ValueError("space must be connected (finite distances)")
+    dmat = _connected_distances(space)
     levels = int(math.floor(math.log2(v_count)))
     reps = quality * int(math.ceil(math.log(v_count)))
     rng = rng_for(seed)
@@ -98,9 +104,7 @@ def measure_distortion(space: MetricSpace, placement: EuclideanPlacement) -> Dis
     v_count = space.n_vertices
     if placement.points.shape[0] != v_count:
         raise ValueError("placement does not cover all vertices")
-    dmat = space.distance_matrix()
-    if not np.isfinite(dmat).all():
-        raise ValueError("distortion is only defined for connected spaces")
+    dmat = _connected_distances(space)
     pts = placement.points
     sq = np.sum(pts**2, axis=1)
     gram = pts @ pts.T

@@ -129,8 +129,10 @@ class MarketProfile:
 
     Each side stacks, once at construction, the table that robustness scans:
     row ``k * n + a`` of the read-only arrays ``table_ranks`` (intp) and
-    ``table_values`` (float64), both of shape ``(len(table_profiles) * n, n)``,
-    holds agent ``a``'s ranking and utilities at ``table_profiles[k]``.
+    ``table_values`` (float64) holds agent ``a``'s ranking and utilities at
+    ``table_profiles[k]``. An extensional side stacks every stored profile; a
+    rank-based side, whose agents all hold one ranking and one set of rank
+    utilities at every profile, stacks just agent 0's row, shape ``(1, n)``.
     """
 
     n: int
@@ -158,7 +160,7 @@ class RankBasedProfile(MarketProfile):
     that the induced ranking always recovers the input profile. Because the
     multiset of utility ratios is identical at every ordinal profile, any
     minimum over all profiles collapses to a single representative, the
-    identity profile, which is the whole table.
+    identity profile, and to agent 0's row of it, which is the whole table.
     """
 
     def __init__(self, n: int, rank_utilities: Sequence[float]):
@@ -174,9 +176,9 @@ class RankBasedProfile(MarketProfile):
         self.n = n
         self.rank_utilities = ru
         self.table_profiles = (OrdinalProfile._of_permutations(n, (tuple(range(n)),) * n),)
-        # Broadcast views: every agent holds the same row, and views are read-only.
-        self.table_ranks = np.broadcast_to(np.arange(n, dtype=np.intp), (n, n))
-        self.table_values = np.broadcast_to(np.array(ru), (n, n))
+        self.table_ranks = np.arange(n, dtype=np.intp).reshape(1, n)
+        self.table_values = np.array([ru])
+        self.table_ranks.flags.writeable = self.table_values.flags.writeable = False
 
     def utilities(self, profile: OrdinalProfile) -> UtilityProfile:
         if profile.n != self.n:

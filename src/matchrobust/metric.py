@@ -21,6 +21,7 @@ import numpy as np
 from .jsonvalues import json_int, json_number
 from .markets import UtilityProfile, _require
 from .ordinal import OrdinalProfile, TiePolicy, ordinal_from_utility
+from .seeding import rng_for
 
 _REL_TOL = 1e-9
 
@@ -170,7 +171,8 @@ class MetricSpace:
     Zero-weight edges would break the axiom that distinct points have
     positive distance, so their endpoints are merged at construction (the
     standard pseudometric quotient; shortest paths are unchanged).
-    ``quotient_map`` records where each original vertex ended up.
+    ``quotient_map`` records where each original vertex ended up, and
+    :meth:`place` maps a placement on the original vertices through it.
 
     Distances come by two independent routes. ``dist_row`` runs a heap
     Dijkstra from one source and caches the row; ``shortest_path`` uses the
@@ -218,6 +220,16 @@ class MetricSpace:
             self._adj[b].append((a, w))
         self._dist_rows: dict[int, tuple[float, ...]] = {}
         self._dist_matrix: np.ndarray | None = None
+
+    def place(self, alpha: Sequence[int], beta: Sequence[int]) -> Placement:
+        """The placement of agents at original vertices ``alpha`` and
+        alternatives at ``beta``, each mapped through the quotient. A vertex
+        outside the original ``0..vertex_count-1`` raises ValueError."""
+        qm = self.quotient_map
+        for v in (*alpha, *beta):
+            if not 0 <= v < len(qm):
+                raise ValueError(f"placement vertex {v} out of range")
+        return Placement(tuple(qm[v] for v in alpha), tuple(qm[v] for v in beta))
 
     def _dijkstra(self, source: int) -> tuple[list[float], list[int]]:
         dist = [math.inf] * self.n_vertices
@@ -328,18 +340,11 @@ def space_from_json_dict(data: dict) -> tuple[MetricSpace, Placement | None]:
     ]
     space = MetricSpace(json_int(data["vertices"], "vertices"), edges)
     placement = None
-    if "alpha" in data and "beta" in data:
-        qm = space.quotient_map
-
-        def vertex(v) -> int:
-            v = json_int(v, "placement vertex")
-            if not 0 <= v < len(qm):
-                raise ValueError(f"placement vertex {v} out of range")
-            return qm[v]
-
-        placement = Placement(
-            tuple(vertex(v) for v in data["alpha"]),
-            tuple(vertex(v) for v in data["beta"]),
+    if "alpha" in data or "beta" in data:  # a placement needs both
+        alpha, beta = data["alpha"], data["beta"]  # KeyError names a missing one
+        placement = space.place(
+            [json_int(v, "placement vertex") for v in alpha],
+            [json_int(v, "placement vertex") for v in beta],
         )
     return space, placement
 
@@ -389,14 +394,7 @@ def union_generating_space(
             edges += [(offset + a, offset + n + x, w) for x, w in enumerate(row)]
         offset += 2 * n
     space = MetricSpace(offset, edges)
-    qm = space.quotient_map
-    placements = [
-        Placement(
-            tuple(qm[off + a] for a in range(n)),
-            tuple(qm[off + n + x] for x in range(n)),
-        )
-        for off, n in offsets
-    ]
+    placements = [space.place(range(off, off + n), range(off + n, off + 2 * n)) for off, n in offsets]
     return space, placements
 
 
@@ -486,7 +484,7 @@ def path_preference_agreement_check(
         if x != xp
     ]
     if len(candidates) > _PATH_CHECK_SAMPLES:
-        rng = np.random.default_rng(_PATH_CHECK_SEED)
+        rng = rng_for(_PATH_CHECK_SEED)
         idx = rng.choice(len(candidates), size=_PATH_CHECK_SAMPLES, replace=False)
         candidates = [candidates[int(i)] for i in idx]
 

@@ -72,13 +72,7 @@ class OrdinalProfile:
 
     def position_table(self) -> list[list[int]]:
         """pos[a][x] = rank of alternative x for agent a. Fresh list each call."""
-        pos = []
-        for row in self.ranks:
-            inverse = [0] * self.n
-            for r, x in enumerate(row):
-                inverse[x] = r
-            pos.append(inverse)
-        return pos
+        return [_inverse(row) for row in self.ranks]
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "ranks": [list(row) for row in self.ranks]}
@@ -86,6 +80,14 @@ class OrdinalProfile:
     @classmethod
     def from_json_dict(cls, data: dict) -> "OrdinalProfile":
         return cls(n=json_int(data["n"], "n"), ranks=json_rows(data["ranks"], "rank", ints=True))
+
+
+def _inverse(perm) -> list[int]:
+    """The inverse of a permutation of 0..n-1: ``inv[perm[i]] = i``."""
+    inv = [0] * len(perm)
+    for i, x in enumerate(perm):
+        inv[x] = i
+    return inv
 
 
 @dataclass(frozen=True)
@@ -143,20 +145,9 @@ def deferred_acceptance(
     """
     if men.n != women.n:
         raise ValueError(f"size mismatch: men n={men.n}, women n={women.n}")
-    n = men.n
     if proposing_side is Side.MEN:
-        proposers, responders = men, women
-    else:
-        proposers, responders = women, men
-
-    engaged = _proposal_chain(proposers.ranks, responders.position_table())
-    if proposing_side is Side.MEN:
-        pairing = [0] * n
-        for w, m in enumerate(engaged):
-            pairing[m] = w
-        return Assignment(n, tuple(pairing))
-    # engaged maps man -> woman when women propose
-    return Assignment(n, tuple(engaged))
+        return Assignment(men.n, tuple(_inverse(_proposal_chain(men.ranks, women.position_table()))))
+    return Assignment(men.n, tuple(_proposal_chain(women.ranks, men.position_table())))
 
 
 def phi(men: OrdinalProfile, women: OrdinalProfile) -> StablePair:
@@ -173,9 +164,7 @@ def _blocking(men_ranks, women_pos, pairing) -> Iterator[tuple[int, int]]:
     A man scans his ranking down to his partner; a woman he meets on the way
     blocks with him if she ranks him above her own partner.
     """
-    inv = [0] * len(pairing)
-    for m, w in enumerate(pairing):
-        inv[w] = m
+    inv = _inverse(pairing)
     for m, partner in enumerate(pairing):
         for w in men_ranks[m]:
             if w == partner:
@@ -268,9 +257,7 @@ def _first_flip(r: OrdinalProfile, r_prime: OrdinalProfile) -> tuple[int, int, i
         if row == prime_row:
             continue
         k = next(i for i, (x, y) in enumerate(zip(row, prime_row)) if x != y)
-        prime_pos = [0] * r.n
-        for i, x in enumerate(prime_row):
-            prime_pos[x] = i
+        prime_pos = _inverse(prime_row)
         above = prime_pos[row[k]]
         return a, row[k], next(x for x in row[k + 1 :] if prime_pos[x] < above)
     raise RuntimeError("distinct profiles must disagree on some pair; this is a bug")

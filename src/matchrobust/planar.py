@@ -231,10 +231,7 @@ def search_planar_representation(
             idx = rng.choice(len(full_edges), size=keep, replace=False)
             edges = [full_edges[int(i)] for i in idx]
             space = MetricSpace(2 * n, edges)
-            qm = space.quotient_map
-            placement = Placement(
-                tuple(qm[a] for a in range(n)), tuple(qm[n + x] for x in range(n))
-            )
+            placement = space.place(range(n), range(n, 2 * n))
         else:
             v = int(rng.integers(4, 15))
             extra = int(rng.integers(0, 2 * v))

@@ -11,8 +11,8 @@ and reruns deferred acceptance, and provides the probabilistic spike
 construction that separates deterministic from probabilistic robustness.
 
 Both routes read the table each market side stacks once at construction
-(``table_profiles``, ``table_ranks``, ``table_values``: the representative
-profile of a rank-based side, the stored entries of an extensional one).
+(``table_profiles``, ``table_ranks``, ``table_values``: one representative
+agent's row of a rank-based side, the stored entries of an extensional one).
 The formula route forms consecutive utility ratios from it, and the
 bisection search, which never forms a ratio, re-extracts every
 single-entry perturbation of a side at once, one stable ``argsort`` per
@@ -50,8 +50,8 @@ from .ordinal import (
 from .seeding import rng_for
 
 
-class DivisionByZeroUtility(ZeroDivisionError):
-    """A zero utility appeared in a ratio denominator."""
+class DivisionByZeroUtility(ZeroDivisionError, ValueError):
+    """A zero utility appeared in a ratio denominator, so no robustness number exists."""
 
     def __init__(self, side: str, profile: OrdinalProfile, agent: int, alternative: int):
         super().__init__(
@@ -73,19 +73,27 @@ def _consecutive(side: MarketProfile) -> tuple[np.ndarray, np.ndarray]:
     return ranked[:, :-1], ranked[:, 1:]
 
 
+def _first_hit(market: MatchingMarket, c: float) -> tuple[str, MarketProfile, int, int] | None:
+    """``(name, side, row, position)`` of the first table entry, in scan order
+    (side, row, position), whose utility scaled by ``c`` is not strictly above
+    the utility ranked just below it; None when there is none."""
+    for name, side in (("men", market.men), ("women", market.women)):
+        upper, lower = _consecutive(side)
+        # c * upper may overflow, and is NaN at c = inf and a zero utility.
+        with np.errstate(over="ignore", invalid="ignore"):
+            hits = np.flatnonzero(~(c * upper > lower))
+        if hits.size:
+            return (name, side, *divmod(int(hits[0]), upper.shape[1]))
+    return None
+
+
 def is_c_robust(market: MatchingMarket, c: float) -> bool:
     """Strict ratio condition: for every profile and every agent, scaling the
     utility of a preferred alternative by ``c`` keeps it strictly above the
     utility of everything ranked below it."""
     if not c >= 1.0:
         raise ValueError("c must be >= 1")
-    for side in (market.men, market.women):
-        upper, lower = _consecutive(side)
-        # c * upper may overflow, and is NaN at c = inf and a zero utility.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not (c * upper > lower).all():
-                return False
-    return True
+    return _first_hit(market, c) is None
 
 
 def robustness(market: MatchingMarket) -> float:
@@ -193,13 +201,8 @@ def adversarial_witness(market: MatchingMarket, c: float) -> AdversarialWitness 
     """
     if not 1.0 <= c < math.inf:
         raise ValueError("c must be finite and >= 1")
-    for name, side in (("men", market.men), ("women", market.women)):
-        upper, lower = _consecutive(side)
-        with np.errstate(over="ignore"):
-            hits = np.flatnonzero(c * upper <= lower)
-        if hits.size:
-            return _build_witness(name, side, *divmod(int(hits[0]), upper.shape[1]), c)
-    return None
+    hit = _first_hit(market, c)
+    return None if hit is None else _build_witness(*hit, c)
 
 
 #: Elements per temporary array in one level-scan block (2 MiB of float64).

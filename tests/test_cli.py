@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchrobust.cli import EX_DATAERR, EX_USAGE, EX_VALIDATION, _json_text, build_parser, main
@@ -1259,7 +1259,7 @@ def _malformed_space(draw) -> str:
     fault = draw(
         st.sampled_from(
             ("missing", "vertices", "edges", "edge", "endpoint", "weight", "ragged",
-             "out_of_range", "negative", "placement")
+             "out_of_range", "negative", "placement", "half_placement")
         )
     )
     if fault == "missing":
@@ -1286,6 +1286,11 @@ def _malformed_space(draw) -> str:
         )
     elif fault == "negative":
         edges[e][2] = draw(st.floats(max_value=-5e-324))
+    elif fault == "half_placement":
+        # One of alpha and beta without the other, whatever the one holds.
+        data.pop("alpha", None)
+        data.pop("beta", None)
+        data[draw(st.sampled_from(("alpha", "beta")))] = draw(st.sampled_from(([0], "junk", None, [])))
     else:
         data["alpha"], data["beta"] = [0], [0]
         data[draw(st.sampled_from(("alpha", "beta")))] = [
@@ -1434,6 +1439,7 @@ class TestMalformedInputFuzz:
         ),
         _truncated(_valid_space()) | _WRONG_TOP_LEVEL | _malformed_space(),
     )
+    @example(argv=("planarity",), text='{"vertices": 2, "edges": [[0, 1, 1.0]], "alpha": "junk"}')
     def test_space_input_is_65(self, tmp_path_factory, argv, text):
         _assert_malformed(tmp_path_factory.getbasetemp(), argv, text)
 

@@ -85,7 +85,7 @@ def test_robustness_routes_stay_independent():
     # and the deferred-acceptance check of a witness.
     tree = ast.parse((ROOT / "src" / "matchrobust" / "robustness.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("is_c_robust", "robustness", "adversarial_witness"):
+    for name in ("is_c_robust", "robustness", "adversarial_witness", "_first_hit", "_consecutive"):
         names = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
         assert not names & {"_first_break", "_breakable"}, name
     # Block sizing uses integer ``//``; a true division would be a ratio.
