@@ -6,6 +6,10 @@ usage, 65 malformed input file.
 All stochastic subcommands take a --seed (default 1729) and identical
 invocations produce byte-identical outputs. File schemas are documented in
 docs/formats.md and carry a top-level "schema": 1 field.
+
+Handlers return CSV or text as a string and a JSON payload as a dict without
+"schema"; ``main`` alone writes output and adds "schema": 1 to every JSON
+payload. ``--help`` shows the paragraphs above this one.
 """
 
 from __future__ import annotations
@@ -163,64 +167,55 @@ def _load(path: str, what: str, parse):
     return _parse(path, what, parse, _load_json(path))
 
 
-def _cmd_solve(args) -> str:
+def _cmd_solve(args) -> dict | str:
     men, women = _load_sides(args.infile, "ordinal profile", OrdinalProfile.from_json_dict)
     pair = phi(men, women)
-    payload = {
-        "schema": 1,
-        "male_optimal": list(pair.male_optimal.pairing),
-        "female_optimal": list(pair.female_optimal.pairing),
-    }
     if args.format == "text":
         lines = [
             "male-optimal:   " + " ".join(f"{m}->{w}" for m, w in enumerate(pair.male_optimal.pairing)),
             "female-optimal: " + " ".join(f"{m}->{w}" for m, w in enumerate(pair.female_optimal.pairing)),
         ]
         return "\n".join(lines) + "\n"
-    return _json_text(payload)
+    return {
+        "male_optimal": list(pair.male_optimal.pairing),
+        "female_optimal": list(pair.female_optimal.pairing),
+    }
 
 
-def _cmd_stable_set(args) -> str:
+def _cmd_stable_set(args) -> dict:
     men, women = _load_sides(args.infile, "ordinal profile", OrdinalProfile.from_json_dict)
     stable = sorted(enumerate_stable(men, women), key=lambda a: a.pairing)
-    payload = {"schema": 1, "count": len(stable), "stable": [list(a.pairing) for a in stable]}
-    return _json_text(payload)
+    return {"count": len(stable), "stable": [list(a.pairing) for a in stable]}
 
 
-def _cmd_robustness(args) -> str:
+def _cmd_robustness(args) -> dict:
     market = _load_market(args)
     xi = robustness(market)
     cross = robustness_by_search(market, tol=args.tol)
-    payload = {
-        "schema": 1,
+    return {
         "n": market.n,
         "robustness": xi,
         "bisection": cross,
         "difference": 0.0 if xi == cross else abs(xi - cross),
         "tol": args.tol,
     }
-    return _json_text(payload)
 
 
-def _cmd_witness(args) -> str:
-    market = _load_market(args)
-    witness = adversarial_witness(market, args.c)
+def _cmd_witness(args) -> dict:
+    witness = adversarial_witness(_load_market(args), args.c)
     if witness is None:
-        payload = {"schema": 1, "c": args.c, "witness": None}
-    else:
-        payload = {
-            "schema": 1,
-            "c": args.c,
-            "witness": {
-                "side": witness.side,
-                "profile": witness.profile.to_json_dict(),
-                "perturbation": witness.perturbation.to_json_dict(),
-                "perturbed_profile": witness.perturbed_profile.to_json_dict(),
-                "distinguishing": witness.distinguishing.to_json_dict(),
-                "tie_created": witness.tie_created,
-            },
-        }
-    return _json_text(payload)
+        return {"c": args.c, "witness": None}
+    return {
+        "c": args.c,
+        "witness": {
+            "side": witness.side,
+            "profile": witness.profile.to_json_dict(),
+            "perturbation": witness.perturbation.to_json_dict(),
+            "perturbed_profile": witness.perturbed_profile.to_json_dict(),
+            "distinguishing": witness.distinguishing.to_json_dict(),
+            "tie_created": witness.tie_created,
+        },
+    }
 
 
 def _cmd_appendix_a(args) -> str:
@@ -233,35 +228,33 @@ def _cmd_appendix_a(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_polarity(args) -> str:
+def _cmd_polarity(args) -> dict:
     u = _load(args.infile, "utility profile", UtilityProfile.from_json_dict)
     check = is_polarized(u)
-    payload = {"schema": 1, "polarized": check.ok}
+    payload = {"polarized": check.ok}
     if not check.ok:
         a, ap, x, xp = check.violation
         payload["violation"] = {"a": a, "a_prime": ap, "x": x, "x_prime": xp}
-    return _json_text(payload)
+    return payload
 
 
-def _cmd_genspace(args) -> str:
+def _cmd_genspace(args) -> dict:
     u = _load(args.infile, "utility profile", UtilityProfile.from_json_dict)
     space, placement = build_generating_space(u)
     if args.dot:
         _write_text(args.dot, space.to_dot())
-    return _json_text(space_to_json_dict(space, placement))
+    return space_to_json_dict(space, placement)
 
 
-def _cmd_planarity(args) -> str:
+def _cmd_planarity(args) -> dict:
     space, _placement = _load(args.infile, "metric space", space_from_json_dict)
     bound = genus_lower_bound(space)  # each nonplanar component adds at least 1
-    payload = {
-        "schema": 1,
+    return {
         "vertices": space.n_vertices,
         "edges": len(space.edges),
         "planar": bound == 0,
         "genus_lower_bound": bound,
     }
-    return _json_text(payload)
 
 
 def _cmd_embed(args) -> str:
@@ -275,12 +268,11 @@ def _cmd_embed(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_distortion(args) -> str:
+def _cmd_distortion(args) -> dict:
     space, _placement = _load(args.infile, "metric space", space_from_json_dict)
     placement = emb.bourgain_embed(space, quality=args.quality, seed=args.seed)
     report = emb.measure_distortion(space, placement)
-    payload = {
-        "schema": 1,
+    return {
         "vertices": space.n_vertices,
         "dim": placement.dim,
         "max_expansion": report.max_expansion,
@@ -289,13 +281,11 @@ def _cmd_distortion(args) -> str:
         "quality": args.quality,
         "seed": args.seed,
     }
-    return _json_text(payload)
 
 
-def _cmd_banach_search(args) -> str:
+def _cmd_banach_search(args) -> dict:
     result = emb.maximize_euclidean_robustness(args.dim, args.restarts, args.iters, args.seed)
-    payload = {
-        "schema": 1,
+    return {
         "dim": args.dim,
         "restarts": args.restarts,
         "iters": args.iters,
@@ -305,7 +295,6 @@ def _cmd_banach_search(args) -> str:
         "alpha": [list(p) for p in result.alpha] if result.alpha else None,
         "beta": [list(p) for p in result.beta] if result.beta else None,
     }
-    return _json_text(payload)
 
 
 def _functions_from_args(args):
@@ -324,29 +313,21 @@ def _functions_from_args(args):
     return _parse(args.config, "config", comm.functions_from_config, sections)
 
 
-def _cmd_commreq(args) -> str:
+def _cmd_commreq(args) -> dict:
     h, d, _constants = _functions_from_args(args)
-    payload = {
-        "schema": 1,
+    return {
         "n": args.n,
         "xi": args.xi,
         "hardness": asdict(h),
         "decay": asdict(d),
         "requirement": comm.communication_requirement(args.xi, h, d, args.n),
     }
-    return _json_text(payload)
 
 
 def _cmd_bound_table(args) -> str:
     h, d, constants = _functions_from_args(args)
     table = comm.bound_table(args.n, args.space_size, args.genus, h, d, constants)
     return table.to_csv() if args.format == "csv" else table.to_text()
-
-
-def _add_common(p, seed=False):
-    p.add_argument("--out", help="output path (default: stdout)")
-    if seed:
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="64-bit seed (default 1729)")
 
 
 def _add_market_inputs(p):
@@ -369,94 +350,78 @@ def _add_function_flags(p):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="matchrobust", description=__doc__)
+    parser = _Parser(prog="matchrobust", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, help):
-        return sub.add_parser(name, help=help, description=help)
+    def add(name, help, func):
+        p = sub.add_parser(name, help=help, description=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = add("solve", help="deferred-acceptance operator: both optimal stable assignments")
+    p = add("solve", "deferred-acceptance operator: both optimal stable assignments", _cmd_solve)
     p.add_argument("--in", dest="infile", required=True, help="ordinal market JSON")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    _add_common(p)
-    p.set_defaults(func=_cmd_solve)
 
-    p = add("stable-set", help="brute-force enumeration of all stable assignments")
+    p = add("stable-set", "brute-force enumeration of all stable assignments", _cmd_stable_set)
     p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_stable_set)
 
-    p = add("robustness", help="ratio-minimum robustness with bisection cross-check")
+    p = add("robustness", "ratio-minimum robustness with bisection cross-check", _cmd_robustness)
     _add_market_inputs(p)
     p.add_argument("--tol", type=float, default=1e-6)
-    _add_common(p)
-    p.set_defaults(func=_cmd_robustness)
 
-    p = add("witness", help="single-entry perturbation that provably changes a stable pair")
+    p = add("witness", "single-entry perturbation that provably changes a stable pair", _cmd_witness)
     _add_market_inputs(p)
     p.add_argument("--c", type=float, required=True, help="perturbation level")
-    _add_common(p)
-    p.set_defaults(func=_cmd_witness)
 
-    p = add("appendix-a", help="critical market + spike sampler Monte Carlo (preservation fraction)")
+    p = add("appendix-a", "critical market + spike sampler Monte Carlo (preservation fraction)",
+            _cmd_appendix_a)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
-    _add_common(p, seed=True)
-    p.set_defaults(func=_cmd_appendix_a)
 
-    p = add("polarity", help="check the polarity inequality over all quadruples")
+    p = add("polarity", "check the polarity inequality over all quadruples", _cmd_polarity)
     p.add_argument("--in", dest="infile", required=True, help="utility profile JSON")
-    _add_common(p)
-    p.set_defaults(func=_cmd_polarity)
 
-    p = add("genspace", help="bipartite generating metric space of a polarized profile")
+    p = add("genspace", "bipartite generating metric space of a polarized profile", _cmd_genspace)
     p.add_argument("--in", dest="infile", required=True, help="utility profile JSON")
     p.add_argument("--dot", help="also write DOT text here")
-    _add_common(p)
-    p.set_defaults(func=_cmd_genspace)
 
-    p = add("planarity", help="planarity and Euler genus lower bound of a space")
+    p = add("planarity", "planarity and Euler genus lower bound of a space", _cmd_planarity)
     p.add_argument("--in", dest="infile", required=True, help="metric space JSON")
-    _add_common(p)
-    p.set_defaults(func=_cmd_planarity)
 
-    p = add("embed", help="distance-to-subset Euclidean embedding (CSV placement)")
+    p = add("embed", "distance-to-subset Euclidean embedding (CSV placement)", _cmd_embed)
     p.add_argument("--in", dest="infile", required=True, help="metric space JSON")
     p.add_argument("--quality", type=int, default=10)
-    _add_common(p, seed=True)
-    p.set_defaults(func=_cmd_embed)
 
-    p = add("distortion", help="embed and report normalized distortion")
+    p = add("distortion", "embed and report normalized distortion", _cmd_distortion)
     p.add_argument("--in", dest="infile", required=True, help="metric space JSON")
     p.add_argument("--quality", type=int, default=10)
-    _add_common(p, seed=True)
-    p.set_defaults(func=_cmd_distortion)
 
-    p = add("banach-search", help="multistart search for the Euclidean robustness cap (<= 3)")
+    p = add("banach-search", "multistart search for the Euclidean robustness cap (<= 3)",
+            _cmd_banach_search)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--iters", type=int, default=200)
-    _add_common(p, seed=True)
-    p.set_defaults(func=_cmd_banach_search)
 
-    p = add("commreq", help="communication requirement T = D^-1(H(n)/xi)")
+    p = add("commreq", "communication requirement T = D^-1(H(n)/xi)", _cmd_commreq)
     p.add_argument("--xi", type=float, default=1.0, help="robustness, or inf for the infinite sentinel")
     p.add_argument("--n", type=int, required=True)
     _add_function_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_commreq)
 
-    p = add("bound-table", help="communication lower bounds by |X|, genus, and n")
+    p = add("bound-table", "communication lower bounds by |X|, genus, and n", _cmd_bound_table)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--space-size", type=int, required=True)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--format", choices=("csv", "text"), default="csv")
     _add_function_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_bound_table)
 
+    # The shared options come last, so each --help lists them after the
+    # subcommand's own; the four stochastic subcommands also take --seed.
+    for name, p in sub.choices.items():
+        p.add_argument("--out", help="output path (default: stdout)")
+        if name in ("appendix-a", "embed", "distortion", "banach-search"):
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="64-bit seed (default 1729)")
     return parser
 
 
@@ -470,7 +435,8 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             _PARSER.print_usage(sys.stderr)
             return EX_USAGE
-        text = args.func(args)
+        result = args.func(args)
+        text = result if isinstance(result, str) else _json_text({"schema": 1, **result})
         if args.out:
             _write_text(args.out, text)
         else:

@@ -197,16 +197,11 @@ def admissibility_report(
     if len(xi_sequence) < 3:
         raise ValueError("need at least 3 sample points")
     rows = []
-    ratios = []
-    ns = []
     for n, xi in sorted(xi_sequence):
         hn = h.value(n)
         ratio = 0.0 if math.isinf(xi) else hn / xi
-        t = communication_requirement(xi, h, d, n)
-        rows.append((n, float(xi), hn, ratio, t))
-        ns.append(n)
-        ratios.append(ratio)
-    positive = [(n, r) for n, r in zip(ns, ratios) if r > 0]
+        rows.append((n, float(xi), hn, ratio, communication_requirement(xi, h, d, n)))
+    positive = [(n, ratio) for n, _xi, _hn, ratio, _t in rows if ratio > 0]
     if len(positive) >= 2:
         log_n = np.log([n for n, _ in positive])
         log_r = np.log([r for _, r in positive])
@@ -250,15 +245,15 @@ class BoundTable:
     deterministic: tuple[float, float, float]  # (by size, by genus, by n)
     probabilistic: tuple[float, float, float]
 
+    def _rows(self):
+        return (("deterministic", self.deterministic), ("probabilistic", self.probabilistic))
+
     def to_csv(self) -> str:
         lines = [
             "requirement,by_space_size,by_genus,by_market_size,"
             "size_constant,genus_constant,market_constant"
         ]
-        for name, cells in (
-            ("deterministic", self.deterministic),
-            ("probabilistic", self.probabilistic),
-        ):
+        for name, cells in self._rows():
             lines.append(
                 f"{name},{cells[0]:.10g},{cells[1]:.10g},{cells[2]:.10g},"
                 f"{self.constants.size_constant:.10g},"
@@ -268,17 +263,9 @@ class BoundTable:
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        head = (
-            f"{'requirement':<14} {'by |X|':>14} {'by genus':>14} {'by n':>14}"
-        )
-        rows = [head]
-        for name, cells in (
-            ("deterministic", self.deterministic),
-            ("probabilistic", self.probabilistic),
-        ):
-            rows.append(
-                f"{name:<14} {cells[0]:>14.6g} {cells[1]:>14.6g} {cells[2]:>14.6g}"
-            )
+        rows = [f"{'requirement':<14} {'by |X|':>14} {'by genus':>14} {'by n':>14}"]
+        for name, cells in self._rows():
+            rows.append(f"{name:<14} {cells[0]:>14.6g} {cells[1]:>14.6g} {cells[2]:>14.6g}")
         rows.append(
             f"constants: size={self.constants.size_constant:g} "
             f"genus={self.constants.genus_constant:g} "

@@ -17,8 +17,10 @@ The formula route forms consecutive utility ratios from it, and the
 bisection search, which never forms a ratio, re-extracts every
 single-entry perturbation of a side at once, one stable ``argsort`` per
 block of perturbed rows standing in for sorting each row by (-utility,
-index). A changed order or an exact tie breaks the level, and the first
-break is confirmed through deferred acceptance.
+index). Each temporary of that scan holds at most ``_SCAN_BLOCK_ELEMENTS``
+entries (2 MiB of float64), or one row when n is larger, at every n. A
+changed order or an exact tie breaks the level, and the first break is
+confirmed through deferred acceptance.
 """
 
 from __future__ import annotations
@@ -215,25 +217,26 @@ def _first_break(ranks: np.ndarray, values: np.ndarray, c: float) -> tuple[int, 
 
     Entry ``[row, i]`` multiplies the utility of alternative ``ranks[row, i]``
     by ``c`` and re-extracts the row with the ordinal extraction's stable sort,
-    which orders by (-value, index) exactly as index tie-breaking does. Rows
-    are walked in blocks so temporaries stay bounded at any n.
+    which orders by (-value, index) exactly as index tie-breaking does. The
+    perturbations are walked in row-major order ``k = row * n + i``, in blocks
+    of ``_SCAN_BLOCK_ELEMENTS // n`` perturbed rows (at least one), so each
+    temporary holds at most ``max(n, _SCAN_BLOCK_ELEMENTS)`` elements at any n.
     """
     rows, n = ranks.shape
-    block = max(1, _SCAN_BLOCK_ELEMENTS // (n * n))
-    positions = np.arange(n)
-    for start in range(0, rows, block):
-        r = ranks[start : start + block]
-        v = values[start : start + block]
-        local = np.arange(len(r))[:, None]
-        perturbed = np.repeat(v[:, None, :], n, axis=1)
+    block = max(1, _SCAN_BLOCK_ELEMENTS // n)
+    for start in range(0, rows * n, block):
+        k = np.arange(start, min(start + block, rows * n))
+        row = k // n
+        r = ranks.take(row, axis=0)
+        perturbed = values.take(row, axis=0)
+        # Flat index in ``perturbed`` of each copy's entry ranks[row, i].
+        entry = np.arange(0, k.size * n, n) + ranks.take(k)
         with np.errstate(over="ignore"):
-            perturbed[local, positions, r] = v[local, r] * c
+            perturbed.reshape(-1)[entry] *= c
         order, ties = _stable_ranking(perturbed)
-        breaks = (order != r[:, None, :]).any(axis=2) | ties.any(axis=2)
-        hits = np.flatnonzero(breaks)
+        hits = np.flatnonzero((order != r).any(axis=1) | ties.any(axis=1))
         if hits.size:
-            row, position = divmod(int(hits[0]), n)
-            return start + row, position
+            return divmod(start + int(hits[0]), n)
     return None
 
 
@@ -272,9 +275,8 @@ def robustness_by_search(market: MatchingMarket, tol: float = 1e-6) -> float:
         raise ValueError("tol must be finite")
     if market.n == 1:
         return math.inf
+    # Level 1 is never scanned: it changes no utility of a strictly ordered table.
     lo, hi = 1.0, 2.0
-    if _breakable(lo, market):
-        return lo
     while not _breakable(hi, market):
         if hi == sys.float_info.max:
             return math.inf

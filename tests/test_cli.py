@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from matchrobust import cli as cli_module
 from matchrobust.cli import EX_DATAERR, EX_USAGE, EX_VALIDATION, _json_text, build_parser, main
 from matchrobust.communication import DECAY_FAMILIES, HARDNESS_FAMILIES
 
@@ -85,6 +86,13 @@ class TestExitCodes:
 
     def test_no_subcommand_is_64(self, capsys):
         assert run(capsys, *[])[0] == EX_USAGE
+
+    def test_entrypoint_exits_with_the_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["matchrobust", "frobnicate"])
+        with pytest.raises(SystemExit) as exc:
+            cli_module.entrypoint()
+        assert exc.value.code == EX_USAGE
+        assert capsys.readouterr().err.startswith("error: 64:")
 
     def test_malformed_json_is_65_with_position(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -259,6 +267,15 @@ class TestExitCodes:
         bad = tmp_path / "nan_ext.json"
         bad.write_text(json.dumps({"schema": 1, "men": side, "women": side}))
         assert run(capsys, "robustness", "--in", str(bad))[0] == EX_DATAERR
+
+    def test_two_extensional_entries_for_one_profile_are_65(self, capsys, tmp_path):
+        entry = {"ranks": [[0, 1], [1, 0]], "values": [[-1.0, -2.0], [-2.0, -1.0]]}
+        side = {"kind": "extensional", "n": 2, "entries": [entry, entry]}
+        bad = tmp_path / "dup_ext.json"
+        bad.write_text(json.dumps({"schema": 1, "men": side, "women": side}))
+        code, out, err = run(capsys, "robustness", "--in", str(bad))
+        assert code == EX_DATAERR and out == ""
+        assert "two entries for ranks [[0, 1], [1, 0]]" in err
 
     def test_nan_utilities_file_is_65(self, capsys, tmp_path):
         bad = tmp_path / "nan_u.json"

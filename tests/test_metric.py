@@ -24,6 +24,7 @@ from matchrobust import (
     utilities_from_space,
     verify_generating,
 )
+from matchrobust import metric
 from matchrobust.metric import (
     _LOCK_STEP_MIN_VERTICES,
     _all_sources_dijkstra,
@@ -31,6 +32,7 @@ from matchrobust.metric import (
     space_from_json_dict,
     space_to_json_dict,
 )
+from matchrobust.seeding import rng_for
 
 from conftest import band_utup, reference_is_polarized
 
@@ -512,6 +514,15 @@ class TestPathAgreement:
             checked += 1
             assert bool(path_preference_agreement_check(space, placement, r))
         assert checked > 200
+
+    def test_seven_agents_sample_the_candidates(self, rng, monkeypatch):
+        # 21 agent pairs x 42 ordered alternative pairs = 882 candidates > 500.
+        u = band_utup(7, rng)
+        space, placement = build_generating_space(u)
+        seeds = []
+        monkeypatch.setattr(metric, "rng_for", lambda seed: seeds.append(seed) or rng_for(seed))
+        assert bool(path_preference_agreement_check(space, placement, ordinal_from_utility(u)))
+        assert seeds == [metric._PATH_CHECK_SEED]
 
     def test_representation_mismatch_rejected(self, rng):
         u = band_utup(3, rng)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from matchrobust import (
@@ -38,8 +38,9 @@ from matchrobust import (
     sufficient_robustness_level,
     uniform_profile,
 )
+from matchrobust.markets import rank_scatter
 from matchrobust.ordinal import TiePolicy
-from matchrobust.robustness import _adjacent_swap, _first_break, _trial_blocks
+from matchrobust.robustness import _adjacent_swap, _breakable, _first_break, _trial_blocks
 from matchrobust.seeding import rng_for
 
 from conftest import reference_consecutive_pairs, reference_first_break, reference_spike_flips
@@ -182,6 +183,7 @@ class TestBisectionOracle:
 # Utilities at the edges: signed zeros, subnormals, and values that
 # overflow to -inf under any level above 1.8.
 _EDGE_UTILITIES = (0.0, -0.0, -5e-324, -1e-308, -0.5, -1.0, -2.0, -3.0, -1e300, -1e308, -math.inf)
+_EDGE_POOL = st.one_of(st.sampled_from(_EDGE_UTILITIES), st.floats(-1e308, 0.0))
 
 
 def _levels(values):
@@ -218,8 +220,7 @@ def _stack(side, profiles):
 @st.composite
 def rank_scan_case(draw):
     n = draw(st.integers(2, 8))
-    pool = st.one_of(st.sampled_from(_EDGE_UTILITIES), st.floats(-1e308, 0.0))
-    ru = sorted(draw(st.lists(pool, min_size=n, max_size=n, unique=True)), reverse=True)
+    ru = sorted(draw(st.lists(_EDGE_POOL, min_size=n, max_size=n, unique=True)), reverse=True)
     ranking = st.permutations(range(n)).map(tuple)
     profiles = draw(
         st.lists(
@@ -231,8 +232,55 @@ def rank_scan_case(draw):
     return RankBasedProfile(n, ru), profiles
 
 
+@st.composite
+def extensional_scan_case(draw):
+    """An extensional side storing 1-3 profiles, each agent's utilities drawn
+    apart (edge values included) and scattered by its ranking."""
+    n = draw(st.integers(2, 6))
+    ranking = st.permutations(range(n)).map(tuple)
+    profile = st.lists(ranking, min_size=n, max_size=n).map(lambda rows: OrdinalProfile(n, tuple(rows)))
+    table = {}
+    for r in draw(st.lists(profile, min_size=1, max_size=3, unique=True)):
+        rows = [
+            sorted(draw(st.lists(_EDGE_POOL, min_size=n, max_size=n, unique=True)), reverse=True)
+            for _ in range(n)
+        ]
+        table[r] = UtilityProfile(n, rank_scatter(r.ranks, rows))
+    return ExtensionalProfile(n, table)
+
+
+def _table_rows(side):
+    return list(zip(map(tuple, side.table_ranks.tolist()), side.table_values.tolist()))
+
+
 class TestLevelScan:
     """The batched level scan against the per-entry reference re-extraction."""
+
+    @given(st.one_of(rank_scan_case().map(lambda case: case[0]), extensional_scan_case()), st.data())
+    def test_blocks_that_split_rows_match_reference(self, side, data):
+        # Blocks of 1, 7 and n - 1 perturbations end inside a row.
+        rows = _table_rows(side)
+        row = data.draw(st.integers(0, len(rows) - 1))
+        for elements in (1, 7, side.n - 1):
+            with mock.patch.object(robustness_module, "_SCAN_BLOCK_ELEMENTS", elements):
+                for c in _levels(rows[row][1]):
+                    got = _first_break(side.table_ranks, side.table_values, c)
+                    assert got == reference_first_break(rows, c)
+
+    @given(
+        st.one_of(
+            rank_scan_case().map(lambda case: case[0]),
+            extensional_scan_case(),
+            st.integers(0, 2**32 - 1).map(
+                lambda seed: random_extensional_market(3, np.random.default_rng(seed)).men
+            ),
+        )
+    )
+    @example(RankBasedProfile(3, (0.0, -5e-324, -math.inf)))
+    @example(RankBasedProfile(2, (-5e-324, -math.inf)))
+    def test_level_one_never_breaks(self, side):
+        # robustness_by_search never scans the lower end 1 of its bracket.
+        assert not _breakable(1.0, MatchingMarket(side, side))
 
     @given(rank_scan_case())
     def test_rank_markets_match_reference(self, case):
