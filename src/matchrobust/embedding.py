@@ -134,18 +134,50 @@ def _dist(p, q) -> float:
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(p, q)))
 
 
-def _condorcet_value(points) -> float | None:
-    """Min of the six consecutive distance ratios of the cyclic profile over
-    six float rows (three agents, then three alternatives), or None at the
-    first agent that does not realize its ranking strictly at nonzero
-    distance."""
+#: The cyclic profile's ranking read from a flat distance table, where cell
+#: 3 * a + b holds agent a's distance to alternative b: each agent's three
+#: cells, best first.
+_CYCLIC_CELLS = tuple(
+    tuple(3 * a + b for b in order) for a, order in enumerate(_CONDORCET_RANKS)
+)
+
+#: The table cells whose distances change when one of the six rows moves,
+#: as (cell, agent row, alternative row): an agent's row of cells, or an
+#: alternative's column.
+_MOVED_CELLS = tuple(
+    tuple((3 * a + b, a, 3 + b) for a in range(3) for b in range(3) if moved in (a, 3 + b))
+    for moved in range(6)
+)
+
+
+def _distance_table(points) -> list[float]:
+    """Flat agent-by-alternative table of ``_dist`` over six float rows."""
+    return [_dist(agent, alternative) for agent in points[:3] for alternative in points[3:]]
+
+
+def _refresh(table: list[float], points, cells) -> None:
+    """Recompute ``cells`` of the distance table from the rows as they stand."""
+    for k, a, b in cells:
+        table[k] = _dist(points[a], points[b])
+
+
+def _cyclic_value(table: list[float]) -> float | None:
+    """Min of the six consecutive distance ratios of the cyclic profile, or
+    None at the first agent that does not realize its ranking strictly at
+    nonzero distance."""
     best = math.inf
-    for agent, order in zip(points, _CONDORCET_RANKS):
-        d0, d1, d2 = [_dist(agent, points[3 + b]) for b in order]
+    for i0, i1, i2 in _CYCLIC_CELLS:
+        d0, d1, d2 = table[i0], table[i1], table[i2]
         if not 0.0 < d0 < d1 < d2:
             return None
         best = min(best, d1 / d0, d2 / d1)
     return best
+
+
+def _condorcet_value(points) -> float | None:
+    """:func:`_cyclic_value` of six float rows (three agents, then three
+    alternatives)."""
+    return _cyclic_value(_distance_table(points))
 
 
 def euclidean_profile_robustness(points_alpha, points_beta) -> float:
@@ -229,6 +261,16 @@ def maximize_euclidean_robustness(
     candidate evaluations per restart, so doubling it extends each
     trajectory and can only improve the result.
 
+    Each restart keeps the nine agent-to-alternative distances in a table
+    (:func:`_distance_table`), and a move recomputes through ``_dist`` only
+    the three it changes: the moved agent's row or the moved alternative's
+    column, in a copy of the table. A rejected move is undone with
+    ``row[c] -= move`` and its copy dropped; since ``(x + m) - m`` need not
+    equal ``x``, the kept table is recomputed from the row as it now stands
+    when the coordinate did not come back exactly. So every table entry
+    equals ``_dist`` of the current rows, and each evaluation gives what
+    :func:`_condorcet_value` would.
+
     One dimension is decided without drawing: on a line every ranking by
     distance is single-peaked, so the middle alternative is never last,
     while the cyclic profile ranks each alternative last for some agent.
@@ -245,26 +287,32 @@ def maximize_euclidean_robustness(
         if start is None:
             continue
         points, value = start
+        table = _distance_table(points)
         feasible_restarts += 1
         step = 0.5
         evals = 0
         while evals < iters and step > 1e-12:
             improved = False
             moves = [(c, move) for c in range(dim) for move in (step, -step)]
-            for row in points:
+            for row, cells in zip(points, _MOVED_CELLS):
                 # The first improving move of a point is kept, then the
                 # climb goes on to the next point.
                 for c, move in moves:
                     if evals >= iters:
                         break
                     evals += 1
+                    old = row[c]
                     row[c] += move
-                    cand_value = _condorcet_value(points)
+                    cand = table.copy()
+                    _refresh(cand, points, cells)
+                    cand_value = _cyclic_value(cand)
                     if cand_value is not None and cand_value > value:
-                        value = cand_value
+                        table, value = cand, cand_value
                         improved = True
                         break
                     row[c] -= move
+                    if row[c] != old:
+                        _refresh(table, points, cells)
             if not improved:
                 step *= 0.5
         if value > best_value:

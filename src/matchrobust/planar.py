@@ -33,7 +33,7 @@ from .metric import (
     random_connected_space,
     utilities_from_space,
 )
-from .ordinal import OrdinalProfile, TieError, TiePolicy, ordinal_from_utility
+from .ordinal import OrdinalProfile, _stable_ranking
 from .seeding import rng_for
 
 # Constrained cells of the nine-agent profile whose every geometric
@@ -184,17 +184,16 @@ def nonplanar_profile(n: int) -> OrdinalProfile:
     return OrdinalProfile(n, tuple(rows))
 
 
+def _agent_matches_cells(a: int, row) -> bool:
+    """True iff ranking ``row`` agrees with agent ``a``'s constrained cells."""
+    if row[0] != _NINE_TOPS[a] or row[1] != _NINE_SECONDS[a]:
+        return False
+    return a not in _NINE_THIRDS or row[2] == _NINE_THIRDS[a]
+
+
 def matches_nine_agent_cells(profile: OrdinalProfile) -> bool:
     """True iff the profile agrees with every constrained nine-agent cell."""
-    if profile.n < 9:
-        return False
-    for a in range(9):
-        row = profile.ranks[a]
-        if row[0] != _NINE_TOPS[a] or row[1] != _NINE_SECONDS[a]:
-            return False
-        if a in _NINE_THIRDS and row[2] != _NINE_THIRDS[a]:
-            return False
-    return True
+    return profile.n >= 9 and all(_agent_matches_cells(a, profile.ranks[a]) for a in range(9))
 
 
 @dataclass(frozen=True)
@@ -204,47 +203,79 @@ class RepresentationCandidate:
     utilities: UtilityProfile
 
 
+def _biclique_edges(profile: OrdinalProfile) -> list[tuple[int, int, float]]:
+    """Every agent-alternative edge of the bipartite realization of
+    ``profile``, weighted ``2 ** position`` by the agent's rank of the
+    alternative. Shortest paths through the whole biclique can tie."""
+    n = profile.n
+    weights = rank_scatter(profile.ranks, 2.0 ** np.arange(n)).tolist()
+    return [(a, n + x, weights[a][x]) for a in range(n) for x in range(n)]
+
+
+def _candidate(seed: int, t: int, full_edges) -> tuple[MetricSpace, Placement]:
+    """Candidate ``t`` of the refutation search: a sparsified biclique for
+    even ``t``, a random small weighted graph for odd ``t``."""
+    n = 9
+    rng = rng_for(seed, t)
+    if t % 2 == 0:
+        keep = int(rng.integers(17, 49))  # at most the planar budget 3V-6=48
+        idx = rng.choice(len(full_edges), size=keep, replace=False)
+        space = MetricSpace(2 * n, [full_edges[int(i)] for i in idx])
+        return space, space.place(range(n), range(n, 2 * n))
+    v = int(rng.integers(4, 15))
+    extra = int(rng.integers(0, 2 * v))
+    space = random_connected_space(v, extra, rng, 0.2, 4.0)
+    placement = Placement(
+        tuple(int(rng.integers(0, space.n_vertices)) for _ in range(n)),
+        tuple(int(rng.integers(0, space.n_vertices)) for _ in range(n)),
+    )
+    return space, placement
+
+
+def _realizes_nine_agent_cells(space: MetricSpace, placement: Placement) -> bool:
+    """True iff the placement's induced rankings are strict and match every
+    constrained nine-agent cell, checked agent by agent.
+
+    Each agent reads one ``dist_row`` and fails, ending the check, when an
+    alternative is unreachable, when its row has a tie (the strict
+    extraction's rule), or when its ranking misses the agent's cells. The
+    verdict is the conjunction over agents, so it equals extracting the
+    whole induced profile strictly and then matching the cells.
+    """
+    for a, v in enumerate(placement.alpha):
+        row = space.dist_row(v)
+        d = [row[w] for w in placement.beta]
+        if math.inf in d:
+            return False
+        order, ties = _stable_ranking(-np.array(d))
+        if ties.any() or not _agent_matches_cells(a, order.tolist()):
+            return False
+    return True
+
+
 def search_planar_representation(
     candidates: int = 10_000, seed: int = 0
 ) -> RepresentationCandidate | None:
     """Randomized refutation search for a planar realization of the
     nine-agent profile.
 
-    Two candidate families are drawn: sparsified versions of the bipartite
-    realization (random edge subsets below the planar edge budget, with
-    weights taken from a geometric rank profile realizing the target
-    rankings), and fully random small weighted graphs with random agent and
-    alternative placements. A candidate refutes the nonplanarity claim only
-    if its induced rankings match every constrained cell AND its support is
-    planar. Returns the first refutation found, or None (the expected
-    outcome, since no planar realization exists).
+    Two candidate families are drawn (see :func:`_candidate`): sparsified
+    versions of the bipartite realization (random edge subsets below the
+    planar edge budget, each edge weighted by the agent's geometric rank
+    utility of its alternative), and fully random small weighted graphs
+    with random agent and alternative placements. A candidate refutes the
+    nonplanarity claim only if its induced rankings match every constrained
+    cell AND its support is planar. Agents are checked in order and a
+    candidate is rejected at the first that fails
+    (:func:`_realizes_nine_agent_cells`); the planarity test and the
+    induced utility profile come only after every agent passed. Returns the
+    first refutation found, or None (the expected outcome, since no planar
+    realization exists).
     """
-    profile = nonplanar_profile(9)
-    n = 9
-    base_weights = rank_scatter(profile.ranks, 2.0 ** np.arange(n)).tolist()
-    full_edges = [(a, n + x, base_weights[a][x]) for a in range(n) for x in range(n)]
-
+    full_edges = _biclique_edges(nonplanar_profile(9))
     for t in range(candidates):
-        rng = rng_for(seed, t)
-        if t % 2 == 0:
-            keep = int(rng.integers(17, 49))  # at most the planar budget 3V-6=48
-            idx = rng.choice(len(full_edges), size=keep, replace=False)
-            edges = [full_edges[int(i)] for i in idx]
-            space = MetricSpace(2 * n, edges)
-            placement = space.place(range(n), range(n, 2 * n))
-        else:
-            v = int(rng.integers(4, 15))
-            extra = int(rng.integers(0, 2 * v))
-            space = random_connected_space(v, extra, rng, 0.2, 4.0)
-            placement = Placement(
-                tuple(int(rng.integers(0, space.n_vertices)) for _ in range(n)),
-                tuple(int(rng.integers(0, space.n_vertices)) for _ in range(n)),
-            )
-        try:
-            induced = utilities_from_space(space, placement, n)
-            extracted = ordinal_from_utility(induced, TiePolicy.STRICT)
-        except (ValueError, TieError):
-            continue
-        if matches_nine_agent_cells(extracted) and is_planar(space):
-            return RepresentationCandidate(space, placement, induced)
+        space, placement = _candidate(seed, t, full_edges)
+        if _realizes_nine_agent_cells(space, placement) and is_planar(space):
+            utilities = utilities_from_space(space, placement, 9)
+            return RepresentationCandidate(space, placement, utilities)
     return None

@@ -20,6 +20,8 @@ from matchrobust import (
     ordinal_from_utility_flagged,
     spike_factor,
 )
+from matchrobust import embedding
+from matchrobust.embedding import BanachSearchResult
 from matchrobust.ordinal import TieError, TiePolicy
 from matchrobust.seeding import rng_for
 
@@ -295,6 +297,92 @@ def reference_line_placements(seed: int, restarts: int, draws: int = 60):
             if all(0.0 < d0 < d1 < d2 for d0, d1, d2 in d):
                 found.append((r, x))
     return found
+
+
+def _reference_cyclic_value(points):
+    """Min of the six consecutive distance ratios of the cyclic profile,
+    every distance recomputed from six float rows (three agents, then three
+    alternatives), or None unless agent i strictly ranks alternatives i,
+    i+1, i+2 (mod 3) in that order at positive distance."""
+    best = math.inf
+    for i in range(3):
+        d0, d1, d2 = [
+            math.sqrt(sum((x - y) ** 2 for x, y in zip(points[i], points[3 + (i + k) % 3])))
+            for k in range(3)
+        ]
+        if not 0.0 < d0 < d1 < d2:
+            return None
+        best = min(best, d1 / d0, d2 / d1)
+    return best
+
+
+def reference_banach_climb(dim: int, restarts: int, iters: int, seed: int) -> BanachSearchResult:
+    """The Euclidean cap search with every evaluation recomputing all nine
+    distances: the same starts (up to 40 jittered templates, then up to 60
+    Gaussian draws, from ``rng_for(seed, r)``), the same first-improvement
+    coordinate climb with halving steps, and the same strict ``>`` choice of
+    the best restart. The library keeps a distance table instead."""
+    best_value, best_points, feasible = -math.inf, None, 0
+    for r in range(restarts if dim >= 2 else 0):
+        rng = rng_for(seed, r)
+        for attempt in range(100):
+            if attempt < 40:
+                cand = np.zeros((6, dim))
+                cand[:, :2] = embedding._TEMPLATE
+                cand += rng.uniform(0.02, 0.35) * rng.standard_normal((6, dim))
+            else:
+                cand = rng.standard_normal((6, dim))
+            points = cand.tolist()
+            value = _reference_cyclic_value(points)
+            if value is not None:
+                break
+        else:
+            continue
+        feasible += 1
+        step, evals = 0.5, 0
+        while evals < iters and step > 1e-12:
+            improved = False
+            moves = [(c, move) for c in range(dim) for move in (step, -step)]
+            for row in points:
+                for c, move in moves:
+                    if evals >= iters:
+                        break
+                    evals += 1
+                    row[c] += move
+                    cand_value = _reference_cyclic_value(points)
+                    if cand_value is not None and cand_value > value:
+                        value, improved = cand_value, True
+                        break
+                    row[c] -= move
+            if not improved:
+                step *= 0.5
+        if value > best_value:
+            best_value, best_points = value, points
+    if best_points is None:
+        return BanachSearchResult(-math.inf, None, None, 0, dim, restarts, iters, seed)
+    alpha = tuple(map(tuple, best_points[:3]))
+    beta = tuple(map(tuple, best_points[3:]))
+    return BanachSearchResult(best_value, alpha, beta, feasible, dim, restarts, iters, seed)
+
+
+def reference_random_connected_space(vertices, extra_edges, rng, weight_low, weight_high):
+    """Edge list of ``random_connected_space`` drawn try by try: a random
+    spanning tree, then up to ``50 * (extra_edges + 1)`` tries that each
+    draw two endpoints, even after the graph is complete."""
+    edges, seen = [], set()
+    order = [int(v) for v in rng.permutation(vertices)]
+    for i in range(1, vertices):
+        a, b = order[i], order[int(rng.integers(0, i))]
+        edges.append((a, b, float(rng.uniform(weight_low, weight_high))))
+        seen.add((min(a, b), max(a, b)))
+    tries = 0
+    while len(edges) < vertices - 1 + extra_edges and tries < 50 * (extra_edges + 1):
+        tries += 1
+        a, b = int(rng.integers(0, vertices)), int(rng.integers(0, vertices))
+        if a != b and (min(a, b), max(a, b)) not in seen:
+            edges.append((a, b, float(rng.uniform(weight_low, weight_high))))
+            seen.add((min(a, b), max(a, b)))
+    return edges
 
 
 def reference_is_polarized(u: UtilityProfile, tol: float = 1e-12):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchrobust import (
@@ -24,7 +24,7 @@ from matchrobust import embedding
 from matchrobust.embedding import BanachSearchResult
 from matchrobust.seeding import rng_for
 
-from conftest import reference_line_placements
+from conftest import reference_banach_climb, reference_line_placements
 
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -247,6 +247,23 @@ class TestPinnedSearchResults:
     def test_result_digest(self, dim, iters, expected):
         result = maximize_euclidean_robustness(dim, 60, iters, seed=606)
         assert hashlib.sha256(repr(result).encode()).hexdigest() == expected
+
+
+class TestDistanceTableClimb:
+    """The climb keeps a distance table; the reference recomputes all nine
+    distances on every evaluation, so equal ``repr`` means the table never
+    went stale, after accepted moves and after inexact undos alike."""
+
+    @given(
+        st.integers(2, 10),
+        st.integers(1, 6),
+        st.integers(0, 300),
+        st.integers(0, 2**64 - 1),
+    )
+    @example(3, 4, 300, 606)
+    def test_matches_full_recompute(self, dim, restarts, iters, seed):
+        result = maximize_euclidean_robustness(dim, restarts, iters, seed)
+        assert repr(result) == repr(reference_banach_climb(dim, restarts, iters, seed))
 
 
 class TestMaximize:

@@ -34,7 +34,7 @@ from matchrobust.metric import (
 )
 from matchrobust.seeding import rng_for
 
-from conftest import band_utup, reference_is_polarized
+from conftest import band_utup, reference_is_polarized, reference_random_connected_space
 
 #: Utilities at the edges of the float range: signed zeros, the smallest
 #: subnormal and normal, values whose pairwise sums overflow, and -inf.
@@ -531,3 +531,29 @@ class TestPathAgreement:
         wrong = OrdinalProfile(3, tuple(tuple(reversed(row)) for row in r.ranks))
         with pytest.raises(ValueError):
             path_preference_agreement_check(space, placement, wrong)
+
+
+def _next_draws(rng):
+    return rng.integers(0, 7, size=3).tolist(), rng.uniform(), int(rng.integers(0, 5))
+
+
+class TestRandomConnectedSpace:
+    @pytest.mark.parametrize("vertices", range(1, 9))
+    def test_stream_matches_try_by_try_draws(self, vertices):
+        # Once the graph is complete the library draws the tries left as one
+        # array of endpoints. The edges, the generator's state (buffered
+        # 32-bit half included) and its next draws must be what the
+        # try-by-try loop leaves, whether or not the budget runs out.
+        exhausted = 0
+        for extra in range(2 * vertices + 3):
+            for seed in range(50):
+                lib_rng, ref_rng = rng_for(seed), rng_for(seed)
+                space = random_connected_space(vertices, extra, lib_rng, 0.2, 4.0)
+                edges = reference_random_connected_space(vertices, extra, ref_rng, 0.2, 4.0)
+                assert space.edges == MetricSpace(vertices, edges).edges
+                assert lib_rng.bit_generator.state == ref_rng.bit_generator.state
+                assert _next_draws(lib_rng) == _next_draws(ref_rng)
+                exhausted += len(edges) < vertices - 1 + extra
+        # The tree and the most extras asked for outnumber the pairs.
+        if 3 * vertices + 1 > vertices * (vertices - 1) // 2:
+            assert exhausted > 0

@@ -214,6 +214,13 @@ class TestPhi:
         assert pair.female_optimal.pairing in stable
 
 
+class TestAssignment:
+    @pytest.mark.parametrize("pairing", [(0, 0, 2), (0, 1, 3), (2, 2, 2), (0, 1), (0, 1, 2, 3)])
+    def test_non_bijection_raises(self, pairing):
+        with pytest.raises(ValueError, match="not a bijection"):
+            Assignment(3, pairing)
+
+
 class TestBlockingPairs:
     def test_mutual_first_choices_stable(self):
         men = OrdinalProfile(2, ((0, 1), (1, 0)))
@@ -225,6 +232,19 @@ class TestBlockingPairs:
         women = OrdinalProfile(2, ((0, 1), (0, 1)))
         blocks = blocking_pairs(men, women, Assignment(2, (1, 0)))
         assert (0, 0) in blocks
+
+    @pytest.mark.parametrize("check", [blocking_pairs, is_stable])
+    def test_assignment_size_mismatch_alone_raises(self, check):
+        p = OrdinalProfile(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+        with pytest.raises(ValueError, match="size mismatch"):
+            check(p, p, Assignment(2, (0, 1)))
+
+    @pytest.mark.parametrize("check", [blocking_pairs, is_stable])
+    def test_profile_size_mismatch_alone_raises(self, check):
+        men = OrdinalProfile(2, ((0, 1), (1, 0)))
+        women = OrdinalProfile(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+        with pytest.raises(ValueError, match="size mismatch"):
+            check(men, women, Assignment(2, (0, 1)))
 
     def test_da_never_blocked_random(self):
         for t in range(1000):

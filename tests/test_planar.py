@@ -1,11 +1,14 @@
 import itertools
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchrobust import (
+    MetricSpace,
+    OrdinalProfile,
     UtilityProfile,
     build_generating_space,
     genus_lower_bound,
@@ -13,6 +16,9 @@ from matchrobust import (
     nonplanar_profile,
     search_planar_representation,
 )
+from matchrobust import planar
+from matchrobust.metric import utilities_from_space
+from matchrobust.ordinal import TieError, TiePolicy, ordinal_from_utility
 from matchrobust.planar import matches_nine_agent_cells
 
 from conftest import petersen, planar_by_kuratowski, subdivided
@@ -260,6 +266,15 @@ class TestNineAgentProfile:
         assert [p.ranks[a][1] for a in range(9)] == [3, 4, 5, 1, 2, 0, 3, 4, 5]
         assert [p.ranks[a][2] for a in (6, 7, 8)] == [2, 0, 1]
 
+    def test_every_constrained_cell_is_checked(self):
+        base = nonplanar_profile(9).ranks
+        for a in range(9):
+            for pos in range(3 if a >= 6 else 2):
+                row = list(base[a])
+                row[pos], row[-1] = row[-1], row[pos]
+                rows = base[:a] + (tuple(row),) + base[a + 1 :]
+                assert not matches_nine_agent_cells(OrdinalProfile(9, rows)), (a, pos)
+
     def test_requires_nine(self):
         with pytest.raises(ValueError):
             nonplanar_profile(8)
@@ -283,3 +298,85 @@ class TestNineAgentProfile:
 
     def test_refutation_search_finds_nothing_small(self):
         assert search_planar_representation(candidates=500, seed=3) is None
+
+
+def _full_route(space, placement) -> bool | str:
+    """The nine-agent cell check through the whole induced profile: strict
+    extraction, then every cell. A disconnected pair or a tie rejects, and
+    the error's name is returned in place of False."""
+    try:
+        induced = utilities_from_space(space, placement, 9)
+        return matches_nine_agent_cells(ordinal_from_utility(induced, TiePolicy.STRICT))
+    except (ValueError, TieError) as exc:
+        return type(exc).__name__
+
+
+class TestRefutationPredicate:
+    """The search rejects a candidate at its first failing agent; the
+    verdict must be the full route's on every candidate."""
+
+    @pytest.mark.parametrize("seed", [3, 910])
+    def test_per_agent_check_matches_full_route(self, seed):
+        full_edges = planar._biclique_edges(nonplanar_profile(9))
+        outcomes = {}
+        for t in range(1200):
+            space, placement = planar._candidate(seed, t, full_edges)
+            full = _full_route(space, placement)
+            assert planar._realizes_nine_agent_cells(space, placement) is (full is True), t
+            outcomes[t % 2, full] = outcomes.get((t % 2, full), 0) + 1
+        # Both families reach the cell test and hit ties; the sparsified
+        # bicliques also cut agents off from alternatives.
+        assert {(0, False), (1, False), (0, "ValueError"), (0, "TieError"), (1, "TieError")} <= set(
+            outcomes
+        )
+
+    def test_band_biclique_variants_match_full_route(self, rng):
+        # Candidates drawn by the search mostly fail at agent 0. These
+        # variants of a realizing biclique (weights jittered, one ranking
+        # given a tie, edges dropped, one vertex cut off) fail at any agent,
+        # or pass.
+        profile = nonplanar_profile(9)
+        outcomes = set()
+        for _ in range(400):
+            w = 1.0 + 0.05 * np.arange(9) + rng.choice([0.0, 0.01, 0.03]) * rng.standard_normal((9, 9))
+            if rng.random() < 0.2:
+                a, pos = rng.integers(0, 9), rng.integers(0, 8)
+                w[a, pos + 1] = w[a, pos]
+            edges = [(a, 9 + x, w[a, pos]) for a in range(9) for pos, x in enumerate(profile.ranks[a])]
+            drop = set(rng.choice(81, size=int(rng.integers(0, 3)), replace=False).tolist())
+            if rng.random() < 0.1:
+                cut = int(rng.integers(0, 18))
+                drop |= {i for i, (a, x, _w) in enumerate(edges) if cut in (a, x)}
+            space = MetricSpace(18, [e for i, e in enumerate(edges) if i not in drop])
+            placement = space.place(range(9), range(9, 18))
+            full = _full_route(space, placement)
+            assert planar._realizes_nine_agent_cells(space, placement) is (full is True)
+            outcomes.add(full)
+        assert outcomes == {True, False, "ValueError", "TieError"}
+
+    def test_base_weight_biclique_ties(self):
+        # Shortest paths through the biclique's geometric rank weights tie
+        # (agent 0 reaches alternatives 2, 4 and 7 at distance 6), so even
+        # the unsparsified family member is rejected.
+        space = MetricSpace(18, planar._biclique_edges(nonplanar_profile(9)))
+        placement = space.place(range(9), range(9, 18))
+        assert _full_route(space, placement) == "TieError"
+        assert not planar._realizes_nine_agent_cells(space, placement)
+
+    def test_band_biclique_passes_every_agent_and_is_nonplanar(self, monkeypatch):
+        # Weights in [1, 1.4] make every detour (three edges or more) longer
+        # than a direct edge, so the biclique realizes the profile.
+        profile = nonplanar_profile(9)
+        edges = [(a, 9 + x, 1.0 + 0.05 * pos) for a in range(9) for pos, x in enumerate(profile.ranks[a])]
+        space = MetricSpace(18, edges)
+        placement = space.place(range(9), range(9, 18))
+        assert len(space.edges) == 81
+        assert planar._realizes_nine_agent_cells(space, placement)
+        assert _full_route(space, placement) is True
+        assert is_planar(space) is False
+        # Were it planar, the search would return it with its utilities.
+        monkeypatch.setattr(planar, "_candidate", lambda seed, t, full_edges: (space, placement))
+        monkeypatch.setattr(planar, "is_planar", lambda space: True)
+        found = search_planar_representation(candidates=3, seed=0)
+        assert (found.space, found.placement) == (space, placement)
+        assert np.array_equal(found.utilities.values, -space.distance_matrix()[:9, 9:])

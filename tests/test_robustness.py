@@ -38,8 +38,8 @@ from matchrobust import (
     sufficient_robustness_level,
     uniform_profile,
 )
-from matchrobust.markets import rank_scatter
-from matchrobust.ordinal import TiePolicy
+from matchrobust.markets import random_extensional_profile, rank_scatter
+from matchrobust.ordinal import TiePolicy, phi
 from matchrobust.robustness import _adjacent_swap, _breakable, _first_break, _trial_blocks
 from matchrobust.seeding import rng_for
 
@@ -565,6 +565,27 @@ class TestAdversarialWitness:
         assert w is not None
         assert w.tie_created
         assert w.original_pair != w.perturbed_pair
+
+    @pytest.mark.parametrize("side", ["men", "women"])
+    @pytest.mark.parametrize("tie", [True, False])
+    def test_pairs_come_from_the_witness_side(self, side, tie):
+        # The witness side's profile is the men's argument of phi on the men
+        # side and the women's on the women side, before and after the flip.
+        # At this seed phi changes when its arguments swap, so a witness
+        # built with the sides swapped fails.
+        random_side = random_extensional_profile(3, rng_for(2))
+        steep = RankBasedProfile(3, (-1.0, -100.0, -10000.0))
+        sides = (random_side, steep) if side == "men" else (steep, random_side)
+        market = MatchingMarket(*sides)
+        xi = robustness(market)
+        w = adversarial_witness(market, xi if tie else xi * 1.001)
+        assert (w.side, w.tie_created) == (side, tie)
+        if side == "men":
+            assert w.original_pair == phi(w.profile, w.distinguishing)
+            assert w.perturbed_pair == phi(w.perturbed_profile, w.distinguishing)
+        else:
+            assert w.original_pair == phi(w.distinguishing, w.profile)
+            assert w.perturbed_pair == phi(w.distinguishing, w.perturbed_profile)
 
     def test_equivalence_both_directions(self, rng):
         for _ in range(5):

@@ -145,3 +145,20 @@ def test_distance_routes_stay_independent():
     attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     assert not names & {"_dijkstra", "dist_row", "MetricSpace", "heapq"}
     assert not attributes & {"_dijkstra", "dist_row", "dist", "_dist_rows", "_adj"}
+
+
+def test_banach_reference_stays_independent():
+    # ``reference_banach_climb`` recomputes every distance on each
+    # evaluation and checks the library's distance-table climb, so neither
+    # it nor a conftest helper it calls may reach a function of embedding.py
+    # or the table's cell constants.
+    conftest = _functions(ROOT / "tests" / "conftest.py")
+    embedding = _functions(ROOT / "src" / "matchrobust" / "embedding.py")
+    used, todo = set(), ["reference_banach_climb"]
+    while todo:
+        name = todo.pop()
+        names = _names_and_attributes(conftest[name])
+        todo += [n for n in names & conftest.keys() if n not in used and n != name]
+        used |= names | {name}
+    assert "_reference_cyclic_value" in used
+    assert not used & (embedding.keys() | {"_CYCLIC_CELLS", "_MOVED_CELLS"})
