@@ -323,7 +323,6 @@ class Placement:
 
 def space_to_json_dict(space: MetricSpace, placement: Placement | None = None) -> dict:
     data = {
-        "schema": 1,
         "vertices": space.n_vertices,
         "edges": [[a, b, w] for a, b, w in space.edges],
     }

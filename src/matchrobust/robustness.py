@@ -35,18 +35,14 @@ from .markets import (
     MarketProfile,
     MatchingMarket,
     Perturbation,
-    apply_perturbation,
     geometric_market,
 )
 from .ordinal import (
     OrdinalProfile,
     StablePair,
-    TiePolicy,
     _distinguishing_rows,
     _proposal_chain,
     _stable_ranking,
-    distinguishing_profile,
-    ordinal_from_utility_flagged,
     phi,
 )
 from .seeding import rng_for
@@ -141,36 +137,35 @@ class AdversarialWitness:
     tie_created: bool
 
 
-def _adjacent_swap(r: OrdinalProfile, agent: int, position: int) -> OrdinalProfile:
-    rows = [list(row) for row in r.ranks]
-    rows[agent][position], rows[agent][position + 1] = (
-        rows[agent][position + 1],
-        rows[agent][position],
-    )
-    return OrdinalProfile(r.n, tuple(tuple(row) for row in rows))
-
-
 def _build_witness(
     name: str, side: MarketProfile, row: int, position: int, c: float
 ) -> AdversarialWitness:
     """The verified witness for perturbing, at level ``c``, the alternative
     that the ``name`` side's table row ``row`` ranks at ``position`` (a
-    non-last rank)."""
+    non-last rank).
+
+    Only that row is read and re-extracted. A scaled utility can only sink,
+    so the first pair it flips is the perturbed alternative and the one
+    ranked just below it, on which the distinguishing profile hinges.
+    """
     n = side.n
     k, agent = divmod(row, n)
     r = side.table_profiles[k]
-    u = side.utilities(r)
-    alt = r.ranks[agent][position]
-    delta = Perturbation.single_entry(n, agent, alt, c)
-    perturbed = apply_perturbation(delta, u)
-    r_tilde, had_ties = ordinal_from_utility_flagged(perturbed, TiePolicy.INDEX)
-    if r_tilde == r:
+    ranking = r.ranks[agent]
+    alt, below = ranking[position], ranking[position + 1]
+    values = side.table_values[row].copy()
+    with np.errstate(over="ignore"):
+        values[alt] *= c
+    order, ties = _stable_ranking(values)
+    perturbed_row = tuple(order.tolist())
+    if perturbed_row == ranking:
         # The perturbation created an exact tie that index tie-breaking undid.
         # Ties count as a preference change, so resolve the tie against the
         # perturbed entry to exhibit the adjacent flip it licenses.
-        r_tilde = _adjacent_swap(r, agent, position)
-        had_ties = True
-    other = distinguishing_profile(r, r_tilde)
+        perturbed_row = (*ranking[:position], below, alt, *ranking[position + 2 :])
+    rows = (*r.ranks[:agent], perturbed_row, *r.ranks[agent + 1 :])
+    r_tilde = OrdinalProfile._of_permutations(n, rows)
+    other = OrdinalProfile._of_permutations(n, _distinguishing_rows(n, agent, alt, below))
     if name == "men":
         original = phi(r, other)
         changed = phi(r_tilde, other)
@@ -182,12 +177,13 @@ def _build_witness(
     return AdversarialWitness(
         side=name,
         profile=r,
-        perturbation=delta,
+        perturbation=Perturbation.single_entry(n, agent, alt, c),
         perturbed_profile=r_tilde,
         distinguishing=other,
         original_pair=original,
         perturbed_pair=changed,
-        tie_created=had_ties,
+        # Stored tables are strict, so only the perturbed row can tie.
+        tie_created=bool(ties.any()),
     )
 
 
@@ -221,6 +217,8 @@ def _first_break(ranks: np.ndarray, values: np.ndarray, c: float) -> tuple[int, 
     perturbations are walked in row-major order ``k = row * n + i``, in blocks
     of ``_SCAN_BLOCK_ELEMENTS // n`` perturbed rows (at least one), so each
     temporary holds at most ``max(n, _SCAN_BLOCK_ELEMENTS)`` elements at any n.
+    The position is never the last one: scaling the last-ranked utility
+    leaves it the row's strict minimum.
     """
     rows, n = ranks.shape
     block = max(1, _SCAN_BLOCK_ELEMENTS // n)
@@ -247,7 +245,7 @@ def _breakable(c: float, market: MatchingMarket) -> bool:
             row, position = hit
             # Confirm through deferred acceptance that the ordinal change
             # really moves a stable pair.
-            _build_witness(name, side, row, min(position, side.n - 2), c)
+            _build_witness(name, side, row, position, c)
             return True
     return False
 

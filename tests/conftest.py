@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from matchrobust import (
+    AdversarialWitness,
     Assignment,
     DecayFunction,
     OrdinalProfile,
@@ -16,8 +17,10 @@ from matchrobust import (
     UtilityProfile,
     apply_perturbation,
     critical_consecutive_ratio,
+    distinguishing_profile,
     geometric_market,
     ordinal_from_utility_flagged,
+    phi,
     spike_factor,
 )
 from matchrobust import embedding
@@ -234,6 +237,39 @@ def reference_first_break(rows, c: float):
             if any(row[order[k]] == row[order[k + 1]] for k in range(n - 1)):
                 return index, i
     return None
+
+
+def reference_witness(name: str, side, row: int, position: int, c: float) -> AdversarialWitness:
+    """The witness for scaling, by ``c``, the utility of the alternative that
+    the ``name`` side's table row ``row`` ranks at ``position``, built
+    through the whole profile.
+
+    Looks the row's stored profile up with ``side.utilities``, applies the
+    single-entry perturbation to every entry and re-extracts every row under
+    index tie-breaking. When that leaves the profile unchanged, an exact tie
+    was undone by index order, and the agent's entries at ``position`` and
+    ``position + 1`` are swapped. The opposite side's profile comes from
+    ``distinguishing_profile``, and both deferred-acceptance pairs from
+    ``phi``, with the witness side's profile as the men's argument on the
+    men's side and as the women's on the women's side.
+    """
+    n = side.n
+    k, agent = divmod(row, n)
+    r = side.table_profiles[k]
+    delta = Perturbation.single_entry(n, agent, r.ranks[agent][position], c)
+    r_tilde, had_ties = ordinal_from_utility_flagged(
+        apply_perturbation(delta, side.utilities(r)), TiePolicy.INDEX
+    )
+    if r_tilde == r:
+        rows = [list(ranking) for ranking in r.ranks]
+        rows[agent][position : position + 2] = rows[agent][position + 1], rows[agent][position]
+        r_tilde, had_ties = OrdinalProfile(n, rows), True
+    other = distinguishing_profile(r, r_tilde)
+    if name == "men":
+        pairs = phi(r, other), phi(r_tilde, other)
+    else:
+        pairs = phi(other, r), phi(other, r_tilde)
+    return AdversarialWitness(name, r, delta, r_tilde, other, *pairs, had_ties)
 
 
 def reference_spike_flips(n: int, c: float, eps: float) -> bool:

@@ -399,6 +399,12 @@ class TestSubcommands:
         code, out, _err = run(capsys, "witness", "--in", rank_market_file, "--c", "1.5")
         assert code == 0 and json.loads(out)["witness"] is None
 
+    def test_witness_documented_example(self, capsys):
+        doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        example = doc.split("## Witness", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        code, out, _err = run(capsys, "witness", "--geometric-base", "2", "--n", "3", "--c", "2.5")
+        assert code == 0 and json.loads(out) == json.loads(example)
+
     def test_appendix_a_kill_row(self, capsys):
         code, out, _err = run(
             capsys, "appendix-a", "--n", "3", "--c", "1.5", "--eps", "0.2",

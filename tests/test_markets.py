@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -31,6 +32,13 @@ class TestUtilityProfile:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             UtilityProfile(2, ((0.0,), (-1.0, -2.0)))
+
+    def test_json_round_trip(self):
+        u = UtilityProfile(2, ((-0.0, -1.5), (-1.7e308, -5e-324)))
+        data = json.loads(json.dumps(u.to_json_dict()))
+        assert data == {"n": 2, "values": [[-0.0, -1.5], [-1.7e308, -5e-324]]}
+        back = UtilityProfile.from_json_dict(data)
+        assert back.n == 2 and back.values.tobytes() == u.values.tobytes()
 
     @pytest.mark.parametrize("slot", [(0, 0), (1, 1)])
     def test_rejects_nan(self, slot):

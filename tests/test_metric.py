@@ -208,7 +208,6 @@ class TestMetricSpace:
         space = MetricSpace(3, [(0, 1, 1.5), (1, 2, 2.5)])
         placement = Placement((0,), (2,))
         data = space_to_json_dict(space, placement)
-        assert data["schema"] == 1
         space2, placement2 = space_from_json_dict(data)
         assert space2.edges == space.edges
         assert placement2 == placement

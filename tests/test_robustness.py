@@ -40,10 +40,15 @@ from matchrobust import (
 )
 from matchrobust.markets import random_extensional_profile, rank_scatter
 from matchrobust.ordinal import TiePolicy, phi
-from matchrobust.robustness import _adjacent_swap, _breakable, _first_break, _trial_blocks
+from matchrobust.robustness import _breakable, _build_witness, _first_break, _first_hit, _trial_blocks
 from matchrobust.seeding import rng_for
 
-from conftest import reference_consecutive_pairs, reference_first_break, reference_spike_flips
+from conftest import (
+    reference_consecutive_pairs,
+    reference_first_break,
+    reference_spike_flips,
+    reference_witness,
+)
 
 # The package re-exports the function ``robustness`` under the module's name.
 robustness_module = importlib.import_module("matchrobust.robustness")
@@ -438,8 +443,8 @@ class TestFormulaMatchesScalarWalk:
 
 
 class TestRoutesReadStoredTables:
-    """The routes scan each side's table stored at construction: neither
-    route looks utilities up again, except to confirm a witness."""
+    """The routes scan each side's table stored at construction, and so does
+    every witness they build: no route ever looks utilities up."""
 
     @pytest.fixture
     def counted(self):
@@ -465,12 +470,126 @@ class TestRoutesReadStoredTables:
         assert adversarial_witness(market, xi * (1 - 1e-9)) is None
         assert counted == {"utilities": 0, "witnesses": 0}
         assert adversarial_witness(market, xi) is not None
-        assert counted == {"utilities": 1, "witnesses": 1}
+        assert counted == {"utilities": 0, "witnesses": 1}
 
     def test_search_reads_utilities_only_to_confirm_witnesses(self, counted):
         robustness_by_search(random_extensional_market(3, rng_for(22)))
         assert counted["witnesses"] > 0
-        assert counted["utilities"] == counted["witnesses"]
+        assert counted["utilities"] == 0
+
+
+def _witness_fields(w):
+    """Every field of a witness, the factor matrix as its shape and bytes."""
+    return (
+        w.side,
+        w.profile,
+        w.perturbation.factors.shape,
+        w.perturbation.factors.tobytes(),
+        w.perturbed_profile,
+        w.distinguishing,
+        w.original_pair,
+        w.perturbed_pair,
+        w.tie_created,
+    )
+
+
+#: Levels at which scaled edge-pool utilities overflow to -inf.
+_HUGE_LEVELS = (1e300, 1e308, sys.float_info.max)
+
+
+def _row_breaks(side, rows, c):
+    """``(row, position)`` of the first break at level ``c`` of each table
+    row in ``rows``."""
+    for row in rows:
+        hit = _first_break(side.table_ranks[row : row + 1], side.table_values[row : row + 1], c)
+        if hit is not None:
+            yield row, hit[1]
+
+
+def _scanned_side():
+    return st.one_of(
+        rank_scan_case().map(lambda case: case[0]),
+        extensional_scan_case(),
+        st.integers(0, 2**32 - 1).map(
+            lambda seed: random_extensional_profile(3, np.random.default_rng(seed))
+        ),
+    )
+
+
+class TestWitnessMatchesWholeProfileRoute:
+    """``_build_witness`` reads and re-extracts only the table row it
+    perturbs; ``reference_witness`` rebuilds the whole profile. Both give the
+    same witness, field for field, at the formula route's first hit, at the
+    level scan's first break and at the first break of the given rows,
+    built as either side's witness."""
+
+    def check(self, side, rows, levels):
+        market = MatchingMarket(side, side)
+        for c in levels:
+            hits = list(_row_breaks(side, rows, c))
+            for first in (
+                _first_hit(market, c),
+                _first_break(side.table_ranks, side.table_values, c),
+            ):
+                if first is not None:
+                    hits.append(first[-2:])
+            for row, position in hits:
+                for name in ("men", "women"):
+                    got = _build_witness(name, side, row, position, c)
+                    expected = reference_witness(name, side, row, position, c)
+                    assert _witness_fields(got) == _witness_fields(expected)
+
+    @given(_scanned_side(), st.data())
+    def test_random_sides(self, side, data):
+        row = data.draw(st.integers(0, len(side.table_values) - 1))
+        self.check(side, [row], [*_levels(side.table_values[row].tolist()), *_HUGE_LEVELS])
+
+    @pytest.mark.parametrize(
+        "side",
+        [
+            RankBasedProfile(3, (0.0, -1.0, -2.0)),
+            RankBasedProfile(3, (-0.0, -1.0, -3.0)),
+            RankBasedProfile(3, (-1.0, -2.0, -math.inf)),
+            RankBasedProfile(3, (-5e-324, -1.7e308, -math.inf)),
+            RankBasedProfile(2, (-1.7e308, -1.75e308)),
+            RankBasedProfile(4, (-1.0, -2.0, -2.0000000000000004, -4.0)),
+            _extensional([[0.0, -2.0, -3.0], [-0.0, -1.0, -math.inf], [-3.0, -2.0, -1.0]]),
+        ],
+        ids=["zero-top", "neg-zero-top", "neg-inf-last", "subnormal-top", "overflow", "near-tie",
+             "extensional-edges"],
+    )
+    def test_edge_sides(self, side):
+        rows = range(len(side.table_values))
+        self.check(side, rows, [*_levels(side.table_values.ravel().tolist()), *_HUGE_LEVELS])
+
+
+#: Last-rank utilities at the edges of the float range and of zero.
+_LAST_RANK_EDGES = (0.0, -0.0, -5e-324, -math.inf, -1.7e308)
+
+
+@st.composite
+def last_rank_edge_side(draw):
+    n = draw(st.integers(1, 6))
+    pool = st.one_of(st.sampled_from(_LAST_RANK_EDGES), st.floats(-1e308, 0.0))
+    ru = sorted(draw(st.lists(pool, min_size=n, max_size=n, unique=True)), reverse=True)
+    return RankBasedProfile(n, ru)
+
+
+class TestFirstBreakPosition:
+    @given(
+        st.one_of(last_rank_edge_side(), _scanned_side()),
+        st.floats(1.0, sys.float_info.max),
+    )
+    @example(RankBasedProfile(2, (-1.7e308, -math.inf)), 2.0)
+    @example(RankBasedProfile(2, (0.0, -5e-324)), sys.float_info.max)
+    @example(RankBasedProfile(2, (-0.0, -1.7e308)), 1.5)
+    def test_never_the_last_position(self, side, c):
+        # Scaling the last-ranked utility leaves it the row's strict minimum,
+        # so a witness always has an alternative ranked below the one it sinks.
+        rows = range(len(side.table_values))
+        for level in {c, *_levels(side.table_values[0].tolist()), *_HUGE_LEVELS}:
+            for _row, position in _row_breaks(side, rows, level):
+                assert position < side.n - 1
 
 
 class TestPinnedSearchOutputs:
@@ -690,6 +809,11 @@ class TestCriticalMarket:
         with pytest.raises(ValueError, match="spike factor overflows"):
             critical_market(2, 4e307, 0.2)
 
+    def test_zero_eps_fails_the_eps_check(self):
+        # eps = 0 would fail the rounding check too: the spike then ties the next rank.
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            critical_market(3, 1.5, 0.0)
+
     def test_accepts_exactly_where_every_spike_flips(self):
         accepted = 0
         for n, c, eps in SPIKE_ROUNDING_GRID:
@@ -843,6 +967,10 @@ class TestPreservationProbability:
         with pytest.raises(ValueError):
             preservation_probability(market, IidUniformFactorSampler(2, 1.0), 0, 1)
 
+    def test_single_trial(self):
+        market = geometric_market(2, 2.0)
+        assert preservation_probability(market, IidUniformFactorSampler(2, 1.0), 1, 1) == 1.0
+
 
 class TestMonteCarloInputs:
     @pytest.mark.parametrize("level", [0.5, math.inf, math.nan])
@@ -879,7 +1007,9 @@ def _sample_as_before(sampler, rng) -> PerturbationSample:
     agent = a_star % n
     r = uniform_profile(n, rng)
     delta = Perturbation.single_entry(n, agent, r.ranks[agent][i_star], sampler.spike)
-    other = distinguishing_profile(r, _adjacent_swap(r, agent, i_star))
+    rows = [list(row) for row in r.ranks]
+    rows[agent][i_star : i_star + 2] = rows[agent][i_star + 1], rows[agent][i_star]
+    other = distinguishing_profile(r, OrdinalProfile(n, rows))
     if a_star < n:
         return PerturbationSample(r, other, delta, Perturbation.ones(n))
     return PerturbationSample(other, r, Perturbation.ones(n), delta)
@@ -1031,6 +1161,44 @@ class TestTrialBlocks:
             rank_slot_factor_stats(sampler, 20, 1)
         with pytest.raises(ValueError):  # a single sample checks through its constructors
             robustness_module._sample_of(sampler, rng_for(1, 0))
+
+    class _LateBrokenSampler:
+        """Draws as the iid sampler does, with ``fault`` in the draw number
+        ``bad``; blocks draw their trials in order."""
+
+        def __init__(self, fault, bad):
+            self.n = 3
+            self.fault = fault
+            self.bad = bad
+            self.drawn = 0
+
+        def draw(self, rng, ranks, factors):
+            IidUniformFactorSampler(3, 2.0).draw(rng, ranks, factors)
+            if self.drawn == self.bad:
+                if self.fault == "factor below 1":
+                    factors[1, 2, 0] = 0.5
+                else:
+                    ranks[0, 2] = (0, 1, 3)
+            self.drawn += 1
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("factor below 1", r"trial 5: women factor \(2,0\) = 0.5 is below 1"),
+            ("alternative out of range", r"trial 5: men row 2 is not a permutation of 0..2"),
+        ],
+    )
+    def test_bad_draws_in_a_later_block_report_their_trial(self, monkeypatch, fault, message):
+        # Blocks of two trials put trial 5 second in the third block.
+        monkeypatch.setattr(robustness_module, "_SCAN_BLOCK_ELEMENTS", 2 * 2 * 3 * 3)
+        with pytest.raises(ValueError, match=message):
+            list(_trial_blocks(self._LateBrokenSampler(fault, 5), 20, 1))
+
+    def test_iid_sampler_at_n_one(self):
+        sample = IidUniformFactorSampler(1, 2.0).sample(rng_for(4, 0))
+        assert sample.men_profile.ranks == sample.women_profile.ranks == ((0,),)
+        for factors in (sample.men_factors, sample.women_factors):
+            assert factors.n == 1 and 1.0 <= factors.factors[0, 0] <= 2.0
 
     def test_sampler_and_market_sizes_must_agree(self):
         with pytest.raises(ValueError, match="size mismatch"):
