@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .jsonvalues import json_int, json_rows
-from .ordinal import OrdinalProfile, _stable_ranking, all_profiles, ordinal_from_utility
+from .ordinal import OrdinalProfile, _stable_ranking, all_profiles, ordinal_from_utility_flagged
 
 
 def _matrix(n: int, rows, what: str) -> np.ndarray:
@@ -217,7 +217,7 @@ class ExtensionalProfile(MarketProfile):
         bad = (order != ranks).any(axis=1) | ties.any(axis=1)
         if bad.any():
             r = self.table_profiles[int(bad.argmax()) // n]
-            ordinal_from_utility(self.table[r])  # raises TieError on a tie
+            ordinal_from_utility_flagged(self.table[r])  # raises TieError on a tie
             raise ValueError(f"inconsistent table entry: utilities do not induce {r.ranks}")
         ranks.flags.writeable = False
         values.flags.writeable = False

@@ -506,9 +506,22 @@ def _row_breaks(side, rows, c):
             yield row, hit[1]
 
 
+#: Last-rank utilities at the edges of the float range and of zero.
+_LAST_RANK_EDGES = (0.0, -0.0, -5e-324, -math.inf, -1.7e308)
+
+
+@st.composite
+def last_rank_edge_side(draw):
+    n = draw(st.integers(1, 6))
+    pool = st.one_of(st.sampled_from(_LAST_RANK_EDGES), st.floats(-1e308, 0.0))
+    ru = sorted(draw(st.lists(pool, min_size=n, max_size=n, unique=True)), reverse=True)
+    return RankBasedProfile(n, ru)
+
+
 def _scanned_side():
     return st.one_of(
         rank_scan_case().map(lambda case: case[0]),
+        last_rank_edge_side(),
         extensional_scan_case(),
         st.integers(0, 2**32 - 1).map(
             lambda seed: random_extensional_profile(3, np.random.default_rng(seed))
@@ -521,7 +534,9 @@ class TestWitnessMatchesWholeProfileRoute:
     perturbs; ``reference_witness`` rebuilds the whole profile. Both give the
     same witness, field for field, at the formula route's first hit, at the
     level scan's first break and at the first break of the given rows,
-    built as either side's witness."""
+    built as either side's witness. No hit is at the last position: scaling
+    the last-ranked utility leaves it the row's strict minimum, so a witness
+    always has an alternative ranked below the one it sinks."""
 
     def check(self, side, rows, levels):
         market = MatchingMarket(side, side)
@@ -534,6 +549,7 @@ class TestWitnessMatchesWholeProfileRoute:
                 if first is not None:
                     hits.append(first[-2:])
             for row, position in hits:
+                assert position < side.n - 1
                 for name in ("men", "women"):
                     got = _build_witness(name, side, row, position, c)
                     expected = reference_witness(name, side, row, position, c)
@@ -554,42 +570,16 @@ class TestWitnessMatchesWholeProfileRoute:
             RankBasedProfile(2, (-1.7e308, -1.75e308)),
             RankBasedProfile(4, (-1.0, -2.0, -2.0000000000000004, -4.0)),
             _extensional([[0.0, -2.0, -3.0], [-0.0, -1.0, -math.inf], [-3.0, -2.0, -1.0]]),
+            RankBasedProfile(2, (-1.7e308, -math.inf)),
+            RankBasedProfile(2, (0.0, -5e-324)),
+            RankBasedProfile(2, (-0.0, -1.7e308)),
         ],
         ids=["zero-top", "neg-zero-top", "neg-inf-last", "subnormal-top", "overflow", "near-tie",
-             "extensional-edges"],
+             "extensional-edges", "huge-over-neg-inf", "zero-over-subnormal", "neg-zero-over-huge"],
     )
     def test_edge_sides(self, side):
         rows = range(len(side.table_values))
         self.check(side, rows, [*_levels(side.table_values.ravel().tolist()), *_HUGE_LEVELS])
-
-
-#: Last-rank utilities at the edges of the float range and of zero.
-_LAST_RANK_EDGES = (0.0, -0.0, -5e-324, -math.inf, -1.7e308)
-
-
-@st.composite
-def last_rank_edge_side(draw):
-    n = draw(st.integers(1, 6))
-    pool = st.one_of(st.sampled_from(_LAST_RANK_EDGES), st.floats(-1e308, 0.0))
-    ru = sorted(draw(st.lists(pool, min_size=n, max_size=n, unique=True)), reverse=True)
-    return RankBasedProfile(n, ru)
-
-
-class TestFirstBreakPosition:
-    @given(
-        st.one_of(last_rank_edge_side(), _scanned_side()),
-        st.floats(1.0, sys.float_info.max),
-    )
-    @example(RankBasedProfile(2, (-1.7e308, -math.inf)), 2.0)
-    @example(RankBasedProfile(2, (0.0, -5e-324)), sys.float_info.max)
-    @example(RankBasedProfile(2, (-0.0, -1.7e308)), 1.5)
-    def test_never_the_last_position(self, side, c):
-        # Scaling the last-ranked utility leaves it the row's strict minimum,
-        # so a witness always has an alternative ranked below the one it sinks.
-        rows = range(len(side.table_values))
-        for level in {c, *_levels(side.table_values[0].tolist()), *_HUGE_LEVELS}:
-            for _row, position in _row_breaks(side, rows, level):
-                assert position < side.n - 1
 
 
 class TestPinnedSearchOutputs:
