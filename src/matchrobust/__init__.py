@@ -44,7 +44,6 @@ from .metric import (
     PolarityCheck,
     build_generating_space,
     is_polarized,
-    path_preference_agreement_check,
     random_connected_space,
     union_generating_space,
     utilities_from_space,

@@ -20,8 +20,6 @@ import numpy as np
 
 from .jsonvalues import json_int, json_number
 from .markets import UtilityProfile, _require
-from .ordinal import OrdinalProfile, TiePolicy, ordinal_from_utility
-from .seeding import rng_for
 
 _REL_TOL = 1e-9
 
@@ -175,12 +173,12 @@ class MetricSpace:
     :meth:`place` maps a placement on the original vertices through it.
 
     Distances come by two independent routes. ``dist_row`` runs a heap
-    Dijkstra from one source and caches the row; ``shortest_path`` uses the
-    same heap search for its predecessors. ``distance_matrix`` runs one
-    array Dijkstra from every source at once (on spaces of at least
-    ``_LOCK_STEP_MIN_VERTICES`` vertices) and caches the whole matrix.
-    Each cache is written once, after which the object is effectively
-    immutable and safe to read concurrently.
+    Dijkstra from one source on each call; ``shortest_path`` uses the same
+    heap search for its predecessors. ``distance_matrix`` runs one array
+    Dijkstra from every source at once (on spaces of at least
+    ``_LOCK_STEP_MIN_VERTICES`` vertices) and caches the whole matrix. That
+    cache is written once, after which the object is effectively immutable
+    and safe to read concurrently.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int, float]]):
@@ -218,7 +216,6 @@ class MetricSpace:
         for a, b, w in self.edges:
             self._adj[a].append((b, w))
             self._adj[b].append((a, w))
-        self._dist_rows: dict[int, tuple[float, ...]] = {}
         self._dist_matrix: np.ndarray | None = None
 
     def place(self, alpha: Sequence[int], beta: Sequence[int]) -> Placement:
@@ -249,9 +246,7 @@ class MetricSpace:
         return dist, pred
 
     def dist_row(self, source: int) -> tuple[float, ...]:
-        if source not in self._dist_rows:
-            self._dist_rows[source] = tuple(self._dijkstra(source)[0])
-        return self._dist_rows[source]
+        return tuple(self._dijkstra(source)[0])
 
     def dist(self, u: int, v: int) -> float:
         return self.dist_row(u)[v]
@@ -429,72 +424,6 @@ def verify_generating(
     except ValueError:
         return False
     return bool(np.abs(u.values - induced.values).max() <= tol)
-
-
-@dataclass(frozen=True)
-class PathAgreementResult:
-    ok: bool
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-#: Quadruples the path agreement check samples when there are more, and the
-#: seed of that sample.
-_PATH_CHECK_SAMPLES = 500
-_PATH_CHECK_SEED = 0
-
-
-def path_preference_agreement_check(
-    space: MetricSpace, placement: Placement, profile: OrdinalProfile
-) -> PathAgreementResult:
-    """Agreement property of intersecting shortest paths.
-
-    For agents a, a' and alternatives x, x', if some shortest path from
-    alpha(a) to beta(x) meets some shortest path from alpha(a') to beta(x')
-    at a vertex, the two agents cannot both strictly prefer their own path's
-    destination: a preferring x over x' forces a' to prefer x over x' as
-    well. (The symmetric orientation, where each agent prefers the other's
-    destination, is geometrically possible and is not flagged.) The check
-    samples pairs of canonical shortest paths and returns a witness if the
-    impossible pattern ever shows up, which would indicate a shortest-path
-    bug rather than a property of the input.
-    """
-    n = profile.n
-    induced = utilities_from_space(space, placement, n)
-    extracted = ordinal_from_utility(induced, TiePolicy.STRICT)
-    if extracted != profile:
-        raise ValueError("placement does not represent the given ordinal profile")
-
-    path_sets: dict[tuple[int, int], frozenset[int]] = {}
-    for a in range(n):
-        for x in range(n):
-            path_sets[(a, x)] = frozenset(
-                space.shortest_path(placement.alpha[a], placement.beta[x])
-            )
-
-    candidates = [
-        (a, x, ap, xp)
-        for a in range(n)
-        for ap in range(a + 1, n)
-        for x in range(n)
-        for xp in range(n)
-        if x != xp
-    ]
-    if len(candidates) > _PATH_CHECK_SAMPLES:
-        rng = rng_for(_PATH_CHECK_SEED)
-        idx = rng.choice(len(candidates), size=_PATH_CHECK_SAMPLES, replace=False)
-        candidates = [candidates[int(i)] for i in idx]
-
-    pos = profile.position_table()
-    for a, x, ap, xp in candidates:
-        meet = path_sets[(a, x)] & path_sets[(ap, xp)]
-        if not meet:
-            continue
-        if pos[a][x] < pos[a][xp] and pos[ap][xp] < pos[ap][x]:
-            return PathAgreementResult(False, (a, x, ap, xp, min(meet)))
-    return PathAgreementResult(True)
 
 
 def random_connected_space(

@@ -71,8 +71,10 @@ class OrdinalProfile:
         return profile
 
     def position_table(self) -> list[list[int]]:
-        """pos[a][x] = rank of alternative x for agent a. Fresh list each call."""
-        return [_inverse(row) for row in self.ranks]
+        """pos[a][x] = rank of alternative x for agent a. Fresh lists each
+        call, whose rows share one set of n index ints."""
+        indices = tuple(range(self.n))
+        return [_inverse(row, indices) for row in self.ranks]
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "ranks": [list(row) for row in self.ranks]}
@@ -82,10 +84,12 @@ class OrdinalProfile:
         return cls(n=json_int(data["n"], "n"), ranks=json_rows(data["ranks"], "rank", ints=True))
 
 
-def _inverse(perm) -> list[int]:
-    """The inverse of a permutation of 0..n-1: ``inv[perm[i]] = i``."""
+def _inverse(perm, indices=None) -> list[int]:
+    """The inverse of a permutation of 0..n-1: ``inv[perm[i]] = i``, with
+    each ``i`` taken from ``indices`` when given, so that rows built from
+    one ``indices`` share their ints."""
     inv = [0] * len(perm)
-    for i, x in enumerate(perm):
+    for i, x in enumerate(perm) if indices is None else zip(indices, perm):
         inv[x] = i
     return inv
 
@@ -266,14 +270,15 @@ def _first_flip(r: OrdinalProfile, r_prime: OrdinalProfile) -> tuple[int, int, i
 def _distinguishing_rows(n: int, a1: int, b1: int, b2: int) -> tuple[tuple[int, ...], ...]:
     """Rows of the opposite-side profile that hinges on agent a1's choice
     between alternatives b1 and b2 (see :func:`distinguishing_profile`)."""
-    a2 = 0 if a1 != 0 else 1
-    spare_agents = [a for a in range(n) if a not in (a1, a2)]
+    agents = tuple(range(n))  # every row reads its ints from this one tuple
+    a1, a2 = agents[a1], agents[0 if a1 != 0 else 1]
+    spare_agents = [a for a in agents if a not in (a1, a2)]
     other_alts = [b for b in range(n) if b not in (b1, b2)]
 
     rows: list[tuple[int, ...]] = [()] * n
     rows[b1] = rows[b2] = (a1, a2, *spare_agents)
     for b, top in zip(other_alts, spare_agents):
-        rows[b] = (top, *range(top), *range(top + 1, n))
+        rows[b] = (top, *agents[:top], *agents[top + 1 :])
     return tuple(rows)
 
 

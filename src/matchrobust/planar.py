@@ -191,11 +191,6 @@ def _agent_matches_cells(a: int, row) -> bool:
     return a not in _NINE_THIRDS or row[2] == _NINE_THIRDS[a]
 
 
-def matches_nine_agent_cells(profile: OrdinalProfile) -> bool:
-    """True iff the profile agrees with every constrained nine-agent cell."""
-    return profile.n >= 9 and all(_agent_matches_cells(a, profile.ranks[a]) for a in range(9))
-
-
 @dataclass(frozen=True)
 class RepresentationCandidate:
     space: MetricSpace
@@ -271,6 +266,12 @@ def search_planar_representation(
     induced utility profile come only after every agent passed. Returns the
     first refutation found, or None (the expected outcome, since no planar
     realization exists).
+
+    In practice the search exercises the cell check, not planarity: of the
+    10 000 candidates at seed 910 none passes every agent, so
+    :func:`is_planar` is never reached. Odd candidates usually put two
+    alternatives on one vertex and tie at agent 0; even candidates, weighted
+    ``2 ** position``, tie, miss a cell or cut an agent off.
     """
     full_edges = _biclique_edges(nonplanar_profile(9))
     for t in range(candidates):

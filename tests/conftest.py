@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,10 +23,11 @@ from matchrobust import (
     ordinal_from_utility_flagged,
     phi,
     spike_factor,
+    utilities_from_space,
 )
 from matchrobust import embedding
 from matchrobust.embedding import BanachSearchResult
-from matchrobust.ordinal import TieError, TiePolicy
+from matchrobust.ordinal import TieError, TiePolicy, ordinal_from_utility
 from matchrobust.seeding import rng_for
 
 settings.register_profile(
@@ -440,6 +442,49 @@ def reference_is_polarized(u: UtilityProfile, tol: float = 1e-12):
     return True, None
 
 
+@dataclass(frozen=True)
+class PathAgreementResult:
+    ok: bool
+    witness: tuple | None = None
+    checked: int = 0  # quadruples looked at
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def path_preference_agreement_check(space, placement, profile: OrdinalProfile) -> PathAgreementResult:
+    """Agreement property of intersecting shortest paths, on every quadruple.
+
+    For agents a < a' and alternatives x != x', if the canonical shortest
+    path from alpha(a) to beta(x) meets the one from alpha(a') to beta(x')
+    at a vertex, the two agents cannot both strictly prefer their own path's
+    destination: a preferring x over x' forces a' to prefer x over x' as
+    well. (The symmetric orientation, where each agent prefers the other's
+    destination, is geometrically possible and is not flagged.) A witness
+    ``(a, x, a', x', meeting vertex)`` would point to a shortest-path bug,
+    not to a property of the input. ValueError if the placement does not
+    represent ``profile``.
+    """
+    n = profile.n
+    induced = utilities_from_space(space, placement, n)
+    if ordinal_from_utility(induced, TiePolicy.STRICT) != profile:
+        raise ValueError("placement does not represent the given ordinal profile")
+    paths = {
+        (a, x): frozenset(space.shortest_path(placement.alpha[a], placement.beta[x]))
+        for a in range(n)
+        for x in range(n)
+    }
+    pos = [{x: i for i, x in enumerate(row)} for row in profile.ranks]
+    checked = 0
+    for a, ap in itertools.combinations(range(n), 2):
+        for x, xp in itertools.permutations(range(n), 2):
+            checked += 1
+            meet = paths[a, x] & paths[ap, xp]
+            if meet and pos[a][x] < pos[a][xp] and pos[ap][xp] < pos[ap][x]:
+                return PathAgreementResult(False, (a, x, ap, xp, min(meet)), checked)
+    return PathAgreementResult(True, None, checked)
+
+
 def _value_or_inf(d: DecayFunction, t: float) -> float:
     """D(t), with an overflow read as +inf, which lies above any target.
 
@@ -580,6 +625,21 @@ def planar_by_kuratowski(vertex_count: int, edges) -> bool:
         if _has_subdivision(adj, vertices, k33):
             return False
     return True
+
+
+#: The constrained cells of the nine-agent profile, written out as the
+#: alternatives each of agents 0..8 must rank first, second and (agents 6-8)
+#: third.
+NINE_AGENT_PREFIXES = (
+    (0, 3), (1, 4), (2, 5), (3, 1), (4, 2), (5, 0), (6, 3, 2), (7, 4, 0), (8, 5, 1),
+)
+
+
+def reference_matches_nine_agent_cells(profile: OrdinalProfile) -> bool:
+    """True iff the first nine agents' rankings start with their prefixes."""
+    return profile.n >= 9 and all(
+        profile.ranks[a][: len(prefix)] == prefix for a, prefix in enumerate(NINE_AGENT_PREFIXES)
+    )
 
 
 def petersen():

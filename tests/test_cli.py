@@ -1463,6 +1463,11 @@ class TestMalformedInputFuzz:
         _truncated(_valid_space()) | _WRONG_TOP_LEVEL | _malformed_space(),
     )
     @example(argv=("planarity",), text='{"vertices": 2, "edges": [[0, 1, 1.0]], "alpha": "junk"}')
+    # An edge endpoint or a placement vertex equal to "vertices", one past the last.
+    @example(argv=("planarity",), text='{"vertices": 3, "edges": [[0, 3, 1.0]]}')
+    @example(argv=("planarity",), text='{"vertices": 3, "edges": [[3, 0, 1.0]]}')
+    @example(argv=("planarity",), text='{"vertices": 3, "edges": [[0, 1, 1.0]], "alpha": [3], "beta": [0]}')
+    @example(argv=("planarity",), text='{"vertices": 3, "edges": [[0, 1, 1.0]], "alpha": [0], "beta": [3]}')
     def test_space_input_is_65(self, tmp_path_factory, argv, text):
         _assert_malformed(tmp_path_factory.getbasetemp(), argv, text)
 

@@ -18,7 +18,6 @@ from matchrobust import (
     geometric_market,
     is_polarized,
     ordinal_from_utility,
-    path_preference_agreement_check,
     random_connected_space,
     union_generating_space,
     utilities_from_space,
@@ -34,7 +33,12 @@ from matchrobust.metric import (
 )
 from matchrobust.seeding import rng_for
 
-from conftest import band_utup, reference_is_polarized, reference_random_connected_space
+from conftest import (
+    band_utup,
+    path_preference_agreement_check,
+    reference_is_polarized,
+    reference_random_connected_space,
+)
 
 #: Utilities at the edges of the float range: signed zeros, the smallest
 #: subnormal and normal, values whose pairwise sums overflow, and -inf.
@@ -147,6 +151,21 @@ class TestMetricSpace:
         # An infinite edge would join a component whose distances are infinite.
         with pytest.raises(ValueError, match="infinite"):
             MetricSpace(2, [(0, 1, math.inf)])
+
+    @pytest.mark.parametrize("edge", [(0, 3, 1.0), (3, 0, 1.0), (-1, 0, 1.0), (0, -1, 1.0)])
+    def test_rejects_endpoint_out_of_range(self, edge):
+        # Vertex 3 of a 3-vertex space is one past the last.
+        with pytest.raises(ValueError, match="out of range"):
+            MetricSpace(3, [edge])
+
+    @pytest.mark.parametrize("alpha, beta", [((3,), (0,)), ((0,), (3,)), ((-1,), (0,))])
+    def test_place_rejects_vertex_out_of_range(self, alpha, beta):
+        # Placements index the original vertices, three here, not the two
+        # left after the zero edge is merged.
+        space = MetricSpace(3, [(0, 1, 0.0), (1, 2, 1.0)])
+        assert space.place((2,), (0,)) == Placement((1,), (0,))
+        with pytest.raises(ValueError, match="out of range"):
+            space.place(alpha, beta)
 
     def test_disconnected_distance_infinite(self):
         space = MetricSpace(4, [(0, 1, 1.0), (2, 3, 1.0)])
@@ -318,12 +337,19 @@ class TestDistanceMatrix:
     @pytest.mark.parametrize(
         "vertices", [_LOCK_STEP_MIN_VERTICES - 1, _LOCK_STEP_MIN_VERTICES, 150]
     )
-    def test_cached_read_only_on_either_route(self, vertices):
+    def test_cached_read_only_on_either_route(self, vertices, monkeypatch):
         space = random_connected_space(vertices, vertices // 2, np.random.default_rng(vertices))
+        kernel_calls = []
+        monkeypatch.setattr(
+            metric,
+            "_all_sources_dijkstra",
+            lambda *args: kernel_calls.append(args) or _all_sources_dijkstra(*args),
+        )
         d = space.distance_matrix()
-        # Only the heap route fills the per-source row cache.
-        assert bool(space._dist_rows) == (vertices < _LOCK_STEP_MIN_VERTICES)
         assert space.distance_matrix() is d
+        # Only spaces of _LOCK_STEP_MIN_VERTICES and more take the array
+        # kernel, and the cached matrix is not computed again.
+        assert len(kernel_calls) == (vertices >= _LOCK_STEP_MIN_VERTICES)
         assert not d.flags.writeable
         with pytest.raises(ValueError):
             d[0, 1] = 0.0
@@ -454,12 +480,31 @@ class TestUtilitiesFromSpace:
         with pytest.raises(ValueError):
             utilities_from_space(space, Placement((0,), (2,)), 1)
 
+    @pytest.mark.parametrize("alpha, beta", [((0, 1), (2,)), ((0,), (1, 2))])
+    def test_either_side_of_the_wrong_size_rejected(self, alpha, beta):
+        space = MetricSpace(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(ValueError, match="does not cover"):
+            utilities_from_space(space, Placement(alpha, beta), 2)
+
+    @pytest.mark.parametrize("alpha, beta", [((2,), (0,)), ((0,), (2,))])
+    def test_vertex_one_past_the_last_rejected(self, alpha, beta):
+        space = MetricSpace(2, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="out of range"):
+            utilities_from_space(space, Placement(alpha, beta), 1)
+
 
 class TestVerifyGenerating:
     def test_round_trip_true(self, rng):
         u = band_utup(3, rng)
         space, placement = build_generating_space(u)
         assert verify_generating(space, placement, u, tol=1e-9)
+
+    def test_exact_realization_at_zero_tolerance(self, rng):
+        # Every direct edge is the shortest path, so each distance is the
+        # edge weight exactly and the largest error is 0.0.
+        u = band_utup(3, rng)
+        space, placement = build_generating_space(u)
+        assert verify_generating(space, placement, u, tol=0.0)
 
     def test_perturbed_distance_false(self, rng):
         u = band_utup(2, rng)
@@ -514,14 +559,12 @@ class TestPathAgreement:
             assert bool(path_preference_agreement_check(space, placement, r))
         assert checked > 200
 
-    def test_seven_agents_sample_the_candidates(self, rng, monkeypatch):
-        # 21 agent pairs x 42 ordered alternative pairs = 882 candidates > 500.
+    def test_seven_agents_check_every_quadruple(self, rng):
+        # 21 agent pairs x 42 ordered alternative pairs = 882 quadruples.
         u = band_utup(7, rng)
         space, placement = build_generating_space(u)
-        seeds = []
-        monkeypatch.setattr(metric, "rng_for", lambda seed: seeds.append(seed) or rng_for(seed))
-        assert bool(path_preference_agreement_check(space, placement, ordinal_from_utility(u)))
-        assert seeds == [metric._PATH_CHECK_SEED]
+        result = path_preference_agreement_check(space, placement, ordinal_from_utility(u))
+        assert result.ok and result.checked == 882
 
     def test_representation_mismatch_rejected(self, rng):
         u = band_utup(3, rng)
@@ -530,6 +573,23 @@ class TestPathAgreement:
         wrong = OrdinalProfile(3, tuple(tuple(reversed(row)) for row in r.ranks))
         with pytest.raises(ValueError):
             path_preference_agreement_check(space, placement, wrong)
+
+
+class _CountingGenerator:
+    """A generator that records the ``size`` of each ``integers`` call. When
+    ``stuck``, its scalar draws all return ``low``: the spanning tree is a
+    star and every extra-edge try is a self-loop."""
+
+    def __init__(self, seed, stuck=False):
+        self._rng, self._stuck, self.sizes = rng_for(seed), stuck, []
+
+    def integers(self, low, high=None, size=None):
+        self.sizes.append(size)
+        draw = self._rng.integers(low, high, size=size)
+        return low if self._stuck and size is None else draw
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
 def _next_draws(rng):
@@ -556,3 +616,23 @@ class TestRandomConnectedSpace:
         # The tree and the most extras asked for outnumber the pairs.
         if 3 * vertices + 1 > vertices * (vertices - 1) // 2:
             assert exhausted > 0
+
+    def test_tries_stop_at_the_budget(self):
+        # A star on 4 vertices never completes, so all 50 * (2 + 1) tries
+        # run, two scalar draws each, after one draw per tree edge.
+        rng = _CountingGenerator(0, stuck=True)
+        space = random_connected_space(4, 2, rng)
+        assert len(space.edges) == 3
+        assert rng.sizes == [None] * (3 + 2 * 150)
+
+    @pytest.mark.parametrize("vertices", [1, 2, 3, 4])
+    def test_complete_graph_draws_the_tries_left_at_once(self, vertices):
+        rng = _CountingGenerator(vertices)
+        space = random_connected_space(vertices, 20, rng)
+        assert len(space.edges) == vertices * (vertices - 1) // 2
+        # One scalar draw per tree edge and two per try, then the one array
+        # draw of the tries left, which ends the loop.
+        *scalar, last = rng.sizes
+        assert scalar == [None] * len(scalar)
+        tries = (len(scalar) - (vertices - 1)) // 2
+        assert last == 2 * (50 * 21 - tries)

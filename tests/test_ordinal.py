@@ -21,7 +21,12 @@ from matchrobust import (
     ordinal_from_utility_flagged,
     phi,
 )
-from matchrobust.ordinal import STABLE_ENUM_CAP, _first_flip, uniform_profile
+from matchrobust.ordinal import (
+    STABLE_ENUM_CAP,
+    _distinguishing_rows,
+    _first_flip,
+    uniform_profile,
+)
 from matchrobust.seeding import rng_for
 
 from conftest import (
@@ -360,6 +365,30 @@ class TestDistinguishingProfile:
                 continue
             rm = distinguishing_profile(r, r_prime)
             assert phi(rm, r) != phi(rm, r_prime)
+
+
+class TestSharedIndexInts:
+    """Python interns only the ints up to 256, so at large n a table whose
+    rows draw fresh ints holds about n * n of them; these tables hold n."""
+
+    N = 600
+
+    @staticmethod
+    def _distinct_ints(rows) -> int:
+        return len({id(v) for row in rows for v in row})
+
+    def test_position_table_rows_share_ints(self):
+        profile = uniform_profile(self.N, rng_for(600))
+        table = profile.position_table()
+        assert all([row[i] for i in pos] == list(range(self.N)) for row, pos in zip(profile.ranks, table))
+        assert self._distinct_ints(table) == self.N
+
+    def test_distinguishing_rows_share_ints(self):
+        a1, b1, b2 = 400, 500, 300
+        rows = _distinguishing_rows(self.N, a1, b1, b2)
+        assert all(sorted(row) == list(range(self.N)) for row in rows)
+        assert rows[b1][:2] == rows[b2][:2] == (a1, 0)
+        assert self._distinct_ints(rows) == self.N
 
 
 class TestOrdinalFromUtility:

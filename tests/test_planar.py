@@ -19,9 +19,8 @@ from matchrobust import (
 from matchrobust import planar
 from matchrobust.metric import utilities_from_space
 from matchrobust.ordinal import TieError, TiePolicy, ordinal_from_utility
-from matchrobust.planar import matches_nine_agent_cells
 
-from conftest import petersen, planar_by_kuratowski, subdivided
+from conftest import petersen, planar_by_kuratowski, reference_matches_nine_agent_cells, subdivided
 
 
 def complete_graph(v):
@@ -269,11 +268,13 @@ class TestNineAgentProfile:
     def test_every_constrained_cell_is_checked(self):
         base = nonplanar_profile(9).ranks
         for a in range(9):
+            assert planar._agent_matches_cells(a, base[a])
             for pos in range(3 if a >= 6 else 2):
                 row = list(base[a])
                 row[pos], row[-1] = row[-1], row[pos]
                 rows = base[:a] + (tuple(row),) + base[a + 1 :]
-                assert not matches_nine_agent_cells(OrdinalProfile(9, rows)), (a, pos)
+                assert not reference_matches_nine_agent_cells(OrdinalProfile(9, rows)), (a, pos)
+                assert not planar._agent_matches_cells(a, row), (a, pos)
 
     def test_requires_nine(self):
         with pytest.raises(ValueError):
@@ -282,7 +283,7 @@ class TestNineAgentProfile:
     def test_larger_sizes_extend_ascending(self):
         p = nonplanar_profile(11)
         assert p.ranks[9] == tuple(range(11))
-        assert matches_nine_agent_cells(p)
+        assert reference_matches_nine_agent_cells(p)
 
     def test_generating_space_nonplanar(self):
         # Any bipartite realization of the profile is a 9,9-biclique.
@@ -306,7 +307,7 @@ def _full_route(space, placement) -> bool | str:
     the error's name is returned in place of False."""
     try:
         induced = utilities_from_space(space, placement, 9)
-        return matches_nine_agent_cells(ordinal_from_utility(induced, TiePolicy.STRICT))
+        return reference_matches_nine_agent_cells(ordinal_from_utility(induced, TiePolicy.STRICT))
     except (ValueError, TieError) as exc:
         return type(exc).__name__
 

@@ -144,7 +144,7 @@ def test_distance_routes_stay_independent():
     names = {node.id for node in nodes if isinstance(node, ast.Name)}
     attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     assert not names & {"_dijkstra", "dist_row", "MetricSpace", "heapq"}
-    assert not attributes & {"_dijkstra", "dist_row", "dist", "_dist_rows", "_adj"}
+    assert not attributes & {"_dijkstra", "dist_row", "dist", "_adj"}
 
 
 def test_banach_reference_stays_independent():
@@ -162,3 +162,14 @@ def test_banach_reference_stays_independent():
         used |= names | {name}
     assert "_reference_cyclic_value" in used
     assert not used & (embedding.keys() | {"_CYCLIC_CELLS", "_MOVED_CELLS"})
+
+
+def test_nine_agent_cells_reference_stays_independent():
+    # ``reference_matches_nine_agent_cells`` checks the library's per-agent
+    # cell test, so it writes the cells out itself and reaches no function
+    # or cell constant of planar.py.
+    reference = _functions(ROOT / "tests" / "conftest.py")["reference_matches_nine_agent_cells"]
+    planar = _functions(ROOT / "src" / "matchrobust" / "planar.py")
+    used = _names_and_attributes(reference)
+    assert "NINE_AGENT_PREFIXES" in used
+    assert not used & (planar.keys() | {"_NINE_TOPS", "_NINE_SECONDS", "_NINE_THIRDS"})
