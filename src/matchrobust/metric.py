@@ -248,9 +248,6 @@ class MetricSpace:
     def dist_row(self, source: int) -> tuple[float, ...]:
         return tuple(self._dijkstra(source)[0])
 
-    def dist(self, u: int, v: int) -> float:
-        return self.dist_row(u)[v]
-
     def distance_matrix(self) -> np.ndarray:
         """All-pairs shortest-path distances as a read-only (V, V) array.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .jsonvalues import json_int, json_rows
 
-#: Hard cap for brute-force stable enumeration (n! bijections).
+#: Hard cap for the exhaustive stable search (n! bijections at worst).
 STABLE_ENUM_CAP = 7
 
 
@@ -194,22 +194,48 @@ def is_stable(men: OrdinalProfile, women: OrdinalProfile, mu: Assignment) -> boo
 
 
 def enumerate_stable(men: OrdinalProfile, women: OrdinalProfile) -> set[Assignment]:
-    """All stable assignments by exhaustive bijection enumeration.
+    """All stable assignments, by exhaustive search over partial bijections.
 
-    Brute-force oracle for the deferred-acceptance implementation; refuses
-    to run above ``STABLE_ENUM_CAP`` because the search is n! wide. Each
-    bijection is dropped at its first blocking pair.
+    Brute-force oracle for the deferred-acceptance implementation, built
+    from the definition alone. Men are placed in index order, and placing
+    man m with woman w is refused when, for some earlier man m2 with wife
+    w2, (m, w2) or (m2, w) blocks. Every blocking pair of a bijection joins
+    two of its pairs, so it is seen when the later of the two men is
+    placed; and a blocking pair among placed men blocks every completion.
+    So the search keeps exactly the stable bijections. It still refuses to
+    run above ``STABLE_ENUM_CAP``: its worst case is n! wide.
     """
     if men.n != women.n:
         raise ValueError("size mismatch")
     if men.n > STABLE_ENUM_CAP:
         raise ValueError(f"n={men.n} exceeds brute-force cap {STABLE_ENUM_CAP}")
-    women_pos = women.position_table()
-    return {
-        Assignment(men.n, perm)
-        for perm in itertools.permutations(range(men.n))
-        if next(_blocking(men.ranks, women_pos, perm), None) is None
-    }
+    n = men.n
+    men_pos, women_pos = men.position_table(), women.position_table()
+    wife, taken, stable = [0] * n, [False] * n, set()
+
+    def extend(m: int) -> None:
+        if m == n:
+            stable.add(Assignment(n, tuple(wife)))
+            return
+        his = men_pos[m]
+        for w in range(n):
+            if taken[w]:
+                continue
+            hers = women_pos[w]
+            for m2 in range(m):
+                w2 = wife[m2]
+                if (his[w2] < his[w] and women_pos[w2][m] < women_pos[w2][m2]) or (
+                    men_pos[m2][w] < men_pos[m2][w2] and hers[m2] < hers[m]
+                ):
+                    break
+            else:
+                wife[m] = w
+                taken[w] = True
+                extend(m + 1)
+                taken[w] = False
+
+    extend(0)
+    return stable
 
 
 def all_profiles(n: int) -> Iterator[OrdinalProfile]:

@@ -854,10 +854,11 @@ class TestPinnedGeometryOutputs:
         assert _output_digest(tmp_path, argv, infile) == expected
 
 
-def _pinned_market(n: int, identical: bool = False) -> dict:
-    """A random ordinal market; ``identical`` gives every man one shared
-    ranking, the worst case for the order in which men propose."""
-    rng = np.random.default_rng(n)
+def _pinned_market(n: int, identical: bool = False, seed: int | None = None) -> dict:
+    """A random ordinal market drawn from ``seed`` (default ``n``);
+    ``identical`` gives every man one shared ranking, the worst case for
+    the order in which men propose."""
+    rng = np.random.default_rng(n if seed is None else seed)
     if identical:
         men = [rng.permutation(n).tolist()] * n
     else:
@@ -866,11 +867,21 @@ def _pinned_market(n: int, identical: bool = False) -> dict:
     return {"schema": 1, "men": {"n": n, "ranks": men}, "women": {"n": n, "ranks": women}}
 
 
+def _cyclic_market(n: int) -> dict:
+    """Man i ranks i, i+1, ...; woman j ranks j+1, j+2, ... (mod n): a
+    market with n stable matches."""
+    return {
+        "schema": 1,
+        "men": {"n": n, "ranks": [[(i + k) % n for k in range(n)] for i in range(n)]},
+        "women": {"n": n, "ranks": [[(j + 1 + k) % n for k in range(n)] for j in range(n)]},
+    }
+
+
 class TestPinnedMarketOutputs:
     """sha256 of `solve` and `stable-set` outputs, recorded while deferred
     acceptance still moved the lowest-index free proposer first and the
-    enumeration still checked every blocking pair; a faster proposal order
-    or an early exit must keep these bytes."""
+    enumeration still walked all n! bijections; a faster proposal order or
+    a pruned search must keep these bytes."""
 
     @pytest.mark.parametrize(
         "argv, infile, expected",
@@ -900,9 +911,24 @@ class TestPinnedMarketOutputs:
                 _pinned_market(7),
                 "3de1c286ee9bcd8ebffccff5449881815d3157a95386e7ecc3dfdb68dbfa1293",
             ),
+            (
+                ("stable-set",),
+                _cyclic_market(7),
+                "71392ff3fd80992b977343ad6fed9e527d51bfb021be94e1f87aba5960b0470f",
+            ),
+            (
+                ("stable-set",),
+                _pinned_market(6, seed=29),
+                "9a1688184fef4179a80f9b9dde383c0181729dd95f16664c5a8f2bfbdcca5f53",
+            ),
+            (
+                ("stable-set",),
+                _pinned_market(7, identical=True),
+                "b31e811f612aa2eebd0dfcb220e4aa2dcbc99f7a12dbe3f85c47ed5a33da1e20",
+            ),
         ],
         ids=["solve-identical", "solve-identical-text", "solve-random", "solve-random-text",
-             "stable-set"],
+             "stable-set", "stable-set-cyclic", "stable-set-five-stable", "stable-set-identical"],
     )
     def test_digest(self, tmp_path, argv, infile, expected):
         assert _output_digest(tmp_path, argv, infile) == expected

@@ -368,7 +368,7 @@ class TestRobustnessBounds:
                     if (p < 3) == (q < 3) and rng.random() < 0.7:
                         edges.append((p, q, float(rng.uniform(0.5, 10.0))))
             space = MetricSpace(6, edges)
-            value = _cyclic_ratio([[space.dist(a, 3 + b) for b in range(3)] for a in range(3)])
+            value = _cyclic_ratio([[space.dist_row(a)[3 + b] for b in range(3)] for a in range(3)])
             if value is not None:
                 values.append(value)
         assert len(values) > 100

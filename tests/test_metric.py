@@ -137,11 +137,11 @@ class TestMetricSpace:
         space = MetricSpace(3, [(0, 1, 0.0), (1, 2, 2.0)])
         assert space.n_vertices == 2
         assert space.quotient_map[0] == space.quotient_map[1]
-        assert space.dist(space.quotient_map[0], space.quotient_map[2]) == 2.0
+        assert space.dist_row(space.quotient_map[0])[space.quotient_map[2]] == 2.0
 
     def test_parallel_edges_keep_minimum(self):
         space = MetricSpace(2, [(0, 1, 5.0), (1, 0, 2.0)])
-        assert space.dist(0, 1) == 2.0
+        assert space.dist_row(0)[1] == 2.0
 
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
@@ -169,7 +169,7 @@ class TestMetricSpace:
 
     def test_disconnected_distance_infinite(self):
         space = MetricSpace(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        assert math.isinf(space.dist(0, 2))
+        assert math.isinf(space.dist_row(0)[2])
         assert len(space.components()) == 2
 
     def test_quotient_and_components_match_reference(self, rng):
@@ -220,8 +220,8 @@ class TestMetricSpace:
         space = random_connected_space(10, 8, rng)
         path = space.shortest_path(0, space.n_vertices - 1)
         assert path[0] == 0 and path[-1] == space.n_vertices - 1
-        length = sum(space.dist(path[i], path[i + 1]) for i in range(len(path) - 1))
-        assert math.isclose(length, space.dist(0, space.n_vertices - 1))
+        length = sum(space.dist_row(path[i])[path[i + 1]] for i in range(len(path) - 1))
+        assert math.isclose(length, space.dist_row(0)[space.n_vertices - 1])
 
     def test_json_round_trip(self):
         space = MetricSpace(3, [(0, 1, 1.5), (1, 2, 2.5)])
@@ -384,7 +384,7 @@ class TestBuildGeneratingSpace:
         u = UtilityProfile(1, ((-5.0,),))
         space, placement = build_generating_space(u)
         assert space.n_vertices == 2
-        assert space.dist(placement.alpha[0], placement.beta[0]) == 5.0
+        assert space.dist_row(placement.alpha[0])[placement.beta[0]] == 5.0
 
     def test_n2_direct_edges_are_shortest(self, rng):
         u = band_utup(2, rng)
@@ -393,7 +393,7 @@ class TestBuildGeneratingSpace:
         for a in range(2):
             for x in range(2):
                 assert math.isclose(
-                    space.dist(placement.alpha[a], placement.beta[x]), -u.values[a][x]
+                    space.dist_row(placement.alpha[a])[placement.beta[x]], -u.values[a][x]
                 )
 
     def test_not_polarized_raises_with_witness(self):
@@ -406,7 +406,7 @@ class TestBuildGeneratingSpace:
         u = UtilityProfile(2, ((0.0, -10.0), (0.0, -10.0)))
         space, placement = build_generating_space(u)
         assert placement.alpha[0] == placement.beta[0] == placement.alpha[1]
-        assert space.dist(placement.alpha[0], placement.beta[1]) == 10.0
+        assert space.dist_row(placement.alpha[0])[placement.beta[1]] == 10.0
 
 
 class TestUnionGeneratingSpace:

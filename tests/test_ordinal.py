@@ -275,10 +275,36 @@ class TestEnumerateStable:
         with pytest.raises(ValueError, match="exceeds brute-force cap"):
             enumerate_stable(men, men)
 
-    @given(paired_profiles(2, 6))
+    @given(paired_profiles(1, STABLE_ENUM_CAP))
     def test_matches_definition_oracle(self, pair):
         men, women = pair
         got = {a.pairing for a in enumerate_stable(men, women)}
+        assert got == oracle_stable_set(men, women)
+
+    @pytest.mark.parametrize("n", range(1, STABLE_ENUM_CAP + 1))
+    @pytest.mark.parametrize("men_reversed", [False, True])
+    @pytest.mark.parametrize("women_reversed", [False, True])
+    def test_shared_rankings_give_the_serial_dictatorship(self, n, men_reversed, women_reversed):
+        # When every agent on a side holds one ranking, the only stable
+        # match pairs the k-th most wanted man with the k-th most wanted
+        # woman.
+        men_order = tuple(range(n))[::-1] if men_reversed else tuple(range(n))
+        women_order = tuple(range(n))[::-1] if women_reversed else tuple(range(n))
+        men, women = OrdinalProfile(n, (men_order,) * n), OrdinalProfile(n, (women_order,) * n)
+        expected = [0] * n
+        for m, w in zip(women_order, men_order):
+            expected[m] = w
+        got = {a.pairing for a in enumerate_stable(men, women)}
+        assert got == {tuple(expected)} == oracle_stable_set(men, women)
+
+    @pytest.mark.parametrize("n", range(3, STABLE_ENUM_CAP + 1))
+    def test_cyclic_market_has_n_stable_matches(self, n):
+        # Man i ranks i, i+1, ...; woman j ranks j+1, j+2, ... (mod n). Each
+        # rotation of the wives is stable, and no other bijection is.
+        men = OrdinalProfile(n, tuple(tuple((i + k) % n for k in range(n)) for i in range(n)))
+        women = OrdinalProfile(n, tuple(tuple((j + 1 + k) % n for k in range(n)) for j in range(n)))
+        got = {a.pairing for a in enumerate_stable(men, women)}
+        assert got == {tuple((m + k) % n for m in range(n)) for k in range(n)}
         assert got == oracle_stable_set(men, women)
 
     def test_never_calls_deferred_acceptance(self, monkeypatch, rng):

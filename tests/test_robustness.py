@@ -39,7 +39,7 @@ from matchrobust import (
     uniform_profile,
 )
 from matchrobust.markets import random_extensional_profile, rank_scatter
-from matchrobust.ordinal import TiePolicy, phi
+from matchrobust.ordinal import TiePolicy, _distinguishing_rows, phi
 from matchrobust.robustness import _breakable, _build_witness, _first_break, _first_hit, _trial_blocks
 from matchrobust.seeding import rng_for
 
@@ -888,6 +888,37 @@ class TestSpikeSampler:
         for a in range(6):
             for i in range(2):
                 assert abs(means[a, i] - 1.8) <= 4 * errs[a, i]
+
+    def test_kill_law_on_the_whole_support_at_n_three(self):
+        # Criterion 04 samples the kill law at (c, eps) = (1.5, 0.2). At
+        # n = 3 its support is 2 sides x 3 agents x 2 non-last slots x 216
+        # spiked-side profiles = 2592 points, so each is built here without
+        # ``draw``: the spike re-extracts without a tie, and against the
+        # opposite side's hinge profile it moves the stable pair.
+        n = 3
+        sampler = CriticalSpikeSampler(n, 1.5, 0.2)
+        rows = list(itertools.permutations(range(n)))
+        points = 0
+        for side in ("men", "women"):
+            for agent in range(n):
+                for slot in range(n - 1):
+                    for ranks in itertools.product(rows, repeat=n):
+                        r = OrdinalProfile(n, ranks)
+                        b1, b2 = ranks[agent][slot : slot + 2]
+                        factors = np.ones((n, n))
+                        factors[agent, b1] = sampler.spike
+                        u = sampler.market.side(side).utilities(r)
+                        r_tilde, ties = ordinal_from_utility_flagged(
+                            apply_perturbation(Perturbation(n, factors), u), TiePolicy.INDEX
+                        )
+                        assert not ties
+                        other = OrdinalProfile(n, _distinguishing_rows(n, agent, b1, b2))
+                        if side == "men":
+                            assert phi(r, other) != phi(r_tilde, other)
+                        else:
+                            assert phi(other, r) != phi(other, r_tilde)
+                        points += 1
+        assert points == 2592
 
 
 class TestPreservationProbability:

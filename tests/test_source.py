@@ -131,6 +131,51 @@ def test_one_proposal_chain():
     assert not used & {"deferred_acceptance", "_proposal_chain", "phi", "ordinal"}
 
 
+def test_stable_enumeration_stays_independent():
+    # ``enumerate_stable`` is the route from the definition that deferred
+    # acceptance is checked against, so neither it, its nested search, nor
+    # any ordinal.py function or method it calls may reach deferred
+    # acceptance. It must not call itself by name either: the benchmark's
+    # tracer rebinds that name and would record one span per level.
+    functions = {}
+    for node in ast.parse((ROOT / "src" / "matchrobust" / "ordinal.py").read_text()).body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        functions.update((f.name, f) for f in members if isinstance(f, ast.FunctionDef))
+    assert "enumerate_stable" not in _names_and_attributes(functions["enumerate_stable"])
+    used, todo = set(), ["enumerate_stable"]
+    while todo:
+        name = todo.pop()
+        names = _names_and_attributes(functions[name])
+        todo += [n for n in names & functions.keys() if n not in used and n != name]
+        used |= names | {name}
+    assert "position_table" in used
+    assert not used & {"deferred_acceptance", "phi", "_proposal_chain"}
+
+
+def test_mutation_probe_lists_its_sites(capsys):
+    # tests/mutants.py runs by hand; listing its sites, without running a
+    # mutant, keeps it from rotting. Every site of every module holds the
+    # operator it names, ordinal.py's mutants still parse, and a seeded
+    # sample is repeatable.
+    import mutants
+
+    for path in SOURCES:
+        source = path.read_text()
+        for site in mutants.sites(source):
+            mutated = mutants.mutate(source, site)
+            if path.name == "ordinal.py":
+                ast.parse(mutated)
+    ordinal = str(ROOT / "src" / "matchrobust" / "ordinal.py")
+    pruning = [s for s in mutants.sites(Path(ordinal).read_text()) if s.function == "enumerate_stable.extend"]
+    assert [s.old for s in pruning].count("<") == 4
+    listings = []
+    for _ in range(2):
+        assert mutants.main([ordinal, "--list", "--sample", "10", "--seed", "3"]) == 0
+        listings.append(capsys.readouterr().out)
+    assert listings[0] == listings[1]
+    assert len(listings[0].splitlines()) == 10
+
+
 def test_distance_routes_stay_independent():
     # The all-sources array kernel and the per-source heap Dijkstra check
     # each other byte for byte, so the kernel may not reach the heap route.
