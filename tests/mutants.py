@@ -2,16 +2,16 @@
 
 Run by hand from the repository root; pytest does not collect this file::
 
-    python tests/mutants.py src/matchrobust/ordinal.py --sample 25 --seed 0 \\
-        --timeout 300 tests/test_ordinal.py tests/test_cli.py
+    python tests/mutants.py src/matchrobust/ordinal.py --sample 25 \\
+        tests/test_ordinal.py tests/test_cli.py
     python tests/mutants.py src/matchrobust/ordinal.py --list
 
 Each mutant swaps one operator at one site: ``<``/``<=``, ``>``/``>=``,
 ``==``/``!=``, ``+``/``-`` (binary only) or ``and``/``or``. ``--sample K``
-draws K sites with ``random.Random(seed)``; without it every site runs. The
+draws K sites with ``random.Random(SEED)``; without it every site runs. The
 mutant is written into a temporary copy of ``src/``, never into the
 checkout, and the given test paths (default: ``tests``) run against that
-copy in one ``pytest -x`` subprocess at a time, stopped after ``--timeout``
+copy in one ``pytest -x`` subprocess at a time, stopped after ``TIMEOUT``
 seconds. The unmutated copy runs first, and the probe refuses to go on if
 it fails. Each mutant is reported as killed, survived or timed out.
 
@@ -54,6 +54,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 0  # of the --sample draw, so a sample is repeatable
+TIMEOUT = 600.0  # seconds per mutant
 
 SWAP = {
     "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
@@ -135,14 +137,14 @@ def mutate(source: str, site: Site) -> str:
     return "".join(lines)
 
 
-def _run_tests(src_copy: Path, tests: list[str], timeout: float) -> str:
+def _run_tests(src_copy: Path, tests: list[str]) -> str:
     # No bytecode cache: a mutant of the same size written within the same
     # second as the last one would otherwise load the last one's .pyc.
     env = {**os.environ, "PYTHONPATH": str(src_copy), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(
-            command, cwd=ROOT, env=env, timeout=timeout,
+            command, cwd=ROOT, env=env, timeout=TIMEOUT,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
     except subprocess.TimeoutExpired:
@@ -155,8 +157,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", help="a file under src/matchrobust")
     parser.add_argument("tests", nargs="*", default=["tests"], help="pytest paths (default: tests)")
     parser.add_argument("--sample", type=int, help="number of sites to draw (default: all)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
     parser.add_argument("--list", action="store_true", help="print the chosen sites and stop")
     args = parser.parse_intermixed_args(argv)
 
@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     source = module.read_text()
     chosen = sites(source)
     if args.sample is not None and args.sample < len(chosen):
-        chosen = sorted(random.Random(args.seed).sample(chosen, args.sample))
+        chosen = sorted(random.Random(SEED).sample(chosen, args.sample))
     if args.list:
         for site in chosen:
             print(site)
@@ -176,13 +176,13 @@ def main(argv: list[str] | None = None) -> int:
         src_copy = Path(scratch) / "src"
         shutil.copytree(ROOT / "src", src_copy, ignore=shutil.ignore_patterns("__pycache__"))
         target = src_copy / relative
-        if _run_tests(src_copy, args.tests, args.timeout) != "survived":
+        if _run_tests(src_copy, args.tests) != "survived":
             print("the unmutated copy fails or times out; no mutant run", file=sys.stderr)
             return 1
         for site in chosen:
             target.write_text(mutate(source, site))
             started = time.monotonic()
-            outcome = _run_tests(src_copy, args.tests, args.timeout)
+            outcome = _run_tests(src_copy, args.tests)
             counts[outcome] += 1
             print(f"{outcome:8} {site}  ({time.monotonic() - started:.1f} s)", flush=True)
     print(", ".join(f"{count} {outcome}" for outcome, count in counts.items()))
