@@ -57,11 +57,9 @@ from .ordinal import (
     TieError,
     TiePolicy,
     all_profiles,
-    blocking_pairs,
     deferred_acceptance,
     distinguishing_profile,
     enumerate_stable,
-    is_stable,
     ordinal_from_utility,
     ordinal_from_utility_flagged,
     phi,

@@ -89,10 +89,6 @@ class Perturbation:
         object.__setattr__(self, "factors", factors)
 
     @classmethod
-    def ones(cls, n: int) -> "Perturbation":
-        return cls(n, np.ones((n, n)))
-
-    @classmethod
     def single_entry(cls, n: int, agent: int, alternative: int, factor: float) -> "Perturbation":
         factors = np.ones((n, n))
         factors[agent, alternative] = factor
@@ -248,11 +244,6 @@ class MatchingMarket:
     @property
     def n(self) -> int:
         return self.men.n
-
-    def side(self, name: str) -> MarketProfile:
-        if name not in ("men", "women"):
-            raise ValueError(f"unknown side {name!r}; expected 'men' or 'women'")
-        return self.men if name == "men" else self.women
 
 
 def geometric_market(n: int, base: float) -> MatchingMarket:

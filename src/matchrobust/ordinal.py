@@ -162,37 +162,6 @@ def phi(men: OrdinalProfile, women: OrdinalProfile) -> StablePair:
     )
 
 
-def _blocking(men_ranks, women_pos, pairing) -> Iterator[tuple[int, int]]:
-    """Blocking pairs of ``pairing`` in (man, his rank of the woman) order.
-
-    A man scans his ranking down to his partner; a woman he meets on the way
-    blocks with him if she ranks him above her own partner.
-    """
-    inv = _inverse(pairing)
-    for m, partner in enumerate(pairing):
-        for w in men_ranks[m]:
-            if w == partner:
-                break
-            pos = women_pos[w]
-            if pos[m] < pos[inv[w]]:
-                yield m, w
-
-
-def blocking_pairs(
-    men: OrdinalProfile, women: OrdinalProfile, mu: Assignment
-) -> set[tuple[int, int]]:
-    """All (man, woman) pairs who mutually prefer each other over their match."""
-    if men.n != women.n or mu.n != men.n:
-        raise ValueError("size mismatch")
-    return set(_blocking(men.ranks, women.position_table(), mu.pairing))
-
-
-def is_stable(men: OrdinalProfile, women: OrdinalProfile, mu: Assignment) -> bool:
-    if men.n != women.n or mu.n != men.n:
-        raise ValueError("size mismatch")
-    return next(_blocking(men.ranks, women.position_table(), mu.pairing), None) is None
-
-
 def enumerate_stable(men: OrdinalProfile, women: OrdinalProfile) -> set[Assignment]:
     """All stable assignments, by exhaustive search over partial bijections.
 

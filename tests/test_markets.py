@@ -19,6 +19,7 @@ from matchrobust import (
     ordinal_from_utility,
     random_extensional_market,
 )
+from matchrobust.markets import _random_strict_rows
 from matchrobust.seeding import rng_for
 
 from conftest import reference_extensional_check
@@ -96,7 +97,7 @@ class TestMatrices:
 
     def test_values_and_factors_are_read_only_float64(self):
         u = UtilityProfile(2, ((-1, -2), (-3, -4)))
-        d = Perturbation.ones(2)
+        d = Perturbation(2, np.ones((2, 2)))
         for m in (u.values, d.factors, apply_perturbation(d, u).values):
             assert m.dtype == np.float64 and m.shape == (2, 2)
             with pytest.raises(ValueError, match="read-only"):
@@ -112,7 +113,8 @@ class TestMatrices:
 class TestApplyPerturbation:
     def test_all_ones_identity(self):
         u = UtilityProfile(2, ((-1.0, -2.0), (0.0, -3.0)))
-        assert np.array_equal(apply_perturbation(Perturbation.ones(2), u).values, u.values)
+        ones = Perturbation(2, np.ones((2, 2)))
+        assert np.array_equal(apply_perturbation(ones, u).values, u.values)
 
     def test_arithmetic(self):
         u = UtilityProfile(2, ((-1.0, -2.0), (-1.0, -2.0)))
@@ -121,7 +123,9 @@ class TestApplyPerturbation:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            apply_perturbation(Perturbation.ones(3), UtilityProfile(2, ((-1.0, -2.0),) * 2))
+            apply_perturbation(
+                Perturbation(3, np.ones((3, 3))), UtilityProfile(2, ((-1.0, -2.0),) * 2)
+            )
 
     @given(st.integers(0, 2**32 - 1), st.floats(1.0, 5.0))
     def test_output_bracketed_by_level(self, seed, level):
@@ -161,6 +165,13 @@ class TestMarketProfiles:
         with pytest.raises(ValueError):
             geometric_market(3, math.nan)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_geometric_market_rejects_base_one(self, n):
+        # At n = 1 a base of 1 gives one valid rank utility, and at n = 3 a
+        # tied row, so only the base check names the fault.
+        with pytest.raises(ValueError, match="base must exceed 1"):
+            geometric_market(n, 1.0)
+
     @pytest.mark.parametrize("n, base", [(2000, 2.0), (3, 1e200), (2, math.inf)])
     def test_geometric_market_rejects_overflowing_utilities(self, n, base):
         with pytest.raises(ValueError, match="overflow"):
@@ -191,18 +202,29 @@ class TestMarketProfiles:
         with pytest.raises(ValueError):
             MatchingMarket(RankBasedProfile(2, (-1.0, -2.0)), RankBasedProfile(3, (-1.0, -2.0, -4.0)))
 
-    def test_side_by_name(self):
-        m = MatchingMarket(RankBasedProfile(2, (-1.0, -2.0)), RankBasedProfile(2, (-1.0, -3.0)))
-        assert m.side("men") is m.men and m.side("women") is m.women
-        for bad in ("menn", "Women", ""):
-            with pytest.raises(ValueError):
-                m.side(bad)
-
     def test_geometric_market_utilities(self):
         m = geometric_market(3, 2.0)
         r = OrdinalProfile(3, ((0, 1, 2),) * 3)
         u = m.men.utilities(r)
         assert np.array_equal(u.values[0], (-1.0, -2.0, -4.0))
+
+    def test_random_strict_rows_draws_a_tied_row_again(self):
+        class Scripted:
+            def __init__(self, draws):
+                self.draws = list(draws)
+
+            def uniform(self, lo, hi, size):
+                return np.array(self.draws.pop(0))
+
+        rng = Scripted([
+            [-1.0, -2.0, -1.0],  # tied, so agent 0 draws again
+            [-3.0, -1.0, -2.0],
+            [-4.0, -5.0, -6.0],
+            [-9.0, -8.0, -7.0],
+        ])
+        rows = _random_strict_rows(3, rng)
+        assert rows == [[-1.0, -2.0, -3.0], [-4.0, -5.0, -6.0], [-7.0, -8.0, -9.0]]
+        assert rng.draws == []
 
     def test_random_extensional_market_consistent(self):
         market = random_extensional_market(2, rng_for(3))

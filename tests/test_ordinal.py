@@ -12,11 +12,9 @@ from matchrobust import (
     TieError,
     TiePolicy,
     UtilityProfile,
-    blocking_pairs,
     deferred_acceptance,
     distinguishing_profile,
     enumerate_stable,
-    is_stable,
     ordinal_from_utility,
     ordinal_from_utility_flagged,
     phi,
@@ -187,7 +185,7 @@ class TestDeferredAcceptance:
         men, women = pair
         for side in (Side.MEN, Side.WOMEN):
             mu = deferred_acceptance(men, women, side)
-            assert blocking_pairs(men, women, mu) == set()
+            assert oracle_is_stable(men, women, mu.pairing)
 
     @given(paired_profiles(2, 4))
     def test_proposing_side_optimality(self, pair):
@@ -227,36 +225,12 @@ class TestAssignment:
 
 
 class TestBlockingPairs:
-    def test_mutual_first_choices_stable(self):
-        men = OrdinalProfile(2, ((0, 1), (1, 0)))
-        women = OrdinalProfile(2, ((0, 1), (1, 0)))
-        assert blocking_pairs(men, women, Assignment(2, (0, 1))) == set()
-
-    def test_unmatched_mutual_favorites_block(self):
-        men = OrdinalProfile(2, ((0, 1), (0, 1)))
-        women = OrdinalProfile(2, ((0, 1), (0, 1)))
-        blocks = blocking_pairs(men, women, Assignment(2, (1, 0)))
-        assert (0, 0) in blocks
-
-    @pytest.mark.parametrize("check", [blocking_pairs, is_stable])
-    def test_assignment_size_mismatch_alone_raises(self, check):
-        p = OrdinalProfile(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
-        with pytest.raises(ValueError, match="size mismatch"):
-            check(p, p, Assignment(2, (0, 1)))
-
-    @pytest.mark.parametrize("check", [blocking_pairs, is_stable])
-    def test_profile_size_mismatch_alone_raises(self, check):
-        men = OrdinalProfile(2, ((0, 1), (1, 0)))
-        women = OrdinalProfile(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
-        with pytest.raises(ValueError, match="size mismatch"):
-            check(men, women, Assignment(2, (0, 1)))
-
     def test_da_never_blocked_random(self):
         for t in range(1000):
             rng = rng_for(42, t)
             men, women = random_profile(5, rng), random_profile(5, rng)
             mu = deferred_acceptance(men, women)
-            assert blocking_pairs(men, women, mu) == set()
+            assert oracle_is_stable(men, women, mu.pairing)
 
 
 class TestEnumerateStable:
@@ -319,21 +293,6 @@ class TestEnumerateStable:
         monkeypatch.setattr(ordinal, "phi", forbidden)
         men, women = random_profile(5, rng), random_profile(5, rng)
         assert enumerate_stable(men, women)
-
-
-class TestIsStable:
-    @given(paired_profiles(1, 5), st.integers(0, 2**32 - 1))
-    def test_agrees_with_blocking_pairs(self, pair, seed):
-        men, women = pair
-        perm = tuple(int(v) for v in np.random.default_rng(seed).permutation(men.n))
-        mu = Assignment(men.n, perm)
-        assert is_stable(men, women, mu) == (not blocking_pairs(men, women, mu))
-        assert is_stable(men, women, mu) == oracle_is_stable(men, women, perm)
-
-    def test_size_mismatch(self):
-        p = OrdinalProfile(2, ((0, 1), (1, 0)))
-        with pytest.raises(ValueError):
-            is_stable(p, p, Assignment(1, (0,)))
 
 
 class TestDistinguishingProfile:

@@ -493,6 +493,16 @@ def _witness_fields(w):
     )
 
 
+def _distinguishing_side_moves(w) -> bool:
+    """Whether the outcome proposed by the distinguishing profile's side
+    differs before and after the flip: women propose against a men-side
+    witness, men against a women-side one. The hinged alternatives both
+    rank the flipping agent first and every other alternative holds its own
+    spare agent, so that proposal hinges on the flipped pair alone."""
+    outcome = "female_optimal" if w.side == "men" else "male_optimal"
+    return getattr(w.original_pair, outcome) != getattr(w.perturbed_pair, outcome)
+
+
 #: Levels at which scaled edge-pool utilities overflow to -inf.
 _HUGE_LEVELS = (1e300, 1e308, sys.float_info.max)
 
@@ -554,6 +564,7 @@ class TestWitnessMatchesWholeProfileRoute:
                     got = _build_witness(name, side, row, position, c)
                     expected = reference_witness(name, side, row, position, c)
                     assert _witness_fields(got) == _witness_fields(expected)
+                    assert _distinguishing_side_moves(got)
 
     @given(_scanned_side(), st.data())
     def test_random_sides(self, side, data):
@@ -695,6 +706,7 @@ class TestAdversarialWitness:
         else:
             assert w.original_pair == phi(w.distinguishing, w.profile)
             assert w.perturbed_pair == phi(w.distinguishing, w.perturbed_profile)
+        assert _distinguishing_side_moves(w)
 
     def test_equivalence_both_directions(self, rng):
         for _ in range(5):
@@ -824,8 +836,8 @@ class TestSpikeSampler:
             sampler = CriticalSpikeSampler(n, c, eps)
             expected = critical_market(n, c, eps)
             for side in ("men", "women"):
-                got = sampler.market.side(side).rank_utilities
-                assert got == expected.side(side).rank_utilities
+                got = getattr(sampler.market, side).rank_utilities
+                assert got == getattr(expected, side).rank_utilities
 
     @pytest.mark.parametrize("n, c, eps", [(1, 1.5, 0.2), (3, 0.5, 0.2), (3, 1.5, 0.0)])
     def test_rejects_what_critical_market_rejects(self, n, c, eps):
@@ -851,7 +863,7 @@ class TestSpikeSampler:
             s = sampler.sample(rng_for(23, t))
             spiked = "women" if np.array_equal(s.men_factors.factors, np.ones((3, 3))) else "men"
             r = s.men_profile if spiked == "men" else s.women_profile
-            u = market.side(spiked).utilities(r)
+            u = getattr(market, spiked).utilities(r)
             factors = s.men_factors if spiked == "men" else s.women_factors
             perturbed, ties = ordinal_from_utility_flagged(
                 apply_perturbation(factors, u), TiePolicy.INDEX
@@ -874,7 +886,7 @@ class TestSpikeSampler:
                 spiked = "women" if unspiked_men else "men"
                 r = s.men_profile if spiked == "men" else s.women_profile
                 factors = s.men_factors if spiked == "men" else s.women_factors
-                u = sampler.market.side(spiked).utilities(r)
+                u = getattr(sampler.market, spiked).utilities(r)
                 r_tilde, _ties = ordinal_from_utility_flagged(
                     apply_perturbation(factors, u), TiePolicy.INDEX
                 )
@@ -907,7 +919,7 @@ class TestSpikeSampler:
                         b1, b2 = ranks[agent][slot : slot + 2]
                         factors = np.ones((n, n))
                         factors[agent, b1] = sampler.spike
-                        u = sampler.market.side(side).utilities(r)
+                        u = getattr(sampler.market, side).utilities(r)
                         r_tilde, ties = ordinal_from_utility_flagged(
                             apply_perturbation(Perturbation(n, factors), u), TiePolicy.INDEX
                         )
@@ -924,11 +936,11 @@ class TestSpikeSampler:
 class TestPreservationProbability:
     def test_level_one_iid_sampler_draws_all_ones(self):
         for n in (2, 3, 5):
-            ones = Perturbation.ones(n)
+            ones = np.ones((n, n))
             for t in range(50):
                 s = IidUniformFactorSampler(n, 1.0).sample(rng_for(9, t))
-                assert np.array_equal(s.men_factors.factors, ones.factors)
-                assert np.array_equal(s.women_factors.factors, ones.factors)
+                assert np.array_equal(s.men_factors.factors, ones)
+                assert np.array_equal(s.women_factors.factors, ones)
 
     def test_all_ones_sampler_preserves(self):
         market = geometric_market(3, 2.0)
@@ -1031,9 +1043,10 @@ def _sample_as_before(sampler, rng) -> PerturbationSample:
     rows = [list(row) for row in r.ranks]
     rows[agent][i_star : i_star + 2] = rows[agent][i_star + 1], rows[agent][i_star]
     other = distinguishing_profile(r, OrdinalProfile(n, rows))
+    ones = Perturbation(n, np.ones((n, n)))
     if a_star < n:
-        return PerturbationSample(r, other, delta, Perturbation.ones(n))
-    return PerturbationSample(other, r, Perturbation.ones(n), delta)
+        return PerturbationSample(r, other, delta, ones)
+    return PerturbationSample(other, r, ones, delta)
 
 
 def _same_sample(got: PerturbationSample, expected: PerturbationSample) -> bool:
