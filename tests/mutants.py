@@ -32,6 +32,10 @@ do not write tests for them.
 - ``metric.py``, ``build_generating_space``: ``>`` to ``>=``. Every realized
   distance equals its edge weight exactly, so the error is 0 and never meets
   the positive bound.
+- ``planar.py``, ``_by_edge_count``: ``e_count <= 8`` to ``< 8``. Every
+  graph of 8 edges is planar, and the rules after it or networkx say so.
+- ``planar.py``, ``_reduce``: ``a < b`` to ``<=``. Neighbour sets hold no
+  self-loops, so ``a`` never equals ``b``.
 
 A mutant that makes a loop run forever times out; the suite catches it only
 by the timeout, and it needs no test:

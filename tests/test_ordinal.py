@@ -172,6 +172,14 @@ class TestDeferredAcceptance:
                 OrdinalProfile(1, ((0,),)), OrdinalProfile(2, ((0, 1), (0, 1)))
             )
 
+    @pytest.mark.parametrize("side", [Side.MEN, Side.WOMEN])
+    @pytest.mark.parametrize("men_n, women_n", [(2, 3), (3, 2)])
+    def test_size_mismatch_names_both_sizes(self, side, men_n, women_n):
+        men = OrdinalProfile(men_n, (tuple(range(men_n)),) * men_n)
+        women = OrdinalProfile(women_n, (tuple(range(women_n)),) * women_n)
+        with pytest.raises(ValueError, match=f"size mismatch: men n={men_n}, women n={women_n}"):
+            deferred_acceptance(men, women, side)
+
     @settings(max_examples=200)
     @given(da_markets())
     def test_matches_min_free_reference(self, market):
@@ -225,6 +233,26 @@ class TestAssignment:
 
 
 class TestBlockingPairs:
+    # The two fixed markets below reach the two clauses of enumerate_stable's
+    # pruning test: (1, 0) is blocked by a later man with an earlier wife in
+    # the first, and by an earlier man with a later wife in the second.
+    def test_mutual_first_choices_stable(self):
+        men = OrdinalProfile(2, ((0, 1), (1, 0)))
+        women = OrdinalProfile(2, ((0, 1), (1, 0)))
+        assert oracle_is_stable(men, women, (0, 1))
+        assert not oracle_is_stable(men, women, (1, 0))
+        assert {a.pairing for a in enumerate_stable(men, women)} == {(0, 1)}
+        pair = phi(men, women)
+        assert pair.male_optimal.pairing == pair.female_optimal.pairing == (0, 1)
+
+    def test_unmatched_mutual_favorites_block(self):
+        men = OrdinalProfile(2, ((0, 1), (0, 1)))
+        women = OrdinalProfile(2, ((0, 1), (0, 1)))
+        assert not oracle_is_stable(men, women, (1, 0))
+        assert {a.pairing for a in enumerate_stable(men, women)} == {(0, 1)}
+        pair = phi(men, women)
+        assert pair.male_optimal.pairing == pair.female_optimal.pairing == (0, 1)
+
     def test_da_never_blocked_random(self):
         for t in range(1000):
             rng = rng_for(42, t)

@@ -65,7 +65,7 @@ class TestIsPlanar:
         with pytest.raises(ValueError):
             planar_by_kuratowski(9, [])
 
-    @pytest.mark.parametrize("edge", [(0, 7), (0, -1), (3, 0), (-1, -1)])
+    @pytest.mark.parametrize("edge", [(0, 7), (0, -1), (3, 0), (-1, -1), (0, 3)])
     @pytest.mark.parametrize("function", [is_planar, genus_lower_bound])
     def test_out_of_range_endpoint_rejected(self, function, edge):
         with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
