@@ -142,14 +142,7 @@ def _market_profile(data: dict) -> MarketProfile:
         rank_utilities = [json_number(v, "rank utility") for v in data["rank_utilities"]]
         return RankBasedProfile(json_int(data["n"], "n"), rank_utilities)
     if kind == "extensional":
-        table = {}
-        for entry in data["entries"]:
-            r = OrdinalProfile.from_json_dict({"n": data["n"], "ranks": entry["ranks"]})
-            u = UtilityProfile.from_json_dict({"n": data["n"], "values": entry["values"]})
-            if r in table:
-                raise ValueError(f"two entries for ranks {[list(row) for row in r.ranks]}")
-            table[r] = u
-        return ExtensionalProfile(json_int(data["n"], "n"), table)
+        return ExtensionalProfile.from_json_dict(data)
     raise ValueError("kind must be 'rank' or 'extensional'")
 
 

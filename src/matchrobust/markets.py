@@ -62,6 +62,15 @@ class UtilityProfile:
         _require(values <= 0.0, values, "utility", "is positive or NaN")
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _of_checked(cls, n: int, values: np.ndarray) -> "UtilityProfile":
+        """A profile over a read-only float64 n x n array already checked
+        to be nonpositive; skips the copy and check of the constructor."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "n", n)
+        object.__setattr__(u, "values", values)
+        return u
+
     def to_json_dict(self) -> dict:
         return {"n": self.n, "values": self.values.tolist()}
 
@@ -191,10 +200,14 @@ class RankBasedProfile(MarketProfile):
 class ExtensionalProfile(MarketProfile):
     """Explicit ordinal-profile -> utility-profile table.
 
-    Every entry is checked for consistency at construction: the utilities
-    stored for R must induce exactly R. One stable sort of the stacked
-    negated utilities checks every entry at once; the first bad entry in
-    table order is re-extracted to raise its error.
+    A side is validated once, as a whole: ``ExtensionalProfile(n, table)``
+    stacks its entries into ``(E, n, n)`` rank and utility arrays, and
+    :meth:`from_json_dict` builds the same arrays straight from a JSON side.
+    Both then pass one check: a stable sort of every row's negated
+    utilities must reproduce its ranks without a tie, which also proves
+    each rank row a permutation. The first bad entry in table order is
+    re-extracted to raise its error. ``table`` maps each stored profile to
+    its utilities, read-only views of ``table_values``.
     """
 
     def __init__(self, n: int, table: Mapping[OrdinalProfile, UtilityProfile]):
@@ -202,23 +215,60 @@ class ExtensionalProfile(MarketProfile):
             raise ValueError("n >= 1 required")
         if not table:
             raise ValueError("empty table")
-        self.n = n
-        self.table = dict(table)
-        if any(r.n != n or u.n != n for r, u in self.table.items()):
+        if any(r.n != n or u.n != n for r, u in table.items()):
             raise ValueError("table entry size mismatch")
-        self.table_profiles = tuple(self.table)
-        ranks = np.array([r.ranks for r in self.table_profiles], dtype=np.intp).reshape(-1, n)
-        values = np.concatenate([u.values for u in self.table.values()])
+        ranks = np.array([r.ranks for r in table], dtype=np.intp)
+        self._store(n, ranks, np.array([u.values for u in table.values()]))
+
+    def _store(self, n: int, ranks: np.ndarray, values: np.ndarray) -> None:
+        """Check and keep ``(E, n, n)`` intp ranks and float64 nonpositive
+        utilities, entry k stored at the profile ``ranks[k]``."""
         order, ties = _stable_ranking(values)
-        bad = (order != ranks).any(axis=1) | ties.any(axis=1)
+        bad = (order != ranks).any(axis=2) | ties.any(axis=2)
         if bad.any():
-            r = self.table_profiles[int(bad.argmax()) // n]
-            ordinal_from_utility_flagged(self.table[r])  # raises TieError on a tie
-            raise ValueError(f"inconsistent table entry: utilities do not induce {r.ranks}")
-        ranks.flags.writeable = False
-        values.flags.writeable = False
-        self.table_ranks = ranks
-        self.table_values = values
+            k = int(bad.any(axis=1).argmax())
+            ordinal_from_utility_flagged(UtilityProfile(n, values[k]))  # raises TieError on a tie
+            raise ValueError(
+                f"inconsistent table entry: utilities do not induce {tuple(map(tuple, ranks[k].tolist()))}"
+            )
+        profiles = tuple(OrdinalProfile._of_permutations(n, tuple(map(tuple, r))) for r in ranks.tolist())
+        ranks.flags.writeable = values.flags.writeable = False
+        table = dict(zip(profiles, (UtilityProfile._of_checked(n, u) for u in values)))
+        if len(table) < len(profiles):
+            raise ValueError("two table entries for one profile")
+        self.n = n
+        self.table = table
+        self.table_profiles = profiles
+        self.table_ranks = ranks.reshape(-1, n)
+        self.table_values = values.reshape(-1, n)
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "ExtensionalProfile":
+        """A side from ``{"n": n, "entries": [{"ranks": R, "values": U}, ...]}``.
+
+        The entries are read as a whole: one type check over every rank and
+        every utility, one array for each, and one check each for shape,
+        finiteness and sign before the check every side makes. A side that
+        fails any of them is read again one entry at a time, in file order,
+        so the first bad entry raises the error its own constructors raise
+        (a duplicate counts at its position).
+        """
+        arrays = _json_entry_arrays(data)
+        if arrays is not None:
+            side = cls.__new__(cls)
+            try:
+                side._store(*arrays)
+                return side
+            except ValueError:
+                pass
+        table = {}
+        for entry in data["entries"]:
+            r = OrdinalProfile.from_json_dict({"n": data["n"], "ranks": entry["ranks"]})
+            u = UtilityProfile.from_json_dict({"n": data["n"], "values": entry["values"]})
+            if r in table:
+                raise ValueError(f"two entries for ranks {[list(row) for row in r.ranks]}")
+            table[r] = u
+        return cls(json_int(data["n"], "n"), table)
 
     def utilities(self, profile: OrdinalProfile) -> UtilityProfile:
         try:
@@ -228,6 +278,34 @@ class ExtensionalProfile(MarketProfile):
 
     def representable_profiles(self) -> Iterator[OrdinalProfile]:
         return iter(self.table.keys())
+
+
+def _json_entry_arrays(data) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """``(n, ranks, values)`` of a JSON extensional side's entries as
+    ``(E, n, n)`` intp and float64 arrays, or None unless n is a positive
+    JSON integer, there is at least one entry, every rank is a JSON integer
+    and every utility a finite, nonpositive JSON number, and both fields of
+    every entry form an n x n matrix."""
+    try:
+        n, entries = data["n"], data["entries"]
+        if type(n) is not int or n < 1 or type(entries) is not list or not entries:
+            return None
+        rank_rows = [entry["ranks"] for entry in entries]
+        value_rows = [entry["values"] for entry in entries]
+        rank_types = {type(v) for rows in rank_rows for row in rows for v in row}
+        value_types = {type(v) for rows in value_rows for row in rows for v in row}
+        if not (rank_types <= {int} and value_types <= {int, float}):
+            return None
+        ranks = np.array(rank_rows, dtype=np.intp)
+        values = np.array(value_rows, dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    shape = (len(entries), n, n)
+    if ranks.shape != shape or values.shape != shape:
+        return None
+    if not (np.isfinite(values).all() and (values <= 0.0).all()):
+        return None
+    return n, ranks, values
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,13 @@ single-entry perturbation of a side at once, one stable ``argsort`` per
 block of perturbed rows standing in for sorting each row by (-utility,
 index). Each temporary of that scan holds at most ``_SCAN_BLOCK_ELEMENTS``
 entries (2 MiB of float64), or one row when n is larger, at every n. A
-changed order or an exact tie breaks the level, and the first break is
-confirmed through deferred acceptance.
+changed order or an exact tie breaks the level; a block's first break is
+found by flat index, not by per-row reductions. The first break is
+confirmed through deferred acceptance by one proposal chain before the
+perturbation and one after, proposed by the distinguishing opposite-side
+profile, against position tables built once per search. Only
+:func:`adversarial_witness` builds a whole witness, with both stable pairs
+and its perturbation matrix.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .ordinal import (
     OrdinalProfile,
     StablePair,
     _distinguishing_rows,
+    _inverse,
     _proposal_chain,
     _stable_ranking,
     phi,
@@ -137,21 +143,21 @@ class AdversarialWitness:
     tie_created: bool
 
 
-def _build_witness(
-    name: str, side: MarketProfile, row: int, position: int, c: float
-) -> AdversarialWitness:
-    """The verified witness for perturbing, at level ``c``, the alternative
-    that the ``name`` side's table row ``row`` ranks at ``position`` (a
-    non-last rank).
+def _perturbed_row(
+    side: MarketProfile, row: int, position: int, c: float
+) -> tuple[int, int, int, int, tuple[int, ...], bool]:
+    """``(k, agent, alt, below, perturbed_row, tied)`` for perturbing, at level
+    ``c``, the alternative ``alt`` that the side's table row ``row`` (agent
+    ``agent`` at ``table_profiles[k]``) ranks at ``position`` (a non-last
+    rank); ``below`` is the alternative ranked just below it.
 
     Only that row is read and re-extracted. A scaled utility can only sink,
-    so the first pair it flips is the perturbed alternative and the one
-    ranked just below it, on which the distinguishing profile hinges.
+    so the first pair it flips is ``alt`` and ``below``, on which the
+    distinguishing profile hinges. ``tied`` marks an exact tie in the
+    perturbed row; stored tables are strict, so only that row can tie.
     """
-    n = side.n
-    k, agent = divmod(row, n)
-    r = side.table_profiles[k]
-    ranking = r.ranks[agent]
+    k, agent = divmod(row, side.n)
+    ranking = side.table_profiles[k].ranks[agent]
     alt, below = ranking[position], ranking[position + 1]
     values = side.table_values[row].copy()
     with np.errstate(over="ignore"):
@@ -163,6 +169,18 @@ def _build_witness(
         # Ties count as a preference change, so resolve the tie against the
         # perturbed entry to exhibit the adjacent flip it licenses.
         perturbed_row = (*ranking[:position], below, alt, *ranking[position + 2 :])
+    return k, agent, alt, below, perturbed_row, bool(ties.any())
+
+
+def _build_witness(
+    name: str, side: MarketProfile, row: int, position: int, c: float
+) -> AdversarialWitness:
+    """The verified witness for perturbing, at level ``c``, the alternative
+    that the ``name`` side's table row ``row`` ranks at ``position`` (see
+    :func:`_perturbed_row`)."""
+    n = side.n
+    k, agent, alt, below, perturbed_row, tied = _perturbed_row(side, row, position, c)
+    r = side.table_profiles[k]
     rows = (*r.ranks[:agent], perturbed_row, *r.ranks[agent + 1 :])
     r_tilde = OrdinalProfile._of_permutations(n, rows)
     other = OrdinalProfile._of_permutations(n, _distinguishing_rows(n, agent, alt, below))
@@ -182,8 +200,7 @@ def _build_witness(
         distinguishing=other,
         original_pair=original,
         perturbed_pair=changed,
-        # Stored tables are strict, so only the perturbed row can tie.
-        tie_created=bool(ties.any()),
+        tie_created=tied,
     )
 
 
@@ -217,8 +234,10 @@ def _first_break(ranks: np.ndarray, values: np.ndarray, c: float) -> tuple[int, 
     perturbations are walked in row-major order ``k = row * n + i``, in blocks
     of ``_SCAN_BLOCK_ELEMENTS // n`` perturbed rows (at least one), so each
     temporary holds at most ``max(n, _SCAN_BLOCK_ELEMENTS)`` elements at any n.
-    The position is never the last one: scaling the last-ranked utility
-    leaves it the row's strict minimum.
+    A block's first changed entry and first tie are found by flat index, and
+    the earlier of their perturbed rows, by integer ``//``, is the block's
+    first break. The position is never the last one: scaling the last-ranked
+    utility leaves it the row's strict minimum.
     """
     rows, n = ranks.shape
     block = max(1, _SCAN_BLOCK_ELEMENTS // n)
@@ -232,20 +251,52 @@ def _first_break(ranks: np.ndarray, values: np.ndarray, c: float) -> tuple[int, 
         with np.errstate(over="ignore"):
             perturbed.reshape(-1)[entry] *= c
         order, ties = _stable_ranking(perturbed)
-        hits = np.flatnonzero((order != r).any(axis=1) | ties.any(axis=1))
-        if hits.size:
-            return divmod(start + int(hits[0]), n)
+        changed = np.flatnonzero(order != r)
+        tied = np.flatnonzero(ties)  # empty at n = 1, where rows have no neighbours
+        hits = [int(changed[0]) // n] if changed.size else []
+        if tied.size:
+            hits.append(int(tied[0]) // (n - 1))
+        if hits:
+            return divmod(start + min(hits), n)
     return None
 
 
-def _breakable(c: float, market: MatchingMarket) -> bool:
-    for name, side in (("men", market.men), ("women", market.women)):
+def _confirm_break(
+    side: MarketProfile, row: int, position: int, c: float, positions: dict
+) -> None:
+    """Check through deferred acceptance that the break of ``_first_break`` at
+    (``row``, ``position``) of ``side``'s table moves a stable pair at level
+    ``c``, or raise.
+
+    The perturbed row is re-extracted as :func:`_build_witness` does, and the
+    distinguishing profile's side proposes, once to the stored profile and
+    once to the perturbed one: its rows are the proposers' and the perturbed
+    side responds. That outcome hinges on the flipped pair alone, so it must
+    move. ``positions`` maps ``(side, k)`` to the responders' position table
+    of ``table_profiles[k]``, built on first use; the perturbed profile's
+    table is a shallow copy with the perturbed agent's row replaced.
+    """
+    k, agent, alt, below, perturbed_row, _tied = _perturbed_row(side, row, position, c)
+    table = positions.get((side, k))
+    if table is None:
+        table = positions[side, k] = side.table_profiles[k].position_table()
+    perturbed = list(table)
+    perturbed[agent] = _inverse(perturbed_row)
+    proposers = _distinguishing_rows(side.n, agent, alt, below)
+    if _proposal_chain(proposers, table) == _proposal_chain(proposers, perturbed):
+        raise RuntimeError("break confirmation failed; this is a bug")
+
+
+def _breakable(c: float, market: MatchingMarket, positions: dict | None = None) -> bool:
+    """Whether level ``c`` breaks ``market``: the first break on either side,
+    men first, confirmed by :func:`_confirm_break`. ``positions`` carries the
+    position tables across calls; without it each call builds its own."""
+    if positions is None:
+        positions = {}
+    for side in (market.men, market.women):
         hit = _first_break(side.table_ranks, side.table_values, c)
         if hit is not None:
-            row, position = hit
-            # Confirm through deferred acceptance that the ordinal change
-            # really moves a stable pair.
-            _build_witness(name, side, row, position, c)
+            _confirm_break(side, *hit, c, positions)
             return True
     return False
 
@@ -260,8 +311,11 @@ def robustness_by_search(market: MatchingMarket, tol: float = 1e-6) -> float:
     ``argsort``; a changed ranking or an exact tie breaks the level. No
     utility ratio is formed, so this route stays independent of the formula
     it cross-checks. The first break in scan order (side, profile, agent,
-    position) is verified through a distinguishing opposite-side profile:
-    the deferred-acceptance pair must move. The bracket starts at [1, 2]
+    position) is confirmed through deferred acceptance against a
+    distinguishing opposite-side profile (see :func:`_confirm_break`): the
+    outcome that profile's side proposes must move. The position table of
+    each stored profile is built once per call, and no witness, perturbation
+    matrix or profile object is built. The bracket starts at [1, 2]
     and doubles its upper end, capped at the largest float, until that end
     breaks; if even the largest float does not break, the search returns
     ``inf``. Bisection stops once the bracket is no wider than ``tol`` or
@@ -273,9 +327,10 @@ def robustness_by_search(market: MatchingMarket, tol: float = 1e-6) -> float:
         raise ValueError("tol must be finite")
     if market.n == 1:
         return math.inf
+    positions: dict = {}
     # Level 1 is never scanned: it changes no utility of a strictly ordered table.
     lo, hi = 1.0, 2.0
-    while not _breakable(hi, market):
+    while not _breakable(hi, market, positions):
         if hi == sys.float_info.max:
             return math.inf
         hi = min(2.0 * hi, sys.float_info.max)
@@ -285,7 +340,7 @@ def robustness_by_search(market: MatchingMarket, tol: float = 1e-6) -> float:
         mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:
             break
-        if _breakable(mid, market):
+        if _breakable(mid, market, positions):
             hi = mid
         else:
             lo = mid

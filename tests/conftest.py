@@ -11,6 +11,7 @@ from matchrobust import (
     AdversarialWitness,
     Assignment,
     DecayFunction,
+    ExtensionalProfile,
     OrdinalProfile,
     Perturbation,
     RankBasedProfile,
@@ -27,6 +28,7 @@ from matchrobust import (
 )
 from matchrobust import embedding
 from matchrobust.embedding import BanachSearchResult
+from matchrobust.jsonvalues import json_int
 from matchrobust.ordinal import TieError, TiePolicy, ordinal_from_utility
 from matchrobust.seeding import rng_for
 
@@ -194,6 +196,20 @@ def reference_extensional_check(n: int, table) -> None:
             raise ValueError("table entry size mismatch")
         if reference_ordinal_from_utility(u, TiePolicy.STRICT)[0] != r:
             raise ValueError(f"inconsistent table entry: utilities do not induce {r.ranks}")
+
+
+def reference_extensional_side(data: dict) -> ExtensionalProfile:
+    """A JSON extensional side read one entry at a time, in file order: each
+    entry's ranks and values through their own JSON constructors, a repeated
+    ranks rejected at its position, then the mapping constructor."""
+    table = {}
+    for entry in data["entries"]:
+        r = OrdinalProfile.from_json_dict({"n": data["n"], "ranks": entry["ranks"]})
+        u = UtilityProfile.from_json_dict({"n": data["n"], "values": entry["values"]})
+        if r in table:
+            raise ValueError(f"two entries for ranks {[list(row) for row in r.ranks]}")
+        table[r] = u
+    return ExtensionalProfile(json_int(data["n"], "n"), table)
 
 
 def reference_consecutive_pairs(market):

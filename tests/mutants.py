@@ -36,6 +36,16 @@ do not write tests for them.
   graph of 8 edges is planar, and the rules after it or networkx say so.
 - ``planar.py``, ``_reduce``: ``a < b`` to ``<=``. Neighbour sets hold no
   self-loops, so ``a`` never equals ``b``.
+- ``robustness.py``, ``critical_market``: ``not v < ru[i + 1]`` to ``<=``.
+  A spiked utility equal to the next rank's is also caught by ``v in ru``.
+
+One survivor is not equivalent, but no portable test can pin it:
+
+- ``communication.py``, ``admissibility_report``: ``slope > 0.25`` to
+  ``>=``. It differs only where numpy's least-squares fit returns exactly
+  0.25 with growth at most 1.05. One numpy build does so for ratios 1, r, 1
+  at n = 2, 3, 4 and a single r near 4.685, but which r, if any, depends on
+  the LAPACK build. (``growth > 1.05`` is a plain quotient and has a test.)
 
 A mutant that makes a loop run forever times out; the suite catches it only
 by the timeout, and it needs no test:
@@ -43,6 +53,10 @@ by the timeout, and it needs no test:
 - ``markets.py``, ``_random_strict_rows``: ``draws[i + 1]`` to
   ``draws[i - 1]``. A sorted row of three or more distinct draws then always
   fails ``draws[1] < draws[0]``, so no row is ever accepted.
+- ``robustness.py``, ``robustness_by_search``: either ``<`` of ``lo < mid
+  < hi`` to ``<=``. Once no float lies between ``lo`` and ``hi``, the
+  midpoint rounds to one of them and the bracket never closes, so a ``tol``
+  below the float spacing loops forever.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -1470,6 +1471,97 @@ def _malformed_matching_market(draw) -> str:
         row = entry["values"][a]
         entry["values"][a] = [-v for v in row] if n == 1 else row[::-1]
     return json.dumps(data)
+
+
+def _two_agent_entries() -> list:
+    """The four entries of a full n = 2 extensional side, in profile order;
+    agent a's utilities are -1 - pos - a / 4 down its ranking."""
+    entries = []
+    for rows in itertools.product(((0, 1), (1, 0)), repeat=2):
+        values = [[0.0, 0.0], [0.0, 0.0]]
+        for a, row in enumerate(rows):
+            for pos, x in enumerate(row):
+                values[a][x] = -1.0 - pos - 0.25 * a
+        entries.append({"ranks": [list(row) for row in rows], "values": values})
+    return entries
+
+
+def _set(k, field, a, x, value):
+    def fault(entries):
+        if x is None:
+            entries[k][field][a] = value
+        else:
+            entries[k][field][a][x] = value
+
+    return fault
+
+
+def _duplicate(k, of):
+    def fault(entries):
+        entries[k] = json.loads(json.dumps(entries[of]))
+
+    return fault
+
+
+def _reverse(k, a):
+    def fault(entries):
+        entries[k]["values"][a].reverse()
+
+    return fault
+
+
+class TestExtensionalSideFaults:
+    """An extensional side is checked as a whole, and a malformed one reports
+    the first bad entry in file order with the message each entry's own
+    constructors give. The messages are those of the entry-by-entry reader
+    the bulk check replaced."""
+
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            ([_set(1, "ranks", 0, 0, True)], "rank must be a JSON integer, got True"),
+            ([_set(1, "ranks", 1, 1, 1.0)], "rank must be a JSON integer, got 1.0"),
+            ([_set(2, "values", 0, 1, math.nan)], "utility must be finite, got nan"),
+            ([_set(2, "values", 1, 0, math.inf)], "utility must be finite, got inf"),
+            ([_set(2, "values", 1, 0, -math.inf)], "utility must be finite, got -inf"),
+            ([_set(3, "values", 1, 1, 0.5)], "utility (1,1) = 0.5 is positive or NaN"),
+            ([_set(3, "values", 1, 1, -(10**400))], "int too large to convert to float"),
+            ([_set(1, "ranks", 1, None, [0])], "row 1 is not a permutation of 0..1"),
+            ([_set(1, "values", 0, None, [-1.0])], "utility rows must form an n x n matrix of numbers"),
+            ([_set(2, "ranks", 0, None, [0, 0])], "row 0 is not a permutation of 0..1"),
+            ([_duplicate(2, 0)], "two entries for ranks [[0, 1], [0, 1]]"),
+            ([_reverse(1, 0)], "inconsistent table entry: utilities do not induce ((0, 1), (1, 0))"),
+            ([_set(3, "values", 0, None, [-1.0, -1.0])], "agent 0 holds equal utilities for alternatives 0 and 1"),
+            # Two faults: a parse fault anywhere comes before any
+            # inconsistency, and otherwise the earlier entry's fault is reported.
+            ([_reverse(1, 0), _set(3, "ranks", 0, 0, True)], "rank must be a JSON integer, got True"),
+            ([_set(1, "values", 1, 1, 2), _set(2, "ranks", 0, 0, 0.0)], "utility (1,1) = 2.0 is positive or NaN"),
+            ([_duplicate(1, 0), _set(3, "values", 0, 0, math.nan)], "two entries for ranks [[0, 1], [0, 1]]"),
+            ([_reverse(3, 0), _set(1, "values", 1, None, [-2, -2])],
+             "agent 1 holds equal utilities for alternatives 0 and 1"),
+            ([lambda entries: entries[2].pop("values")], "'values'"),
+        ],
+        ids=["bool-rank", "float-rank", "nan", "inf", "neg-inf", "positive", "huge-int", "ragged-ranks",
+             "ragged-values", "non-permutation", "duplicate", "inconsistent", "tie", "inconsistent-then-rank",
+             "value-then-rank", "duplicate-then-nan", "inconsistent-then-tie", "missing-values"],
+    )
+    def test_first_bad_entry_is_reported(self, capsys, tmp_path, faults, message):
+        entries = _two_agent_entries()
+        for fault in faults:
+            fault(entries)
+        path = tmp_path / "market.json"
+        side = {"kind": "extensional", "n": 2, "entries": entries}
+        path.write_text(json.dumps({"schema": 1, "men": side, "women": side}))
+        code, out, err = run(capsys, "robustness", "--in", str(path))
+        assert (code, out) == (EX_DATAERR, "")
+        assert err == f"error: 65: {path}: bad market profile: {message}\n"
+
+    def test_valid_side_loads(self, capsys, tmp_path):
+        path = tmp_path / "market.json"
+        side = {"kind": "extensional", "n": 2, "entries": _two_agent_entries()}
+        path.write_text(json.dumps({"schema": 1, "men": side, "women": side}))
+        code, out, _err = run(capsys, "robustness", "--in", str(path))
+        assert code == 0 and json.loads(out)["robustness"] == 2.25 / 1.25
 
 
 class TestMalformedInputFuzz:

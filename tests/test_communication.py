@@ -120,6 +120,22 @@ class TestDecayInverse:
         with pytest.raises(ValueError):
             DecayFunction("power", scale, exponent)
 
+    @pytest.mark.parametrize("scale, exponent", [(0.0, 1.0), (1.0, 0.0), (-0.0, 1.0)])
+    def test_rejects_zero_parameters(self, scale, exponent):
+        with pytest.raises(ValueError, match="positive"):
+            DecayFunction("power", scale, exponent)
+
+    @pytest.mark.parametrize(
+        "family, expected", [("linear", 0.0), ("power", 0.0), ("logarithmic", 0.0), ("exponential", 2.0)]
+    )
+    def test_value_at_zero(self, family, expected):
+        assert DecayFunction(family, scale=2.0, exponent=1.5).value(0) == expected
+
+    def test_exponential_clamps_at_its_infimum(self):
+        # y equal to D(0) = scale clamps, although log(y / scale) = 0 is a root.
+        res = decay_inverse(DecayFunction("exponential", scale=2.0, exponent=1.0), 2.0)
+        assert res.value == 0.0 and res.clamped
+
 
 class TestHardness:
     def test_families(self):
@@ -144,6 +160,10 @@ class TestHardness:
         for scale in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 HardnessFunction("constant", scale=scale)
+
+    def test_rejects_zero_scale(self):
+        with pytest.raises(ValueError, match="scale"):
+            HardnessFunction("constant", scale=0.0)
 
     @pytest.mark.parametrize("exponent", [-1.0, -1e-300, -math.inf, math.nan, math.inf])
     def test_rejects_negative_or_nan_exponent(self, exponent):
@@ -214,6 +234,38 @@ class TestAdmissibilityReport:
         with pytest.raises(ValueError):
             admissibility_report([(2, 1.0), (4, 1.0)], HardnessFunction("constant"), DecayFunction("linear"))
 
+    def test_infinite_xi_is_left_out_of_the_fit(self):
+        # The infinite xi has ratio 0 and no logarithm; the other two points
+        # still fit: ratios 1 and 4 from n = 2 to n = 4, slope 2.
+        seq = [(2, 4.0), (3, math.inf), (4, 1.0)]
+        rep = admissibility_report(seq, HardnessFunction("constant", scale=4.0), DecayFunction("linear"))
+        assert rep.growth_factor == 4.0
+        assert math.isclose(rep.fitted_exponent, 2.0)
+        assert rep.classification == "growing"
+
+    def test_growth_at_the_threshold_is_bounded(self):
+        # Ratios 1, 1, 1.05 exactly: growth equals the 5 percent threshold
+        # and the slope stays below 0.25, so the trend is bounded.
+        seq = [(1, 1.05), (2, 1.05), (3, 1.0)]
+        rep = admissibility_report(seq, HardnessFunction("constant", scale=1.05), DecayFunction("linear"))
+        assert rep.growth_factor == 1.05 and rep.fitted_exponent < 0.25
+        assert rep.classification == "bounded"
+
+    @pytest.mark.parametrize(
+        "seq, growing_by",
+        [
+            # Ratios 1, 1, 1.25: growth 1.25, slope 0.18.
+            ([(1, 10.0), (2, 10.0), (3, 8.0)], "growth"),
+            # Ratios 1, 10, 1: growth 1, slope 0.36.
+            ([(1, 10.0), (2, 1.0), (3, 10.0)], "slope"),
+        ],
+    )
+    def test_either_test_alone_makes_it_growing(self, seq, growing_by):
+        rep = admissibility_report(seq, HardnessFunction("constant", scale=10.0), DecayFunction("linear"))
+        assert (rep.growth_factor > 1.05) is (growing_by == "growth")
+        assert (rep.fitted_exponent > 0.25) is (growing_by == "slope")
+        assert rep.classification == "growing"
+
     def test_caveat_present(self):
         seq = [(n, 2.0) for n in (2, 4, 8)]
         rep = admissibility_report(seq, HardnessFunction("constant"), DecayFunction("linear"))
@@ -251,6 +303,16 @@ class TestBoundTable:
             self._table(n=1)
         with pytest.raises(ValueError):
             bound_table(3, 1, 1, HardnessFunction("log"), DecayFunction("linear"))
+
+    @pytest.mark.parametrize("n, size, genus", [(1, 100, 3), (4, 1, 3), (4, 100, 0)])
+    def test_each_parameter_below_its_minimum(self, n, size, genus):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            self._table(n=n, size=size, genus=genus)
+
+    def test_smallest_valid_table(self):
+        t = self._table(n=2, size=2, genus=1)
+        assert (t.n, t.space_size, t.genus) == (2, 2, 1)
+        assert all(v >= 0.0 for v in (*t.deterministic, *t.probabilistic))
 
     @pytest.mark.parametrize("name", ["size_constant", "genus_constant", "market_constant"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchrobust import (
@@ -19,10 +19,10 @@ from matchrobust import (
     ordinal_from_utility,
     random_extensional_market,
 )
-from matchrobust.markets import _random_strict_rows
+from matchrobust.markets import _json_entry_arrays, _random_strict_rows
 from matchrobust.seeding import rng_for
 
-from conftest import reference_extensional_check
+from conftest import reference_extensional_check, reference_extensional_side
 
 
 class TestUtilityProfile:
@@ -323,3 +323,42 @@ class TestExtensionalCheckMatchesPerEntryOracle:
         n, table = case
         expected = _outcome(reference_extensional_check, n, table)
         assert _outcome(ExtensionalProfile, n, table) == expected
+
+
+def _json_side(n: int, table, integral: bool) -> dict:
+    """``table`` as a JSON extensional side, read back through ``json``;
+    with ``integral``, every integral finite utility is written as a JSON
+    integer."""
+    def number(v):
+        return int(v) if integral and math.isfinite(v) and v == int(v) else v
+
+    entries = [
+        {"ranks": [list(row) for row in r.ranks], "values": [[number(v) for v in row] for row in u.values.tolist()]}
+        for r, u in table.items()
+    ]
+    return json.loads(json.dumps({"kind": "extensional", "n": n, "entries": entries}))
+
+
+class TestJsonSideMatchesPerEntryReader:
+    """``ExtensionalProfile.from_json_dict`` checks a side as a whole; the
+    per-entry reader builds the same side, or raises the same error."""
+
+    @settings(max_examples=200)
+    @given(extensional_table(), st.booleans())
+    def test_same_side_or_error(self, case, integral):
+        n, table = case
+        data = _json_side(n, table, integral)
+        expected = _outcome(reference_extensional_side, data)
+        assert _outcome(ExtensionalProfile.from_json_dict, data) == expected
+        if expected is not None:
+            return
+        # A valid side is read by the bulk route alone.
+        assert _json_entry_arrays(data) is not None
+        got, reference = ExtensionalProfile.from_json_dict(data), reference_extensional_side(data)
+        assert got.table_profiles == reference.table_profiles
+        for name in ("table_ranks", "table_values"):
+            a, b = getattr(got, name), getattr(reference, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert not a.flags.writeable
+        for r in reference.representable_profiles():
+            assert got.utilities(r).values.tobytes() == reference.utilities(r).values.tobytes()

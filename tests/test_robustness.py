@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from matchrobust import (
@@ -150,6 +150,10 @@ class TestBisectionOracle:
     def test_tol_below_float_spacing_stops_at_resolution(self, tol):
         # The bracket closes on the float boundary at the ratio 2.
         assert robustness_by_search(geometric_market(3, 2.0), tol=tol) == 2.0
+
+    def test_bracket_as_wide_as_tol_stops(self):
+        # [1, 2] breaks at 1.5 and closes to [1, 1.5], exactly tol wide.
+        assert robustness_by_search(geometric_market(3, 1.3), tol=0.5) == 1.25
 
     def test_rejects_nan_tol(self):
         for tol in (math.nan, math.inf, -math.inf):
@@ -448,19 +452,25 @@ class TestRoutesReadStoredTables:
 
     @pytest.fixture
     def counted(self):
+        # "witnesses" counts built witnesses and the search's confirmed breaks.
         calls = {"utilities": 0, "witnesses": 0}
-        utilities, build = ExtensionalProfile.utilities, robustness_module._build_witness
+        utilities = ExtensionalProfile.utilities
+        build, confirm = robustness_module._build_witness, robustness_module._confirm_break
 
         def counting_utilities(side, profile):
             calls["utilities"] += 1
             return utilities(side, profile)
 
-        def counting_build(*args):
-            calls["witnesses"] += 1
-            return build(*args)
+        def counting(function):
+            def counted_call(*args):
+                calls["witnesses"] += 1
+                return function(*args)
+
+            return counted_call
 
         with mock.patch.object(ExtensionalProfile, "utilities", counting_utilities), \
-                mock.patch.object(robustness_module, "_build_witness", counting_build):
+                mock.patch.object(robustness_module, "_build_witness", counting(build)), \
+                mock.patch.object(robustness_module, "_confirm_break", counting(confirm)):
             yield calls
 
     def test_formula_route_reads_no_utilities(self, counted):
@@ -476,6 +486,64 @@ class TestRoutesReadStoredTables:
         robustness_by_search(random_extensional_market(3, rng_for(22)))
         assert counted["witnesses"] > 0
         assert counted["utilities"] == 0
+
+
+class TestSearchConfirmsWithoutWitnesses:
+    """The bisection confirms each break with two proposal chains against
+    position tables it builds once per search: no witness, no perturbation
+    matrix and no ``phi``."""
+
+    @staticmethod
+    def _recorded(market):
+        tabled, confirmed = [], []
+        position_table, confirm = OrdinalProfile.position_table, robustness_module._confirm_break
+
+        def recording_table(profile):
+            tabled.append(profile)
+            return position_table(profile)
+
+        def recording_confirm(*args):
+            confirmed.append(args[:2])
+            return confirm(*args)
+
+        with mock.patch.object(OrdinalProfile, "position_table", recording_table), \
+                mock.patch.object(robustness_module, "_confirm_break", recording_confirm):
+            robustness_by_search(market)
+        return tabled, confirmed
+
+    @pytest.mark.parametrize("seed", [22, 23, 24])
+    def test_one_position_table_per_stored_profile(self, seed):
+        market = random_extensional_market(3, rng_for(seed))
+        tabled, confirmed = self._recorded(market)
+        # Each stored profile that a confirmed break hits, built once.
+        stored = {id(side.table_profiles[row // side.n]) for side, row in confirmed}
+        assert sorted(map(id, tabled)) == sorted(stored)
+
+    def test_rank_market_builds_one_table(self):
+        market = geometric_market(6, 1.7)
+        tabled, confirmed = self._recorded(market)
+        assert len(confirmed) > 5
+        assert list(map(id, tabled)) == [id(market.men.table_profiles[0])]
+
+    def test_no_perturbation_or_stable_pair_is_built(self):
+        built = {"perturbations": 0, "pairs": 0}
+        post_init = Perturbation.__post_init__
+
+        def counting_post_init(delta):
+            built["perturbations"] += 1
+            post_init(delta)
+
+        def counting_phi(*args):
+            built["pairs"] += 1
+            return phi(*args)
+
+        with mock.patch.object(Perturbation, "__post_init__", counting_post_init), \
+                mock.patch.object(robustness_module, "phi", counting_phi):
+            for market in (geometric_market(6, 1.5), random_extensional_market(3, rng_for(22))):
+                robustness_by_search(market)
+            assert built == {"perturbations": 0, "pairs": 0}
+            adversarial_witness(geometric_market(6, 1.5), 1.5)
+            assert built == {"perturbations": 1, "pairs": 2}
 
 
 def _witness_fields(w):
@@ -593,6 +661,26 @@ class TestWitnessMatchesWholeProfileRoute:
         self.check(side, rows, [*_levels(side.table_values.ravel().tolist()), *_HUGE_LEVELS])
 
 
+class TestConfirmBreak:
+    """``_confirm_break`` accepts every break the level scan reports, on the
+    random sides and levels the witness route is checked on, with one table
+    dict shared across all of a side's confirmations."""
+
+    def check(self, side, rows, levels):
+        positions = {}
+        for c in levels:
+            hits = list(_row_breaks(side, rows, c))
+            first = _first_break(side.table_ranks, side.table_values, c)
+            for row, position in hits + ([first] if first is not None else []):
+                robustness_module._confirm_break(side, row, position, c, positions)
+
+    @settings(max_examples=100)
+    @given(_scanned_side(), st.data())
+    def test_random_sides(self, side, data):
+        row = data.draw(st.integers(0, len(side.table_values) - 1))
+        self.check(side, [row], [*_levels(side.table_values[row].tolist()), *_HUGE_LEVELS])
+
+
 class TestPinnedSearchOutputs:
     """Exact outputs of the bisection cross-check, recorded before the level
     scan was batched; any change to the scan must keep them bit for bit."""
@@ -674,6 +762,11 @@ class TestAdversarialWitness:
     def test_none_below_threshold(self):
         assert adversarial_witness(geometric_market(3, 2.0), 1.5) is None
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan, 0.5])
+    def test_rejects_infinite_nan_or_low_level(self, c):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            adversarial_witness(geometric_market(3, 2.0), c)
+
     def test_none_at_level_one(self, rng):
         market = random_extensional_market(2, rng)
         assert adversarial_witness(market, 1.0) is None
@@ -751,6 +844,10 @@ class TestSufficiencyLevels:
         assert sufficient_robustness_level(3, 1.5) == 7.0
         assert sufficient_robustness_level(2, 2.0) == 5.0
         assert sufficient_robustness_level(5, 1.0) == 1.0
+
+    def test_one_agent_needs_level_one(self):
+        # One agent per side has no comparable pair: level 1 at any c.
+        assert sufficient_robustness_level(1, 3.0) == 1.0
 
     def test_critical_ratio_and_spike(self):
         assert math.isclose(critical_consecutive_ratio(3, 1.5, 0.2), 8.8)
@@ -1015,6 +1112,16 @@ class TestMonteCarloInputs:
     def test_factor_stats_rejects_draws_below_one(self, draws):
         with pytest.raises(ValueError, match="draws"):
             rank_slot_factor_stats(IidUniformFactorSampler(3, 2.0), draws, 1)
+
+    def test_factor_stats_of_one_draw(self):
+        # One draw: the means are that draw's slot factors, with no spread.
+        sampler = IidUniformFactorSampler(3, 2.0)
+        means, errs = rank_slot_factor_stats(sampler, 1, 7)
+        ranks, factors = np.empty((2, 3, 3), dtype=np.intp), np.empty((2, 3, 3))
+        sampler.draw(rng_for(7, 0), ranks, factors)
+        expected = np.take_along_axis(factors, ranks[..., :-1], axis=-1).reshape(6, 2)
+        assert means.tobytes() == expected.tobytes()
+        assert not errs.any()
 
 
 class TestSamplerLevels:
