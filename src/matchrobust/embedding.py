@@ -28,6 +28,10 @@ _CONDORCET_RANKS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 #: Largest point dimension :func:`euclidean_profile_robustness` accepts.
 _MAX_POINT_DIM = 16
 
+#: Gathered distances per block of :func:`bourgain_embed`'s subset minima
+#: (2 MiB of float64).
+_SUBSET_BLOCK_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class EuclideanPlacement:
@@ -75,6 +79,15 @@ def bourgain_embed(space: MetricSpace, quality: int = 10, seed: int = 0) -> Eucl
     zero). Coordinates are divided by sqrt(dim) so the map is non-expansive
     up to that factor; reporting normalizes scale away regardless.
     Deterministic for a fixed seed.
+
+    A scale's q subsets are drawn first, in order. While a subset holds at
+    most half the vertices, its coordinates are the column minima of its
+    rows of distances, taken for several subsets at once in blocks of at
+    most ``_SUBSET_BLOCK_ELEMENTS`` gathered distances (or one subset's). A
+    larger subset (only ever at the top scale) gives each member exactly
+    +0.0, its own diagonal distance, every other distance being positive;
+    so only the vertices outside it take a minimum, over their rows with
+    the entries outside the subset set to ``inf``.
     """
     v_count = space.n_vertices
     if v_count < 2:
@@ -88,13 +101,27 @@ def bourgain_embed(space: MetricSpace, quality: int = 10, seed: int = 0) -> Eucl
     # Row t of by_target holds every vertex's distance to t, so a subset's
     # minima reduce contiguous rows rather than gathering scattered columns.
     by_target = np.ascontiguousarray(dmat.T)
-    cols = []
+    columns = np.empty((levels * reps, v_count))
     for i in range(1, levels + 1):
         size = min(2**i, v_count - 1)
-        for _ in range(reps):
-            subset = rng.choice(v_count, size=size, replace=False)
-            cols.append(by_target[subset].min(axis=0))
-    coords = np.stack(cols, axis=1)
+        subsets = np.array([rng.choice(v_count, size=size, replace=False) for _ in range(reps)])
+        level = columns[(i - 1) * reps : i * reps]
+        if 2 * size <= v_count:
+            block = max(1, _SUBSET_BLOCK_ELEMENTS // (size * v_count))
+            for start in range(0, reps, block):
+                by_target[subsets[start : start + block]].min(axis=1, out=level[start : start + block])
+        else:
+            level.fill(0.0)
+            for column, subset in zip(level, subsets):
+                outside = np.ones(v_count, dtype=bool)
+                outside[subset] = False
+                others = np.flatnonzero(outside)
+                rows = dmat[others]
+                rows[:, others] = np.inf
+                column[others] = rows.min(axis=1)
+    # Points are rows of a C-ordered array, the layout measure_distortion's
+    # sums and products were pinned on.
+    coords = np.ascontiguousarray(columns.T)
     coords /= math.sqrt(coords.shape[1])
     return EuclideanPlacement(dim=coords.shape[1], points=coords)
 

@@ -24,11 +24,15 @@ from .markets import UtilityProfile, _require
 _REL_TOL = 1e-9
 
 #: Fewest vertices for which ``distance_matrix`` runs the all-sources array
-#: kernel. Each of its V steps costs some twenty numpy calls whatever the
+#: kernel. Each of its rounds costs some thirty numpy calls whatever the
 #: graph's size, so below this size V heap searches are cheaper. The two
-#: meet at about 32 vertices on random trees with chords and on stars,
-#: about 20 on complete graphs and about 64 on paths.
-_LOCK_STEP_MIN_VERTICES = 32
+#: meet at about 16 vertices on complete graphs, 18 on complete bipartite
+#: ones, 22 on stars, 31 on random trees with chords, and past 128 on paths.
+_ARRAY_KERNEL_MIN_VERTICES = 24
+
+#: Candidates per relaxation block of the all-sources kernel (512 KiB of
+#: float64 per temporary).
+_RELAX_BLOCK_ELEMENTS = 1 << 16
 
 
 class NotPolarized(ValueError):
@@ -113,19 +117,29 @@ def component_labels(
 
 
 def _all_sources_dijkstra(n_vertices: int, edges: Sequence[tuple[int, int, float]]) -> np.ndarray:
-    """Shortest-path distances from every source, by Dijkstra run from all
-    sources in lock step over a CSR adjacency of ``edges``.
+    """Shortest-path distances from every source, by label setting from all
+    sources at once over a CSR adjacency of ``edges``.
 
-    ``dist[s, v]`` holds the tentative, then final, distance; ``keys`` the
-    same for unsettled vertices and ``inf`` for settled ones. Each step,
-    every source settles its nearest unsettled vertex (a row argmin of
-    ``keys``) and relaxes that vertex's neighbour slice through flat
-    indices. Within one step each source relaxes one vertex's distinct
-    neighbours, so no flat index is written twice. A source whose nearest
-    key is ``inf`` has settled all it can reach; its relaxations add to
-    ``inf`` and change nothing, and the loop ends when every source is
-    there. Sums past the float range give ``inf``, which is never an
-    improvement.
+    ``dist[s, v]`` holds the tentative, then final, distance. ``act`` lists
+    the pending entries, those improved and not yet relaxed (at first the
+    diagonal), and ``pending`` flags them. Each round takes each source's
+    least pending value ``m`` and settles every pending entry of that source
+    whose value is at most ``m + lightest``, ``lightest`` being the smallest
+    edge weight (positive, since ``MetricSpace`` merges zero-weight edges):
+    delta-stepping with delta = ``lightest``. A settled entry is final:
+    every later candidate adds a weight of at least ``lightest`` to a value
+    of at least ``m``, and rounding is monotone, so the candidate is at
+    least ``fl(m + lightest)`` and never strictly below the entry. The
+    kernel relies on this: a settled entry is relaxed with its value at the
+    start of the round, and its flag is cleared only after the round. The
+    settled entries are relaxed through their vertices' neighbour slices,
+    in blocks of at most ``_RELAX_BLOCK_ELEMENTS`` candidates (or one
+    vertex's slice); a cell hit twice keeps the smaller candidate, and a
+    strictly improved cell that was not pending joins ``act`` for the next
+    round. So each (source, vertex) entry is relaxed at most once, and each
+    round settles at least one entry of every source with one pending,
+    which bounds the rounds by V. Sums past the float range give ``inf``,
+    which is never an improvement.
     """
     size = n_vertices
     ends = np.array([(a, b) for a, b, _w in edges], dtype=np.intp).reshape(-1, 2)
@@ -135,31 +149,54 @@ def _all_sources_dijkstra(n_vertices: int, edges: Sequence[tuple[int, int, float
     weights = np.array([w for _a, _b, w in edges] * 2, dtype=float)[order]
     degrees = np.bincount(tails, minlength=size)
     firsts = np.cumsum(degrees) - degrees
+    lightest = weights.min(initial=np.inf)
 
     dist = np.full((size, size), np.inf)
     np.fill_diagonal(dist, 0.0)
     flat_dist = dist.reshape(-1)
-    keys = dist.copy()
-    flat_keys = keys.reshape(-1)
-    rows = np.arange(size)
-    base = rows * size
+    act = np.arange(0, size * size, size + 1)
+    pending = np.zeros(size * size, dtype=bool)
+    pending[act] = True
     with np.errstate(over="ignore"):
         for _ in range(size):
-            nearest = keys.argmin(axis=1)
-            settled = base + nearest
-            reach = flat_keys[settled]
-            if reach.min() == np.inf:
+            if act.size == 0:
                 break
-            flat_keys[settled] = np.inf
-            degree = degrees[nearest]
-            owner = np.repeat(rows, degree)
-            slot = np.arange(owner.size) + (firsts[nearest] - np.cumsum(degree) + degree)[owner]
-            candidate = reach[owner] + weights[slot]
-            cells = base[owner] + neighbours[slot]
-            better = candidate < flat_dist[cells]
-            cells, candidate = cells[better], candidate[better]
-            flat_dist[cells] = candidate
-            flat_keys[cells] = candidate
+            values = flat_dist[act]
+            sources = act // size
+            least = np.full(size, np.inf)
+            np.minimum.at(least, sources, values)
+            settle = values <= least[sources] + lightest
+            done, reach = act[settle], values[settle]
+            row = sources[settle] * size
+            vertex = done - row
+            degree = degrees[vertex]
+            reached = np.cumsum(degree)
+            # Candidate k of the round relaxes CSR slot k + shift[entry].
+            shift = firsts[vertex] - (reached - degree)
+            fresh = [act[~settle]]
+            first = 0
+            while first < done.size:
+                low = reached[first] - degree[first]
+                stop = max(first + 1, int(np.searchsorted(reached, low + _RELAX_BLOCK_ELEMENTS, "right")))
+                block = degree[first:stop]
+                slot = np.repeat(shift[first:stop], block)
+                slot += np.arange(low, reached[stop - 1])
+                candidate = np.repeat(reach[first:stop], block)
+                candidate += weights[slot]
+                cells = np.repeat(row[first:stop], block)
+                cells += neighbours[slot]
+                better = np.flatnonzero(candidate < flat_dist[cells])
+                cells = cells[better]
+                np.minimum.at(flat_dist, cells, candidate[better])
+                cells = np.sort(cells[~pending[cells]])
+                distinct = np.ones(cells.size, dtype=bool)
+                np.not_equal(cells[1:], cells[:-1], out=distinct[1:])
+                cells = cells[distinct]
+                pending[cells] = True
+                fresh.append(cells)
+                first = stop
+            pending[done] = False
+            act = np.concatenate(fresh)
     return dist
 
 
@@ -175,8 +212,8 @@ class MetricSpace:
     Distances come by two independent routes. ``dist_row`` runs a heap
     Dijkstra from one source on each call; ``shortest_path`` uses the same
     heap search for its predecessors. ``distance_matrix`` runs one array
-    Dijkstra from every source at once (on spaces of at least
-    ``_LOCK_STEP_MIN_VERTICES`` vertices) and caches the whole matrix. That
+    label-setting search from every source at once (on spaces of at least
+    ``_ARRAY_KERNEL_MIN_VERTICES`` vertices) and caches the whole matrix. That
     cache is written once, after which the object is effectively immutable
     and safe to read concurrently.
     """
@@ -252,18 +289,19 @@ class MetricSpace:
         """All-pairs shortest-path distances as a read-only (V, V) array.
 
         Computed on first call and cached; later calls return the same
-        object. From ``_LOCK_STEP_MIN_VERTICES`` vertices up it comes from
-        :func:`_all_sources_dijkstra`, which runs Dijkstra from every source
-        in lock step; smaller spaces stack their ``dist_row`` heap rows.
-        Either way entry (s, v) equals ``dist_row(s)[v]`` byte for byte:
-        any correct Dijkstra returns, for each pair, the minimum over walks
-        from s to v of the walk's left-to-right float sum (adding a
-        nonnegative weight is monotone and never decreases a sum), and the
-        order in which vertices are settled does not change that minimum.
+        object. From ``_ARRAY_KERNEL_MIN_VERTICES`` vertices up it comes from
+        :func:`_all_sources_dijkstra`, which settles every source's safe
+        entries together, round by round; smaller spaces stack their
+        ``dist_row`` heap rows. Either way entry (s, v) equals
+        ``dist_row(s)[v]`` byte for byte: any correct label-setting search
+        returns, for each pair, the minimum over walks from s to v of the
+        walk's left-to-right float sum (adding a nonnegative weight is
+        monotone and never decreases a sum), and the order in which entries
+        are settled does not change that minimum.
         Unreachable pairs are ``inf``.
         """
         if self._dist_matrix is None:
-            if self.n_vertices < _LOCK_STEP_MIN_VERTICES:
+            if self.n_vertices < _ARRAY_KERNEL_MIN_VERTICES:
                 dist = np.array([self.dist_row(s) for s in range(self.n_vertices)])
             else:
                 dist = _all_sources_dijkstra(self.n_vertices, self.edges)

@@ -419,6 +419,30 @@ def reference_banach_climb(dim: int, restarts: int, iters: int, seed: int) -> Ba
     return BanachSearchResult(best_value, alpha, beta, feasible, dim, restarts, iters, seed)
 
 
+def reference_bourgain_embed(space, quality: int, seed: int) -> np.ndarray:
+    """The subset embedding's points one coordinate at a time: each of the
+    ``quality * ceil(ln V)`` subsets of each scale i = 1..floor(log2 V),
+    drawn by ``rng_for(seed)`` at size min(2^i, V - 1), gives the column of
+    minima over its rows of the transposed distance matrix; the columns are
+    stacked and divided by sqrt(dim). The library batches the minima of a
+    scale and skips the members of a large subset instead."""
+    v_count = space.n_vertices
+    dmat = space.distance_matrix()
+    levels = int(math.floor(math.log2(v_count)))
+    reps = quality * int(math.ceil(math.log(v_count)))
+    rng = rng_for(seed)
+    by_target = np.ascontiguousarray(dmat.T)
+    cols = []
+    for i in range(1, levels + 1):
+        size = min(2**i, v_count - 1)
+        for _ in range(reps):
+            subset = rng.choice(v_count, size=size, replace=False)
+            cols.append(by_target[subset].min(axis=0))
+    coords = np.stack(cols, axis=1)
+    coords /= math.sqrt(coords.shape[1])
+    return coords
+
+
 def reference_random_connected_space(vertices, extra_edges, rng, weight_low, weight_high):
     """Edge list of ``random_connected_space`` drawn try by try: a random
     spanning tree, then up to ``50 * (extra_edges + 1)`` tries that each

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from matchrobust import cli as cli_module
 from matchrobust.cli import EX_DATAERR, EX_USAGE, EX_VALIDATION, _json_text, build_parser, main
 from matchrobust.communication import DECAY_FAMILIES, HARDNESS_FAMILIES
+from matchrobust.metric import random_connected_space, space_to_json_dict
 
 from conftest import petersen, subdivided
 
@@ -767,6 +768,14 @@ def _pinned_hub(vertices: int) -> dict:
     return {"schema": 1, "vertices": vertices, "edges": edges}
 
 
+def _pinned_random_space(vertices: int) -> dict:
+    """The benchmark's geometry shape: a random spanning tree plus
+    ``vertices`` chords, from ``random_connected_space``."""
+    return space_to_json_dict(
+        random_connected_space(vertices, vertices, np.random.default_rng(vertices))
+    )
+
+
 def _pinned_utilities(tripled_entry=None) -> dict:
     """Utilities of 12 agents and 12 alternatives at random points of the
     plane (u = -distance), so the profile is polarized; tripling one entry
@@ -794,10 +803,13 @@ def _output_digest(tmp_path, argv, infile=None) -> str:
 
 class TestPinnedGeometryOutputs:
     """sha256 of geometry outputs, recorded before the polarity scan, the
-    subset minima and the embed row formatting were vectorised, and (the
-    grid and hub cases) while all-pairs distances still came from one heap
-    Dijkstra per source; any change to those kernels must keep these
-    bytes."""
+    subset minima and the embed row formatting were vectorised, (the grid
+    and hub cases) while all-pairs distances still came from one heap
+    Dijkstra per source, and (the random 512- and 600-vertex cases) while
+    they came from one settled vertex per source and step and every subset
+    took its own minima. At 512 vertices the top scale's subsets leave one
+    vertex out, at 600 they leave 88. Any change to those kernels must keep
+    these bytes."""
 
     @pytest.mark.parametrize(
         "argv, infile, expected",
@@ -847,9 +859,31 @@ class TestPinnedGeometryOutputs:
                 _pinned_hub(512),
                 "af3278d71d11f3a723055efb603ace86eac77eccdb5538a580fcb66158a17ba8",
             ),
+            (
+                ("embed", "--quality", "10", "--seed", "11"),
+                _pinned_random_space(512),
+                "bec0af0322569ddd81275659fe32ff56ec4a026bd7de97467123308e428cad81",
+            ),
+            (
+                ("distortion", "--quality", "10", "--seed", "11"),
+                _pinned_random_space(512),
+                "4a4d96cf5c0136c5f12e40d5cd162b3d33e72236443d909464ed15512914798e",
+            ),
+            (
+                ("embed", "--quality", "10", "--seed", "11"),
+                _pinned_random_space(600),
+                "96827eb597fae6d69beccee30931a1abd0f1a3758385030b70d0a62b6bc86bb2",
+            ),
+            (
+                ("distortion", "--quality", "10", "--seed", "11"),
+                _pinned_random_space(600),
+                "79c87415ec3de9b61b2bb37dcd97d7882d5e9480a51ba01b9fb202518a864e17",
+            ),
         ],
         ids=["embed", "distortion", "polarity", "polarity-violated", "genspace",
-             "embed-grid", "distortion-grid", "embed-hub", "distortion-hub"],
+             "embed-grid", "distortion-grid", "embed-hub", "distortion-hub",
+             "embed-random-512", "distortion-random-512", "embed-random-600",
+             "distortion-random-600"],
     )
     def test_digest(self, tmp_path, argv, infile, expected):
         assert _output_digest(tmp_path, argv, infile) == expected

@@ -24,7 +24,7 @@ from matchrobust import embedding
 from matchrobust.embedding import BanachSearchResult
 from matchrobust.seeding import rng_for
 
-from conftest import reference_banach_climb, reference_line_placements
+from conftest import reference_banach_climb, reference_bourgain_embed, reference_line_placements
 
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -100,6 +100,38 @@ class TestBourgainEmbed:
         assert placement.dim == levels * reps
 
 
+class TestBourgainReference:
+    """``bourgain_embed`` against ``reference_bourgain_embed``, byte for byte.
+
+    At a power of two the top scale's subsets hold V - 1 vertices, so one
+    vertex takes a minimum, and the scale below holds exactly half. One past
+    a power of two also leaves one vertex outside the top subsets, and one
+    short of the next leaves nearly half. A block bound of one element puts
+    every subset of a batched scale in a block of its own."""
+
+    @settings(max_examples=120)
+    @given(
+        vertices=st.one_of(
+            st.integers(2, 80),
+            st.sampled_from((2, 4, 8, 16, 32, 64, 3, 5, 9, 17, 33, 65, 7, 15, 31, 63)),
+        ),
+        quality=st.integers(1, 3),
+        seed=st.integers(0, 2**63 - 1),
+        graph_seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from((1, embedding._SUBSET_BLOCK_ELEMENTS)),
+    )
+    @example(vertices=64, quality=3, seed=0, graph_seed=0, block=1)
+    @example(vertices=63, quality=3, seed=0, graph_seed=0, block=1)
+    def test_matches_reference_bytes(self, vertices, quality, seed, graph_seed, block):
+        rng = np.random.default_rng(graph_seed)
+        space = random_connected_space(vertices, int(rng.integers(0, 2 * vertices)), rng)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embedding, "_SUBSET_BLOCK_ELEMENTS", block)
+            points = bourgain_embed(space, quality=quality, seed=seed).points
+        assert points.flags.c_contiguous
+        assert points.tobytes() == reference_bourgain_embed(space, quality, seed).tobytes()
+
+
 class TestMeasureDistortion:
     def test_isometric_line_placement(self):
         space = path_graph(5, w=2.0)
@@ -163,6 +195,13 @@ def feasible_template(scale=1.0, shift=(0.0, 0.0)):
 
 
 class TestEuclideanProfileRobustness:
+    def test_largest_dimension_accepted(self):
+        # Zero coordinates add nothing to any distance, so padding to the
+        # 16-coordinate cap keeps the value exactly.
+        alpha, beta = feasible_template()
+        padded = [[(*p, *(0.0,) * 14) for p in side] for side in (alpha, beta)]
+        assert euclidean_profile_robustness(*padded) == euclidean_profile_robustness(alpha, beta)
+
     def test_scaling_invariance(self):
         alpha, beta = feasible_template()
         v1 = euclidean_profile_robustness(alpha, beta)
@@ -205,11 +244,35 @@ class TestEuclideanProfileRobustness:
         with pytest.raises(ValueError):
             euclidean_profile_robustness(list(reversed(alpha)), beta)
 
-    def test_coincident_points_rejected(self):
-        beta = [(1.0, 0.0), (-0.5, 0.9), (-0.5, -0.9)]
-        alpha = [beta[0], (0.0, 0.4), (0.0, -0.4)]
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            ([(0.5, 0.5), (-0.6, 0.5), (-0.5, -1.0)], [(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)]),
+            ([(0.5, 0.0), (-0.6, 0.4), (0.3, -0.6)], [(1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]),
+        ],
+        ids=["first-two-tie", "last-two-tie"],
+    )
+    def test_exact_tie_rejected(self, alpha, beta):
+        # Agent 0 is exactly as far from two of its alternatives, and every
+        # other comparison of the cyclic profile holds strictly.
+        with pytest.raises(ValueError, match="does not realize the cyclic profile strictly"):
             euclidean_profile_robustness(alpha, beta)
+
+    @pytest.mark.parametrize(
+        "beta",
+        [
+            [(1.0, 0.0), (-0.5, 0.9), (-0.5, -0.9)],
+            # Agent 0, on alternative 0, ranks 1 strictly before 2, so only
+            # its zero first distance breaks the order.
+            [(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.9)],
+        ],
+        ids=["tied-after", "strict-after"],
+    )
+    def test_coincident_points_rejected(self, beta):
+        alpha = [beta[0], (0.0, 0.4), (0.0, -0.4)]
+        with pytest.raises(ValueError) as info:
+            euclidean_profile_robustness(alpha, beta)
+        assert str(info.value) == "coincident agent/alternative points (zero denominator)"
 
     def test_coincidence_reported_after_an_earlier_disorder(self):
         # Agent 0 sits nearest alternative 1, out of its cyclic order, and
@@ -261,6 +324,12 @@ class TestDistanceTableClimb:
         st.integers(0, 2**64 - 1),
     )
     @example(3, 4, 300, 606)
+    # The step halves down to its 1e-12 floor well before 5000 evaluations,
+    # so the climb must stop there with evaluations left.
+    @example(2, 1, 5000, 0)
+    # An undo here leaves a coordinate off by one rounding, and a table not
+    # recomputed after it changes a later comparison.
+    @example(2, 1, 300, 7)
     def test_matches_full_recompute(self, dim, restarts, iters, seed):
         result = maximize_euclidean_robustness(dim, restarts, iters, seed)
         assert repr(result) == repr(reference_banach_climb(dim, restarts, iters, seed))
@@ -384,6 +453,7 @@ class TestBoundFormulas:
         assert math.isclose(log_size_robustness_cap(16, 2.5), 2.5 * math.log(16))
         assert math.isclose(worst_case_robustness_cap(3, 1.0), math.log(1296))
         assert log_size_robustness_cap(32, 1.0) > log_size_robustness_cap(16, 1.0)
+        assert log_size_robustness_cap(2, 1.0) == math.log(2)  # the smallest size
 
     def test_size_cap_guard(self):
         with pytest.raises(ValueError):

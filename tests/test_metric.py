@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import networkx as nx
@@ -25,7 +26,7 @@ from matchrobust import (
 )
 from matchrobust import metric
 from matchrobust.metric import (
-    _LOCK_STEP_MIN_VERTICES,
+    _ARRAY_KERNEL_MIN_VERTICES,
     _all_sources_dijkstra,
     component_labels,
     space_from_json_dict,
@@ -267,6 +268,11 @@ def _shape_edges(shape: str, v: int, rng: np.random.Generator) -> tuple[int, lis
         return v, [(0, i) for i in range(1, v)]
     if shape == "edgeless":
         return v, []
+    if shape == "complete":
+        return v, [(a, b) for a in range(v) for b in range(a + 1, v)]
+    if shape == "biclique":
+        half = v // 2
+        return v, [(a, b) for a in range(half) for b in range(half, v)]
     if shape == "connected":
         order = rng.permutation(v).tolist()
         tree = [(order[i], order[int(rng.integers(0, i))]) for i in range(1, v)]
@@ -276,9 +282,14 @@ def _shape_edges(shape: str, v: int, rng: np.random.Generator) -> tuple[int, lis
 
 @st.composite
 def weighted_graphs(draw):
-    """Random connected and disconnected graphs, paths, stars, grids and
-    edgeless graphs with 1..40 vertices, under one weight palette each."""
-    shape = draw(st.sampled_from(("connected", "random", "path", "star", "grid", "edgeless")))
+    """Random connected and disconnected graphs, paths, stars, grids,
+    complete and complete bipartite graphs and edgeless graphs with 1..40
+    vertices, under one weight palette each."""
+    shape = draw(
+        st.sampled_from(
+            ("connected", "random", "path", "star", "grid", "complete", "biclique", "edgeless")
+        )
+    )
     palette = WEIGHT_PALETTES[draw(st.sampled_from(tuple(WEIGHT_PALETTES)))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v, pairs = _shape_edges(shape, draw(st.integers(1, 40)), rng)
@@ -300,14 +311,18 @@ def _kernel(space: MetricSpace) -> np.ndarray:
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestDistanceMatrix:
     """The all-sources array kernel against one heap Dijkstra per source:
-    the same bytes, with no RuntimeWarning from sums that overflow."""
+    the same bytes, with no RuntimeWarning from sums that overflow. On
+    complete and complete bipartite graphs one round settles many vertices
+    per source."""
 
     @settings(max_examples=300)
     @given(weighted_graphs())
     def test_matches_heap_rows_byte_for_byte(self, space):
         assert _kernel(space).tobytes() == _heap_rows(space).tobytes()
 
-    @pytest.mark.parametrize("shape", ["connected", "random", "path", "star", "grid"])
+    @pytest.mark.parametrize(
+        "shape", ["connected", "random", "path", "star", "grid", "complete", "biclique"]
+    )
     @pytest.mark.parametrize("palette", list(WEIGHT_PALETTES))
     def test_larger_shapes_match_heap_rows(self, shape, palette):
         rng = np.random.default_rng(7)
@@ -328,14 +343,44 @@ class TestDistanceMatrix:
              [[0.0, 1.0, 1.0], [1.0, 0.0, 1e-320], [1.0, 1e-320, 0.0]]),
             (3, [(0, 1, 1.0), (1, 2, 3e-16), (0, 2, 1.0 + 4e-16)],
              [[0.0, 1.0, 1.0 + 3e-16], [1.0, 0.0, 3e-16], [3e-16 + 1.0, 3e-16, 0.0]]),
+            # Settling vertex 2 of source 0 in the round that settles vertex
+            # 1 (a bound of twice the lightest weight) would relax it at 1.9
+            # before 1's edge brings it down to 1.5, leaving vertex 3 at 2.4.
+            (4, [(0, 1, 1.0), (0, 2, 1.9), (1, 2, 0.5), (2, 3, 0.5)],
+             [[0.0, 1.0, 1.5, 2.0], [1.0, 0.0, 0.5, 1.0], [1.5, 0.5, 0.0, 0.5], [2.0, 1.0, 0.5, 0.0]]),
         ],
-        ids=["single-vertex", "edgeless", "overflow", "absorbed", "rounded"],
+        ids=["single-vertex", "edgeless", "overflow", "absorbed", "rounded", "settle-bound"],
     )
     def test_small_cases(self, v, edges, expected):
         assert _kernel(MetricSpace(v, edges)).tolist() == expected
 
+    def test_complete_space_peak_memory(self):
+        # Each round relaxes its settled entries in bounded blocks; relaxing
+        # a round's candidates at once peaks near 200 MiB here.
+        v = 200
+        weights = np.random.default_rng(v).uniform(0.5, 3.0, (v, v))
+        space = MetricSpace(v, [(a, b, weights[a, b]) for a in range(v) for b in range(a + 1, v)])
+        tracemalloc.start()
+        try:
+            space.distance_matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("shape", ["connected", "grid", "star", "complete", "biclique"])
+    def test_small_relaxation_blocks_match_heap_rows(self, shape, block, monkeypatch):
+        # A bound of one candidate relaxes each settled entry on its own; a
+        # bound of 7 groups a few, never splitting one vertex's slice.
+        monkeypatch.setattr(metric, "_RELAX_BLOCK_ELEMENTS", block)
+        v, pairs = _shape_edges(shape, 40, np.random.default_rng(3))
+        weights = np.random.default_rng(4).uniform(0.5, 3.0, len(pairs)).tolist()
+        space = MetricSpace(v, [(a, b, w if a != b else 0.0) for (a, b), w in zip(pairs, weights)])
+        assert _kernel(space).tobytes() == _heap_rows(space).tobytes()
+
     @pytest.mark.parametrize(
-        "vertices", [_LOCK_STEP_MIN_VERTICES - 1, _LOCK_STEP_MIN_VERTICES, 150]
+        "vertices", [_ARRAY_KERNEL_MIN_VERTICES - 1, _ARRAY_KERNEL_MIN_VERTICES, 150]
     )
     def test_cached_read_only_on_either_route(self, vertices, monkeypatch):
         space = random_connected_space(vertices, vertices // 2, np.random.default_rng(vertices))
@@ -347,9 +392,9 @@ class TestDistanceMatrix:
         )
         d = space.distance_matrix()
         assert space.distance_matrix() is d
-        # Only spaces of _LOCK_STEP_MIN_VERTICES and more take the array
+        # Only spaces of _ARRAY_KERNEL_MIN_VERTICES and more take the array
         # kernel, and the cached matrix is not computed again.
-        assert len(kernel_calls) == (vertices >= _LOCK_STEP_MIN_VERTICES)
+        assert len(kernel_calls) == (vertices >= _ARRAY_KERNEL_MIN_VERTICES)
         assert not d.flags.writeable
         with pytest.raises(ValueError):
             d[0, 1] = 0.0

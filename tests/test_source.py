@@ -155,8 +155,8 @@ def test_stable_enumeration_stays_independent():
 def test_mutation_probe_lists_its_sites(capsys):
     # tests/mutants.py runs by hand; listing its sites, without running a
     # mutant, keeps it from rotting. Every site of every module holds the
-    # operator it names, ordinal.py's mutants still parse, and a sample is
-    # repeatable.
+    # operator it names, ordinal.py's mutants still parse, a sample is
+    # repeatable, and a function filter keeps that function's sites.
     import mutants
 
     for path in SOURCES:
@@ -174,6 +174,10 @@ def test_mutation_probe_lists_its_sites(capsys):
         listings.append(capsys.readouterr().out)
     assert listings[0] == listings[1]
     assert len(listings[0].splitlines()) == 10
+    metric = str(ROOT / "src" / "matchrobust" / "metric.py")
+    assert mutants.main([metric, "--list", "--function", "_all_sources_dijkstra"]) == 0
+    kernel = capsys.readouterr().out.splitlines()
+    assert kernel and all(" _all_sources_dijkstra: " in line for line in kernel)
 
 
 def test_distance_routes_stay_independent():
@@ -218,3 +222,19 @@ def test_nine_agent_cells_reference_stays_independent():
     used = _names_and_attributes(reference)
     assert "NINE_AGENT_PREFIXES" in used
     assert not used & (planar.keys() | {"_NINE_TOPS", "_NINE_SECONDS", "_NINE_THIRDS"})
+
+
+def test_bourgain_reference_stays_independent():
+    # ``reference_bourgain_embed`` takes one subset's minima at a time and
+    # checks the library's batched scales, so neither it nor a conftest
+    # helper it calls may reach a function or constant of embedding.py.
+    conftest = _functions(ROOT / "tests" / "conftest.py")
+    embedding = _functions(ROOT / "src" / "matchrobust" / "embedding.py")
+    used, todo = set(), ["reference_bourgain_embed"]
+    while todo:
+        name = todo.pop()
+        names = _names_and_attributes(conftest[name])
+        todo += [n for n in names & conftest.keys() if n not in used and n != name]
+        used |= names | {name}
+    assert "distance_matrix" in used
+    assert not used & (embedding.keys() | {"embedding", "_SUBSET_BLOCK_ELEMENTS"})
