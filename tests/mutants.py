@@ -15,8 +15,9 @@ K`` then draws K of them with ``random.Random(SEED)``; without it every site
 runs. The mutant is written into a temporary copy of ``src/``, never into
 the checkout, and the given test paths (default: ``tests``) run against
 that copy in one ``pytest -x`` subprocess at a time, stopped after
-``TIMEOUT`` seconds. The unmutated copy runs first, and the probe refuses to go on if
-it fails. Each mutant is reported as killed, survived or timed out.
+``TIMEOUT`` seconds. The unmutated copy runs first, and the probe refuses
+to go on if it fails. Each mutant is reported as killed, survived or timed
+out.
 
 A survivor is a test gap unless it is an equivalent mutant: one that no
 input can tell from the original. The known equivalent mutants are below;
