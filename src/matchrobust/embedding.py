@@ -116,6 +116,8 @@ def bourgain_embed(space: MetricSpace, quality: int = 10, seed: int = 0) -> Eucl
                 outside = np.ones(v_count, dtype=bool)
                 outside[subset] = False
                 others = np.flatnonzero(outside)
+                # Whole rows with the non-members masked copy faster than a
+                # gather of the member columns, dmat[np.ix_(others, subset)].
                 rows = dmat[others]
                 rows[:, others] = np.inf
                 column[others] = rows.min(axis=1)

@@ -25,10 +25,11 @@ _REL_TOL = 1e-9
 
 #: Fewest vertices for which ``distance_matrix`` runs the all-sources array
 #: kernel. Each of its rounds costs some thirty numpy calls whatever the
-#: graph's size, so below this size V heap searches are cheaper. The two
+#: graph's size, so on small spaces V heap searches are cheaper. The two
 #: meet at about 16 vertices on complete graphs, 18 on complete bipartite
-#: ones, 22 on stars, 31 on random trees with chords, and past 128 on paths.
-_ARRAY_KERNEL_MIN_VERTICES = 24
+#: ones, 26 on stars and on random trees with as many chords as vertices,
+#: and 150 on paths (table in BENCH_27.json).
+_ARRAY_KERNEL_MIN_VERTICES = 32
 
 #: Candidates per relaxation block of the all-sources kernel (512 KiB of
 #: float64 per temporary).
@@ -120,12 +121,12 @@ def _all_sources_dijkstra(n_vertices: int, edges: Sequence[tuple[int, int, float
     """Shortest-path distances from every source, by label setting from all
     sources at once over a CSR adjacency of ``edges``.
 
-    ``dist[s, v]`` holds the tentative, then final, distance. ``act`` lists
-    the pending entries, those improved and not yet relaxed (at first the
-    diagonal), and ``pending`` flags them. Each round takes each source's
-    least pending value ``m`` and settles every pending entry of that source
-    whose value is at most ``m + lightest``, ``lightest`` being the smallest
-    edge weight (positive, since ``MetricSpace`` merges zero-weight edges):
+    ``dist[s, v]`` holds the tentative, then final, distance. ``pending``
+    flags the entries improved and not yet relaxed, at first the diagonal.
+    Each round lists them by flat index, takes each source's least pending
+    value ``m`` and settles every pending entry of that source whose value
+    is at most ``m + lightest``, ``lightest`` being the smallest edge weight
+    (positive, since ``MetricSpace`` merges zero-weight edges):
     delta-stepping with delta = ``lightest``. A settled entry is final:
     every later candidate adds a weight of at least ``lightest`` to a value
     of at least ``m``, and rounding is monotone, so the candidate is at
@@ -135,11 +136,10 @@ def _all_sources_dijkstra(n_vertices: int, edges: Sequence[tuple[int, int, float
     settled entries are relaxed through their vertices' neighbour slices,
     in blocks of at most ``_RELAX_BLOCK_ELEMENTS`` candidates (or one
     vertex's slice); a cell hit twice keeps the smaller candidate, and a
-    strictly improved cell that was not pending joins ``act`` for the next
-    round. So each (source, vertex) entry is relaxed at most once, and each
-    round settles at least one entry of every source with one pending,
-    which bounds the rounds by V. Sums past the float range give ``inf``,
-    which is never an improvement.
+    strictly improved cell is flagged. So each (source, vertex) entry is
+    relaxed at most once, and each round settles at least one entry of
+    every source with one pending, which bounds the rounds by V. Sums past
+    the float range give ``inf``, which is never an improvement.
     """
     size = n_vertices
     ends = np.array([(a, b) for a, b, _w in edges], dtype=np.intp).reshape(-1, 2)
@@ -154,11 +154,11 @@ def _all_sources_dijkstra(n_vertices: int, edges: Sequence[tuple[int, int, float
     dist = np.full((size, size), np.inf)
     np.fill_diagonal(dist, 0.0)
     flat_dist = dist.reshape(-1)
-    act = np.arange(0, size * size, size + 1)
     pending = np.zeros(size * size, dtype=bool)
-    pending[act] = True
+    pending[:: size + 1] = True
     with np.errstate(over="ignore"):
         for _ in range(size):
+            act = np.flatnonzero(pending)
             if act.size == 0:
                 break
             values = flat_dist[act]
@@ -173,7 +173,6 @@ def _all_sources_dijkstra(n_vertices: int, edges: Sequence[tuple[int, int, float
             reached = np.cumsum(degree)
             # Candidate k of the round relaxes CSR slot k + shift[entry].
             shift = firsts[vertex] - (reached - degree)
-            fresh = [act[~settle]]
             first = 0
             while first < done.size:
                 low = reached[first] - degree[first]
@@ -188,15 +187,9 @@ def _all_sources_dijkstra(n_vertices: int, edges: Sequence[tuple[int, int, float
                 better = np.flatnonzero(candidate < flat_dist[cells])
                 cells = cells[better]
                 np.minimum.at(flat_dist, cells, candidate[better])
-                cells = np.sort(cells[~pending[cells]])
-                distinct = np.ones(cells.size, dtype=bool)
-                np.not_equal(cells[1:], cells[:-1], out=distinct[1:])
-                cells = cells[distinct]
                 pending[cells] = True
-                fresh.append(cells)
                 first = stop
             pending[done] = False
-            act = np.concatenate(fresh)
     return dist
 
 

@@ -5,19 +5,15 @@ Run by hand from the repository root; pytest does not collect this file::
     python tests/mutants.py src/matchrobust/ordinal.py --sample 25 \\
         tests/test_ordinal.py tests/test_cli.py
     python tests/mutants.py src/matchrobust/ordinal.py --list
-    python tests/mutants.py src/matchrobust/metric.py --function _all_sources_dijkstra \\
-        tests/test_metric.py
 
 Each mutant swaps one operator at one site: ``<``/``<=``, ``>``/``>=``,
-``==``/``!=``, ``+``/``-`` (binary only) or ``and``/``or``. ``--function
-NAME`` keeps the sites of one top-level function or class, and ``--sample
-K`` then draws K of them with ``random.Random(SEED)``; without it every site
-runs. The mutant is written into a temporary copy of ``src/``, never into
-the checkout, and the given test paths (default: ``tests``) run against
-that copy in one ``pytest -x`` subprocess at a time, stopped after
-``TIMEOUT`` seconds. The unmutated copy runs first, and the probe refuses
-to go on if it fails. Each mutant is reported as killed, survived or timed
-out.
+``==``/``!=``, ``+``/``-`` (binary only) or ``and``/``or``. ``--sample K``
+draws K sites with ``random.Random(SEED)``; without it every site runs. The
+mutant is written into a temporary copy of ``src/``, never into the
+checkout, and the given test paths (default: ``tests``) run against that
+copy in one ``pytest -x`` subprocess at a time, stopped after ``TIMEOUT``
+seconds. The unmutated copy runs first, and the probe refuses to go on if
+it fails. Each mutant is reported as killed, survived or timed out.
 
 A survivor is a test gap unless it is an equivalent mutant: one that no
 input can tell from the original. The known equivalent mutants are below;
@@ -80,6 +76,16 @@ by the timeout, and it needs no test:
 - ``markets.py``, ``_random_strict_rows``: ``draws[i + 1]`` to
   ``draws[i - 1]``. A sorted row of three or more distinct draws then always
   fails ``draws[1] < draws[0]``, so no row is ever accepted.
+- ``metric.py``, ``component_labels``: ``label[v] < 0`` to ``<=``. Vertices
+  of vertex 0's component carry label 0, so they are pushed again on every
+  visit and the stack never empties.
+- ``metric.py``, ``MetricSpace._dijkstra``: ``d + w`` to ``d - w``. Every
+  relaxation lowers a distance again, so two neighbours push each other
+  forever.
+- ``metric.py``, ``MetricSpace._dijkstra``: ``nd < dist[v]`` to ``<=``.
+  Every arrival at an equal distance pushes the vertex again and each copy
+  is relaxed again, so the work grows with the number of shortest paths,
+  exponentially on graphs with many equal detours.
 - ``robustness.py``, ``robustness_by_search``: either ``<`` of ``lo < mid
   < hi`` to ``<=``. Once no float lies between ``lo`` and ``hi``, the
   midpoint rounds to one of them and the bracket never closes, so a ``tol``
@@ -207,7 +213,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", help="a file under src/matchrobust")
     parser.add_argument("tests", nargs="*", default=["tests"], help="pytest paths (default: tests)")
     parser.add_argument("--sample", type=int, help="number of sites to draw (default: all)")
-    parser.add_argument("--function", help="only the sites inside this function (and its nested ones)")
     parser.add_argument("--list", action="store_true", help="print the chosen sites and stop")
     args = parser.parse_intermixed_args(argv)
 
@@ -215,8 +220,6 @@ def main(argv: list[str] | None = None) -> int:
     relative = module.relative_to(ROOT / "src")
     source = module.read_text()
     chosen = sites(source)
-    if args.function is not None:
-        chosen = [s for s in chosen if s.function.split(".")[0] == args.function]
     if args.sample is not None and args.sample < len(chosen):
         chosen = sorted(random.Random(SEED).sample(chosen, args.sample))
     if args.list:

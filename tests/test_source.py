@@ -155,8 +155,8 @@ def test_stable_enumeration_stays_independent():
 def test_mutation_probe_lists_its_sites(capsys):
     # tests/mutants.py runs by hand; listing its sites, without running a
     # mutant, keeps it from rotting. Every site of every module holds the
-    # operator it names, ordinal.py's mutants still parse, a sample is
-    # repeatable, and a function filter keeps that function's sites.
+    # operator it names, ordinal.py's mutants still parse, and a sample is
+    # repeatable.
     import mutants
 
     for path in SOURCES:
@@ -174,10 +174,6 @@ def test_mutation_probe_lists_its_sites(capsys):
         listings.append(capsys.readouterr().out)
     assert listings[0] == listings[1]
     assert len(listings[0].splitlines()) == 10
-    metric = str(ROOT / "src" / "matchrobust" / "metric.py")
-    assert mutants.main([metric, "--list", "--function", "_all_sources_dijkstra"]) == 0
-    kernel = capsys.readouterr().out.splitlines()
-    assert kernel and all(" _all_sources_dijkstra: " in line for line in kernel)
 
 
 def test_distance_routes_stay_independent():
