@@ -454,22 +454,12 @@ def verify_generating(
     return bool(np.abs(u.values - induced.values).max() <= tol)
 
 
-def random_connected_space(
-    vertices: int,
-    extra_edges: int,
-    rng: np.random.Generator,
-    weight_low: float = 0.5,
-    weight_high: float = 3.0,
-) -> MetricSpace:
+def random_connected_space(vertices: int, extra_edges: int, rng: np.random.Generator) -> MetricSpace:
     """Random connected weighted graph: a random spanning tree plus extras.
 
     Extra edges come from up to ``50 * (extra_edges + 1)`` tries, each
-    drawing two endpoints and keeping a new pair. Once the graph is
-    complete every further try is rejected, so the tries left are drawn as
-    one array of endpoints and the loop ends: with a fixed bound and no
-    ``uniform`` call in between, one ``integers`` call of that size leaves
-    the generator where the scalar calls would, and so the draws that
-    follow are unchanged.
+    drawing two endpoints and keeping a new pair. Every weight is drawn from
+    ``uniform(0.5, 3.0)``.
     """
     if vertices < 1:
         raise ValueError("vertices >= 1 required")
@@ -479,20 +469,14 @@ def random_connected_space(
     for i in range(1, vertices):
         a = order[i]
         b = order[int(rng.integers(0, i))]
-        w = float(rng.uniform(weight_low, weight_high))
-        edges.append((a, b, w))
+        edges.append((a, b, float(rng.uniform(0.5, 3.0))))
         seen_pairs.add((min(a, b), max(a, b)))
-    budget = 50 * (extra_edges + 1)
-    complete = vertices * (vertices - 1) // 2
     tries = 0
-    while len(edges) < vertices - 1 + extra_edges and tries < budget:
-        if len(seen_pairs) == complete:
-            rng.integers(0, vertices, size=2 * (budget - tries))
-            break
+    while len(edges) < vertices - 1 + extra_edges and tries < 50 * (extra_edges + 1):
         tries += 1
         a, b = int(rng.integers(0, vertices)), int(rng.integers(0, vertices))
         if a == b or (min(a, b), max(a, b)) in seen_pairs:
             continue
-        edges.append((a, b, float(rng.uniform(weight_low, weight_high))))
+        edges.append((a, b, float(rng.uniform(0.5, 3.0))))
         seen_pairs.add((min(a, b), max(a, b)))
     return MetricSpace(vertices, edges)

@@ -443,22 +443,23 @@ def reference_bourgain_embed(space, quality: int, seed: int) -> np.ndarray:
     return coords
 
 
-def reference_random_connected_space(vertices, extra_edges, rng, weight_low, weight_high):
+def reference_random_connected_space(vertices, extra_edges, rng):
     """Edge list of ``random_connected_space`` drawn try by try: a random
     spanning tree, then up to ``50 * (extra_edges + 1)`` tries that each
-    draw two endpoints, even after the graph is complete."""
+    draw two endpoints, even after the graph is complete. Every weight is
+    drawn from ``uniform(0.5, 3.0)``."""
     edges, seen = [], set()
     order = [int(v) for v in rng.permutation(vertices)]
     for i in range(1, vertices):
         a, b = order[i], order[int(rng.integers(0, i))]
-        edges.append((a, b, float(rng.uniform(weight_low, weight_high))))
+        edges.append((a, b, float(rng.uniform(0.5, 3.0))))
         seen.add((min(a, b), max(a, b)))
     tries = 0
     while len(edges) < vertices - 1 + extra_edges and tries < 50 * (extra_edges + 1):
         tries += 1
         a, b = int(rng.integers(0, vertices)), int(rng.integers(0, vertices))
         if a != b and (min(a, b), max(a, b)) not in seen:
-            edges.append((a, b, float(rng.uniform(weight_low, weight_high))))
+            edges.append((a, b, float(rng.uniform(0.5, 3.0))))
             seen.add((min(a, b), max(a, b)))
     return edges
 

@@ -11,9 +11,12 @@ Each mutant swaps one operator at one site: ``<``/``<=``, ``>``/``>=``,
 draws K sites with ``random.Random(SEED)``; without it every site runs. The
 mutant is written into a temporary copy of ``src/``, never into the
 checkout, and the given test paths (default: ``tests``) run against that
-copy in one ``pytest -x`` subprocess at a time, stopped after ``TIMEOUT``
-seconds. The unmutated copy runs first, and the probe refuses to go on if
-it fails. Each mutant is reported as killed, survived or timed out.
+copy in one ``pytest -x`` subprocess at a time. The unmutated copy runs
+first, with no time limit, and the probe refuses to go on if it fails. Each
+mutant's run is then stopped after ``TIMEOUT_FACTOR`` times the unmutated
+run's wall time, or ``TIMEOUT_FLOOR`` seconds if that is longer, so a
+mutant that loops forever costs minutes, not the whole probe. Each mutant is
+reported as killed, survived or timed out.
 
 A survivor is a test gap unless it is an equivalent mutant: one that no
 input can tell from the original. The known equivalent mutants are below;
@@ -54,6 +57,10 @@ do not write tests for them.
   self-loops, so ``a`` never equals ``b``.
 - ``robustness.py``, ``critical_market``: ``not v < ru[i + 1]`` to ``<=``.
   A spiked utility equal to the next rank's is also caught by ``v in ru``.
+- ``jsonvalues.py``, ``json_rows``: ``floats and not -_INF < v < _INF`` to
+  ``floats or ...``. Every float entry then goes through ``_require``, which
+  checks it again and raises exactly when the fast test would have sent it
+  there; an int compares as finite, so integer rows are unchanged.
 
 Three survivors are not equivalent, but no portable test can pin them:
 
@@ -111,7 +118,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 0  # of the --sample draw, so a sample is repeatable
-TIMEOUT = 600.0  # seconds per mutant
+TIMEOUT_FACTOR = 10.0  # a mutant's time limit, in unmutated run times
+TIMEOUT_FLOOR = 60.0  # seconds; the least time limit a mutant gets
 
 SWAP = {
     "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
@@ -193,14 +201,14 @@ def mutate(source: str, site: Site) -> str:
     return "".join(lines)
 
 
-def _run_tests(src_copy: Path, tests: list[str]) -> str:
+def _run_tests(src_copy: Path, tests: list[str], timeout: float | None) -> str:
     # No bytecode cache: a mutant of the same size written within the same
     # second as the last one would otherwise load the last one's .pyc.
     env = {**os.environ, "PYTHONPATH": str(src_copy), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(
-            command, cwd=ROOT, env=env, timeout=TIMEOUT,
+            command, cwd=ROOT, env=env, timeout=timeout,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
     except subprocess.TimeoutExpired:
@@ -232,13 +240,17 @@ def main(argv: list[str] | None = None) -> int:
         src_copy = Path(scratch) / "src"
         shutil.copytree(ROOT / "src", src_copy, ignore=shutil.ignore_patterns("__pycache__"))
         target = src_copy / relative
-        if _run_tests(src_copy, args.tests) != "survived":
-            print("the unmutated copy fails or times out; no mutant run", file=sys.stderr)
+        started = time.monotonic()
+        if _run_tests(src_copy, args.tests, None) != "survived":
+            print("the unmutated copy fails; no mutant run", file=sys.stderr)
             return 1
+        unmutated = time.monotonic() - started
+        timeout = max(TIMEOUT_FLOOR, TIMEOUT_FACTOR * unmutated)
+        print(f"unmutated run {unmutated:.1f} s; each mutant stops after {timeout:.0f} s", flush=True)
         for site in chosen:
             target.write_text(mutate(source, site))
             started = time.monotonic()
-            outcome = _run_tests(src_copy, args.tests)
+            outcome = _run_tests(src_copy, args.tests, timeout)
             counts[outcome] += 1
             print(f"{outcome:8} {site}  ({time.monotonic() - started:.1f} s)", flush=True)
     print(", ".join(f"{count} {outcome}" for outcome, count in counts.items()))

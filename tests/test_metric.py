@@ -644,16 +644,16 @@ def _next_draws(rng):
 class TestRandomConnectedSpace:
     @pytest.mark.parametrize("vertices", range(1, 9))
     def test_stream_matches_try_by_try_draws(self, vertices):
-        # Once the graph is complete the library draws the tries left as one
-        # array of endpoints. The edges, the generator's state (buffered
-        # 32-bit half included) and its next draws must be what the
-        # try-by-try loop leaves, whether or not the budget runs out.
+        # The edges, the generator's state (buffered 32-bit half included)
+        # and its next draws must be what the try-by-try reference leaves,
+        # whether or not the budget runs out: spaces drawn for the CLI's
+        # pinned outputs depend on both.
         exhausted = 0
         for extra in range(2 * vertices + 3):
             for seed in range(50):
                 lib_rng, ref_rng = rng_for(seed), rng_for(seed)
-                space = random_connected_space(vertices, extra, lib_rng, 0.2, 4.0)
-                edges = reference_random_connected_space(vertices, extra, ref_rng, 0.2, 4.0)
+                space = random_connected_space(vertices, extra, lib_rng)
+                edges = reference_random_connected_space(vertices, extra, ref_rng)
                 assert space.edges == MetricSpace(vertices, edges).edges
                 assert lib_rng.bit_generator.state == ref_rng.bit_generator.state
                 assert _next_draws(lib_rng) == _next_draws(ref_rng)
@@ -671,13 +671,11 @@ class TestRandomConnectedSpace:
         assert rng.sizes == [None] * (3 + 2 * 150)
 
     @pytest.mark.parametrize("vertices", [1, 2, 3, 4])
-    def test_complete_graph_draws_the_tries_left_at_once(self, vertices):
+    def test_complete_graph_runs_every_try(self, vertices):
+        # 20 extras never fit, so the graph completes and every one of the
+        # 50 * 21 tries still draws its two endpoints one at a time, after
+        # one draw per tree edge.
         rng = _CountingGenerator(vertices)
         space = random_connected_space(vertices, 20, rng)
         assert len(space.edges) == vertices * (vertices - 1) // 2
-        # One scalar draw per tree edge and two per try, then the one array
-        # draw of the tries left, which ends the loop.
-        *scalar, last = rng.sizes
-        assert scalar == [None] * len(scalar)
-        tries = (len(scalar) - (vertices - 1)) // 2
-        assert last == 2 * (50 * 21 - tries)
+        assert rng.sizes == [None] * (vertices - 1 + 2 * 50 * 21)

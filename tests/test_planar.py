@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import networkx as nx
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from matchrobust import (
     MetricSpace,
     OrdinalProfile,
+    Placement,
     UtilityProfile,
     build_generating_space,
     genus_lower_bound,
@@ -312,6 +314,26 @@ def _full_route(space, placement) -> bool | str:
         return type(exc).__name__
 
 
+class TestCandidateFamily:
+    def test_every_candidate_is_a_sparsified_biclique(self):
+        # Agents on vertices 0-8, alternatives on 9-17, and 17 to 48 of the
+        # 81 rank-weighted biclique edges. The even candidates' edges are
+        # the ones drawn when every other candidate was a random graph.
+        full_edges = planar._biclique_edges(nonplanar_profile(9))
+        allowed = set(full_edges)
+        even = hashlib.sha256()
+        for seed in (3, 910):
+            for t in range(400):
+                space, placement = planar._candidate(seed, t, full_edges)
+                assert space.n_vertices == 18
+                assert placement == Placement(tuple(range(9)), tuple(range(9, 18)))
+                assert 17 <= len(space.edges) <= 48
+                assert set(space.edges) <= allowed
+                if t % 2 == 0:
+                    even.update(repr(space.edges).encode())
+        assert even.hexdigest() == "777f36d190cf009b8efd8e72901c5239ce888c693b95d9836bb6b32acd5be028"
+
+
 class TestRefutationPredicate:
     """The search rejects a candidate at its first failing agent; the
     verdict must be the full route's on every candidate."""
@@ -319,17 +341,15 @@ class TestRefutationPredicate:
     @pytest.mark.parametrize("seed", [3, 910])
     def test_per_agent_check_matches_full_route(self, seed):
         full_edges = planar._biclique_edges(nonplanar_profile(9))
-        outcomes = {}
+        outcomes = set()
         for t in range(1200):
             space, placement = planar._candidate(seed, t, full_edges)
             full = _full_route(space, placement)
             assert planar._realizes_nine_agent_cells(space, placement) is (full is True), t
-            outcomes[t % 2, full] = outcomes.get((t % 2, full), 0) + 1
-        # Both families reach the cell test and hit ties; the sparsified
-        # bicliques also cut agents off from alternatives.
-        assert {(0, False), (1, False), (0, "ValueError"), (0, "TieError"), (1, "TieError")} <= set(
-            outcomes
-        )
+            outcomes.add(full)
+        # The sparsified bicliques miss a cell, hit ties and cut agents off
+        # from alternatives.
+        assert {False, "ValueError", "TieError"} <= outcomes
 
     def test_band_biclique_variants_match_full_route(self, rng):
         # Candidates drawn by the search mostly fail at agent 0. These
