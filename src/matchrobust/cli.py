@@ -98,21 +98,54 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _json_value(value):
-    """``value`` with every infinite float, at any depth, written as the
-    string "inf" or "-inf"."""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_lines(value, newline: str) -> str:
+    """``value`` as JSON whose nested lines start with ``newline``. A list
+    of exact ints or of finite exact floats is written in one join."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
+        text = float.__repr__(value)
+        return text if math.isfinite(value) else f'"{text}"'  # "inf" or "-inf"
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        types = set(map(type, value))
+        if types == {int}:
+            items = map(int.__repr__, value)
+        elif types == {float} and -math.inf < sum(value) < math.inf:
+            items = map(float.__repr__, value)
+        else:
+            items = [_json_lines(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
     if isinstance(value, dict):
-        return {key: _json_value(v) for key, v in value.items()}
-    if isinstance(value, list):
-        return [_json_value(v) for v in value]
-    return value
+        if not value:
+            return "{}"
+        items = [f"{_encode_str(k)}: {_json_lines(v, inner)}" for k, v in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_text(payload: dict) -> str:
-    """Indented JSON with sorted keys; a NaN anywhere raises ValueError."""
-    return json.dumps(_json_value(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Indented JSON with sorted string keys, ASCII only, every infinite
+    float at any depth written as the string "inf" or "-inf"; a NaN
+    anywhere raises ValueError. The bytes are those ``json.dumps(...,
+    indent=2, sort_keys=True, allow_nan=False)`` writes once the infinities
+    are replaced, with tuples written as lists, and a final newline."""
+    return _json_lines(payload, "\n") + "\n"
 
 
 def _parse(path: str, what: str, parse, data):

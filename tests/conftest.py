@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -564,6 +565,24 @@ def reference_decay_inverse(d: DecayFunction, y: float) -> float:
         if hi - lo <= 1e-10 * max(1.0, hi):
             break
     return 0.5 * lo + 0.5 * hi
+
+
+def _reference_json_value(value):
+    """``value`` with every infinite float inside dicts, lists and tuples
+    written as the string "inf" or "-inf", and every tuple as a list."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {key: _reference_json_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_json_value(v) for v in value]
+    return value
+
+
+def reference_json_text(payload: dict) -> str:
+    """The CLI's JSON output written by the standard library's encoder:
+    indented, keys sorted, infinities as strings, a NaN raising ValueError."""
+    return json.dumps(_reference_json_value(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def random_profile(n: int, rng: np.random.Generator) -> OrdinalProfile:

@@ -20,7 +20,7 @@ from matchrobust.cli import EX_DATAERR, EX_USAGE, EX_VALIDATION, _json_text, bui
 from matchrobust.communication import DECAY_FAMILIES, HARDNESS_FAMILIES
 from matchrobust.metric import random_connected_space, space_to_json_dict
 
-from conftest import petersen, subdivided
+from conftest import petersen, reference_json_text, subdivided
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -598,18 +598,100 @@ class TestSubcommands:
         assert float(prob[2]) >= float(det[2])  # genus column loses the n^2 factor
 
 
+_JSON_KEYS = st.text(max_size=6)
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False), st.sampled_from([-0.0, 5e-324, 1e308, math.inf, -math.inf])
+)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    _JSON_FLOATS,
+    _JSON_FLOATS.map(np.float64),
+    _JSON_KEYS,
+)
+
+
+def _json_payloads(scalars, floats):
+    """Dicts nesting dicts, lists and tuples, with rows of ints and of
+    ``floats`` among the leaves."""
+    leaves = st.one_of(scalars, st.lists(st.integers(), max_size=5), st.lists(floats, max_size=5))
+    values = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(_JSON_KEYS, inner, max_size=4),
+        ),
+        max_leaves=20,
+    )
+    return st.dictionaries(_JSON_KEYS, values, max_size=5)
+
+
+def _outcome(write, payload):
+    """What ``write(payload)`` returns, or the type and message it raises."""
+    try:
+        return write(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 class TestJsonText:
     def test_infinities_become_strings_at_any_depth(self):
         payload = {"a": math.inf, "b": [1.0, -math.inf, {"c": math.inf}], "d": 2}
         assert json.loads(_json_text(payload)) == {"a": "inf", "b": [1.0, "-inf", {"c": "inf"}], "d": 2}
 
-    def test_nan_raises(self):
-        with pytest.raises(ValueError):
-            _json_text({"a": [math.nan]})
+    def test_tuples_are_written_as_lists(self):
+        payload = {"a": (1.0, math.inf), "b": [(-math.inf, (2, 3))], "c": ()}
+        as_lists = {"a": [1.0, math.inf], "b": [[-math.inf, [2, 3]]], "c": []}
+        assert _json_text(payload) == _json_text(as_lists) == reference_json_text(as_lists)
 
-    def test_finite_payload_unchanged(self):
-        payload = {"schema": 1, "x": [0.1, -0.0, 1e308], "y": {"z": None, "w": True}}
-        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    @given(payload=_json_payloads(_JSON_SCALARS, _JSON_FLOATS))
+    @example(payload={"schema": 1, "x": [0.1, -0.0, 1e308], "y": {"z": None, "w": True}})
+    @example(payload={"\u00e9\u4e2d\U0001f600": 1, 'q"\\': 2, "\x00\n\t\x1f\x7f": [], "": {}})
+    @example(payload={"a": [True, False, 1, 2.5, 10**30, -(2**64)], "b": [[1, 2], [3.0, 4.0]]})
+    @example(payload={"a": [5e-324, -0.0, 1e308, np.float64(0.1)], "b": (math.inf,), "c": [1e308, 1e308]})
+    @example(payload={"a": [{"b": [[-math.inf, 1.0], [np.float64(-math.inf)]]}]})
+    def test_bytes_match_the_reference(self, payload):
+        assert _json_text(payload) == reference_json_text(payload)
+
+    @given(
+        payload=_json_payloads(
+            st.one_of(
+                _JSON_SCALARS,
+                st.sampled_from([math.nan, np.float64(math.nan), np.int64(3), {1}, frozenset()]),
+            ),
+            st.floats(),
+        )
+    )
+    @example(payload={"a": [1.0, math.nan]})
+    @example(payload={"a": {"b": [(math.inf, np.float64(math.nan))]}})
+    @example(payload={"a": [np.int64(1)], "b": math.nan})
+    @example(payload={"a": {2, 3}})
+    def test_faults_match_the_reference(self, payload):
+        assert _outcome(_json_text, payload) == _outcome(reference_json_text, payload)
+
+    @pytest.mark.parametrize(
+        "payload, error, message",
+        [
+            ({"a": [math.nan]}, ValueError, "Out of range float values are not JSON compliant: nan"),
+            ({"a": {"b": (1.0, np.float64(math.nan))}}, ValueError,
+             "Out of range float values are not JSON compliant: np.float64(nan)"),
+            ({"a": np.int64(1)}, TypeError, "Object of type int64 is not JSON serializable"),
+            ({"a": [[1], {1, 2}]}, TypeError, "Object of type set is not JSON serializable"),
+        ],
+    )
+    def test_faults_raise_the_encoders_message(self, payload, error, message):
+        with pytest.raises(error) as raised:
+            _json_text(payload)
+        assert str(raised.value) == message
+
+    def test_nan_output_is_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module.comm, "communication_requirement", lambda *args: math.nan)
+        code, out, err = run(capsys, "commreq", "--n", "3")
+        assert code == EX_VALIDATION and out == ""
+        assert err == "error: 2: Out of range float values are not JSON compliant: nan\n"
 
 
 class TestReproducibility:
@@ -1141,6 +1223,34 @@ class TestPinnedSearchOutputs:
     def test_banach_search_digest(self, tmp_path):
         argv = ("banach-search", "--dim", "3", "--restarts", "20", "--iters", "200", "--seed", "5")
         expected = "2bd761f8ce60269b74e4463c77fa8f1ab9e16cb651777323f5fb7f63df807960"
+        assert _output_digest(tmp_path, argv) == expected
+
+
+class TestPinnedJsonOutputs:
+    """sha256 of JSON outputs, recorded while ``json.dumps`` still wrote
+    every JSON output: a 44-agent witness (four n x n matrices of floats and
+    ints), and the "inf" strings of `robustness` and `commreq`. The writer
+    must keep these bytes."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ("witness", "--geometric-base", "2.0", "--n", "44", "--c", "2.02"),
+                "8df1c682ed20fae65274fd53c024d8efcac9ce7e9c6557add868ca1788f90a44",
+            ),
+            (
+                ("robustness", "--geometric-base", "2", "--n", "1"),
+                "c06ebe3997343b4658ca29aac83277b3e215d0be7c5b5253a8fc08944432955c",
+            ),
+            (
+                ("commreq", "--xi", "inf", "--n", "5"),
+                "89171777b4aac4aeab2330cee27bb2d609cd032892b6ef7df86d51cccaa29a2c",
+            ),
+        ],
+        ids=["witness-geometric-44", "robustness-one-agent", "commreq-infinite-xi"],
+    )
+    def test_digest(self, tmp_path, argv, expected):
         assert _output_digest(tmp_path, argv) == expected
 
 

@@ -234,3 +234,17 @@ def test_bourgain_reference_stays_independent():
         used |= names | {name}
     assert "distance_matrix" in used
     assert not used & (embedding.keys() | {"embedding", "_SUBSET_BLOCK_ELEMENTS"})
+
+
+def test_json_writer_stays_independent():
+    # ``cli._json_text`` writes every JSON output by hand and
+    # ``reference_json_text`` checks it byte for byte through the standard
+    # encoder, so cli.py may not call that encoder and the reference may not
+    # reach the writer.
+    cli = _names_and_attributes(ast.parse((ROOT / "src" / "matchrobust" / "cli.py").read_text()))
+    assert not cli & {"dumps", "dump", "JSONEncoder"}
+    conftest = _functions(ROOT / "tests" / "conftest.py")
+    used = _names_and_attributes(conftest["reference_json_text"])
+    used |= _names_and_attributes(conftest["_reference_json_value"])
+    assert "dumps" in used
+    assert not used & {"cli", "_json_text", "_json_lines", "_encode_str", "encode_basestring_ascii"}
