@@ -35,7 +35,6 @@ from .markets import (
     UtilityProfile,
     apply_perturbation,
     geometric_market,
-    random_extensional_market,
 )
 from .metric import (
     MetricSpace,

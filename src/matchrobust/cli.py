@@ -203,15 +203,15 @@ def _cmd_solve(args) -> dict | str:
         ]
         return "\n".join(lines) + "\n"
     return {
-        "male_optimal": list(pair.male_optimal.pairing),
-        "female_optimal": list(pair.female_optimal.pairing),
+        "male_optimal": pair.male_optimal.pairing,
+        "female_optimal": pair.female_optimal.pairing,
     }
 
 
 def _cmd_stable_set(args) -> dict:
     men, women = _load_sides(args.infile, "ordinal profile", OrdinalProfile.from_json_dict)
     stable = sorted(enumerate_stable(men, women), key=lambda a: a.pairing)
-    return {"count": len(stable), "stable": [list(a.pairing) for a in stable]}
+    return {"count": len(stable), "stable": [a.pairing for a in stable]}
 
 
 def _cmd_robustness(args) -> dict:
@@ -318,8 +318,8 @@ def _cmd_banach_search(args) -> dict:
         "seed": args.seed,
         "feasible_restarts": result.feasible_restarts,
         "best_value": result.best_value if math.isfinite(result.best_value) else None,
-        "alpha": [list(p) for p in result.alpha] if result.alpha else None,
-        "beta": [list(p) for p in result.beta] if result.beta else None,
+        "alpha": result.alpha,
+        "beta": result.beta,
     }
 
 

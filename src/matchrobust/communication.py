@@ -29,12 +29,6 @@ _GROWTH_THRESHOLD = 1.05
 
 
 @dataclass(frozen=True)
-class InverseResult:
-    value: float
-    clamped: bool
-
-
-@dataclass(frozen=True)
 class DecayFunction:
     """Monotone increasing, continuous, positive decay with D(t) -> inf.
 
@@ -71,23 +65,23 @@ class DecayFunction:
         return self.scale if self.family == "exponential" else 0.0
 
 
-def decay_inverse(d: DecayFunction, y: float) -> InverseResult:
+def decay_inverse(d: DecayFunction, y: float) -> float:
     """Solve D(t) = y for t >= 0 in closed form.
 
-    Values of y at or below the infimum of D clamp to t = 0 with the flag
-    set. Targets whose inverse exceeds the float range come back as inf;
+    Values of y at or below ``d.infimum()`` clamp to t = 0. Targets whose
+    inverse exceeds the float range come back as inf;
     where ``y / scale`` overflows but the root does not, the power and
     exponential closed forms are taken in log space.
     """
     if not y > 0:
         raise ValueError("y must be positive")
     if y <= d.infimum():
-        return InverseResult(0.0, True)
+        return 0.0
     try:
         if d.family == "linear":
-            return InverseResult(y / d.scale, False)
+            return y / d.scale
         if d.family == "logarithmic":
-            return InverseResult(math.expm1(y / d.scale), False)
+            return math.expm1(y / d.scale)
         ratio = y / d.scale
         if math.isinf(ratio):  # a scale below 1 can overflow the quotient but not the root
             log_root = (math.log(y) - math.log(d.scale)) / d.exponent
@@ -96,9 +90,9 @@ def decay_inverse(d: DecayFunction, y: float) -> InverseResult:
             t = ratio ** (1.0 / d.exponent)
         else:
             t = math.log(ratio) / d.exponent
-        return InverseResult(t, False)
+        return t
     except OverflowError:
-        return InverseResult(math.inf, False)
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,7 @@ def communication_requirement(
         raise ValueError("xi must be >= 1")
     if math.isinf(xi):
         return 0.0
-    return decay_inverse(d, h.value(n) / xi).value
+    return decay_inverse(d, h.value(n) / xi)
 
 
 @dataclass(frozen=True)
@@ -294,7 +288,7 @@ def bound_table(
     hn = h.value(n)
 
     def t_for(bound: float) -> float:
-        return decay_inverse(d, hn / bound).value
+        return decay_inverse(d, hn / bound)
 
     size_bound = log_size_robustness_cap(space_size, constants.size_constant)
     market_bound = constants.market_constant * n * n * math.log(n)

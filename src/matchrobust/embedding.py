@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import MetricSpace
+from .metric import MetricSpace, component_labels
 from .ordinal import OrdinalProfile
 from .seeding import rng_for
 
@@ -62,10 +62,14 @@ class DistortionReport:
 
 
 def _connected_distances(space: MetricSpace) -> np.ndarray:
-    """The space's distance matrix; ValueError when some pair is disconnected."""
+    """The space's distance matrix; ValueError when some pair is disconnected,
+    or connected at a distance past the float range."""
     dmat = space.distance_matrix()
     if not np.isfinite(dmat).all():
-        raise ValueError("space must be connected (finite distances)")
+        label, _ = component_labels(space.n_vertices, space.support_edges())
+        if max(label) > 0:
+            raise ValueError("space must be connected (finite distances)")
+        raise ValueError("space is connected, but some distance overflows the float range")
     return dmat
 
 

@@ -103,9 +103,6 @@ class Perturbation:
         factors[agent, alternative] = factor
         return cls(n, factors)
 
-    def level(self) -> float:
-        return float(self.factors.max())
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "factors": self.factors.tolist()}
 
@@ -339,30 +336,3 @@ def geometric_market(n: int, base: float) -> MatchingMarket:
         raise ValueError("rank utilities overflow the float range")
     return MatchingMarket(RankBasedProfile(n, ru), RankBasedProfile(n, ru))
 
-
-#: Range [lo, hi] of the utilities in random extensional profiles.
-_RANDOM_UTILITY_RANGE = (-10.0, -0.1)
-
-
-def _random_strict_rows(n: int, rng: np.random.Generator) -> list[list[float]]:
-    """Per-agent strictly decreasing utility draws in ``_RANDOM_UTILITY_RANGE``."""
-    rows = []
-    for _ in range(n):
-        while True:
-            draws = sorted(float(v) for v in rng.uniform(*_RANDOM_UTILITY_RANGE, size=n))
-            if all(draws[i] < draws[i + 1] for i in range(n - 1)):
-                rows.append(draws[::-1])  # best (closest to zero) first
-                break
-    return rows
-
-
-def random_extensional_profile(n: int, rng: np.random.Generator) -> ExtensionalProfile:
-    """Random fully-covered extensional profile; practical for n <= 3 only."""
-    table = {}
-    for r in all_profiles(n):
-        table[r] = UtilityProfile(n, rank_scatter(r.ranks, _random_strict_rows(n, rng)))
-    return ExtensionalProfile(n, table)
-
-
-def random_extensional_market(n: int, rng: np.random.Generator) -> MatchingMarket:
-    return MatchingMarket(random_extensional_profile(n, rng), random_extensional_profile(n, rng))

@@ -23,6 +23,10 @@ from .markets import UtilityProfile, _require
 
 _REL_TOL = 1e-9
 
+#: Relative slack of the polarity inequality; it absorbs floating-point
+#: error in distance sums.
+_POLARITY_TOL = 1e-12
+
 #: Fewest vertices for which ``distance_matrix`` runs the all-sources array
 #: kernel. Each of its rounds costs some thirty numpy calls whatever the
 #: graph's size, so on small spaces V heap searches are cheaper. The two
@@ -57,12 +61,11 @@ class PolarityCheck:
         return self.ok
 
 
-def is_polarized(u: UtilityProfile, tol: float = 1e-12) -> PolarityCheck:
+def is_polarized(u: UtilityProfile) -> PolarityCheck:
     """Check the polarity inequality over all (a, a', x, x') quadruples.
 
     The condition: u(a,x') - u(a,x) <= -(u(a',x) + u(a',x')), with slack
-    ``tol * max(1, |lhs|, |rhs|)``; the tolerance absorbs floating-point
-    error in distance sums, pass 0 for an exact check.
+    ``_POLARITY_TOL * max(1, |lhs|, |rhs|)``.
 
     The right-hand sides form one (a', x, x') array, built once; each agent
     a is then checked as one (n, n, n) block with the same IEEE operations
@@ -78,7 +81,7 @@ def is_polarized(u: UtilityProfile, tol: float = 1e-12) -> PolarityCheck:
         abs_rhs = np.abs(rhs)
         for a in range(u.n):
             lhs = v[a][None, :] - v[a][:, None]
-            slack = tol * np.maximum(np.maximum(1.0, np.abs(lhs)), abs_rhs)
+            slack = _POLARITY_TOL * np.maximum(np.maximum(1.0, np.abs(lhs)), abs_rhs)
             broken = lhs > rhs + slack
             if broken.any():
                 a_prime, x, x_prime = np.unravel_index(int(broken.argmax()), broken.shape)
@@ -203,8 +206,7 @@ class MetricSpace:
     :meth:`place` maps a placement on the original vertices through it.
 
     Distances come by two independent routes. ``dist_row`` runs a heap
-    Dijkstra from one source on each call; ``shortest_path`` uses the same
-    heap search for its predecessors. ``distance_matrix`` runs one array
+    Dijkstra from one source on each call. ``distance_matrix`` runs one array
     label-setting search from every source at once (on spaces of at least
     ``_ARRAY_KERNEL_MIN_VERTICES`` vertices) and caches the whole matrix. That
     cache is written once, after which the object is effectively immutable
@@ -258,9 +260,8 @@ class MetricSpace:
                 raise ValueError(f"placement vertex {v} out of range")
         return Placement(tuple(qm[v] for v in alpha), tuple(qm[v] for v in beta))
 
-    def _dijkstra(self, source: int) -> tuple[list[float], list[int]]:
+    def dist_row(self, source: int) -> tuple[float, ...]:
         dist = [math.inf] * self.n_vertices
-        pred = [-1] * self.n_vertices
         dist[source] = 0.0
         heap = [(0.0, source)]
         while heap:
@@ -271,12 +272,8 @@ class MetricSpace:
                 nd = d + w
                 if nd < dist[v]:
                     dist[v] = nd
-                    pred[v] = u
                     heapq.heappush(heap, (nd, v))
-        return dist, pred
-
-    def dist_row(self, source: int) -> tuple[float, ...]:
-        return tuple(self._dijkstra(source)[0])
+        return tuple(dist)
 
     def distance_matrix(self) -> np.ndarray:
         """All-pairs shortest-path distances as a read-only (V, V) array.
@@ -301,16 +298,6 @@ class MetricSpace:
             dist.flags.writeable = False
             self._dist_matrix = dist
         return self._dist_matrix
-
-    def shortest_path(self, source: int, target: int) -> tuple[int, ...]:
-        """One canonical shortest path (deterministic tie-breaking)."""
-        dist, pred = self._dijkstra(source)
-        if math.isinf(dist[target]):
-            raise ValueError(f"vertices {source} and {target} are disconnected")
-        path = [target]
-        while path[-1] != source:
-            path.append(pred[path[-1]])
-        return tuple(reversed(path))
 
     def components(self) -> list[list[int]]:
         label, _ = component_labels(self.n_vertices, self.support_edges())

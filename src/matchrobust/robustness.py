@@ -23,9 +23,9 @@ changed order or an exact tie breaks the level; a block's first break is
 found by flat index, not by per-row reductions. The first break is
 confirmed through deferred acceptance by one proposal chain before the
 perturbation and one after, proposed by the distinguishing opposite-side
-profile, against position tables built once per search. Only
-:func:`adversarial_witness` builds a whole witness, with both stable pairs
-and its perturbation matrix.
+profile, against position tables built once per search. The same check
+verifies every witness; only :func:`adversarial_witness` builds one, with
+its profiles and perturbation matrix.
 """
 
 from __future__ import annotations
@@ -44,12 +44,10 @@ from .markets import (
 )
 from .ordinal import (
     OrdinalProfile,
-    StablePair,
     _distinguishing_rows,
     _inverse,
     _proposal_chain,
     _stable_ranking,
-    phi,
 )
 from .seeding import rng_for
 
@@ -128,9 +126,10 @@ class AdversarialWitness:
 
     ``perturbation`` is a single-entry matrix with one factor equal to c.
     Applying it to the utilities at ``profile`` changes the extracted
-    ordinal profile to ``perturbed_profile``; at ``distinguishing`` on the
-    opposite side the deferred-acceptance pairs differ, which is verified
-    before the witness is returned.
+    ordinal profile to ``perturbed_profile``. When ``distinguishing``, on
+    the opposite side, proposes in deferred acceptance, its outcome against
+    ``profile`` differs from its outcome against ``perturbed_profile``; this
+    is verified by :func:`_confirm_break` before the witness is returned.
     """
 
     side: str
@@ -138,8 +137,6 @@ class AdversarialWitness:
     perturbation: Perturbation
     perturbed_profile: OrdinalProfile
     distinguishing: OrdinalProfile
-    original_pair: StablePair
-    perturbed_pair: StablePair
     tie_created: bool
 
 
@@ -175,31 +172,20 @@ def _perturbed_row(
 def _build_witness(
     name: str, side: MarketProfile, row: int, position: int, c: float
 ) -> AdversarialWitness:
-    """The verified witness for perturbing, at level ``c``, the alternative
-    that the ``name`` side's table row ``row`` ranks at ``position`` (see
-    :func:`_perturbed_row`)."""
+    """The witness for perturbing, at level ``c``, the alternative that the
+    ``name`` side's table row ``row`` ranks at ``position``, verified by
+    :func:`_confirm_break` with a table of its own."""
     n = side.n
-    k, agent, alt, below, perturbed_row, tied = _perturbed_row(side, row, position, c)
+    k, agent, alt, below, perturbed_row, tied = _confirm_break(side, row, position, c, {})
     r = side.table_profiles[k]
     rows = (*r.ranks[:agent], perturbed_row, *r.ranks[agent + 1 :])
-    r_tilde = OrdinalProfile._of_permutations(n, rows)
-    other = OrdinalProfile._of_permutations(n, _distinguishing_rows(n, agent, alt, below))
-    if name == "men":
-        original = phi(r, other)
-        changed = phi(r_tilde, other)
-    else:
-        original = phi(other, r)
-        changed = phi(other, r_tilde)
-    if original == changed:
-        raise RuntimeError("witness verification failed; this is a bug")
+    other = _distinguishing_rows(n, agent, alt, below)
     return AdversarialWitness(
         side=name,
         profile=r,
         perturbation=Perturbation.single_entry(n, agent, alt, c),
-        perturbed_profile=r_tilde,
-        distinguishing=other,
-        original_pair=original,
-        perturbed_pair=changed,
+        perturbed_profile=OrdinalProfile._of_permutations(n, rows),
+        distinguishing=OrdinalProfile._of_permutations(n, other),
         tie_created=tied,
     )
 
@@ -263,20 +249,22 @@ def _first_break(ranks: np.ndarray, values: np.ndarray, c: float) -> tuple[int, 
 
 def _confirm_break(
     side: MarketProfile, row: int, position: int, c: float, positions: dict
-) -> None:
-    """Check through deferred acceptance that the break of ``_first_break`` at
-    (``row``, ``position``) of ``side``'s table moves a stable pair at level
-    ``c``, or raise.
+) -> tuple[int, int, int, int, tuple[int, ...], bool]:
+    """Check through deferred acceptance that perturbing, at level ``c``, the
+    alternative that ``side``'s table row ``row`` ranks at ``position`` moves
+    a stable pair, and return :func:`_perturbed_row`'s tuple; raise if it
+    does not.
 
-    The perturbed row is re-extracted as :func:`_build_witness` does, and the
-    distinguishing profile's side proposes, once to the stored profile and
-    once to the perturbed one: its rows are the proposers' and the perturbed
-    side responds. That outcome hinges on the flipped pair alone, so it must
-    move. ``positions`` maps ``(side, k)`` to the responders' position table
-    of ``table_profiles[k]``, built on first use; the perturbed profile's
-    table is a shallow copy with the perturbed agent's row replaced.
+    The distinguishing profile's side proposes, once to the stored profile
+    and once to the perturbed one: its rows are the proposers' and the
+    perturbed side responds. That outcome hinges on the flipped pair alone,
+    so it must move. ``positions`` maps ``(side, k)`` to the responders'
+    position table of ``table_profiles[k]``, built on first use; the
+    perturbed profile's table is a shallow copy with the perturbed agent's
+    row replaced.
     """
-    k, agent, alt, below, perturbed_row, _tied = _perturbed_row(side, row, position, c)
+    hit = _perturbed_row(side, row, position, c)
+    k, agent, alt, below, perturbed_row, _tied = hit
     table = positions.get((side, k))
     if table is None:
         table = positions[side, k] = side.table_profiles[k].position_table()
@@ -285,14 +273,13 @@ def _confirm_break(
     proposers = _distinguishing_rows(side.n, agent, alt, below)
     if _proposal_chain(proposers, table) == _proposal_chain(proposers, perturbed):
         raise RuntimeError("break confirmation failed; this is a bug")
+    return hit
 
 
-def _breakable(c: float, market: MatchingMarket, positions: dict | None = None) -> bool:
+def _breakable(c: float, market: MatchingMarket, positions: dict) -> bool:
     """Whether level ``c`` breaks ``market``: the first break on either side,
     men first, confirmed by :func:`_confirm_break`. ``positions`` carries the
-    position tables across calls; without it each call builds its own."""
-    if positions is None:
-        positions = {}
+    position tables across calls."""
     for side in (market.men, market.women):
         hit = _first_break(side.table_ranks, side.table_values, c)
         if hit is not None:

@@ -13,11 +13,13 @@ from matchrobust import (
     Assignment,
     DecayFunction,
     ExtensionalProfile,
+    MatchingMarket,
     OrdinalProfile,
     Perturbation,
     RankBasedProfile,
     Side,
     UtilityProfile,
+    all_profiles,
     apply_perturbation,
     critical_consecutive_ratio,
     distinguishing_profile,
@@ -30,6 +32,7 @@ from matchrobust import (
 from matchrobust import embedding
 from matchrobust.embedding import BanachSearchResult
 from matchrobust.jsonvalues import json_int
+from matchrobust.markets import rank_scatter
 from matchrobust.ordinal import TieError, TiePolicy, ordinal_from_utility
 from matchrobust.seeding import rng_for
 
@@ -268,9 +271,7 @@ def reference_witness(name: str, side, row: int, position: int, c: float) -> Adv
     index tie-breaking. When that leaves the profile unchanged, an exact tie
     was undone by index order, and the agent's entries at ``position`` and
     ``position + 1`` are swapped. The opposite side's profile comes from
-    ``distinguishing_profile``, and both deferred-acceptance pairs from
-    ``phi``, with the witness side's profile as the men's argument on the
-    men's side and as the women's on the women's side.
+    ``distinguishing_profile``.
     """
     n = side.n
     k, agent = divmod(row, n)
@@ -283,12 +284,16 @@ def reference_witness(name: str, side, row: int, position: int, c: float) -> Adv
         rows = [list(ranking) for ranking in r.ranks]
         rows[agent][position : position + 2] = rows[agent][position + 1], rows[agent][position]
         r_tilde, had_ties = OrdinalProfile(n, rows), True
-    other = distinguishing_profile(r, r_tilde)
-    if name == "men":
-        pairs = phi(r, other), phi(r_tilde, other)
-    else:
-        pairs = phi(other, r), phi(other, r_tilde)
-    return AdversarialWitness(name, r, delta, r_tilde, other, *pairs, had_ties)
+    return AdversarialWitness(name, r, delta, r_tilde, distinguishing_profile(r, r_tilde), had_ties)
+
+
+def witness_pairs(w: AdversarialWitness):
+    """The deferred-acceptance pairs of a witness before and after its flip,
+    from ``phi``, with the witness side's profile as the men's argument on
+    the men's side and as the women's on the women's side."""
+    if w.side == "men":
+        return phi(w.profile, w.distinguishing), phi(w.perturbed_profile, w.distinguishing)
+    return phi(w.distinguishing, w.profile), phi(w.distinguishing, w.perturbed_profile)
 
 
 def reference_spike_flips(n: int, c: float, eps: float) -> bool:
@@ -465,10 +470,10 @@ def reference_random_connected_space(vertices, extra_edges, rng):
     return edges
 
 
-def reference_is_polarized(u: UtilityProfile, tol: float = 1e-12):
+def reference_is_polarized(u: UtilityProfile):
     """Scalar polarity scan: ``(ok, violation)`` for the first quadruple
     (a, a', x, x') in lexicographic order with
-    u(a,x') - u(a,x) > -(u(a',x) + u(a',x')) + tol * max(1, |lhs|, |rhs|).
+    u(a,x') - u(a,x) > -(u(a',x) + u(a',x')) + 1e-12 * max(1, |lhs|, |rhs|).
     """
     n = u.n
     v = u.values.tolist()
@@ -478,7 +483,7 @@ def reference_is_polarized(u: UtilityProfile, tol: float = 1e-12):
                 for x_prime in range(n):
                     lhs = v[a][x_prime] - v[a][x]
                     rhs = -(v[a_prime][x] + v[a_prime][x_prime])
-                    slack = tol * max(1.0, abs(lhs), abs(rhs))
+                    slack = 1e-12 * max(1.0, abs(lhs), abs(rhs))
                     if lhs > rhs + slack:
                         return False, (a, a_prime, x, x_prime)
     return True, None
@@ -497,12 +502,13 @@ class PathAgreementResult:
 def path_preference_agreement_check(space, placement, profile: OrdinalProfile) -> PathAgreementResult:
     """Agreement property of intersecting shortest paths, on every quadruple.
 
-    For agents a < a' and alternatives x != x', if the canonical shortest
-    path from alpha(a) to beta(x) meets the one from alpha(a') to beta(x')
-    at a vertex, the two agents cannot both strictly prefer their own path's
-    destination: a preferring x over x' forces a' to prefer x over x' as
-    well. (The symmetric orientation, where each agent prefers the other's
-    destination, is geometrically possible and is not flagged.) A witness
+    For agents a < a' and alternatives x != x', if the shortest path that
+    networkx's Dijkstra finds from alpha(a) to beta(x) meets the one from
+    alpha(a') to beta(x') at a vertex, the two agents cannot both strictly
+    prefer their own path's destination: a preferring x over x' forces a'
+    to prefer x over x' as well. (The symmetric orientation, where each
+    agent prefers the other's destination, is geometrically possible and is
+    not flagged.) The argument holds for any shortest paths. A witness
     ``(a, x, a', x', meeting vertex)`` would point to a shortest-path bug,
     not to a property of the input. ValueError if the placement does not
     represent ``profile``.
@@ -511,8 +517,13 @@ def path_preference_agreement_check(space, placement, profile: OrdinalProfile) -
     induced = utilities_from_space(space, placement, n)
     if ordinal_from_utility(induced, TiePolicy.STRICT) != profile:
         raise ValueError("placement does not represent the given ordinal profile")
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(space.n_vertices))
+    graph.add_weighted_edges_from(space.edges)
     paths = {
-        (a, x): frozenset(space.shortest_path(placement.alpha[a], placement.beta[x]))
+        (a, x): frozenset(nx.dijkstra_path(graph, placement.alpha[a], placement.beta[x]))
         for a in range(n)
         for x in range(n)
     }
@@ -583,6 +594,34 @@ def reference_json_text(payload: dict) -> str:
     """The CLI's JSON output written by the standard library's encoder:
     indented, keys sorted, infinities as strings, a NaN raising ValueError."""
     return json.dumps(_reference_json_value(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+#: Range [lo, hi] of the utilities in random extensional profiles.
+_RANDOM_UTILITY_RANGE = (-10.0, -0.1)
+
+
+def _random_strict_rows(n: int, rng: np.random.Generator) -> list[list[float]]:
+    """Per-agent strictly decreasing utility draws in ``_RANDOM_UTILITY_RANGE``."""
+    rows = []
+    for _ in range(n):
+        while True:
+            draws = sorted(float(v) for v in rng.uniform(*_RANDOM_UTILITY_RANGE, size=n))
+            if all(draws[i] < draws[i + 1] for i in range(n - 1)):
+                rows.append(draws[::-1])  # best (closest to zero) first
+                break
+    return rows
+
+
+def random_extensional_profile(n: int, rng: np.random.Generator) -> ExtensionalProfile:
+    """Random fully-covered extensional profile; practical for n <= 3 only."""
+    table = {}
+    for r in all_profiles(n):
+        table[r] = UtilityProfile(n, rank_scatter(r.ranks, _random_strict_rows(n, rng)))
+    return ExtensionalProfile(n, table)
+
+
+def random_extensional_market(n: int, rng: np.random.Generator) -> MatchingMarket:
+    return MatchingMarket(random_extensional_profile(n, rng), random_extensional_profile(n, rng))
 
 
 def random_profile(n: int, rng: np.random.Generator) -> OrdinalProfile:

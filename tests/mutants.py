@@ -55,6 +55,10 @@ do not write tests for them.
   graph of 8 edges is planar, and the rules after it or networkx say so.
 - ``planar.py``, ``_reduce``: ``a < b`` to ``<=``. Neighbour sets hold no
   self-loops, so ``a`` never equals ``b``.
+- ``communication.py``, ``decay_inverse``: ``y <= d.infimum()`` to ``<``.
+  Only the exponential family has a positive infimum, its scale; at y
+  equal to it the closed form gives ``math.log(1.0) / exponent``, which is
+  0.0, the clamped value.
 - ``robustness.py``, ``critical_market``: ``not v < ru[i + 1]`` to ``<=``.
   A spiked utility equal to the next rank's is also caught by ``v in ru``.
 - ``jsonvalues.py``, ``json_rows``: ``floats and not -_INF < v < _INF`` to
@@ -80,23 +84,33 @@ Three survivors are not equivalent, but no portable test can pin them:
 A mutant that makes a loop run forever times out; the suite catches it only
 by the timeout, and it needs no test:
 
-- ``markets.py``, ``_random_strict_rows``: ``draws[i + 1]`` to
-  ``draws[i - 1]``. A sorted row of three or more distinct draws then always
-  fails ``draws[1] < draws[0]``, so no row is ever accepted.
 - ``metric.py``, ``component_labels``: ``label[v] < 0`` to ``<=``. Vertices
   of vertex 0's component carry label 0, so they are pushed again on every
   visit and the stack never empties.
-- ``metric.py``, ``MetricSpace._dijkstra``: ``d + w`` to ``d - w``. Every
+- ``metric.py``, ``MetricSpace.dist_row``: ``d + w`` to ``d - w``. Every
   relaxation lowers a distance again, so two neighbours push each other
   forever.
-- ``metric.py``, ``MetricSpace._dijkstra``: ``nd < dist[v]`` to ``<=``.
+- ``metric.py``, ``MetricSpace.dist_row``: ``nd < dist[v]`` to ``<=``.
   Every arrival at an equal distance pushes the vertex again and each copy
   is relaxed again, so the work grows with the number of shortest paths,
-  exponentially on graphs with many equal detours.
+  exponentially on graphs with many equal detours. Against
+  ``test_metric.py`` alone it timed out; with ``test_embedding.py``,
+  ``test_input_checks.py`` and ``test_cli.py`` added it was killed after
+  147 s.
+- ``metric.py``, ``random_connected_space``: ``and`` to ``or`` in the
+  ``while`` test. Once the tries run out the loop goes on while edges are
+  missing, and a graph with no room for them never gets them.
 - ``robustness.py``, ``robustness_by_search``: either ``<`` of ``lo < mid
   < hi`` to ``<=``. Once no float lies between ``lo`` and ``hi``, the
   midpoint rounds to one of them and the bracket never closes, so a ``tol``
   below the float spacing loops forever.
+
+The probe mutates only ``src/``. One test generator has the same kind of
+mutant, should anyone swap its operators by hand:
+
+- ``tests/conftest.py``, ``_random_strict_rows``: ``draws[i + 1]`` to
+  ``draws[i - 1]``. A sorted row of three or more distinct draws then always
+  fails ``draws[1] < draws[0]``, so no row is ever accepted.
 """
 
 from __future__ import annotations

@@ -149,6 +149,24 @@ class TestExitCodes:
         assert code == EX_VALIDATION and out == ""
         assert err.startswith("error: 2:")
 
+    @pytest.mark.parametrize("command", ["embed", "distortion"])
+    @pytest.mark.parametrize(
+        "infile, message",
+        [
+            (DISCONNECTED_SPACE, "space must be connected (finite distances)"),
+            (
+                {"vertices": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]},
+                "space is connected, but some distance overflows the float range",
+            ),
+        ],
+        ids=["disconnected", "overflow"],
+    )
+    def test_infinite_distance_names_its_cause(self, capsys, tmp_path, command, infile, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(infile))
+        code, out, err = run(capsys, command, "--in", str(path))
+        assert (code, out, err) == (EX_VALIDATION, "", f"error: 2: {message}\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

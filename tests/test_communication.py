@@ -28,38 +28,37 @@ def decay_strategy():
 
 class TestDecayInverse:
     def test_linear_slope_one(self):
-        assert decay_inverse(DecayFunction("linear"), 7.0).value == 7.0
+        assert decay_inverse(DecayFunction("linear"), 7.0) == 7.0
 
     def test_power_square(self):
-        assert math.isclose(decay_inverse(DecayFunction("power", exponent=2.0), 9.0).value, 3.0)
+        assert math.isclose(decay_inverse(DecayFunction("power", exponent=2.0), 9.0), 3.0)
 
     def test_exponential_clamps_below_infimum(self):
         d = DecayFunction("exponential", scale=2.0, exponent=1.0)
-        res = decay_inverse(d, 1.0)  # below D(0) = 2
-        assert res.value == 0.0 and res.clamped
+        assert decay_inverse(d, 1.0) == 0.0  # below D(0) = 2
 
     @given(decay_strategy(), st.floats(0.5, 1e6))
     def test_round_trip(self, d, y):
-        res = decay_inverse(d, y)
-        if res.clamped:
-            assert y <= d.infimum()
-        elif math.isinf(res.value):
+        t = decay_inverse(d, y)
+        if y <= d.infimum():
+            assert t == 0.0
+        elif math.isinf(t):
             assert d.value(1e300) < y  # inverse genuinely beyond float range
         else:
-            assert math.isclose(d.value(res.value), y, rel_tol=1e-9)
+            assert math.isclose(d.value(t), y, rel_tol=1e-9)
 
     @given(decay_strategy(), st.floats(0.5, 1e4))
     @example(DecayFunction("logarithmic", 9.5), 6559.0)  # root 7.0e299
     @example(DecayFunction("logarithmic", 10.0), 7095.0)  # root 1.4e308
     def test_bisection_matches_closed_form(self, d, y):
-        closed = decay_inverse(d, y)
-        if closed.clamped:
+        if y <= d.infimum():
             return
+        closed = decay_inverse(d, y)
         numeric = reference_decay_inverse(d, y)
-        if math.isinf(closed.value):
+        if math.isinf(closed):
             assert math.isinf(numeric)
         else:
-            assert math.isclose(closed.value, numeric, rel_tol=1e-7, abs_tol=1e-9)
+            assert math.isclose(closed, numeric, rel_tol=1e-7, abs_tol=1e-9)
 
     @pytest.mark.parametrize(
         "d, y",
@@ -74,9 +73,9 @@ class TestDecayInverse:
         # The bracket passes points where D(t) overflows before it covers
         # the root; those points lie above any finite target.
         closed = decay_inverse(d, y)
-        assert math.isfinite(closed.value)
+        assert math.isfinite(closed)
         numeric = reference_decay_inverse(d, y)
-        assert math.isclose(numeric, closed.value, rel_tol=1e-10)
+        assert math.isclose(numeric, closed, rel_tol=1e-10)
 
     @given(
         st.sampled_from(("power", "exponential")),
@@ -88,10 +87,10 @@ class TestDecayInverse:
         d = DecayFunction(family, scale, exponent)
         closed = decay_inverse(d, y)
         numeric = reference_decay_inverse(d, y)
-        if math.isinf(closed.value):
+        if math.isinf(closed):
             assert math.isinf(numeric)
         else:
-            assert math.isclose(numeric, closed.value, rel_tol=1e-10)
+            assert math.isclose(numeric, closed, rel_tol=1e-10)
 
     @pytest.mark.parametrize(
         "d, y, root",
@@ -104,7 +103,7 @@ class TestDecayInverse:
     )
     def test_scale_below_one_near_float_maximum(self, d, y, root):
         # y / scale and the unscaled D(t) overflow although the root is finite.
-        assert math.isclose(decay_inverse(d, y).value, root, rel_tol=1e-10)
+        assert math.isclose(decay_inverse(d, y), root, rel_tol=1e-10)
         assert math.isclose(reference_decay_inverse(d, y), root, rel_tol=1e-10)
 
     def test_rejects_nonpositive_target(self):
@@ -133,8 +132,7 @@ class TestDecayInverse:
 
     def test_exponential_clamps_at_its_infimum(self):
         # y equal to D(0) = scale clamps, although log(y / scale) = 0 is a root.
-        res = decay_inverse(DecayFunction("exponential", scale=2.0, exponent=1.0), 2.0)
-        assert res.value == 0.0 and res.clamped
+        assert decay_inverse(DecayFunction("exponential", scale=2.0, exponent=1.0), 2.0) == 0.0
 
 
 class TestHardness:

@@ -17,12 +17,16 @@ from matchrobust import (
     apply_perturbation,
     geometric_market,
     ordinal_from_utility,
-    random_extensional_market,
 )
-from matchrobust.markets import _json_entry_arrays, _random_strict_rows
+from matchrobust.markets import _json_entry_arrays
 from matchrobust.seeding import rng_for
 
-from conftest import reference_extensional_check, reference_extensional_side
+from conftest import (
+    _random_strict_rows,
+    random_extensional_market,
+    reference_extensional_check,
+    reference_extensional_side,
+)
 
 
 class TestUtilityProfile:
@@ -73,7 +77,6 @@ class TestPerturbation:
     def test_single_entry(self):
         d = Perturbation.single_entry(2, 0, 1, 3.0)
         assert np.array_equal(d.factors, ((1.0, 3.0), (1.0, 1.0)))
-        assert d.level() == 3.0
 
 
 class TestMatrices:

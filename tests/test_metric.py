@@ -107,30 +107,24 @@ class TestPolarity:
         for _ in range(50):
             assert bool(is_polarized(band_utup(3, rng)))
 
-    def test_exact_check_available(self):
-        u = UtilityProfile(2, ((0.0, -10.0), (0.0, -10.0)))
-        assert bool(is_polarized(u, tol=0.0))
-
     @settings(max_examples=400)
-    @given(polarity_profiles(), st.sampled_from((0.0, 1e-12, 1e-6)))
-    def test_matches_scalar_reference(self, u, tol):
+    @given(polarity_profiles())
+    def test_matches_scalar_reference(self, u):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            check = is_polarized(u, tol=tol)
-        assert (check.ok, check.violation) == reference_is_polarized(u, tol)
+            check = is_polarized(u)
+        assert (check.ok, check.violation) == reference_is_polarized(u)
 
-    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-6])
-    def test_edge_values_emit_no_warning(self, tol):
-        # -inf - -inf, -1.7e308 + -1.7e308 and (at tol = 0) 0 * inf all
-        # occur in this profile; each would raise a RuntimeWarning unless
-        # silenced.
+    def test_edge_values_emit_no_warning(self):
+        # -inf - -inf and -1.7e308 + -1.7e308 both occur in this profile;
+        # each would raise a RuntimeWarning unless silenced.
         n = len(EDGE_UTILITIES)
         vals = [[EDGE_UTILITIES[(a + x) % n] for x in range(n)] for a in range(n)]
         u = UtilityProfile(n, vals)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            check = is_polarized(u, tol=tol)
-        assert (check.ok, check.violation) == reference_is_polarized(u, tol)
+            check = is_polarized(u)
+        assert (check.ok, check.violation) == reference_is_polarized(u)
 
 
 class TestMetricSpace:
@@ -216,13 +210,6 @@ class TestMetricSpace:
                 for b in range(n):
                     for c in range(n):
                         assert d[a][c] <= d[a][b] + d[b][c] + 1e-9
-
-    def test_shortest_path_endpoints_and_length(self, rng):
-        space = random_connected_space(10, 8, rng)
-        path = space.shortest_path(0, space.n_vertices - 1)
-        assert path[0] == 0 and path[-1] == space.n_vertices - 1
-        length = sum(space.dist_row(path[i])[path[i + 1]] for i in range(len(path) - 1))
-        assert math.isclose(length, space.dist_row(0)[space.n_vertices - 1])
 
     def test_json_round_trip(self):
         space = MetricSpace(3, [(0, 1, 1.5), (1, 2, 2.5)])

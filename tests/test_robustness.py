@@ -31,27 +31,30 @@ from matchrobust import (
     is_c_robust,
     ordinal_from_utility_flagged,
     preservation_probability,
-    random_extensional_market,
     rank_slot_factor_stats,
     robustness,
     robustness_by_search,
     sufficient_robustness_level,
     uniform_profile,
 )
-from matchrobust.markets import random_extensional_profile, rank_scatter
+from matchrobust.markets import rank_scatter
 from matchrobust.ordinal import TiePolicy, _distinguishing_rows, phi
 from matchrobust.robustness import _breakable, _build_witness, _first_break, _first_hit, _trial_blocks
 from matchrobust.seeding import rng_for
 
 from conftest import (
+    random_extensional_market,
+    random_extensional_profile,
     reference_consecutive_pairs,
     reference_first_break,
     reference_spike_flips,
     reference_witness,
+    witness_pairs,
 )
 
 # The package re-exports the function ``robustness`` under the module's name.
 robustness_module = importlib.import_module("matchrobust.robustness")
+ordinal_module = importlib.import_module("matchrobust.ordinal")
 
 
 class TestIsCRobust:
@@ -289,7 +292,7 @@ class TestLevelScan:
     @example(RankBasedProfile(2, (-5e-324, -math.inf)))
     def test_level_one_never_breaks(self, side):
         # robustness_by_search never scans the lower end 1 of its bracket.
-        assert not _breakable(1.0, MatchingMarket(side, side))
+        assert not _breakable(1.0, MatchingMarket(side, side), {})
 
     @given(rank_scan_case())
     def test_rank_markets_match_reference(self, case):
@@ -452,8 +455,9 @@ class TestRoutesReadStoredTables:
 
     @pytest.fixture
     def counted(self):
-        # "witnesses" counts built witnesses and the search's confirmed breaks.
-        calls = {"utilities": 0, "witnesses": 0}
+        # "witnesses" counts built witnesses, "confirmed" the checks of a
+        # break through deferred acceptance, the search's and each witness's.
+        calls = {"utilities": 0, "witnesses": 0, "confirmed": 0}
         utilities = ExtensionalProfile.utilities
         build, confirm = robustness_module._build_witness, robustness_module._confirm_break
 
@@ -461,16 +465,16 @@ class TestRoutesReadStoredTables:
             calls["utilities"] += 1
             return utilities(side, profile)
 
-        def counting(function):
+        def counting(function, key):
             def counted_call(*args):
-                calls["witnesses"] += 1
+                calls[key] += 1
                 return function(*args)
 
             return counted_call
 
         with mock.patch.object(ExtensionalProfile, "utilities", counting_utilities), \
-                mock.patch.object(robustness_module, "_build_witness", counting(build)), \
-                mock.patch.object(robustness_module, "_confirm_break", counting(confirm)):
+                mock.patch.object(robustness_module, "_build_witness", counting(build, "witnesses")), \
+                mock.patch.object(robustness_module, "_confirm_break", counting(confirm, "confirmed")):
             yield calls
 
     def test_formula_route_reads_no_utilities(self, counted):
@@ -478,13 +482,13 @@ class TestRoutesReadStoredTables:
         xi = robustness(market)
         assert is_c_robust(market, xi * (1 - 1e-9)) is True
         assert adversarial_witness(market, xi * (1 - 1e-9)) is None
-        assert counted == {"utilities": 0, "witnesses": 0}
+        assert counted == {"utilities": 0, "witnesses": 0, "confirmed": 0}
         assert adversarial_witness(market, xi) is not None
-        assert counted == {"utilities": 0, "witnesses": 1}
+        assert counted == {"utilities": 0, "witnesses": 1, "confirmed": 1}
 
     def test_search_reads_utilities_only_to_confirm_witnesses(self, counted):
         robustness_by_search(random_extensional_market(3, rng_for(22)))
-        assert counted["witnesses"] > 0
+        assert counted["witnesses"] == 0 and counted["confirmed"] > 0
         assert counted["utilities"] == 0
 
 
@@ -526,6 +530,8 @@ class TestSearchConfirmsWithoutWitnesses:
         assert list(map(id, tabled)) == [id(market.men.table_profiles[0])]
 
     def test_no_perturbation_or_stable_pair_is_built(self):
+        # A search builds no perturbation matrix and a witness one; neither
+        # runs phi or a whole deferred acceptance, only proposal chains.
         built = {"perturbations": 0, "pairs": 0}
         post_init = Perturbation.__post_init__
 
@@ -533,17 +539,23 @@ class TestSearchConfirmsWithoutWitnesses:
             built["perturbations"] += 1
             post_init(delta)
 
-        def counting_phi(*args):
-            built["pairs"] += 1
-            return phi(*args)
+        def counting(function):
+            def wrapper(*args):
+                built["pairs"] += 1
+                return function(*args)
+
+            return wrapper
 
         with mock.patch.object(Perturbation, "__post_init__", counting_post_init), \
-                mock.patch.object(robustness_module, "phi", counting_phi):
+                mock.patch.object(ordinal_module, "phi", counting(ordinal_module.phi)), \
+                mock.patch.object(
+                    ordinal_module, "deferred_acceptance", counting(ordinal_module.deferred_acceptance)
+                ):
             for market in (geometric_market(6, 1.5), random_extensional_market(3, rng_for(22))):
                 robustness_by_search(market)
             assert built == {"perturbations": 0, "pairs": 0}
             adversarial_witness(geometric_market(6, 1.5), 1.5)
-            assert built == {"perturbations": 1, "pairs": 2}
+            assert built == {"perturbations": 1, "pairs": 0}
 
 
 def _witness_fields(w):
@@ -555,8 +567,7 @@ def _witness_fields(w):
         w.perturbation.factors.tobytes(),
         w.perturbed_profile,
         w.distinguishing,
-        w.original_pair,
-        w.perturbed_pair,
+        *witness_pairs(w),
         w.tie_created,
     )
 
@@ -568,7 +579,8 @@ def _distinguishing_side_moves(w) -> bool:
     rank the flipping agent first and every other alternative holds its own
     spare agent, so that proposal hinges on the flipped pair alone."""
     outcome = "female_optimal" if w.side == "men" else "male_optimal"
-    return getattr(w.original_pair, outcome) != getattr(w.perturbed_pair, outcome)
+    before, after = witness_pairs(w)
+    return getattr(before, outcome) != getattr(after, outcome)
 
 
 #: Levels at which scaled edge-pool utilities overflow to -inf.
@@ -756,8 +768,8 @@ class TestAdversarialWitness:
     def test_witness_above_threshold_verifies(self):
         w = adversarial_witness(geometric_market(3, 2.0), 2.5)
         assert w is not None
-        assert w.original_pair != w.perturbed_pair
-        assert w.perturbation.level() == 2.5
+        assert _distinguishing_side_moves(w)
+        assert w.perturbation.factors.max() == 2.5
 
     def test_none_below_threshold(self):
         assert adversarial_witness(geometric_market(3, 2.0), 1.5) is None
@@ -777,15 +789,16 @@ class TestAdversarialWitness:
         w = adversarial_witness(geometric_market(3, 2.0), 2.0)
         assert w is not None
         assert w.tie_created
-        assert w.original_pair != w.perturbed_pair
+        assert _distinguishing_side_moves(w)
 
     @pytest.mark.parametrize("side", ["men", "women"])
     @pytest.mark.parametrize("tie", [True, False])
     def test_pairs_come_from_the_witness_side(self, side, tie):
-        # The witness side's profile is the men's argument of phi on the men
-        # side and the women's on the women side, before and after the flip.
-        # At this seed phi changes when its arguments swap, so a witness
-        # built with the sides swapped fails.
+        # The outcome proposed by the distinguishing side moves, with the
+        # witness side's profile as the men's argument of phi on the men side
+        # and the women's on the women side. At this seed that outcome stays
+        # put when phi's arguments swap, so a witness built with the sides
+        # swapped fails.
         random_side = random_extensional_profile(3, rng_for(2))
         steep = RankBasedProfile(3, (-1.0, -100.0, -10000.0))
         sides = (random_side, steep) if side == "men" else (steep, random_side)
@@ -793,12 +806,6 @@ class TestAdversarialWitness:
         xi = robustness(market)
         w = adversarial_witness(market, xi if tie else xi * 1.001)
         assert (w.side, w.tie_created) == (side, tie)
-        if side == "men":
-            assert w.original_pair == phi(w.profile, w.distinguishing)
-            assert w.perturbed_pair == phi(w.perturbed_profile, w.distinguishing)
-        else:
-            assert w.original_pair == phi(w.distinguishing, w.profile)
-            assert w.perturbed_pair == phi(w.distinguishing, w.perturbed_profile)
         assert _distinguishing_side_moves(w)
 
     def test_equivalence_both_directions(self, rng):

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,20 @@ def test_robustness_routes_stay_independent():
     assert divisions == [], f"_first_break divides at lines {divisions}"
 
 
+def test_one_deferred_acceptance_check_of_a_break():
+    # A witness and a bisection level are both confirmed by the same two
+    # proposal chains; robustness.py runs no whole deferred acceptance.
+    path = ROOT / "src" / "matchrobust" / "robustness.py"
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert not (imported | _names_and_attributes(tree)) & {"phi", "StablePair", "deferred_acceptance"}
+    functions = _functions(path)
+    for name in ("_build_witness", "_breakable"):
+        assert "_confirm_break" in _names_and_attributes(functions[name]), name
+
+
 def _functions(path: Path) -> dict:
     tree = ast.parse(path.read_text())
     return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -190,6 +206,25 @@ def test_distance_routes_stay_independent():
     attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     assert not names & {"_dijkstra", "dist_row", "MetricSpace", "heapq"}
     assert not attributes & {"_dijkstra", "dist_row", "dist", "_adj"}
+
+
+def test_heap_search_keeps_no_predecessors():
+    # Distances are all the package reads from a search; no path is rebuilt.
+    metric = _names_and_attributes(ast.parse((ROOT / "src" / "matchrobust" / "metric.py").read_text()))
+    assert "pred" not in metric
+
+
+def test_code_line_count_runs():
+    # tests/code_lines.py runs by hand and in CI; one run here keeps it from
+    # rotting. It lists every source file and a total that is their sum.
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "code_lines.py")],
+        capture_output=True, text=True, check=True,
+    )
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert [name for _count, name in rows] == [p.name for p in SOURCES] + ["total"]
+    counts = [int(count) for count, _name in rows]
+    assert 0 < counts[-1] == sum(counts[:-1])
 
 
 def test_banach_reference_stays_independent():
