@@ -17,9 +17,7 @@ from .embedding import (
     DistortionReport,
     EuclideanPlacement,
     bourgain_embed,
-    condorcet_profile,
     log_size_robustness_cap,
-    worst_case_robustness_cap,
     euclidean_profile_robustness,
     generating_space_size,
     maximize_euclidean_robustness,

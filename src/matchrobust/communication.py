@@ -162,7 +162,6 @@ class AdmissibilityReport:
     fitted_exponent: float
     growth_factor: float
     classification: str  # "bounded" | "growing"
-    caveat: str = "finite-range trend, not a limit statement"
 
     def to_text(self) -> str:
         lines = [f"{'n':>8} {'xi':>14} {'H(n)':>14} {'H/xi':>14} {'T':>14}"]
@@ -171,7 +170,7 @@ class AdmissibilityReport:
         lines.append(
             f"classification: {self.classification} "
             f"(fitted exponent {self.fitted_exponent:.4f}, "
-            f"growth factor {self.growth_factor:.4g}; {self.caveat})"
+            f"growth factor {self.growth_factor:.4g}; finite-range trend, not a limit statement)"
         )
         return "\n".join(lines) + "\n"
 
@@ -232,9 +231,6 @@ class BoundTable:
     the size and market-size columns are identical between rows.
     """
 
-    n: int
-    space_size: int
-    genus: int
     constants: BoundConstants
     deterministic: tuple[float, float, float]  # (by size, by genus, by n)
     probabilistic: tuple[float, float, float]
@@ -302,7 +298,7 @@ def bound_table(
     by_size, by_market = t_for(size_bound), t_for(market_bound)
     det = (by_size, t_for(log_genus_robustness_cap(genus, genus_scale)), by_market)
     prob = (by_size, t_for(log_genus_robustness_cap(genus, constants.genus_constant)), by_market)
-    return BoundTable(n, space_size, genus, constants, det, prob)
+    return BoundTable(constants, det, prob)
 
 
 def parse_config(text: str) -> dict[str, dict[str, float | str]]:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import MetricSpace, component_labels
-from .ordinal import OrdinalProfile
 from .seeding import rng_for
 
 #: The cyclic three-agent profile used for the Euclidean cap: agent i's
@@ -35,14 +34,20 @@ _SUBSET_BLOCK_ELEMENTS = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class EuclideanPlacement:
-    dim: int
+    """One point per vertex, as the rows of a 2-D float array; ``dim`` is
+    the number of columns."""
+
     points: np.ndarray  # shape (vertices, dim)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
+        if pts.ndim != 2:
             raise ValueError("points must be a (vertices, dim) array")
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,7 @@ def bourgain_embed(space: MetricSpace, quality: int = 10, seed: int = 0) -> Eucl
     # sums and products were pinned on.
     coords = np.ascontiguousarray(columns.T)
     coords /= math.sqrt(coords.shape[1])
-    return EuclideanPlacement(dim=coords.shape[1], points=coords)
+    return EuclideanPlacement(coords)
 
 
 def measure_distortion(space: MetricSpace, placement: EuclideanPlacement) -> DistortionReport:
@@ -156,11 +161,6 @@ def measure_distortion(space: MetricSpace, placement: EuclideanPlacement) -> Dis
         max_contraction=max(1.0, 1.0 / scale),
         scale=scale,
     )
-
-
-def condorcet_profile() -> OrdinalProfile:
-    """The cyclic three-agent profile: (0,1,2), (1,2,0), (2,0,1)."""
-    return OrdinalProfile(3, _CONDORCET_RANKS)
 
 
 def _dist(p, q) -> float:
@@ -373,11 +373,6 @@ def log_size_robustness_cap(space_size: int, calibration_constant: float) -> flo
     if space_size < 2:
         raise ValueError("space_size >= 2 required")
     return calibration_constant * math.log(space_size)
-
-
-def worst_case_robustness_cap(n: int, calibration_constant: float) -> float:
-    """Same cap evaluated at the worst-case size 2n(n!)^n."""
-    return log_size_robustness_cap(generating_space_size(n), calibration_constant)
 
 
 def log_genus_robustness_cap(genus: int, calibration_constant: float) -> float:

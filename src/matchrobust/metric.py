@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -216,7 +217,7 @@ class MetricSpace:
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int, float]]):
         if vertex_count < 1:
             raise ValueError("vertex_count >= 1 required")
-        edges = [(int(a), int(b), float(w)) for a, b, w in edges]
+        edges = [(operator.index(a), operator.index(b), float(w)) for a, b, w in edges]
         for a, b, w in edges:
             if not (0 <= a < vertex_count and 0 <= b < vertex_count):
                 raise ValueError(f"edge ({a},{b}) out of range")
@@ -327,8 +328,8 @@ class Placement:
     beta: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(int(v) for v in self.alpha))
-        object.__setattr__(self, "beta", tuple(int(v) for v in self.beta))
+        object.__setattr__(self, "alpha", tuple(map(operator.index, self.alpha)))
+        object.__setattr__(self, "beta", tuple(map(operator.index, self.beta)))
 
 
 def space_to_json_dict(space: MetricSpace, placement: Placement | None = None) -> dict:
@@ -444,9 +445,9 @@ def verify_generating(
 def random_connected_space(vertices: int, extra_edges: int, rng: np.random.Generator) -> MetricSpace:
     """Random connected weighted graph: a random spanning tree plus extras.
 
-    Extra edges come from up to ``50 * (extra_edges + 1)`` tries, each
-    drawing two endpoints and keeping a new pair. Every weight is drawn from
-    ``uniform(0.5, 3.0)``.
+    Extra edges come from at most ``50 * (extra_edges + 1)`` draws, each of
+    two endpoints, keeping a new pair, and stop once ``extra_edges`` are
+    kept. Every weight is drawn from ``uniform(0.5, 3.0)``.
     """
     if vertices < 1:
         raise ValueError("vertices >= 1 required")
@@ -458,9 +459,9 @@ def random_connected_space(vertices: int, extra_edges: int, rng: np.random.Gener
         b = order[int(rng.integers(0, i))]
         edges.append((a, b, float(rng.uniform(0.5, 3.0))))
         seen_pairs.add((min(a, b), max(a, b)))
-    tries = 0
-    while len(edges) < vertices - 1 + extra_edges and tries < 50 * (extra_edges + 1):
-        tries += 1
+    for _ in range(50 * (extra_edges + 1)):
+        if len(edges) >= vertices - 1 + extra_edges:
+            break
         a, b = int(rng.integers(0, vertices)), int(rng.integers(0, vertices))
         if a == b or (min(a, b), max(a, b)) in seen_pairs:
             continue

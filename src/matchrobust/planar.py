@@ -1,9 +1,9 @@
 """Planarity, genus lower bounds, and the nine-agent nonplanar profile.
 
-Planarity is decided on the unweighted simple support graph (weights,
-self-loops and repeated edges do not affect genus), one connected component
-at a time, since a graph is planar exactly when each component is. Each
-component goes through theorem-backed rules first:
+Planarity is decided on a MetricSpace's unweighted simple support graph
+(weights, self-loops and repeated edges do not affect genus), one connected
+component at a time, since a graph is planar exactly when each component
+is. Each component goes through theorem-backed rules first:
 
 1. At most 8 edges: planar (K_{3,3} has 9 edges and K_5 has 10, so by
    Kuratowski's theorem a smaller graph has neither as a subdivision).
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markets import UtilityProfile, rank_scatter
-from .metric import MetricSpace, Placement, component_labels, utilities_from_space
+from .markets import rank_scatter
+from .metric import MetricSpace, Placement, component_labels
 from .ordinal import OrdinalProfile, _stable_ranking
 from .seeding import rng_for
 
@@ -38,25 +38,11 @@ _NINE_SECONDS = (3, 4, 5, 1, 2, 0, 3, 4, 5)
 _NINE_THIRDS = {6: 2, 7: 0, 8: 1}
 
 
-def _support(space_or_edges) -> tuple[int, list[tuple[int, int]]]:
-    """Vertex count and edges of the simple support graph: self-loops and
-    repeated edges are dropped, so E counts as it does in a MetricSpace."""
-    if isinstance(space_or_edges, MetricSpace):
-        return space_or_edges.n_vertices, space_or_edges.support_edges()
-    vertex_count, edges = space_or_edges
-    simple: dict[tuple[int, int], None] = {}
-    for a, b in edges:
-        if not (0 <= a < vertex_count and 0 <= b < vertex_count):
-            raise ValueError(f"edge ({a}, {b}) has an endpoint outside 0..{vertex_count - 1}")
-        if a != b:
-            simple[min(a, b), max(a, b)] = None
-    return vertex_count, list(simple)
-
-
-def _components(vertex_count: int, edges: list[tuple[int, int]]):
-    """``(V, edges, bipartite)`` of each component that has an edge; the
-    edges keep the graph's vertex ids."""
-    label, parity = component_labels(vertex_count, edges)
+def _components(space: MetricSpace):
+    """``(V, edges, bipartite)`` of each component of the space's support
+    graph that has an edge; the edges keep the space's vertex ids."""
+    edges = space.support_edges()
+    label, parity = component_labels(space.n_vertices, edges)
     sizes = Counter(label)
     comp_edges: dict[int, list[tuple[int, int]]] = {}
     for a, b in edges:
@@ -122,19 +108,20 @@ def _component_planar(v_count: int, edges: list[tuple[int, int]], bipartite: boo
     return nx.check_planarity(nx.Graph(edges), counterexample=False)[0]
 
 
-def is_planar(space_or_edges) -> bool:
-    """Planarity of the support graph (genus 0).
+def is_planar(space: MetricSpace) -> bool:
+    """Planarity of the space's support graph (genus 0).
 
-    Accepts a :class:`MetricSpace` or a ``(vertex_count, edges)`` pair whose
-    endpoints lie in ``0..vertex_count-1`` (ValueError otherwise). Each
-    component is decided by the edge-count rules of the module docstring,
-    before and after reduction, and only what they leave by networkx.
+    The graph is ``space.support_edges()`` on ``space.n_vertices`` vertices,
+    as the constructor validated and simplified it. Each component is
+    decided by the edge-count rules of the module docstring, before and
+    after reduction, and only what they leave by networkx.
     """
-    return all(_component_planar(*comp) for comp in _components(*_support(space_or_edges)))
+    return all(_component_planar(*comp) for comp in _components(space))
 
 
-def genus_lower_bound(space_or_edges) -> int:
-    """Euler-formula lower bound on orientable genus, summed per component.
+def genus_lower_bound(space: MetricSpace) -> int:
+    """Euler-formula lower bound on orientable genus of the space's support
+    graph, summed per component.
 
     Planar components contribute 0. Nonplanar components contribute the
     best of: 1 (nonplanarity itself), ceil((E - 3V + 6) / 6), and for
@@ -142,7 +129,7 @@ def genus_lower_bound(space_or_edges) -> int:
     absence of triangles.
     """
     total = 0
-    for v_count, es, bipartite in _components(*_support(space_or_edges)):
+    for v_count, es, bipartite in _components(space):
         if _component_planar(v_count, es, bipartite):
             continue
         e_count = len(es)
@@ -189,7 +176,6 @@ def _agent_matches_cells(a: int, row) -> bool:
 class RepresentationCandidate:
     space: MetricSpace
     placement: Placement
-    utilities: UtilityProfile
 
 
 def _biclique_edges(profile: OrdinalProfile) -> list[tuple[int, int, float]]:
@@ -245,9 +231,10 @@ def search_planar_representation(
     A candidate refutes the nonplanarity claim only if its induced rankings
     match every constrained cell AND its support is planar. Agents are
     checked in order and a candidate is rejected at the first that fails
-    (:func:`_realizes_nine_agent_cells`); the planarity test and the induced
-    utility profile come only after every agent passed. Returns the first
-    refutation found, or None (the expected outcome, since no planar
+    (:func:`_realizes_nine_agent_cells`); the planarity test comes only
+    after every agent passed. Returns the first refutation found, with its
+    space and placement (``utilities_from_space(space, placement, 9)`` gives
+    its utilities), or None (the expected outcome, since no planar
     realization exists).
 
     In practice the search exercises the cell check, not planarity: of the
@@ -261,6 +248,5 @@ def search_planar_representation(
     for t in range(candidates):
         space, placement = _candidate(seed, t, full_edges)
         if _realizes_nine_agent_cells(space, placement) and is_planar(space):
-            utilities = utilities_from_space(space, placement, 9)
-            return RepresentationCandidate(space, placement, utilities)
+            return RepresentationCandidate(space, placement)
     return None

@@ -306,9 +306,12 @@ def robustness_by_search(market: MatchingMarket, tol: float = 1e-6) -> float:
     and doubles its upper end, capped at the largest float, until that end
     breaks; if even the largest float does not break, the search returns
     ``inf``. Bisection stops once the bracket is no wider than ``tol`` or
-    no float lies strictly between its ends, so a ``tol`` below the float
-    spacing stops at float resolution; a NaN or infinite ``tol`` is
-    rejected.
+    than ``math.ulp(lo)``, that is once no float lies strictly between its
+    ends, so a ``tol`` below the float spacing stops at float resolution; a
+    NaN or infinite ``tol`` is rejected. The doubling leaves the break in the
+    upper half of the bracket, so float resolution comes within about 53
+    halvings; the loop stops at 64 and raises RuntimeError if the bracket is
+    still wider.
     """
     if not math.isfinite(tol):
         raise ValueError("tol must be finite")
@@ -321,17 +324,17 @@ def robustness_by_search(market: MatchingMarket, tol: float = 1e-6) -> float:
         if hi == sys.float_info.max:
             return math.inf
         hi = min(2.0 * hi, sys.float_info.max)
-    while hi - lo > tol:
+    for _ in range(64):
+        if hi - lo <= max(tol, math.ulp(lo)):
+            return 0.5 * lo + 0.5 * hi
         # Halving is exact, so this rounds as 0.5 * (lo + hi) does, without
         # overflowing next to the largest float.
         mid = 0.5 * lo + 0.5 * hi
-        if not lo < mid < hi:
-            break
         if _breakable(mid, market, positions):
             hi = mid
         else:
             lo = mid
-    return 0.5 * lo + 0.5 * hi
+    raise RuntimeError("bisection did not converge in 64 halvings; this is a bug")
 
 
 def sufficient_robustness_level(n: int, c: float) -> float:
@@ -467,8 +470,6 @@ class CriticalSpikeSampler:
     def __init__(self, n: int, c: float, eps: float):
         self.market = critical_market(n, c, eps)
         self.n = n
-        self.c = c
-        self.eps = eps
         self.spike = spike_factor(n, c, eps)
         self.level = (1.0 + eps) * c
 

@@ -14,6 +14,7 @@ from matchrobust import (
     DecayFunction,
     ExtensionalProfile,
     MatchingMarket,
+    MetricSpace,
     OrdinalProfile,
     Perturbation,
     RankBasedProfile,
@@ -322,6 +323,27 @@ def reference_spike_flips(n: int, c: float, eps: float) -> bool:
                 if ties or r_tilde == r:
                     return False
     return True
+
+
+def reference_bisection(breaks, tol: float) -> float:
+    """The bracket loop of ``robustness_by_search`` before it had a halving
+    budget, with ``breaks(level)`` in place of the level scan: it doubles
+    the upper end until it breaks, then halves while the bracket is wider
+    than ``tol`` and its midpoint lies strictly inside."""
+    lo, hi = 1.0, 2.0
+    while not breaks(hi):
+        if hi == sys.float_info.max:
+            return math.inf
+        hi = min(2.0 * hi, sys.float_info.max)
+    while hi - lo > tol:
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            break
+        if breaks(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * lo + 0.5 * hi
 
 
 @pytest.fixture
@@ -739,6 +761,13 @@ def reference_matches_nine_agent_cells(profile: OrdinalProfile) -> bool:
     return profile.n >= 9 and all(
         profile.ranks[a][: len(prefix)] == prefix for a, prefix in enumerate(NINE_AGENT_PREFIXES)
     )
+
+
+def support_space(graph) -> MetricSpace:
+    """The ``(vertex_count, edges)`` graph as a MetricSpace of unit edges; a
+    self-loop gets weight 0, the only weight a loop may carry."""
+    vertex_count, edges = graph
+    return MetricSpace(vertex_count, [(a, b, 0.0 if a == b else 1.0) for a, b in edges])
 
 
 def petersen():

@@ -57,6 +57,7 @@ from conftest import (
     random_extensional_market,
     random_nonpolarized,
     random_profile,
+    support_space,
     witness_pairs,
 )
 
@@ -326,7 +327,7 @@ def test_criterion_09_planarity_and_nine_agent_profile():
             if not _connected(v, edges):
                 continue
             graphs += 1
-            if is_planar((v, edges)) != planar_by_kuratowski(v, edges):
+            if is_planar(support_space((v, edges))) != planar_by_kuratowski(v, edges):
                 mismatches += 1
     # 200 random 7-vertex graphs.
     for k in range(200):
@@ -335,7 +336,7 @@ def test_criterion_09_planarity_and_nine_agent_profile():
         keep = rng.random(len(pairs)) < rng.uniform(0.2, 0.8)
         edges = [p for p, kp in zip(pairs, keep) if kp]
         graphs += 1
-        if is_planar((7, edges)) != planar_by_kuratowski(7, edges):
+        if is_planar(support_space((7, edges))) != planar_by_kuratowski(7, edges):
             mismatches += 1
 
     profile = nonplanar_profile(9)

@@ -10,9 +10,7 @@ from matchrobust import (
     EuclideanPlacement,
     MetricSpace,
     bourgain_embed,
-    condorcet_profile,
     log_size_robustness_cap,
-    worst_case_robustness_cap,
     euclidean_profile_robustness,
     generating_space_size,
     maximize_euclidean_robustness,
@@ -136,7 +134,7 @@ class TestMeasureDistortion:
     def test_isometric_line_placement(self):
         space = path_graph(5, w=2.0)
         pts = np.array([[2.0 * i] for i in range(5)])
-        report = measure_distortion(space, EuclideanPlacement(1, pts))
+        report = measure_distortion(space, EuclideanPlacement(pts))
         assert math.isclose(report.max_expansion, 1.0)
         assert math.isclose(report.scale, 1.0)
 
@@ -150,14 +148,14 @@ class TestMeasureDistortion:
         rot[0, 0] = rot[1, 1] = math.cos(theta)
         rot[0, 1] = -math.sin(theta)
         rot[1, 0] = math.sin(theta)
-        rotated = measure_distortion(space, EuclideanPlacement(placement.dim, placement.points @ rot))
+        rotated = measure_distortion(space, EuclideanPlacement(placement.points @ rot))
         assert math.isclose(base.max_expansion, rotated.max_expansion, rel_tol=1e-9)
 
     def test_coincident_points_rejected(self):
         space = path_graph(3)
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            measure_distortion(space, EuclideanPlacement(2, pts))
+            measure_distortion(space, EuclideanPlacement(pts))
 
     def test_normalized_ratios_non_contractive(self, rng):
         space = random_connected_space(12, 10, rng)
@@ -171,14 +169,6 @@ class TestMeasureDistortion:
                 emb = float(np.linalg.norm(pts[a] - pts[b])) / report.scale
                 worst = min(worst, emb / d[a][b])
         assert worst >= 1.0 - 1e-12
-
-
-class TestCondorcetProfile:
-    def test_rows(self):
-        p = condorcet_profile()
-        assert p.ranks[0] == (0, 1, 2)
-        assert p.ranks[1] == (1, 2, 0)
-        assert p.ranks[2] == (2, 0, 1)
 
 
 def feasible_template(scale=1.0, shift=(0.0, 0.0)):
@@ -451,7 +441,6 @@ class TestBoundFormulas:
 
     def test_log_size_robustness_caps(self):
         assert math.isclose(log_size_robustness_cap(16, 2.5), 2.5 * math.log(16))
-        assert math.isclose(worst_case_robustness_cap(3, 1.0), math.log(1296))
         assert log_size_robustness_cap(32, 1.0) > log_size_robustness_cap(16, 1.0)
         assert log_size_robustness_cap(2, 1.0) == math.log(2)  # the smallest size
 

@@ -36,10 +36,10 @@ _P3 = OrdinalProfile(3, ((0, 1, 2),) * 3)
     [
         (lambda: DecayFunction("linear").value(-1), "decay is defined for t >= 0"),
         (lambda: HardnessFunction("constant").value(0), r"n >= 1 required"),
-        (lambda: EuclideanPlacement(2, np.zeros((3, 3))), r"points must be a \(vertices, dim\) array"),
+        (lambda: EuclideanPlacement(np.zeros(3)), r"points must be a \(vertices, dim\) array"),
         (lambda: bourgain_embed(MetricSpace(1, [])), "need at least 2 vertices"),
         (
-            lambda: measure_distortion(_PATH, EuclideanPlacement(1, np.zeros((2, 1)))),
+            lambda: measure_distortion(_PATH, EuclideanPlacement(np.zeros((2, 1)))),
             "placement does not cover all vertices",
         ),
         (

@@ -147,11 +147,32 @@ class TestMetricSpace:
         with pytest.raises(ValueError, match="infinite"):
             MetricSpace(2, [(0, 1, math.inf)])
 
-    @pytest.mark.parametrize("edge", [(0, 3, 1.0), (3, 0, 1.0), (-1, 0, 1.0), (0, -1, 1.0)])
+    @pytest.mark.parametrize(
+        "edge", [(0, 3, 1.0), (3, 0, 1.0), (-1, 0, 1.0), (0, -1, 1.0), (0, 7, 1.0), (-1, -1, 0.0)]
+    )
     def test_rejects_endpoint_out_of_range(self, edge):
         # Vertex 3 of a 3-vertex space is one past the last.
         with pytest.raises(ValueError, match="out of range"):
             MetricSpace(3, [edge])
+
+    @pytest.mark.parametrize("edge", [(0, 1.7, 1.0), (1.0, 2, 1.0), (0, "1", 1.0)])
+    def test_rejects_endpoint_that_is_not_an_integer(self, edge):
+        # int() would read 1.7 as vertex 1 and "1" as vertex 1.
+        with pytest.raises(TypeError):
+            MetricSpace(3, [edge])
+
+    @pytest.mark.parametrize("alpha, beta", [((0.9, 1), (2,)), ((0,), (2.2,)), (("0",), (1,))])
+    def test_placement_rejects_vertex_that_is_not_an_integer(self, alpha, beta):
+        with pytest.raises(TypeError):
+            Placement(alpha, beta)
+
+    def test_numpy_integers_read_as_ints(self):
+        space = MetricSpace(3, [(np.int64(0), np.int32(1), np.float64(2.0)), (np.intp(1), 2, 1)])
+        assert space.edges == ((0, 1, 2.0), (1, 2, 1.0))
+        assert {type(v) for edge in space.edges for v in edge} == {int, float}
+        placement = Placement(np.arange(2), (np.int32(3),))
+        assert placement == Placement((0, 1), (3,))
+        assert {type(v) for v in placement.alpha + placement.beta} == {int}
 
     @pytest.mark.parametrize("alpha, beta", [((3,), (0,)), ((0,), (3,)), ((-1,), (0,))])
     def test_place_rejects_vertex_out_of_range(self, alpha, beta):

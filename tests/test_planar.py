@@ -22,7 +22,13 @@ from matchrobust import planar
 from matchrobust.metric import utilities_from_space
 from matchrobust.ordinal import TieError, TiePolicy, ordinal_from_utility
 
-from conftest import petersen, planar_by_kuratowski, reference_matches_nine_agent_cells, subdivided
+from conftest import (
+    petersen,
+    planar_by_kuratowski,
+    reference_matches_nine_agent_cells,
+    subdivided,
+    support_space,
+)
 
 
 def complete_graph(v):
@@ -35,25 +41,33 @@ def complete_bipartite(a, b):
 
 class TestIsPlanar:
     def test_k4_planar(self):
-        assert is_planar(complete_graph(4)) is True
+        assert is_planar(support_space(complete_graph(4))) is True
 
     def test_k5_not_planar(self):
-        assert is_planar(complete_graph(5)) is False
+        assert is_planar(support_space(complete_graph(5))) is False
 
     def test_k33_not_planar(self):
-        assert is_planar(complete_bipartite(3, 3)) is False
+        assert is_planar(support_space(complete_bipartite(3, 3))) is False
 
     def test_knn_not_planar_from_three(self):
         for n in (3, 4, 5, 9):
-            assert is_planar(complete_bipartite(n, n)) is False
+            assert is_planar(support_space(complete_bipartite(n, n))) is False
 
     def test_k22_planar(self):
-        assert is_planar(complete_bipartite(2, 2)) is True
+        assert is_planar(support_space(complete_bipartite(2, 2))) is True
 
     def test_repeated_edges_and_self_loops_ignored(self):
         triangle = [(0, 1), (1, 2), (0, 2)]
-        assert is_planar((3, triangle * 3)) is True
-        assert is_planar((3, triangle + [(1, 0), (2, 2)])) is True
+        assert is_planar(support_space((3, triangle * 3))) is True
+        assert is_planar(support_space((3, triangle + [(1, 0), (2, 2)]))) is True
+
+    def test_cube_at_the_bipartite_bound_is_planar(self):
+        # The 3-cube is bipartite with exactly 2V - 4 = 12 edges, the most a
+        # planar bipartite graph on 8 vertices can have.
+        cube = support_space((8, [(a, a ^ bit) for a in range(8) for bit in (1, 2, 4) if a < a ^ bit]))
+        assert len(cube.edges) == 12
+        assert is_planar(cube) is True
+        assert genus_lower_bound(cube) == 0
 
     def test_matches_reference_on_random_graphs(self, rng):
         for _ in range(300):
@@ -61,17 +75,11 @@ class TestIsPlanar:
             pairs = list(itertools.combinations(range(v), 2))
             mask = rng.random(len(pairs)) < rng.uniform(0.2, 0.9)
             edges = [p for p, keep in zip(pairs, mask) if keep]
-            assert is_planar((v, edges)) == planar_by_kuratowski(v, edges)
+            assert is_planar(support_space((v, edges))) == planar_by_kuratowski(v, edges)
 
     def test_reference_cap(self):
         with pytest.raises(ValueError):
             planar_by_kuratowski(9, [])
-
-    @pytest.mark.parametrize("edge", [(0, 7), (0, -1), (3, 0), (-1, -1), (0, 3)])
-    @pytest.mark.parametrize("function", [is_planar, genus_lower_bound])
-    def test_out_of_range_endpoint_rejected(self, function, edge):
-        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
-            function((3, [(0, 1), edge, (1, 2)]))
 
 
 def disjoint_union(*graphs):
@@ -145,13 +153,14 @@ class TestPlanarityRules:
     @given(multigraphs(max_vertices=40))
     def test_matches_networkx(self, graph):
         planar = nx_planar(*graph)
-        assert is_planar(graph) is planar
-        assert (genus_lower_bound(graph) == 0) is planar
+        space = support_space(graph)
+        assert is_planar(space) is planar
+        assert (genus_lower_bound(space) == 0) is planar
 
     @settings(max_examples=100)
     @given(multigraphs(max_vertices=8))
     def test_matches_kuratowski_search(self, graph):
-        assert is_planar(graph) is planar_by_kuratowski(*graph)
+        assert is_planar(support_space(graph)) is planar_by_kuratowski(*graph)
 
 
 class TestDecidedWithoutNetworkx:
@@ -192,31 +201,32 @@ class TestDecidedWithoutNetworkx:
         ],
     )
     def test_rules_decide(self, graph, planar):
-        assert is_planar(graph) is planar
-        assert (genus_lower_bound(graph) == 0) is planar
+        space = support_space(graph)
+        assert is_planar(space) is planar
+        assert (genus_lower_bound(space) == 0) is planar
 
     def test_k33_union(self):
-        union = disjoint_union(*[complete_bipartite(3, 3)] * 96)
+        union = support_space(disjoint_union(*[complete_bipartite(3, 3)] * 96))
         assert is_planar(union) is False
         assert genus_lower_bound(union) == 96
 
     def test_rules_leave_petersen_graph(self):
         with pytest.raises(RuntimeError, match="check_planarity"):
-            is_planar(petersen())
+            is_planar(support_space(petersen()))
 
 
 class TestGenusLowerBound:
     def test_k4_zero(self):
-        assert genus_lower_bound(complete_graph(4)) == 0
+        assert genus_lower_bound(support_space(complete_graph(4))) == 0
 
     def test_k33_at_least_one(self):
         # Known genus of this graph is exactly 1; the bipartite Euler bound
         # must reach it.
-        assert genus_lower_bound(complete_bipartite(3, 3)) == 1
+        assert genus_lower_bound(support_space(complete_bipartite(3, 3))) == 1
 
     def test_k7_at_least_one(self):
         # Known genus of the 7-clique is exactly 1.
-        assert genus_lower_bound(complete_graph(7)) == 1
+        assert genus_lower_bound(support_space(complete_graph(7))) == 1
 
     def test_zero_for_planar_graphs(self, rng):
         for _ in range(100):
@@ -224,12 +234,13 @@ class TestGenusLowerBound:
             pairs = list(itertools.combinations(range(v), 2))
             mask = rng.random(len(pairs)) < 0.4
             edges = [p for p, keep in zip(pairs, mask) if keep]
-            if is_planar((v, edges)):
-                assert genus_lower_bound((v, edges)) == 0
+            space = support_space((v, edges))
+            if is_planar(space):
+                assert genus_lower_bound(space) == 0
 
     def test_sums_over_components(self, rng):
         # Two disjoint 3,3-bicliques.
-        assert genus_lower_bound(disjoint_union(*[complete_bipartite(3, 3)] * 2)) == 2
+        assert genus_lower_bound(support_space(disjoint_union(*[complete_bipartite(3, 3)] * 2))) == 2
 
         # Bipartite and non-bipartite nonplanar blocks, a planar block and an
         # isolated vertex, under a shuffled vertex numbering. Per block:
@@ -242,20 +253,20 @@ class TestGenusLowerBound:
             complete_graph(4),
             (1, []),
         ]
-        assert [genus_lower_bound(b) for b in blocks] == [1, 2, 3, 1, 0, 0]
+        assert [genus_lower_bound(support_space(b)) for b in blocks] == [1, 2, 3, 1, 0, 0]
         offset, edges = disjoint_union(*blocks)
         perm = [int(x) for x in rng.permutation(offset)]
         shuffled = [(perm[a], perm[b]) for a, b in edges]
-        assert genus_lower_bound((offset, shuffled)) == 7
+        assert genus_lower_bound(support_space((offset, shuffled))) == 7
 
     def test_repeated_edges_and_self_loops_ignored(self):
         v, k33 = complete_bipartite(3, 3)
-        assert genus_lower_bound((v, k33 * 2)) == 1
-        assert genus_lower_bound((v, k33 + [(0, 0), (4, 4)])) == 1
+        assert genus_lower_bound(support_space((v, k33 * 2))) == 1
+        assert genus_lower_bound(support_space((v, k33 + [(0, 0), (4, 4)]))) == 1
 
     def test_large_bipartite_bound(self):
         # 9,9-biclique: bipartite Euler bound gives ceil((81 - 36 + 4)/4).
-        assert genus_lower_bound(complete_bipartite(9, 9)) >= 13
+        assert genus_lower_bound(support_space(complete_bipartite(9, 9))) >= 13
 
 
 class TestNineAgentProfile:
@@ -395,9 +406,8 @@ class TestRefutationPredicate:
         assert planar._realizes_nine_agent_cells(space, placement)
         assert _full_route(space, placement) is True
         assert is_planar(space) is False
-        # Were it planar, the search would return it with its utilities.
+        # Were it planar, the search would return it.
         monkeypatch.setattr(planar, "_candidate", lambda seed, t, full_edges: (space, placement))
         monkeypatch.setattr(planar, "is_planar", lambda space: True)
         found = search_planar_representation(candidates=3, seed=0)
         assert (found.space, found.placement) == (space, placement)
-        assert np.array_equal(found.utilities.values, -space.distance_matrix()[:9, 9:])

@@ -45,6 +45,7 @@ from matchrobust.seeding import rng_for
 from conftest import (
     random_extensional_market,
     random_extensional_profile,
+    reference_bisection,
     reference_consecutive_pairs,
     reference_first_break,
     reference_spike_flips,
@@ -190,6 +191,51 @@ class TestBisectionOracle:
         market = _rank_market(ru, ru)
         assert robustness_by_search(market) == expected
         assert robustness(market) >= expected
+
+
+_TOP = sys.float_info.max
+
+
+class TestBisectionBudget:
+    """The halving loop stops after at most 64 halvings. A break threshold
+    ``t`` stands in for the level scan: every level at or above it breaks."""
+
+    @pytest.mark.parametrize(
+        "threshold",
+        [
+            1.0, math.nextafter(1.0, 2.0), 1.0 + 3 * 2.0**-52, math.nextafter(2.0, 1.0), 2.0, 3.0,
+            math.nextafter(2.0**1023, 0.0), 2.0**1023, math.nextafter(2.0**1023, math.inf),
+            math.nextafter(_TOP, 0.0), _TOP, math.inf,
+        ],
+    )
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 5e-324, 1e-6, 1.0, 1e300])
+    def test_float_edges_match_the_unbudgeted_loop(self, threshold, tol, monkeypatch):
+        levels = []
+
+        def breaks(level, market, positions):
+            levels.append(level)
+            return level >= threshold
+
+        monkeypatch.setattr(robustness_module, "_breakable", breaks)
+        got = robustness_by_search(geometric_market(2, 2.0), tol=tol)
+        assert got == reference_bisection(lambda level: level >= threshold, tol)
+        # Every level scanned after the first that breaks is a halving.
+        first = next((i for i, level in enumerate(levels) if level >= threshold), len(levels) - 1)
+        assert len(levels) - 1 - first <= 53
+
+    def test_running_out_of_halvings_raises(self, monkeypatch):
+        # A scan that first breaks at 2**1023 and then at every level would
+        # halve the bracket [1, 2**1023] down to 1 some thousand times.
+        levels = []
+
+        def breaks(level, market, positions):
+            levels.append(level)
+            return len(levels) >= 1023
+
+        monkeypatch.setattr(robustness_module, "_breakable", breaks)
+        with pytest.raises(RuntimeError, match="64 halvings"):
+            robustness_by_search(geometric_market(2, 2.0))
+        assert levels[1022] == 2.0**1023 and len(levels) == 1023 + 64
 
 
 # Utilities at the edges: signed zeros, subnormals, and values that

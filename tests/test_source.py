@@ -81,6 +81,41 @@ def test_traced_targets_resolve(module, target):
         assert callable(getattr(mod, target))
 
 
+def _package_namespaces() -> dict:
+    """Every imported ``matchrobust`` module by name, ``cli`` included."""
+    importlib.import_module("matchrobust.cli")
+    return {k: m for k, m in sys.modules.items() if k == "matchrobust" or k.startswith("matchrobust.")}
+
+
+def test_no_module_holds_a_numpy_array():
+    # perfbench/tests checks ``original not in vars(m).values()`` over every
+    # matchrobust module; ``in`` falls back to ``==``, which raises on a
+    # numpy array of more than one element.
+    import numpy as np
+
+    arrays = [
+        f"{name}.{key}"
+        for name, module in _package_namespaces().items()
+        for key, value in vars(module).items()
+        if isinstance(value, np.ndarray)
+    ]
+    assert arrays == [], f"module-level numpy arrays break perfbench/tests: {arrays}"
+
+
+def test_flagged_extraction_bound_in_three_namespaces():
+    # perfbench/tests asserts that at least three matchrobust namespaces
+    # hold ``ordinal_from_utility_flagged`` before its tracer rebinds them.
+    original = importlib.import_module("matchrobust.ordinal").ordinal_from_utility_flagged
+    holders = sorted(
+        name
+        for name, module in _package_namespaces().items()
+        if any(value is original for value in vars(module).values())
+    )
+    assert {"matchrobust", "matchrobust.markets", "matchrobust.ordinal"} <= set(holders), (
+        f"perfbench/tests needs ordinal_from_utility_flagged in at least 3 namespaces: {holders}"
+    )
+
+
 def test_robustness_routes_stay_independent():
     # The ratio formula and the bisection search cross-check each other, so
     # neither may call into the other: they share only the stacked tables
