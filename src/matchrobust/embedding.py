@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 
 import numpy as np
 
@@ -164,7 +166,10 @@ def measure_distortion(space: MetricSpace, placement: EuclideanPlacement) -> Dis
 
 
 def _dist(p, q) -> float:
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(p, q)))
+    """Euclidean distance of two float rows: each squared difference is
+    ``float.__pow__(x - y, 2)``, added left to right from 0, as in
+    ``sum((x - y) ** 2 for x, y in zip(p, q))``, without a generator."""
+    return math.sqrt(sum(map(pow, map(sub, p, q), repeat(2))))
 
 
 #: The cyclic profile's ranking read from a flat distance table, where cell

@@ -98,7 +98,8 @@ def component_labels(
     ``label[v]`` is the smallest vertex of v's component. ``parity[v]`` is
     the parity of v's depth in the search tree of that component, so a
     component is bipartite iff every one of its edges joins opposite
-    parities.
+    parities. A search that pops more than ``vertex_count`` vertices raises
+    RuntimeError.
     """
     adj: list[list[int]] = [[] for _ in range(vertex_count)]
     for a, b in edges:
@@ -106,12 +107,16 @@ def component_labels(
         adj[b].append(a)
     label = [-1] * vertex_count
     parity = [0] * vertex_count
+    pops = vertex_count  # each vertex is pushed, so popped, once
     for start in range(vertex_count):
         if label[start] >= 0:
             continue
         label[start] = start
         stack = [start]
         while stack:
+            pops -= 1
+            if pops < 0:
+                raise RuntimeError("component search popped a vertex twice; this is a bug")
             u = stack.pop()
             for v in adj[u]:
                 if label[v] < 0:
@@ -119,6 +124,17 @@ def component_labels(
                     parity[v] = parity[u] ^ 1
                     stack.append(v)
     return label, parity
+
+
+def _adjacency(
+    n_vertices: int, edges: Iterable[tuple[int, int, float]]
+) -> list[list[tuple[int, float]]]:
+    """Each vertex's ``(neighbour, weight)`` pairs, in the order of ``edges``."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n_vertices)]
+    for a, b, w in edges:
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    return adj
 
 
 def _all_sources_dijkstra(n_vertices: int, edges: Sequence[tuple[int, int, float]]) -> np.ndarray:
@@ -205,6 +221,9 @@ class MetricSpace:
     standard pseudometric quotient; shortest paths are unchanged).
     ``quotient_map`` records where each original vertex ended up, and
     :meth:`place` maps a placement on the original vertices through it.
+    ``_edge_subspace`` builds a space from some of a validated space's edges
+    without checking them again; its precondition is that the chosen edge
+    indices are distinct.
 
     Distances come by two independent routes. ``dist_row`` runs a heap
     Dijkstra from one source on each call. ``distance_matrix`` runs one array
@@ -245,11 +264,25 @@ class MetricSpace:
         self.edges: tuple[tuple[int, int, float], ...] = tuple(
             (a, b, w) for (a, b), w in sorted(best.items())
         )
-        self._adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n_vertices)]
-        for a, b, w in self.edges:
-            self._adj[a].append((b, w))
-            self._adj[b].append((a, w))
+        self._adj = _adjacency(self.n_vertices, self.edges)
         self._dist_matrix: np.ndarray | None = None
+
+    def _edge_subspace(self, indices: Iterable[int]) -> MetricSpace:
+        """The space on the same vertices with only the edges at ``indices``
+        of ``self.edges``, which must be distinct.
+
+        Equal to ``MetricSpace(self.n_vertices, [self.edges[i] for i in
+        indices])``, built without its checks: the edges are already in
+        range, positive, finite and distinct, and kept in sorted order, so
+        no vertex is merged and the quotient map is the identity.
+        """
+        sub = object.__new__(MetricSpace)
+        sub.quotient_map = tuple(range(self.n_vertices))
+        sub.n_vertices = self.n_vertices
+        sub.edges = tuple(map(self.edges.__getitem__, sorted(indices)))
+        sub._adj = _adjacency(sub.n_vertices, sub.edges)
+        sub._dist_matrix = None
+        return sub
 
     def place(self, alpha: Sequence[int], beta: Sequence[int]) -> Placement:
         """The placement of agents at original vertices ``alpha`` and

@@ -187,15 +187,14 @@ def _biclique_edges(profile: OrdinalProfile) -> list[tuple[int, int, float]]:
     return [(a, n + x, weights[a][x]) for a in range(n) for x in range(n)]
 
 
-def _candidate(seed: int, t: int, full_edges) -> tuple[MetricSpace, Placement]:
+def _candidate(seed: int, t: int, biclique: MetricSpace) -> MetricSpace:
     """Candidate ``t`` of the refutation search: a random subset of 17 to 48
-    (the planar budget 3V - 6) of ``full_edges``, with the agents on
-    vertices 0-8 and the alternatives on 9-17."""
+    (the planar budget 3V - 6) of the edges of ``biclique``, as its
+    sub-space."""
     rng = rng_for(seed, t)
     keep = int(rng.integers(17, 49))
-    idx = rng.choice(len(full_edges), size=keep, replace=False)
-    space = MetricSpace(18, [full_edges[int(i)] for i in idx])
-    return space, space.place(range(9), range(9, 18))
+    idx = rng.choice(len(biclique.edges), size=keep, replace=False)
+    return biclique._edge_subspace(idx.tolist())
 
 
 def _realizes_nine_agent_cells(space: MetricSpace, placement: Placement) -> bool:
@@ -227,7 +226,10 @@ def search_planar_representation(
 
     Each candidate (see :func:`_candidate`) is a sparsified bipartite
     realization: a random edge subset within the planar edge budget, each
-    edge weighted by the agent's geometric rank utility of its alternative.
+    edge weighted by the agent's geometric rank utility of its alternative,
+    with the agents on vertices 0-8 and the alternatives on 9-17. The
+    biclique is validated once, by the ``MetricSpace`` constructor, and
+    every candidate is a sub-space of it whose edges are not checked again.
     A candidate refutes the nonplanarity claim only if its induced rankings
     match every constrained cell AND its support is planar. Agents are
     checked in order and a candidate is rejected at the first that fails
@@ -242,11 +244,14 @@ def search_planar_representation(
     :func:`is_planar` is never reached. 9162 fail at agent 0, 766 at agent
     1, 65 at agent 2, 5 at agent 3 and 2 at agent 4; over all agents, 4255
     fail on a tie, 3646 on a missed cell and 2099 on an unreachable
-    alternative.
+    alternative. A negative ``candidates`` raises ValueError.
     """
-    full_edges = _biclique_edges(nonplanar_profile(9))
+    if candidates < 0:
+        raise ValueError("candidates >= 0 required")
+    biclique = MetricSpace(18, _biclique_edges(nonplanar_profile(9)))
+    placement = biclique.place(range(9), range(9, 18))
     for t in range(candidates):
-        space, placement = _candidate(seed, t, full_edges)
+        space = _candidate(seed, t, biclique)
         if _realizes_nine_agent_cells(space, placement) and is_planar(space):
             return RepresentationCandidate(space, placement)
     return None

@@ -381,6 +381,11 @@ def reference_line_placements(seed: int, restarts: int, draws: int = 60):
     return found
 
 
+def reference_dist(p, q) -> float:
+    """Euclidean distance of two float rows, squares summed by a generator."""
+    return math.sqrt(sum((x - y) ** 2 for x, y in zip(p, q)))
+
+
 def _reference_cyclic_value(points):
     """Min of the six consecutive distance ratios of the cyclic profile,
     every distance recomputed from six float rows (three agents, then three
@@ -388,10 +393,7 @@ def _reference_cyclic_value(points):
     i+1, i+2 (mod 3) in that order at positive distance."""
     best = math.inf
     for i in range(3):
-        d0, d1, d2 = [
-            math.sqrt(sum((x - y) ** 2 for x, y in zip(points[i], points[3 + (i + k) % 3])))
-            for k in range(3)
-        ]
+        d0, d1, d2 = [reference_dist(points[i], points[3 + (i + k) % 3]) for k in range(3)]
         if not 0.0 < d0 < d1 < d2:
             return None
         best = min(best, d1 / d0, d2 / d1)

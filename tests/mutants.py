@@ -84,9 +84,6 @@ Three survivors are not equivalent, but no portable test can pin them:
 A mutant that makes a loop run forever times out; the suite catches it only
 by the timeout, and it needs no test:
 
-- ``metric.py``, ``component_labels``: ``label[v] < 0`` to ``<=``. Vertices
-  of vertex 0's component carry label 0, so they are pushed again on every
-  visit and the stack never empties.
 - ``metric.py``, ``MetricSpace.dist_row``: ``d + w`` to ``d - w``. Every
   relaxation lowers a distance again, so two neighbours push each other
   forever.
@@ -96,7 +93,7 @@ by the timeout, and it needs no test:
   exponentially on graphs with many equal detours. Against
   ``test_metric.py`` alone it timed out; with ``test_embedding.py``,
   ``test_input_checks.py`` and ``test_cli.py`` added it was killed after
-  147 s in one probe and timed out at a 286 s limit in another.
+  147 s in one probe and timed out at 286 s and 394 s limits in two others.
 
 The probe mutates only ``src/``. One test generator has the same kind of
 mutant, should anyone swap its operators by hand:

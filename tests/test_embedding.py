@@ -22,7 +22,12 @@ from matchrobust import embedding
 from matchrobust.embedding import BanachSearchResult
 from matchrobust.seeding import rng_for
 
-from conftest import reference_banach_climb, reference_bourgain_embed, reference_line_placements
+from conftest import (
+    reference_banach_climb,
+    reference_bourgain_embed,
+    reference_dist,
+    reference_line_placements,
+)
 
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -300,6 +305,50 @@ class TestPinnedSearchResults:
     def test_result_digest(self, dim, iters, expected):
         result = maximize_euclidean_robustness(dim, 60, iters, seed=606)
         assert hashlib.sha256(repr(result).encode()).hexdigest() == expected
+
+
+def _dist_outcome(dist, p, q) -> str:
+    try:
+        return repr(dist(p, q))
+    except OverflowError:
+        return "OverflowError"
+
+
+#: Two float rows of one dimension from 1 to 16.
+_ROW_PAIRS = st.integers(1, 16).flatmap(
+    lambda dim: st.tuples(
+        *[st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim)] * 2
+    )
+)
+
+
+class TestDist:
+    """``_dist`` maps ``pow`` over the coordinate differences; the reference
+    squares them in a generator. Both give the same bytes, and both raise
+    OverflowError when a square leaves the float range."""
+
+    @pytest.mark.parametrize(
+        "p, q, expected",
+        [
+            ([-0.0], [0.0], "0.0"),
+            ([-0.0, 0.0, -0.0], [0.0, -0.0, -0.0], "0.0"),
+            ([5e-324], [-5e-324], "0.0"),  # the square of 1e-323 underflows
+            ([1e-160, 0.0], [0.0, -1e-160], "1.4142056902605667e-160"),  # subnormal squares
+            ([3.0, 0.0], [0.0, 4.0], "5.0"),
+            ([1e200], [-1e200], "OverflowError"),
+            ([0.0] * 15 + [1e155], [0.0] * 16, "OverflowError"),
+            ([1.7e308], [-1.7e308], "inf"),  # the difference, not the square, is inf
+            ([1e154] * 16, [0.0] * 16, "inf"),  # the sum leaves the range
+        ],
+    )
+    def test_edge_values(self, p, q, expected):
+        assert _dist_outcome(embedding._dist, p, q) == _dist_outcome(reference_dist, p, q) == expected
+
+    @settings(max_examples=400)
+    @given(_ROW_PAIRS)
+    def test_matches_generator_form(self, rows):
+        p, q = rows
+        assert _dist_outcome(embedding._dist, p, q) == _dist_outcome(reference_dist, p, q)
 
 
 class TestDistanceTableClimb:

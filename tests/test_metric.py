@@ -166,6 +166,24 @@ class TestMetricSpace:
         with pytest.raises(TypeError):
             Placement(alpha, beta)
 
+    def test_edge_subspace_equals_checked_construction(self, rng):
+        # Distinct edge indices in any order, of a space whose zero-weight
+        # edges merged vertices, give what the checked constructor builds
+        # from the same edges.
+        for _ in range(100):
+            v = int(rng.integers(2, 40))
+            base = random_connected_space(v, int(rng.integers(0, v)), rng)
+            merged = [(int(a), int(b), 0.0) for a, b in rng.integers(0, v, size=(3, 2))]
+            parent = MetricSpace(v, [*base.edges, *merged])
+            idx = rng.permutation(len(parent.edges))[: int(rng.integers(0, len(parent.edges) + 1))].tolist()
+            sub = parent._edge_subspace(idx)
+            expected = MetricSpace(parent.n_vertices, [parent.edges[i] for i in idx])
+            assert sub.n_vertices == expected.n_vertices == parent.n_vertices
+            assert sub.quotient_map == expected.quotient_map == tuple(range(parent.n_vertices))
+            assert sub.edges == expected.edges
+            assert sub._adj == expected._adj
+            assert sub.distance_matrix().tobytes() == expected.distance_matrix().tobytes()
+
     def test_numpy_integers_read_as_ints(self):
         space = MetricSpace(3, [(np.int64(0), np.int32(1), np.float64(2.0)), (np.intp(1), 2, 1)])
         assert space.edges == ((0, 1, 2.0), (1, 2, 1.0))

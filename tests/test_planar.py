@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+from collections import Counter
 
 import networkx as nx
 import numpy as np
@@ -21,8 +23,10 @@ from matchrobust import (
 from matchrobust import planar
 from matchrobust.metric import utilities_from_space
 from matchrobust.ordinal import TieError, TiePolicy, ordinal_from_utility
+from matchrobust.seeding import rng_for
 
 from conftest import (
+    NINE_AGENT_PREFIXES,
     petersen,
     planar_by_kuratowski,
     reference_matches_nine_agent_cells,
@@ -325,24 +329,95 @@ def _full_route(space, placement) -> bool | str:
         return type(exc).__name__
 
 
+def _biclique() -> MetricSpace:
+    return MetricSpace(18, planar._biclique_edges(nonplanar_profile(9)))
+
+
 class TestCandidateFamily:
     def test_every_candidate_is_a_sparsified_biclique(self):
         # Agents on vertices 0-8, alternatives on 9-17, and 17 to 48 of the
         # 81 rank-weighted biclique edges. The even candidates' edges are
         # the ones drawn when every other candidate was a random graph.
-        full_edges = planar._biclique_edges(nonplanar_profile(9))
-        allowed = set(full_edges)
+        biclique = _biclique()
+        allowed = set(biclique.edges)
         even = hashlib.sha256()
         for seed in (3, 910):
             for t in range(400):
-                space, placement = planar._candidate(seed, t, full_edges)
+                space = planar._candidate(seed, t, biclique)
                 assert space.n_vertices == 18
+                placement = space.place(range(9), range(9, 18))
                 assert placement == Placement(tuple(range(9)), tuple(range(9, 18)))
                 assert 17 <= len(space.edges) <= 48
                 assert set(space.edges) <= allowed
                 if t % 2 == 0:
                     even.update(repr(space.edges).encode())
         assert even.hexdigest() == "777f36d190cf009b8efd8e72901c5239ce888c693b95d9836bb6b32acd5be028"
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1))
+    def test_sub_space_equals_checked_construction(self, seed, t):
+        # The same draws through the checked constructor give the same
+        # space, down to its adjacency and every distance row.
+        full_edges = planar._biclique_edges(nonplanar_profile(9))
+        rng = rng_for(seed, t)
+        keep = int(rng.integers(17, 49))
+        idx = rng.choice(81, size=keep, replace=False)
+        expected = MetricSpace(18, [full_edges[i] for i in idx])
+        space = planar._candidate(seed, t, _biclique())
+        assert space.n_vertices == expected.n_vertices == 18
+        assert space.quotient_map == expected.quotient_map == tuple(range(18))
+        assert space.edges == expected.edges
+        assert space._adj == expected._adj
+        for v in range(18):
+            assert space.dist_row(v) == expected.dist_row(v)
+
+    def test_search_validates_the_biclique_once(self, monkeypatch):
+        built = []
+        original = MetricSpace.__init__
+
+        def counting(self, vertex_count, edges):
+            built.append(vertex_count)
+            original(self, vertex_count, edges)
+
+        monkeypatch.setattr(MetricSpace, "__init__", counting)
+        assert search_planar_representation(candidates=50, seed=3) is None
+        assert built == [18]
+
+
+class TestSearchArguments:
+    def test_negative_candidates_raise(self):
+        with pytest.raises(ValueError, match="candidates >= 0"):
+            search_planar_representation(candidates=-1)
+
+    def test_zero_candidates_find_nothing(self):
+        assert search_planar_representation(candidates=0, seed=910) is None
+
+
+class TestSeed910Failures:
+    def test_docstring_counts(self):
+        # The counts quoted in search_planar_representation's docstring:
+        # each candidate's first failing agent, and why it fails there.
+        # Each agent's row is read from its own vertex's distances; the
+        # unreachable test comes first, then ties, then the cells.
+        biclique = _biclique()
+        by_agent, by_cause = Counter(), Counter()
+        for t in range(10_000):
+            space = planar._candidate(910, t, biclique)
+            for a, prefix in enumerate(NINE_AGENT_PREFIXES):
+                d = space.dist_row(a)[9:]
+                if math.inf in d:
+                    cause = "unreachable"
+                elif len(set(d)) < 9:
+                    cause = "tie"
+                elif tuple(sorted(range(9), key=d.__getitem__)[: len(prefix)]) != prefix:
+                    cause = "missed cell"
+                else:
+                    continue
+                by_agent[a] += 1
+                by_cause[cause] += 1
+                break
+        assert by_agent == {0: 9162, 1: 766, 2: 65, 3: 5, 4: 2}
+        assert by_cause == {"tie": 4255, "missed cell": 3646, "unreachable": 2099}
 
 
 class TestRefutationPredicate:
@@ -351,10 +426,11 @@ class TestRefutationPredicate:
 
     @pytest.mark.parametrize("seed", [3, 910])
     def test_per_agent_check_matches_full_route(self, seed):
-        full_edges = planar._biclique_edges(nonplanar_profile(9))
+        biclique = _biclique()
         outcomes = set()
         for t in range(1200):
-            space, placement = planar._candidate(seed, t, full_edges)
+            space = planar._candidate(seed, t, biclique)
+            placement = space.place(range(9), range(9, 18))
             full = _full_route(space, placement)
             assert planar._realizes_nine_agent_cells(space, placement) is (full is True), t
             outcomes.add(full)
@@ -390,7 +466,7 @@ class TestRefutationPredicate:
         # Shortest paths through the biclique's geometric rank weights tie
         # (agent 0 reaches alternatives 2, 4 and 7 at distance 6), so even
         # the unsparsified family member is rejected.
-        space = MetricSpace(18, planar._biclique_edges(nonplanar_profile(9)))
+        space = _biclique()
         placement = space.place(range(9), range(9, 18))
         assert _full_route(space, placement) == "TieError"
         assert not planar._realizes_nine_agent_cells(space, placement)
@@ -407,7 +483,7 @@ class TestRefutationPredicate:
         assert _full_route(space, placement) is True
         assert is_planar(space) is False
         # Were it planar, the search would return it.
-        monkeypatch.setattr(planar, "_candidate", lambda seed, t, full_edges: (space, placement))
+        monkeypatch.setattr(planar, "_candidate", lambda seed, t, biclique: space)
         monkeypatch.setattr(planar, "is_planar", lambda space: True)
         found = search_planar_representation(candidates=3, seed=0)
         assert (found.space, found.placement) == (space, placement)
