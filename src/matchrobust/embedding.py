@@ -165,11 +165,16 @@ def measure_distortion(space: MetricSpace, placement: EuclideanPlacement) -> Dis
     )
 
 
+def _squares(p, q):
+    """Each coordinate's squared difference ``float.__pow__(x - y, 2)`` of
+    two float rows, lazily and without a generator."""
+    return map(pow, map(sub, p, q), repeat(2))
+
+
 def _dist(p, q) -> float:
-    """Euclidean distance of two float rows: each squared difference is
-    ``float.__pow__(x - y, 2)``, added left to right from 0, as in
-    ``sum((x - y) ** 2 for x, y in zip(p, q))``, without a generator."""
-    return math.sqrt(sum(map(pow, map(sub, p, q), repeat(2))))
+    """Euclidean distance of two float rows: the squared differences added
+    left to right from 0, as in ``sum((x - y) ** 2 for x, y in zip(p, q))``."""
+    return math.sqrt(sum(_squares(p, q)))
 
 
 #: The cyclic profile's ranking read from a flat distance table, where cell
@@ -187,29 +192,41 @@ _MOVED_CELLS = tuple(
     for moved in range(6)
 )
 
+#: The agents ranking those cells: a moved agent alone, or all three.
+_MOVED_AGENTS = tuple(sorted({a for _, a, _ in cells}) for cells in _MOVED_CELLS)
+
 
 def _distance_table(points) -> list[float]:
     """Flat agent-by-alternative table of ``_dist`` over six float rows."""
     return [_dist(agent, alternative) for agent in points[:3] for alternative in points[3:]]
 
 
-def _refresh(table: list[float], points, cells) -> None:
-    """Recompute ``cells`` of the distance table from the rows as they stand."""
-    for k, a, b in cells:
-        table[k] = _dist(points[a], points[b])
+def _agent_value(table: list[float], a: int) -> float | None:
+    """The smaller of agent ``a``'s two consecutive distance ratios, read
+    from its cyclic cells of the distance table; None unless it ranks them
+    strictly at nonzero distance."""
+    i0, i1, i2 = _CYCLIC_CELLS[a]
+    d0, d1, d2 = table[i0], table[i1], table[i2]
+    if not 0.0 < d0 < d1 < d2:
+        return None
+    return min(d1 / d0, d2 / d1)
 
 
 def _cyclic_value(table: list[float]) -> float | None:
     """Min of the six consecutive distance ratios of the cyclic profile, or
-    None at the first agent that does not realize its ranking strictly at
-    nonzero distance."""
-    best = math.inf
-    for i0, i1, i2 in _CYCLIC_CELLS:
-        d0, d1, d2 = table[i0], table[i1], table[i2]
-        if not 0.0 < d0 < d1 < d2:
-            return None
-        best = min(best, d1 / d0, d2 / d1)
-    return best
+    None when some agent does not realize its ranking strictly at nonzero
+    distance: the min of the agents' values, as the climb combines them."""
+    values = [_agent_value(table, a) for a in range(3)]
+    return None if None in values else min(values)
+
+
+def _retable(terms: list[list[float]], table: list[float], points, cells, c: int) -> None:
+    """Recompute coordinate ``c``'s squared difference in each of ``cells``
+    from the rows as they stand, then the cell's distance from its terms."""
+    for k, a, b in cells:
+        squares = terms[k]
+        squares[c] = (points[a][c] - points[b][c]) ** 2
+        table[k] = math.sqrt(sum(squares))
 
 
 def _condorcet_value(points) -> float | None:
@@ -299,15 +316,23 @@ def maximize_euclidean_robustness(
     candidate evaluations per restart, so doubling it extends each
     trajectory and can only improve the result.
 
-    Each restart keeps the nine agent-to-alternative distances in a table
-    (:func:`_distance_table`), and a move recomputes through ``_dist`` only
-    the three it changes: the moved agent's row or the moved alternative's
-    column, in a copy of the table. A rejected move is undone with
-    ``row[c] -= move`` and its copy dropped; since ``(x + m) - m`` need not
-    equal ``x``, the kept table is recomputed from the row as it now stands
-    when the coordinate did not come back exactly. So every table entry
-    equals ``_dist`` of the current rows, and each evaluation gives what
-    :func:`_condorcet_value` would.
+    Each restart keeps, per agent-alternative cell, the squared coordinate
+    differences that ``_dist`` sums; the nine distances, in a table; and
+    each agent's ratio minimum (:func:`_agent_value`, None when its ranking
+    fails). Moving coordinate ``c`` of a point changes three cells, the
+    moved agent's row or the moved alternative's column. Each gets its new
+    square at ``c`` and the ``sqrt`` of its sum in a copy of the table, and
+    then its old square back; only the agents ranking those cells, the
+    moved agent or all three, are judged again. The candidate's value is
+    None if any agent's is, else their min: :func:`_cyclic_value` of the
+    copy. An accepted move writes its squares and distances into what the
+    restart keeps. A rejected one is undone with ``row[c] -= move``; since
+    ``(x + m) - m`` need not equal ``x``, when the coordinate did not come
+    back exactly its cells and agents are recomputed from the rows as they
+    now stand, and the value stays the last accepted one. So everything
+    kept equals a full recompute from the current rows, each evaluation
+    gives what :func:`_condorcet_value` would, and a square past the float
+    range raises OverflowError at the same evaluation.
 
     One dimension is decided without drawing: on a line every ranking by
     distance is single-peaked, so the middle alternative is never last,
@@ -325,14 +350,17 @@ def maximize_euclidean_robustness(
         if start is None:
             continue
         points, value = start
-        table = _distance_table(points)
+        # terms[k] holds cell k's squared differences, which _dist sums.
+        terms = [list(_squares(agent, alt)) for agent in points[:3] for alt in points[3:]]
+        table = [math.sqrt(sum(squares)) for squares in terms]
+        ratios = [_agent_value(table, a) for a in range(3)]
         feasible_restarts += 1
         step = 0.5
         evals = 0
         while evals < iters and step > 1e-12:
             improved = False
             moves = [(c, move) for c in range(dim) for move in (step, -step)]
-            for row, cells in zip(points, _MOVED_CELLS):
+            for row, cells, agents in zip(points, _MOVED_CELLS, _MOVED_AGENTS):
                 # The first improving move of a point is kept, then the
                 # climb goes on to the next point.
                 for c, move in moves:
@@ -341,16 +369,27 @@ def maximize_euclidean_robustness(
                     evals += 1
                     old = row[c]
                     row[c] += move
+                    # A moved cell's old square goes back once its distance is read.
                     cand = table.copy()
-                    _refresh(cand, points, cells)
-                    cand_value = _cyclic_value(cand)
-                    if cand_value is not None and cand_value > value:
-                        table, value = cand, cand_value
+                    for k, a, b in cells:
+                        squares = terms[k]
+                        square = squares[c]
+                        squares[c] = (points[a][c] - points[b][c]) ** 2
+                        cand[k] = math.sqrt(sum(squares))
+                        squares[c] = square
+                    cand_ratios = ratios.copy()
+                    for a in agents:
+                        cand_ratios[a] = _agent_value(cand, a)
+                    if None not in cand_ratios and min(cand_ratios) > value:
+                        _retable(terms, table, points, cells, c)
+                        ratios, value = cand_ratios, min(cand_ratios)
                         improved = True
                         break
                     row[c] -= move
                     if row[c] != old:
-                        _refresh(table, points, cells)
+                        _retable(terms, table, points, cells, c)
+                        for a in agents:
+                            ratios[a] = _agent_value(table, a)
             if not improved:
                 step *= 0.5
         if value > best_value:

@@ -298,7 +298,12 @@ class MetricSpace:
         dist = [math.inf] * self.n_vertices
         dist[source] = 0.0
         heap = [(0.0, source)]
-        while heap:
+        # Each edge pushes at most once: when its second endpoint is settled,
+        # the first is already at a distance no greater. With the source's
+        # push, the heap is empty after at most len(edges) + 1 pops.
+        for _ in range(len(self.edges) + 2):
+            if not heap:
+                return tuple(dist)
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
@@ -307,7 +312,7 @@ class MetricSpace:
                 if nd < dist[v]:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
-        return tuple(dist)
+        raise RuntimeError("distance search pushed an edge twice; this is a bug")
 
     def distance_matrix(self) -> np.ndarray:
         """All-pairs shortest-path distances as a read-only (V, V) array.

@@ -27,7 +27,7 @@ import numpy as np
 
 from .markets import rank_scatter
 from .metric import MetricSpace, Placement, component_labels
-from .ordinal import OrdinalProfile, _stable_ranking
+from .ordinal import OrdinalProfile
 from .seeding import rng_for
 
 # Constrained cells of the nine-agent profile whose every geometric
@@ -197,6 +197,14 @@ def _candidate(seed: int, t: int, biclique: MetricSpace) -> MetricSpace:
     return biclique._edge_subspace(idx.tolist())
 
 
+def _strict_ranking(d: list[float]) -> list[int] | None:
+    """Indices of ``d`` from the smallest value up, or None when two values
+    are equal: the ranking and tie test of a stable argsort, without numpy."""
+    if len(set(d)) < len(d):
+        return None
+    return sorted(range(len(d)), key=d.__getitem__)
+
+
 def _realizes_nine_agent_cells(space: MetricSpace, placement: Placement) -> bool:
     """True iff the placement's induced rankings are strict and match every
     constrained nine-agent cell, checked agent by agent.
@@ -212,8 +220,8 @@ def _realizes_nine_agent_cells(space: MetricSpace, placement: Placement) -> bool
         d = [row[w] for w in placement.beta]
         if math.inf in d:
             return False
-        order, ties = _stable_ranking(-np.array(d))
-        if ties.any() or not _agent_matches_cells(a, order.tolist()):
+        order = _strict_ranking(d)
+        if order is None or not _agent_matches_cells(a, order):
             return False
     return True
 

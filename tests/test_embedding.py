@@ -352,9 +352,11 @@ class TestDist:
 
 
 class TestDistanceTableClimb:
-    """The climb keeps a distance table; the reference recomputes all nine
-    distances on every evaluation, so equal ``repr`` means the table never
-    went stale, after accepted moves and after inexact undos alike."""
+    """The climb keeps each cell's squared differences, a distance table and
+    each agent's ratio minimum, and a move recomputes only what it changes;
+    the reference recomputes all nine distances on every evaluation, so
+    equal ``repr`` means nothing kept went stale, after accepted moves and
+    after inexact undos alike."""
 
     @given(
         st.integers(2, 10),
@@ -369,9 +371,49 @@ class TestDistanceTableClimb:
     # An undo here leaves a coordinate off by one rounding, and a table not
     # recomputed after it changes a later comparison.
     @example(2, 1, 300, 7)
+    # Every inexact undo here is of an alternative's coordinate, so a climb
+    # that recomputed only a moved agent's cells would go stale.
+    @example(2, 1, 60, 96)
+    # Ten squared differences per cell, the longest kept, and inexact undos
+    # of every one of the six points.
+    @example(10, 1, 500, 8)
     def test_matches_full_recompute(self, dim, restarts, iters, seed):
         result = maximize_euclidean_robustness(dim, restarts, iters, seed)
         assert repr(result) == repr(reference_banach_climb(dim, restarts, iters, seed))
+
+
+#: One distance: a small integer (ties and zeros), any nonnegative float, or
+#: inf, which a sum of squares past the float range gives.
+_DISTANCES = st.integers(0, 3).map(float) | st.floats(0.0, allow_nan=False)
+
+
+@st.composite
+def _distance_tables(draw):
+    """A flat table, cell 3 * a + b holding agent a's distance to b. Each
+    agent's three distances are sorted into its cyclic order, alternative a
+    first, half of the time, so every agent often realizes its ranking."""
+    table = [0.0] * 9
+    for a in range(3):
+        row = draw(st.lists(_DISTANCES, min_size=3, max_size=3))
+        if draw(st.booleans()):
+            row.sort()
+        for k, d in enumerate(row):
+            table[3 * a + (a + k) % 3] = d
+    return table
+
+
+class TestAgentValue:
+    """The climb keeps one ratio minimum per agent, or None, and its value
+    is None when any agent's is, else their min."""
+
+    @given(_distance_tables())
+    @example([1.0, 2.0, 4.0, 8.0, 1.0, 3.0, 3.0, 5.0, 1.0])
+    @example([1.0, 2.0, 4.0, 8.0, 1.0, 3.0, 3.0, 5.0, 0.0])
+    def test_agents_combine_to_the_cyclic_value(self, table):
+        values = [embedding._agent_value(table, a) for a in range(3)]
+        combined = None if None in values else min(values)
+        expected = _cyclic_ratio([table[3 * a : 3 * a + 3] for a in range(3)])
+        assert embedding._cyclic_value(table) == combined == expected
 
 
 class TestMaximize:

@@ -184,6 +184,20 @@ class TestMetricSpace:
             assert sub._adj == expected._adj
             assert sub.distance_matrix().tobytes() == expected.distance_matrix().tobytes()
 
+    def test_tree_search_spends_its_whole_pop_budget(self):
+        # On a tree every edge pushes once, which is the whole budget of
+        # one pop per edge plus the source's, and the search finishes.
+        space = MetricSpace(5, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 2.0), (3, 4, 1.0)])
+        assert space.dist_row(2) == (2.0, 1.0, 0.0, 3.0, 4.0)
+
+    def test_heap_search_past_its_pop_budget_raises(self):
+        # A negative weight, which the constructor rejects, would make two
+        # vertices push each other forever.
+        space = MetricSpace(2, [(0, 1, 1.0)])
+        space._adj = metric._adjacency(2, [(0, 1, -1.0)])
+        with pytest.raises(RuntimeError, match="pushed an edge twice"):
+            space.dist_row(0)
+
     def test_numpy_integers_read_as_ints(self):
         space = MetricSpace(3, [(np.int64(0), np.int32(1), np.float64(2.0)), (np.intp(1), 2, 1)])
         assert space.edges == ((0, 1, 2.0), (1, 2, 1.0))

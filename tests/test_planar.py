@@ -6,7 +6,7 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchrobust import (
@@ -22,7 +22,7 @@ from matchrobust import (
 )
 from matchrobust import planar
 from matchrobust.metric import utilities_from_space
-from matchrobust.ordinal import TieError, TiePolicy, ordinal_from_utility
+from matchrobust.ordinal import TieError, TiePolicy, _stable_ranking, ordinal_from_utility
 from matchrobust.seeding import rng_for
 
 from conftest import (
@@ -418,6 +418,24 @@ class TestSeed910Failures:
                 break
         assert by_agent == {0: 9162, 1: 766, 2: 65, 3: 5, 4: 2}
         assert by_cause == {"tie": 4255, "missed cell": 3646, "unreachable": 2099}
+
+
+#: Nine distances drawn from a few values, so that ties, and the tie of 0.0
+#: with -0.0, are common, or from every non-NaN float.
+_NINE_DISTANCES = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(allow_nan=False), min_size=9, max_size=9
+)
+
+
+class TestStrictRanking:
+    @given(_NINE_DISTANCES)
+    @example([2.5, 1.0, 0.0, 3.0, 4.0, 5.0, 6.0, 7.0, -0.0])
+    @example([8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0])
+    def test_matches_stable_ranking(self, d):
+        # The ranking the numpy route gave: a stable argsort of the
+        # distances, and None when sorted neighbours are equal.
+        order, ties = _stable_ranking(-np.array(d))
+        assert planar._strict_ranking(d) == (None if ties.any() else order.tolist())
 
 
 class TestRefutationPredicate:
