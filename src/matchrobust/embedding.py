@@ -171,12 +171,6 @@ def _squares(p, q):
     return map(pow, map(sub, p, q), repeat(2))
 
 
-def _dist(p, q) -> float:
-    """Euclidean distance of two float rows: the squared differences added
-    left to right from 0, as in ``sum((x - y) ** 2 for x, y in zip(p, q))``."""
-    return math.sqrt(sum(_squares(p, q)))
-
-
 #: The cyclic profile's ranking read from a flat distance table, where cell
 #: 3 * a + b holds agent a's distance to alternative b: each agent's three
 #: cells, best first.
@@ -196,11 +190,6 @@ _MOVED_CELLS = tuple(
 _MOVED_AGENTS = tuple(sorted({a for _, a, _ in cells}) for cells in _MOVED_CELLS)
 
 
-def _distance_table(points) -> list[float]:
-    """Flat agent-by-alternative table of ``_dist`` over six float rows."""
-    return [_dist(agent, alternative) for agent in points[:3] for alternative in points[3:]]
-
-
 def _agent_value(table: list[float], a: int) -> float | None:
     """The smaller of agent ``a``'s two consecutive distance ratios, read
     from its cyclic cells of the distance table; None unless it ranks them
@@ -212,14 +201,6 @@ def _agent_value(table: list[float], a: int) -> float | None:
     return min(d1 / d0, d2 / d1)
 
 
-def _cyclic_value(table: list[float]) -> float | None:
-    """Min of the six consecutive distance ratios of the cyclic profile, or
-    None when some agent does not realize its ranking strictly at nonzero
-    distance: the min of the agents' values, as the climb combines them."""
-    values = [_agent_value(table, a) for a in range(3)]
-    return None if None in values else min(values)
-
-
 def _retable(terms: list[list[float]], table: list[float], points, cells, c: int) -> None:
     """Recompute coordinate ``c``'s squared difference in each of ``cells``
     from the rows as they stand, then the cell's distance from its terms."""
@@ -229,10 +210,20 @@ def _retable(terms: list[list[float]], table: list[float], points, cells, c: int
         table[k] = math.sqrt(sum(squares))
 
 
-def _condorcet_value(points) -> float | None:
-    """:func:`_cyclic_value` of six float rows (three agents, then three
-    alternatives)."""
-    return _cyclic_value(_distance_table(points))
+#: A climb's ``(terms, table, ratios)``; see :func:`_climb_state`.
+_ClimbState = tuple[list[list[float]], list[float], list[float | None]]
+
+
+def _climb_state(points) -> _ClimbState:
+    """What a climb keeps for six float rows (three agents, then three
+    alternatives): ``terms[k]``, cell k's squared differences; ``table[k]``,
+    the ``sqrt`` of their sum, added left to right from 0 as in
+    ``sum((x - y) ** 2 for x, y in zip(p, q))``; and each agent's
+    :func:`_agent_value`. The cyclic profile's value is None if any agent's
+    is, else their min."""
+    terms = [list(_squares(agent, alt)) for agent in points[:3] for alt in points[3:]]
+    table = [math.sqrt(sum(squares)) for squares in terms]
+    return terms, table, [_agent_value(table, a) for a in range(3)]
 
 
 def euclidean_profile_robustness(points_alpha, points_beta) -> float:
@@ -252,16 +243,12 @@ def euclidean_profile_robustness(points_alpha, points_beta) -> float:
     if dims.pop() > _MAX_POINT_DIM:
         raise ValueError(f"dimension exceeds cap {_MAX_POINT_DIM}")
     rows = [[float(v) for v in p] for p in (*points_alpha, *points_beta)]
-    value = _condorcet_value(rows)
-    if value is None:
-        if any(
-            _dist(agent, rows[3 + b]) == 0.0
-            for agent, order in zip(rows, _CONDORCET_RANKS)
-            for b in order[:2]
-        ):
+    _, table, ratios = _climb_state(rows)
+    if None in ratios:
+        if any(table[k] == 0.0 for cells in _CYCLIC_CELLS for k in cells[:2]):
             raise ValueError("coincident agent/alternative points (zero denominator)")
         raise ValueError("placement does not realize the cyclic profile strictly")
-    return value
+    return min(ratios)
 
 
 @dataclass(frozen=True)
@@ -285,10 +272,10 @@ _TEMPLATE = tuple(
 ) + _TRIANGLE
 
 
-def _feasible_start(dim: int, rng: np.random.Generator) -> tuple[list[list[float]], float] | None:
+def _feasible_start(dim: int, rng: np.random.Generator) -> tuple[list[list[float]], _ClimbState] | None:
     """The first of up to 40 jittered templates, then up to 60 Gaussian
-    draws, that realizes the cyclic profile, as float rows with its value;
-    None when every draw fails."""
+    draws, that realizes the cyclic profile, as float rows with their
+    :func:`_climb_state`; None when every draw fails."""
     for attempt in range(100):
         if attempt < 40:
             cand = np.zeros((6, dim))
@@ -297,9 +284,9 @@ def _feasible_start(dim: int, rng: np.random.Generator) -> tuple[list[list[float
         else:
             cand = rng.standard_normal((6, dim))
         rows = cand.tolist()
-        value = _condorcet_value(rows)
-        if value is not None:
-            return rows, value
+        state = _climb_state(rows)
+        if None not in state[2]:
+            return rows, state
     return None
 
 
@@ -316,23 +303,23 @@ def maximize_euclidean_robustness(
     candidate evaluations per restart, so doubling it extends each
     trajectory and can only improve the result.
 
-    Each restart keeps, per agent-alternative cell, the squared coordinate
-    differences that ``_dist`` sums; the nine distances, in a table; and
-    each agent's ratio minimum (:func:`_agent_value`, None when its ranking
-    fails). Moving coordinate ``c`` of a point changes three cells, the
-    moved agent's row or the moved alternative's column. Each gets its new
-    square at ``c`` and the ``sqrt`` of its sum in a copy of the table, and
-    then its old square back; only the agents ranking those cells, the
-    moved agent or all three, are judged again. The candidate's value is
-    None if any agent's is, else their min: :func:`_cyclic_value` of the
-    copy. An accepted move writes its squares and distances into what the
-    restart keeps. A rejected one is undone with ``row[c] -= move``; since
-    ``(x + m) - m`` need not equal ``x``, when the coordinate did not come
-    back exactly its cells and agents are recomputed from the rows as they
-    now stand, and the value stays the last accepted one. So everything
-    kept equals a full recompute from the current rows, each evaluation
-    gives what :func:`_condorcet_value` would, and a square past the float
-    range raises OverflowError at the same evaluation.
+    Each restart keeps its start's :func:`_climb_state`: per
+    agent-alternative cell, the squared coordinate differences; the nine
+    distances, in a table; and each agent's ratio minimum
+    (:func:`_agent_value`, None when its ranking fails). Moving coordinate
+    ``c`` of a point changes three cells, the moved agent's row or the
+    moved alternative's column. Each gets its new square at ``c`` and the
+    ``sqrt`` of its sum in a copy of the table, and then its old square
+    back; only the agents ranking those cells, the moved agent or all three,
+    are judged again. The candidate's value is None if any agent's is, else
+    their min. An accepted move writes its squares and distances into what
+    the restart keeps. A rejected one is undone with ``row[c] -= move``;
+    since ``(x + m) - m`` need not equal ``x``, when the coordinate did not
+    come back exactly its cells and agents are recomputed from the rows as
+    they now stand, and the value stays the last accepted one. So
+    everything kept equals :func:`_climb_state` of the current rows, each
+    evaluation's value is the one that state gives, and a square past the
+    float range raises OverflowError at the same evaluation.
 
     One dimension is decided without drawing: on a line every ranking by
     distance is single-peaked, so the middle alternative is never last,
@@ -349,11 +336,8 @@ def maximize_euclidean_robustness(
         start = _feasible_start(dim, rng_for(seed, r))
         if start is None:
             continue
-        points, value = start
-        # terms[k] holds cell k's squared differences, which _dist sums.
-        terms = [list(_squares(agent, alt)) for agent in points[:3] for alt in points[3:]]
-        table = [math.sqrt(sum(squares)) for squares in terms]
-        ratios = [_agent_value(table, a) for a in range(3)]
+        points, (terms, table, ratios) = start
+        value = min(ratios)
         feasible_restarts += 1
         step = 0.5
         evals = 0

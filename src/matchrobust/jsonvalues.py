@@ -1,11 +1,12 @@
-"""Strict JSON numbers for input files.
+"""Strict JSON numbers and arrays for input files.
 
 ``json.loads`` reads ``true`` as a bool, which Python counts as the int 1,
 and ``int()``/``float()`` would quietly take ``2.5`` or ``"2"`` as a count.
 It also reads the non-standard tokens ``Infinity``, ``-Infinity`` and
 ``NaN``, and an overflowing literal such as ``1e400``, as non-finite floats.
 Input files must write counts, ranks and vertex indices as JSON integers and
-utilities and weights as finite JSON integers or floats. A value of the
+utilities and weights as finite JSON integers or floats, and lists of
+edges, placement vertices or entries as JSON arrays. A value of the
 wrong type raises TypeError and a non-finite one ValueError; the CLI reports
 either as a malformed input file (exit 65).
 """
@@ -34,6 +35,14 @@ def json_int(value, what: str) -> int:
 
 def json_number(value, what: str) -> float:
     return float(_require(value, _NUMBER, what))
+
+
+def json_array(value, what: str) -> list:
+    """``value`` if it is a JSON array; a JSON object would iterate as its
+    keys, so anything else raises TypeError."""
+    if type(value) is not list:
+        raise TypeError(f"{what} must be a JSON array, got {value!r:.40}")
+    return value
 
 
 def json_rows(rows, what: str, ints: bool) -> tuple[tuple, ...]:

@@ -20,7 +20,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .jsonvalues import json_int, json_rows
+from .jsonvalues import json_array, json_int, json_rows
 from .ordinal import OrdinalProfile, _stable_ranking, all_profiles, ordinal_from_utility_flagged
 
 
@@ -61,15 +61,6 @@ class UtilityProfile:
         values = _matrix(self.n, self.values, "utility")
         _require(values <= 0.0, values, "utility", "is positive or NaN")
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def _of_checked(cls, n: int, values: np.ndarray) -> "UtilityProfile":
-        """A profile over a read-only float64 n x n array already checked
-        to be nonpositive; skips the copy and check of the constructor."""
-        u = object.__new__(cls)
-        object.__setattr__(u, "n", n)
-        object.__setattr__(u, "values", values)
-        return u
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "values": self.values.tolist()}
@@ -147,8 +138,7 @@ class MarketProfile:
 
     def block_utilities(self, ranks: np.ndarray) -> np.ndarray:
         """The utilities of each profile in a ``(T, n, n)`` block of rankings."""
-        profiles = (OrdinalProfile._of_permutations(self.n, tuple(map(tuple, r))) for r in ranks.tolist())
-        return np.array([self.utilities(r).values for r in profiles])
+        raise NotImplementedError
 
     def representable_profiles(self) -> Iterator[OrdinalProfile]:
         raise NotImplementedError
@@ -203,8 +193,9 @@ class ExtensionalProfile(MarketProfile):
     Both then pass one check: a stable sort of every row's negated
     utilities must reproduce its ranks without a tie, which also proves
     each rank row a permutation. The first bad entry in table order is
-    re-extracted to raise its error. ``table`` maps each stored profile to
-    its utilities, read-only views of ``table_values``.
+    re-extracted to raise its error. The stacked arrays are the only store:
+    :meth:`utilities` and :meth:`block_utilities` copy each profile's block
+    of ``table_values``.
     """
 
     def __init__(self, n: int, table: Mapping[OrdinalProfile, UtilityProfile]):
@@ -230,11 +221,10 @@ class ExtensionalProfile(MarketProfile):
             )
         profiles = tuple(OrdinalProfile._of_permutations(n, tuple(map(tuple, r))) for r in ranks.tolist())
         ranks.flags.writeable = values.flags.writeable = False
-        table = dict(zip(profiles, (UtilityProfile._of_checked(n, u) for u in values)))
-        if len(table) < len(profiles):
+        self._index = dict(zip(profiles, range(len(profiles))))
+        if len(self._index) < len(profiles):
             raise ValueError("two table entries for one profile")
         self.n = n
-        self.table = table
         self.table_profiles = profiles
         self.table_ranks = ranks.reshape(-1, n)
         self.table_values = values.reshape(-1, n)
@@ -259,7 +249,7 @@ class ExtensionalProfile(MarketProfile):
             except ValueError:
                 pass
         table = {}
-        for entry in data["entries"]:
+        for entry in json_array(data["entries"], "entries"):
             r = OrdinalProfile.from_json_dict({"n": data["n"], "ranks": entry["ranks"]})
             u = UtilityProfile.from_json_dict({"n": data["n"], "values": entry["values"]})
             if r in table:
@@ -268,13 +258,20 @@ class ExtensionalProfile(MarketProfile):
         return cls(json_int(data["n"], "n"), table)
 
     def utilities(self, profile: OrdinalProfile) -> UtilityProfile:
+        return UtilityProfile(self.n, self.block_utilities(np.array([profile.ranks]))[0])
+
+    def block_utilities(self, ranks: np.ndarray) -> np.ndarray:
+        """Each profile's block of ``table_values``, copied, for a ``(T, n, n)``
+        block of rankings; ValueError for a profile this side does not store."""
+        profiles = (OrdinalProfile._of_permutations(self.n, tuple(map(tuple, r))) for r in ranks.tolist())
         try:
-            return self.table[profile]
+            entries = [self._index[r] for r in profiles]
         except KeyError:
             raise ValueError("profile not represented by this extensional market") from None
+        return self.table_values.reshape(-1, self.n, self.n)[entries]
 
     def representable_profiles(self) -> Iterator[OrdinalProfile]:
-        return iter(self.table.keys())
+        return iter(self.table_profiles)
 
 
 def _json_entry_arrays(data) -> tuple[int, np.ndarray, np.ndarray] | None:

@@ -51,6 +51,14 @@ do not write tests for them.
   returned.
 - ``embedding.py``, ``maximize_euclidean_robustness``: ``step > 1e-12`` to
   ``>=``. The step is 0.5 times a power of two and never equals 1e-12.
+- ``markets.py``, ``_json_entry_arrays``: ``n < 1 or type(entries) is not
+  list`` to ``and``. An integer n below 1 never matches the entries' shape
+  check, since a JSON rank matrix has at least two dimensions per entry, so
+  the bulk read returns None and the entry-by-entry reader raises as before.
+- ``markets.py``, ``_json_entry_arrays``: ``type(entries) is not list or
+  not entries`` to ``and``. Entries that are not a list fail inside the
+  ``try`` (iterating them, or indexing a key string), and an empty list
+  fails the shape check; either way the bulk read returns None.
 - ``planar.py``, ``_by_edge_count``: ``e_count <= 8`` to ``< 8``. Every
   graph of 8 edges is planar, and the rules after it or networkx say so.
 - ``planar.py``, ``_reduce``: ``a < b`` to ``<=``. Neighbour sets hold no

@@ -1392,6 +1392,28 @@ class TestStrictJsonNumbers:
         path.write_text(json.dumps({"men": dict(_RANK_2, rank_utilities=[-1, -2]), "women": _RANK_2}))
         assert run(capsys, "robustness", "--in", str(path))[0] == 0
 
+    @pytest.mark.parametrize(
+        "argv, document, message",
+        [
+            (("planarity",), {"vertices": 3, "edges": {}}, "bad metric space: edges must be a JSON array, got {}"),
+            (("embed", "--quality", "1"), {"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]], "alpha": {}, "beta": {}},
+             "bad metric space: alpha must be a JSON array, got {}"),
+            (("planarity",), {"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]], "alpha": [0], "beta": {"2": 0}},
+             "bad metric space: beta must be a JSON array, got {'2': 0}"),
+            (("robustness",), {"men": {"kind": "extensional", "n": 1, "entries": {"a": 1}},
+                               "women": {"kind": "rank", "n": 1, "rank_utilities": [-1.0]}},
+             "bad market profile: entries must be a JSON array, got {'a': 1}"),
+        ],
+        ids=["edges", "alpha", "beta", "entries"],
+    )
+    def test_object_for_array(self, capsys, tmp_path, argv, document, message):
+        # An object iterates as its keys, so it must not pass for a list.
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, *argv, "--in", str(path))
+        assert (code, out) == (EX_DATAERR, "")
+        assert err == f"error: 65: {path}: {message}\n"
+
     def test_library_boundary_raises_type_error(self):
         from matchrobust import OrdinalProfile, UtilityProfile
         from matchrobust.metric import space_from_json_dict
@@ -1717,6 +1739,15 @@ class TestExtensionalSideFaults:
         code, out, err = run(capsys, "robustness", "--in", str(path))
         assert (code, out) == (EX_DATAERR, "")
         assert err == f"error: 65: {path}: bad market profile: {message}\n"
+
+    def test_float_n_is_reported(self, capsys, tmp_path):
+        # 2.0 equals the entries' size, so only the type check on n rejects it.
+        path = tmp_path / "market.json"
+        side = {"kind": "extensional", "n": 2.0, "entries": _two_agent_entries()}
+        path.write_text(json.dumps({"schema": 1, "men": side, "women": side}))
+        code, out, err = run(capsys, "robustness", "--in", str(path))
+        assert (code, out) == (EX_DATAERR, "")
+        assert err == f"error: 65: {path}: bad market profile: n must be a JSON integer, got 2.0\n"
 
     def test_valid_side_loads(self, capsys, tmp_path):
         path = tmp_path / "market.json"

@@ -307,6 +307,12 @@ class TestPinnedSearchResults:
         assert hashlib.sha256(repr(result).encode()).hexdigest() == expected
 
 
+def _cell_distance(p, q) -> float:
+    """Every cell of ``_climb_state`` with agents at ``p`` and alternatives
+    at ``q`` holds their distance; this reads cell 0's."""
+    return embedding._climb_state([p] * 3 + [q] * 3)[1][0]
+
+
 def _dist_outcome(dist, p, q) -> str:
     try:
         return repr(dist(p, q))
@@ -323,7 +329,8 @@ _ROW_PAIRS = st.integers(1, 16).flatmap(
 
 
 class TestDist:
-    """``_dist`` maps ``pow`` over the coordinate differences; the reference
+    """``_climb_state`` keeps each cell's squares, ``pow`` mapped over the
+    coordinate differences, and the ``sqrt`` of their sum; the reference
     squares them in a generator. Both give the same bytes, and both raise
     OverflowError when a square leaves the float range."""
 
@@ -342,13 +349,13 @@ class TestDist:
         ],
     )
     def test_edge_values(self, p, q, expected):
-        assert _dist_outcome(embedding._dist, p, q) == _dist_outcome(reference_dist, p, q) == expected
+        assert _dist_outcome(_cell_distance, p, q) == _dist_outcome(reference_dist, p, q) == expected
 
     @settings(max_examples=400)
     @given(_ROW_PAIRS)
     def test_matches_generator_form(self, rows):
         p, q = rows
-        assert _dist_outcome(embedding._dist, p, q) == _dist_outcome(reference_dist, p, q)
+        assert _dist_outcome(_cell_distance, p, q) == _dist_outcome(reference_dist, p, q)
 
 
 class TestDistanceTableClimb:
@@ -413,7 +420,17 @@ class TestAgentValue:
         values = [embedding._agent_value(table, a) for a in range(3)]
         combined = None if None in values else min(values)
         expected = _cyclic_ratio([table[3 * a : 3 * a + 3] for a in range(3)])
-        assert embedding._cyclic_value(table) == combined == expected
+        assert combined == expected
+
+
+class TestFeasibleStart:
+    @pytest.mark.parametrize("dim", [2, 3, 10])
+    def test_state_is_the_climb_state_of_its_rows(self, dim):
+        starts = [embedding._feasible_start(dim, rng_for(5, r)) for r in range(20)]
+        assert all(starts)
+        for rows, state in starts:
+            assert None not in state[2]
+            assert state == embedding._climb_state(rows)
 
 
 class TestMaximize:

@@ -255,6 +255,14 @@ class TestSideTables:
         assert np.array_equal(side.table_ranks, ranks)
         assert side.table_values.tobytes() == values.tobytes()
 
+    def test_extensional_utilities_copy_their_block(self):
+        side = random_extensional_market(3, rng_for(4)).men
+        for k, r in enumerate(side.table_profiles):
+            values = side.utilities(r).values
+            assert values.dtype == np.float64 and not values.flags.writeable
+            assert not np.shares_memory(values, side.table_values)
+            assert values.tobytes() == side.table_values[3 * k : 3 * k + 3].tobytes()
+
     @pytest.mark.parametrize("kind", ["rank", "extensional"])
     def test_tables_are_read_only(self, kind):
         market = geometric_market(3, 2.0) if kind == "rank" else random_extensional_market(2, rng_for(5))

@@ -1404,8 +1404,8 @@ class TestTrialBlocks:
 
     def test_unrepresented_profile_is_rejected(self):
         market = random_extensional_market(2, rng_for(3))
-        table = market.men.table
-        first = next(iter(table))
-        partial = MatchingMarket(ExtensionalProfile(2, {first: table[first]}), market.women)
+        side = market.men
+        first = side.table_profiles[0]
+        partial = MatchingMarket(ExtensionalProfile(2, {first: side.utilities(first)}), market.women)
         with pytest.raises(ValueError, match="not represented"):
             preservation_probability(partial, IidUniformFactorSampler(2, 1.5), 50, 1)
