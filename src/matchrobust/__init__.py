@@ -18,8 +18,6 @@ from .embedding import (
     EuclideanPlacement,
     bourgain_embed,
     log_size_robustness_cap,
-    euclidean_profile_robustness,
-    generating_space_size,
     maximize_euclidean_robustness,
     measure_distortion,
     log_genus_robustness_cap,
@@ -53,11 +51,9 @@ from .ordinal import (
     StablePair,
     TieError,
     TiePolicy,
-    all_profiles,
     deferred_acceptance,
     distinguishing_profile,
     enumerate_stable,
-    ordinal_from_utility,
     ordinal_from_utility_flagged,
     phi,
     uniform_profile,
@@ -78,7 +74,6 @@ from .robustness import (
     spike_factor,
     critical_consecutive_ratio,
     critical_market,
-    is_c_robust,
     preservation_probability,
     rank_slot_factor_stats,
     robustness,

@@ -31,7 +31,7 @@ from .markets import (
     UtilityProfile,
     geometric_market,
 )
-from .jsonvalues import json_int, json_number
+from .jsonvalues import json_array, json_int, json_number, json_object
 from .metric import (
     build_generating_space,
     is_polarized,
@@ -162,17 +162,21 @@ def _load_sides(path: str, what: str, parse_side):
     for key in ("men", "women"):
         if key not in data:
             raise CliError(EX_DATAERR, f"{path}: missing '{key}' {what}")
-    men = _parse(path, what, parse_side, data["men"])
-    women = _parse(path, what, parse_side, data["women"])
+
+    def side(key: str):
+        return parse_side(json_object(data[key], key))
+
+    men, women = _parse(path, what, side, "men"), _parse(path, what, side, "women")
     if men.n != women.n:
         raise CliError(EX_DATAERR, f"{path}: sides disagree on n")
     return men, women
 
 
 def _market_profile(data: dict) -> MarketProfile:
-    kind = data.get("kind") if isinstance(data, dict) else None
+    kind = data.get("kind")
     if kind == "rank":
-        rank_utilities = [json_number(v, "rank utility") for v in data["rank_utilities"]]
+        values = json_array(data["rank_utilities"], "rank_utilities")
+        rank_utilities = [json_number(v, "rank utility") for v in values]
         return RankBasedProfile(json_int(data["n"], "n"), rank_utilities)
     if kind == "extensional":
         return ExtensionalProfile.from_json_dict(data)

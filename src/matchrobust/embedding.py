@@ -26,9 +26,6 @@ from .seeding import rng_for
 #: ranking starts at alternative i and cycles upward.
 _CONDORCET_RANKS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
-#: Largest point dimension :func:`euclidean_profile_robustness` accepts.
-_MAX_POINT_DIM = 16
-
 #: Gathered distances per block of :func:`bourgain_embed`'s subset minima
 #: (2 MiB of float64).
 _SUBSET_BLOCK_ELEMENTS = 1 << 18
@@ -226,31 +223,6 @@ def _climb_state(points) -> _ClimbState:
     return terms, table, [_agent_value(table, a) for a in range(3)]
 
 
-def euclidean_profile_robustness(points_alpha, points_beta) -> float:
-    """Inner ratio minimum of the cyclic profile for a Euclidean placement.
-
-    ``points_alpha`` are the three agents, ``points_beta`` the three
-    alternatives. The placement must realize the cyclic profile strictly
-    (agent i closest to alternative i, then i+1, then i+2, indices mod 3).
-    The value is invariant under translation, rotation and positive scaling
-    of all six points, and never exceeds 3.
-    """
-    if len(points_alpha) != 3 or len(points_beta) != 3:
-        raise ValueError("need exactly three agent and three alternative points")
-    dims = {len(p) for p in points_alpha} | {len(p) for p in points_beta}
-    if len(dims) != 1:
-        raise ValueError("all points must share one dimension")
-    if dims.pop() > _MAX_POINT_DIM:
-        raise ValueError(f"dimension exceeds cap {_MAX_POINT_DIM}")
-    rows = [[float(v) for v in p] for p in (*points_alpha, *points_beta)]
-    _, table, ratios = _climb_state(rows)
-    if None in ratios:
-        if any(table[k] == 0.0 for cells in _CYCLIC_CELLS for k in cells[:2]):
-            raise ValueError("coincident agent/alternative points (zero denominator)")
-        raise ValueError("placement does not realize the cyclic profile strictly")
-    return min(ratios)
-
-
 @dataclass(frozen=True)
 class BanachSearchResult:
     best_value: float
@@ -386,11 +358,6 @@ def maximize_euclidean_robustness(
     return BanachSearchResult(
         best_value, alpha, beta, feasible_restarts, dim, restarts, iters, seed
     )
-
-
-def generating_space_size(n: int) -> int:
-    """Vertex count of the full bipartite union realization: 2n(n!)^n."""
-    return 2 * n * math.factorial(n) ** n
 
 
 def log_size_robustness_cap(space_size: int, calibration_constant: float) -> float:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .jsonvalues import json_array, json_int, json_rows
-from .ordinal import OrdinalProfile, _stable_ranking, all_profiles, ordinal_from_utility_flagged
+from .jsonvalues import json_array, json_int, json_object, json_rows
+from .ordinal import OrdinalProfile, _stable_ranking, ordinal_from_utility_flagged
 
 
 def _matrix(n: int, rows, what: str) -> np.ndarray:
@@ -61,9 +61,6 @@ class UtilityProfile:
         values = _matrix(self.n, self.values, "utility")
         _require(values <= 0.0, values, "utility", "is positive or NaN")
         object.__setattr__(self, "values", values)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "values": self.values.tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "UtilityProfile":
@@ -140,9 +137,6 @@ class MarketProfile:
         """The utilities of each profile in a ``(T, n, n)`` block of rankings."""
         raise NotImplementedError
 
-    def representable_profiles(self) -> Iterator[OrdinalProfile]:
-        raise NotImplementedError
-
 
 class RankBasedProfile(MarketProfile):
     """Utility depends only on rank position, identically for every agent.
@@ -179,9 +173,6 @@ class RankBasedProfile(MarketProfile):
 
     def block_utilities(self, ranks: np.ndarray) -> np.ndarray:
         return rank_scatter(ranks, self.rank_utilities)
-
-    def representable_profiles(self) -> Iterator[OrdinalProfile]:
-        return all_profiles(self.n)
 
 
 class ExtensionalProfile(MarketProfile):
@@ -250,6 +241,7 @@ class ExtensionalProfile(MarketProfile):
                 pass
         table = {}
         for entry in json_array(data["entries"], "entries"):
+            entry = json_object(entry, "entry")
             r = OrdinalProfile.from_json_dict({"n": data["n"], "ranks": entry["ranks"]})
             u = UtilityProfile.from_json_dict({"n": data["n"], "values": entry["values"]})
             if r in table:
@@ -269,9 +261,6 @@ class ExtensionalProfile(MarketProfile):
         except KeyError:
             raise ValueError("profile not represented by this extensional market") from None
         return self.table_values.reshape(-1, self.n, self.n)[entries]
-
-    def representable_profiles(self) -> Iterator[OrdinalProfile]:
-        return iter(self.table_profiles)
 
 
 def _json_entry_arrays(data) -> tuple[int, np.ndarray, np.ndarray] | None:

@@ -384,7 +384,7 @@ def space_to_json_dict(space: MetricSpace, placement: Placement | None = None) -
 def space_from_json_dict(data: dict) -> tuple[MetricSpace, Placement | None]:
     edges = [
         (json_int(a, "edge endpoint"), json_int(b, "edge endpoint"), json_number(w, "edge weight"))
-        for a, b, w in json_array(data["edges"], "edges")
+        for a, b, w in (json_array(edge, "edge", 3) for edge in json_array(data["edges"], "edges"))
     ]
     space = MetricSpace(json_int(data["vertices"], "vertices"), edges)
     placement = None

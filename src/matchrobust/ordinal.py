@@ -8,10 +8,8 @@ are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
@@ -207,13 +205,6 @@ def enumerate_stable(men: OrdinalProfile, women: OrdinalProfile) -> set[Assignme
     return stable
 
 
-def all_profiles(n: int) -> Iterator[OrdinalProfile]:
-    """Every strict profile on n agents, (n!)^n of them. Use with care."""
-    perms = list(itertools.permutations(range(n)))
-    for rows in itertools.product(perms, repeat=n):
-        yield OrdinalProfile(n, rows)
-
-
 def uniform_profile(n: int, rng: np.random.Generator) -> OrdinalProfile:
     """A profile drawn uniformly at random from all (n!)^n strict profiles."""
     if n < 1:
@@ -306,9 +297,3 @@ def ordinal_from_utility_flagged(
         a, i = divmod(int(ties.argmax()), u.n - 1)
         raise TieError(a, int(order[a, i]), int(order[a, i + 1]))
     return OrdinalProfile._of_permutations(u.n, tuple(map(tuple, order.tolist()))), had_ties
-
-
-def ordinal_from_utility(u, tie_policy: TiePolicy = TiePolicy.STRICT) -> OrdinalProfile:
-    """Ranking induced by a utility profile: x above x' iff u(a,x) > u(a,x')."""
-    profile, _ = ordinal_from_utility_flagged(u, tie_policy)
-    return profile

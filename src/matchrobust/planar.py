@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,12 +171,6 @@ def _agent_matches_cells(a: int, row) -> bool:
     return a not in _NINE_THIRDS or row[2] == _NINE_THIRDS[a]
 
 
-@dataclass(frozen=True)
-class RepresentationCandidate:
-    space: MetricSpace
-    placement: Placement
-
-
 def _biclique_edges(profile: OrdinalProfile) -> list[tuple[int, int, float]]:
     """Every agent-alternative edge of the bipartite realization of
     ``profile``, weighted ``2 ** position`` by the agent's rank of the
@@ -228,7 +221,7 @@ def _realizes_nine_agent_cells(space: MetricSpace, placement: Placement) -> bool
 
 def search_planar_representation(
     candidates: int = 10_000, seed: int = 0
-) -> RepresentationCandidate | None:
+) -> tuple[MetricSpace, Placement] | None:
     """Randomized refutation search for a planar realization of the
     nine-agent profile.
 
@@ -261,5 +254,5 @@ def search_planar_representation(
     for t in range(candidates):
         space = _candidate(seed, t, biclique)
         if _realizes_nine_agent_cells(space, placement) and is_planar(space):
-            return RepresentationCandidate(space, placement)
+            return space, placement
     return None

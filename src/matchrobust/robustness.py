@@ -81,21 +81,11 @@ def _first_hit(market: MatchingMarket, c: float) -> tuple[str, MarketProfile, in
     the utility ranked just below it; None when there is none."""
     for name, side in (("men", market.men), ("women", market.women)):
         upper, lower = _consecutive(side)
-        # c * upper may overflow, and is NaN at c = inf and a zero utility.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):  # c * upper may overflow
             hits = np.flatnonzero(~(c * upper > lower))
         if hits.size:
             return (name, side, *divmod(int(hits[0]), upper.shape[1]))
     return None
-
-
-def is_c_robust(market: MatchingMarket, c: float) -> bool:
-    """Strict ratio condition: for every profile and every agent, scaling the
-    utility of a preferred alternative by ``c`` keeps it strictly above the
-    utility of everything ranked below it."""
-    if not c >= 1.0:
-        raise ValueError("c must be >= 1")
-    return _first_hit(market, c) is None
 
 
 def robustness(market: MatchingMarket) -> float:

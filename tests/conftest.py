@@ -20,7 +20,6 @@ from matchrobust import (
     RankBasedProfile,
     Side,
     UtilityProfile,
-    all_profiles,
     apply_perturbation,
     critical_consecutive_ratio,
     distinguishing_profile,
@@ -34,7 +33,7 @@ from matchrobust import embedding
 from matchrobust.embedding import BanachSearchResult
 from matchrobust.jsonvalues import json_int
 from matchrobust.markets import rank_scatter
-from matchrobust.ordinal import TieError, TiePolicy, ordinal_from_utility
+from matchrobust.ordinal import TieError, TiePolicy
 from matchrobust.seeding import rng_for
 
 settings.register_profile(
@@ -52,6 +51,13 @@ settings.load_profile("default")
 # definitions (no calls into the library's algorithms) so that library
 # results are checked against an independent route.
 # ---------------------------------------------------------------------------
+
+def all_profiles(n: int):
+    """Every strict profile on n agents, (n!)^n of them. Use with care."""
+    perms = list(itertools.permutations(range(n)))
+    for rows in itertools.product(perms, repeat=n):
+        yield OrdinalProfile(n, rows)
+
 
 def oracle_is_stable(men: OrdinalProfile, women: OrdinalProfile, pairing) -> bool:
     n = men.n
@@ -232,7 +238,7 @@ def reference_consecutive_pairs(market):
         if isinstance(side, RankBasedProfile):
             profiles = [OrdinalProfile(n, tuple(tuple(range(n)) for _ in range(n)))]
         else:
-            profiles = list(side.representable_profiles())
+            profiles = side.table_profiles
         for r in profiles:
             rows = side.utilities(r).values.tolist()
             for a, (row, ranks) in enumerate(zip(rows, r.ranks)):
@@ -386,18 +392,24 @@ def reference_dist(p, q) -> float:
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(p, q)))
 
 
-def _reference_cyclic_value(points):
-    """Min of the six consecutive distance ratios of the cyclic profile,
-    every distance recomputed from six float rows (three agents, then three
-    alternatives), or None unless agent i strictly ranks alternatives i,
-    i+1, i+2 (mod 3) in that order at positive distance."""
+def reference_cyclic_ratio(d):
+    """Min of the six consecutive distance ratios of the cyclic profile from
+    agent-to-alternative distances ``d[i][j]``, or None unless agent i
+    strictly ranks alternatives i, i+1, i+2 (mod 3) in that order at
+    positive distance."""
     best = math.inf
     for i in range(3):
-        d0, d1, d2 = [reference_dist(points[i], points[3 + (i + k) % 3]) for k in range(3)]
+        d0, d1, d2 = (d[i][(i + k) % 3] for k in range(3))
         if not 0.0 < d0 < d1 < d2:
             return None
         best = min(best, d1 / d0, d2 / d1)
     return best
+
+
+def _reference_cyclic_value(points):
+    """:func:`reference_cyclic_ratio` of six float rows (three agents, then
+    three alternatives), every distance recomputed."""
+    return reference_cyclic_ratio([[reference_dist(p, q) for q in points[3:]] for p in points[:3]])
 
 
 def reference_banach_climb(dim: int, restarts: int, iters: int, seed: int) -> BanachSearchResult:
@@ -539,7 +551,7 @@ def path_preference_agreement_check(space, placement, profile: OrdinalProfile) -
     """
     n = profile.n
     induced = utilities_from_space(space, placement, n)
-    if ordinal_from_utility(induced, TiePolicy.STRICT) != profile:
+    if ordinal_from_utility_flagged(induced, TiePolicy.STRICT)[0] != profile:
         raise ValueError("placement does not represent the given ordinal profile")
     import networkx as nx
 

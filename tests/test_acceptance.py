@@ -21,7 +21,6 @@ from matchrobust import (
     UtilityProfile,
     admissibility_report,
     adversarial_witness,
-    all_profiles,
     bound_table,
     bourgain_embed,
     build_generating_space,
@@ -29,13 +28,12 @@ from matchrobust import (
     decay_inverse,
     enumerate_stable,
     geometric_market,
-    is_c_robust,
     is_planar,
     is_polarized,
     nonplanar_profile,
     maximize_euclidean_robustness,
     measure_distortion,
-    ordinal_from_utility,
+    ordinal_from_utility_flagged,
     phi,
     preservation_probability,
     random_connected_space,
@@ -52,6 +50,7 @@ from matchrobust.cli import main as cli_main
 from matchrobust.seeding import rng_for
 
 from conftest import (
+    all_profiles,
     band_utup,
     planar_by_kuratowski,
     random_extensional_market,
@@ -109,7 +108,7 @@ def test_criterion_02_ratio_condition_equivalence():
         # Critical ratios: every consecutive utility ratio of the market.
         ratios = []
         for side in (market.men, market.women):
-            for r in side.representable_profiles():
+            for r in side.table_profiles:
                 u = side.utilities(r)
                 for a in range(3):
                     row = u.values[a]
@@ -121,12 +120,13 @@ def test_criterion_02_ratio_condition_equivalence():
         # of other critical ratios, each probed just below and just above.
         picks = {ratios[0], ratios[-1]}
         picks.update(ratios[int(i)] for i in rng.integers(0, len(ratios), size=10))
+        xi = robustness(market)
         for ratio in sorted(picks):
             for c in (ratio - 0.01, ratio + 0.01):
                 if c < 1.0:
                     continue
                 swept += 1
-                robust = is_c_robust(market, c)
+                robust = c < xi
                 witness = adversarial_witness(market, c)
                 if robust != (witness is None):
                     mismatches += 1
@@ -161,7 +161,7 @@ def test_criterion_04_critical_market_reproduction():
     market = sampler.market
 
     level = sufficient_robustness_level(n, c)
-    part_a = is_c_robust(market, level - 1e-9)
+    part_a = adversarial_witness(market, level - 1e-9) is None
 
     fraction = preservation_probability(market, sampler, trials=10_000, seed=404)
     part_b = fraction == 0.0
@@ -280,7 +280,7 @@ def test_criterion_08_ratio_transfer_mechanism():
         embedded = bourgain_embed(space, quality=10, seed=k)
         report = measure_distortion(space, embedded)
         pts = embedded.points
-        order = ordinal_from_utility(u)
+        order = ordinal_from_utility_flagged(u)[0]
         for a in range(3):
             for i in range(3):
                 for j in range(i + 1, 3):

@@ -1287,6 +1287,8 @@ def _assert_malformed(directory, argv, text):
 
 _ORDINAL_2 = {"n": 2, "ranks": [[0, 1], [1, 0]]}
 _RANK_2 = {"kind": "rank", "n": 2, "rank_utilities": [-1.0, -2.0]}
+_ORDINAL_1 = {"n": 1, "ranks": [[0]]}
+_RANK_1 = {"kind": "rank", "n": 1, "rank_utilities": [-1.0]}
 
 
 class TestStrictJsonNumbers:
@@ -1401,13 +1403,35 @@ class TestStrictJsonNumbers:
             (("planarity",), {"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]], "alpha": [0], "beta": {"2": 0}},
              "bad metric space: beta must be a JSON array, got {'2': 0}"),
             (("robustness",), {"men": {"kind": "extensional", "n": 1, "entries": {"a": 1}},
-                               "women": {"kind": "rank", "n": 1, "rank_utilities": [-1.0]}},
+                               "women": _RANK_1},
              "bad market profile: entries must be a JSON array, got {'a': 1}"),
+            (("robustness",), {"men": {"kind": "extensional", "n": 1, "entries": ["a"]}, "women": _RANK_1},
+             "bad market profile: entry must be a JSON object, got 'a'"),
+            (("planarity",), {"vertices": 2, "edges": [{"a": 0}]},
+             "bad metric space: edge must be a JSON array of 3 elements, got {'a': 0}"),
+            (("planarity",), {"vertices": 2, "edges": [[0, 1]]},
+             "bad metric space: edge must be a JSON array of 3 elements, got [0, 1]"),
+            (("solve",), {"men": {"n": 1, "ranks": [3]}, "women": _ORDINAL_1},
+             "bad ordinal profile: rank row must be a JSON array, got 3"),
+            (("solve",), {"men": {"n": 1, "ranks": {"a": [0]}}, "women": _ORDINAL_1},
+             "bad ordinal profile: rank rows must be a JSON array, got {'a': [0]}"),
+            (("solve",), {"men": [1], "women": _ORDINAL_1},
+             "bad ordinal profile: men must be a JSON object, got [1]"),
+            (("robustness",), {"men": _RANK_1, "women": [1]},
+             "bad market profile: women must be a JSON object, got [1]"),
+            (("robustness",), {"men": {"kind": "rank", "n": 1, "rank_utilities": {"a": 1}}, "women": _RANK_1},
+             "bad market profile: rank_utilities must be a JSON array, got {'a': 1}"),
+            (("polarity",), {"n": 2, "values": [[-1, -2], 5]},
+             "bad utility profile: utility row must be a JSON array, got 5"),
+            (("polarity",), {"n": 1, "values": {"a": [-1]}},
+             "bad utility profile: utility rows must be a JSON array, got {'a': [-1]}"),
         ],
-        ids=["edges", "alpha", "beta", "entries"],
+        ids=["edges", "alpha", "beta", "entries", "entry", "edge-object", "edge-pair", "rank-row",
+             "rank-rows", "ordinal-side", "market-side", "rank-utilities", "utility-row", "utility-rows"],
     )
-    def test_object_for_array(self, capsys, tmp_path, argv, document, message):
-        # An object iterates as its keys, so it must not pass for a list.
+    def test_wrong_container(self, capsys, tmp_path, argv, document, message):
+        # An object iterates as its keys and a string as its characters, so
+        # neither may pass for a list; a list may not pass for an object.
         path = tmp_path / "in.json"
         path.write_text(json.dumps(document))
         code, out, err = run(capsys, *argv, "--in", str(path))
@@ -1748,6 +1772,18 @@ class TestExtensionalSideFaults:
         code, out, err = run(capsys, "robustness", "--in", str(path))
         assert (code, out) == (EX_DATAERR, "")
         assert err == f"error: 65: {path}: bad market profile: n must be a JSON integer, got 2.0\n"
+
+    def test_one_column_values_are_reported(self, capsys, tmp_path):
+        # One-column utility rows rank as all zeros, which all-zero rank rows
+        # of the right shape would match; so the values' shape alone rejects
+        # the side before its consistency check.
+        path = tmp_path / "market.json"
+        entry = {"ranks": [[0, 0], [0, 0]], "values": [[-1.0], [-2.0]]}
+        side = {"kind": "extensional", "n": 2, "entries": [entry]}
+        path.write_text(json.dumps({"schema": 1, "men": side, "women": side}))
+        code, out, err = run(capsys, "robustness", "--in", str(path))
+        assert (code, out) == (EX_DATAERR, "")
+        assert err == f"error: 65: {path}: bad market profile: row 0 is not a permutation of 0..1\n"
 
     def test_valid_side_loads(self, capsys, tmp_path):
         path = tmp_path / "market.json"

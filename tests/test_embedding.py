@@ -11,8 +11,6 @@ from matchrobust import (
     MetricSpace,
     bourgain_embed,
     log_size_robustness_cap,
-    euclidean_profile_robustness,
-    generating_space_size,
     maximize_euclidean_robustness,
     measure_distortion,
     random_connected_space,
@@ -23,8 +21,10 @@ from matchrobust.embedding import BanachSearchResult
 from matchrobust.seeding import rng_for
 
 from conftest import (
+    _reference_cyclic_value,
     reference_banach_climb,
     reference_bourgain_embed,
+    reference_cyclic_ratio,
     reference_dist,
     reference_line_placements,
 )
@@ -189,26 +189,29 @@ def feasible_template(scale=1.0, shift=(0.0, 0.0)):
     return alpha, beta
 
 
-class TestEuclideanProfileRobustness:
-    def test_largest_dimension_accepted(self):
-        # Zero coordinates add nothing to any distance, so padding to the
-        # 16-coordinate cap keeps the value exactly.
-        alpha, beta = feasible_template()
-        padded = [[(*p, *(0.0,) * 14) for p in side] for side in (alpha, beta)]
-        assert euclidean_profile_robustness(*padded) == euclidean_profile_robustness(alpha, beta)
+def _library_cyclic_value(alpha, beta):
+    """The cyclic profile's value as the climb keeps it: None if any agent's
+    ratio minimum is, else their min."""
+    ratios = embedding._climb_state([[float(v) for v in p] for p in (*alpha, *beta)])[2]
+    return None if None in ratios else min(ratios)
+
+
+class TestCyclicValue:
+    """The cyclic profile's ratio minimum of six points, as the climb keeps
+    it and as the reference recomputes it."""
 
     def test_scaling_invariance(self):
         alpha, beta = feasible_template()
-        v1 = euclidean_profile_robustness(alpha, beta)
+        v1 = _reference_cyclic_value([*alpha, *beta])
         alpha2, beta2 = feasible_template(scale=17.0)
-        assert math.isclose(v1, euclidean_profile_robustness(alpha2, beta2), rel_tol=1e-12)
+        assert math.isclose(v1, _reference_cyclic_value([*alpha2, *beta2]), rel_tol=1e-12)
 
     def test_translation_invariance(self):
         alpha, beta = feasible_template()
         alpha2, beta2 = feasible_template(shift=(4.0, -9.0))
         assert math.isclose(
-            euclidean_profile_robustness(alpha, beta),
-            euclidean_profile_robustness(alpha2, beta2),
+            _reference_cyclic_value([*alpha, *beta]),
+            _reference_cyclic_value([*alpha2, *beta2]),
             rel_tol=1e-9,
         )
 
@@ -220,63 +223,34 @@ class TestEuclideanProfileRobustness:
         def rot(p):
             return (cos_t * p[0] - sin_t * p[1], sin_t * p[0] + cos_t * p[1])
 
-        base = euclidean_profile_robustness(alpha, beta)
-        rotated = euclidean_profile_robustness([rot(p) for p in alpha], [rot(p) for p in beta])
+        base = _reference_cyclic_value([*alpha, *beta])
+        rotated = _reference_cyclic_value([rot(p) for p in (*alpha, *beta)])
         assert abs(base - rotated) <= 1e-9
 
     def test_cap_of_three_random(self):
         for t in range(500):
             rng = rng_for(64, t)
-            pts = rng.standard_normal((6, 3))
-            try:
-                v = euclidean_profile_robustness(pts[:3].tolist(), pts[3:].tolist())
-            except ValueError:
-                continue
-            assert 1.0 <= v <= 3.0 + 1e-9
-
-    def test_wrong_order_rejected(self):
-        alpha, beta = feasible_template()
-        with pytest.raises(ValueError):
-            euclidean_profile_robustness(list(reversed(alpha)), beta)
+            pts = rng.standard_normal((6, 3)).tolist()
+            v = _reference_cyclic_value(pts)
+            assert v == _library_cyclic_value(pts[:3], pts[3:])
+            assert v is None or 1.0 <= v <= 3.0 + 1e-9
 
     @pytest.mark.parametrize(
         "alpha, beta",
         [
+            (list(reversed(feasible_template()[0])), feasible_template()[1]),
+            # Agent 0 is exactly as far from two of its alternatives, and
+            # every other comparison of the cyclic profile holds strictly.
             ([(0.5, 0.5), (-0.6, 0.5), (-0.5, -1.0)], [(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)]),
             ([(0.5, 0.0), (-0.6, 0.4), (0.3, -0.6)], [(1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]),
+            # Agent 0 sits on alternative 0, a zero first distance.
+            ([(1.0, 0.0), (0.0, 0.4), (0.0, -0.4)], [(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.9)]),
         ],
-        ids=["first-two-tie", "last-two-tie"],
+        ids=["wrong-order", "first-two-tie", "last-two-tie", "coincident"],
     )
-    def test_exact_tie_rejected(self, alpha, beta):
-        # Agent 0 is exactly as far from two of its alternatives, and every
-        # other comparison of the cyclic profile holds strictly.
-        with pytest.raises(ValueError, match="does not realize the cyclic profile strictly"):
-            euclidean_profile_robustness(alpha, beta)
-
-    @pytest.mark.parametrize(
-        "beta",
-        [
-            [(1.0, 0.0), (-0.5, 0.9), (-0.5, -0.9)],
-            # Agent 0, on alternative 0, ranks 1 strictly before 2, so only
-            # its zero first distance breaks the order.
-            [(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.9)],
-        ],
-        ids=["tied-after", "strict-after"],
-    )
-    def test_coincident_points_rejected(self, beta):
-        alpha = [beta[0], (0.0, 0.4), (0.0, -0.4)]
-        with pytest.raises(ValueError) as info:
-            euclidean_profile_robustness(alpha, beta)
-        assert str(info.value) == "coincident agent/alternative points (zero denominator)"
-
-    def test_coincidence_reported_after_an_earlier_disorder(self):
-        # Agent 0 sits nearest alternative 1, out of its cyclic order, and
-        # agent 2 on alternative 2; the coincidence decides the message.
-        beta = [(1.0, 0.0), (-0.5, 0.9), (-0.5, -0.9)]
-        alpha = [(-0.4, 0.8), (-0.2, 0.4), beta[2]]
-        with pytest.raises(ValueError) as info:
-            euclidean_profile_robustness(alpha, beta)
-        assert str(info.value) == "coincident agent/alternative points (zero denominator)"
+    def test_not_strictly_cyclic(self, alpha, beta):
+        assert _reference_cyclic_value([*alpha, *beta]) is None
+        assert _library_cyclic_value(alpha, beta) is None
 
 
 class TestPinnedSearchResults:
@@ -419,7 +393,7 @@ class TestAgentValue:
     def test_agents_combine_to_the_cyclic_value(self, table):
         values = [embedding._agent_value(table, a) for a in range(3)]
         combined = None if None in values else min(values)
-        expected = _cyclic_ratio([table[3 * a : 3 * a + 3] for a in range(3)])
+        expected = reference_cyclic_ratio([table[3 * a : 3 * a + 3] for a in range(3)])
         assert combined == expected
 
 
@@ -471,22 +445,9 @@ class TestMaximize:
 
     def test_best_placement_reproduces_value(self):
         result = maximize_euclidean_robustness(2, 30, 120, seed=3)
-        v = euclidean_profile_robustness(result.alpha, result.beta)
+        v = _reference_cyclic_value([*result.alpha, *result.beta])
         assert math.isclose(v, result.best_value, rel_tol=1e-12)
         assert v <= GOLDEN_CAP
-
-
-def _cyclic_ratio(d):
-    """Min consecutive ratio of the cyclic profile from agent-to-alternative
-    distances ``d[i][j]``, or None unless agent i strictly ranks
-    alternatives i, i+1, i+2 (mod 3) in that order at positive distance."""
-    best = math.inf
-    for i in range(3):
-        x, y, z = (d[i][(i + k) % 3] for k in range(3))
-        if not 0.0 < x < y < z:
-            return None
-        best = min(best, y / x, z / y)
-    return best
 
 
 class TestRobustnessBounds:
@@ -495,7 +456,7 @@ class TestRobustnessBounds:
 
     def test_phi_witness_attains_golden_ratio(self, phi_witness):
         alpha, beta = phi_witness
-        value = euclidean_profile_robustness(alpha, beta)
+        value = _reference_cyclic_value([*alpha, *beta])
         assert math.isclose(value, GOLDEN, rel_tol=1e-14, abs_tol=0.0)
 
     @settings(max_examples=200)
@@ -510,9 +471,8 @@ class TestRobustnessBounds:
         for k, p in enumerate(points):
             for c in range(dim):
                 p[c] += scale * offsets[k * 4 + c]
-        try:
-            value = euclidean_profile_robustness(points[:3], points[3:])
-        except ValueError:  # the offsets broke the strict cyclic order
+        value = _reference_cyclic_value(points)
+        if value is None:  # the offsets broke the strict cyclic order
             return
         assert 1.0 <= value <= GOLDEN_CAP
 
@@ -535,7 +495,7 @@ class TestRobustnessBounds:
                     if (p < 3) == (q < 3) and rng.random() < 0.7:
                         edges.append((p, q, float(rng.uniform(0.5, 10.0))))
             space = MetricSpace(6, edges)
-            value = _cyclic_ratio([[space.dist_row(a)[3 + b] for b in range(3)] for a in range(3)])
+            value = reference_cyclic_ratio([[space.dist_row(a)[3 + b] for b in range(3)] for a in range(3)])
             if value is not None:
                 values.append(value)
         assert len(values) > 100
@@ -543,10 +503,6 @@ class TestRobustnessBounds:
 
 
 class TestBoundFormulas:
-    def test_generating_space_size(self):
-        assert generating_space_size(2) == 16
-        assert generating_space_size(3) == 1296
-
     def test_log_size_robustness_caps(self):
         assert math.isclose(log_size_robustness_cap(16, 2.5), 2.5 * math.log(16))
         assert log_size_robustness_cap(32, 1.0) > log_size_robustness_cap(16, 1.0)

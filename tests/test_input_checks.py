@@ -17,7 +17,6 @@ from matchrobust import (
     bourgain_embed,
     distinguishing_profile,
     enumerate_stable,
-    euclidean_profile_robustness,
     measure_distortion,
     random_connected_space,
     sufficient_robustness_level,
@@ -26,7 +25,6 @@ from matchrobust import (
 from matchrobust.seeding import rng_for
 
 _PATH = MetricSpace(3, [(0, 1, 1.0), (1, 2, 1.0)])
-_TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 _P2 = OrdinalProfile(2, ((0, 1), (1, 0)))
 _P3 = OrdinalProfile(3, ((0, 1, 2),) * 3)
 
@@ -41,18 +39,6 @@ _P3 = OrdinalProfile(3, ((0, 1, 2),) * 3)
         (
             lambda: measure_distortion(_PATH, EuclideanPlacement(np.zeros((2, 1)))),
             "placement does not cover all vertices",
-        ),
-        (
-            lambda: euclidean_profile_robustness(_TRIANGLE[:2], _TRIANGLE),
-            "need exactly three agent and three alternative points",
-        ),
-        (
-            lambda: euclidean_profile_robustness(_TRIANGLE, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0, 0.0)]),
-            "all points must share one dimension",
-        ),
-        (
-            lambda: euclidean_profile_robustness([(0.0,) * 17] * 3, [(0.0,) * 17] * 3),
-            "dimension exceeds cap",
         ),
         (lambda: RankBasedProfile(0, ()), r"n >= 1 required"),
         (lambda: RankBasedProfile(2, (-1.0, -2.0)).utilities(_P3), "size mismatch"),
@@ -73,9 +59,6 @@ _P3 = OrdinalProfile(3, ((0, 1, 2),) * 3)
         "placement-shape",
         "bourgain-one-vertex",
         "distortion-short-placement",
-        "euclidean-point-count",
-        "euclidean-mixed-dims",
-        "euclidean-dim-cap",
         "rank-profile-n0",
         "rank-utilities-size",
         "extensional-n0",

@@ -13,16 +13,16 @@ from matchrobust import (
     Perturbation,
     RankBasedProfile,
     UtilityProfile,
-    all_profiles,
     apply_perturbation,
     geometric_market,
-    ordinal_from_utility,
+    ordinal_from_utility_flagged,
 )
 from matchrobust.markets import _json_entry_arrays
 from matchrobust.seeding import rng_for
 
 from conftest import (
     _random_strict_rows,
+    all_profiles,
     random_extensional_market,
     reference_extensional_check,
     reference_extensional_side,
@@ -40,7 +40,7 @@ class TestUtilityProfile:
 
     def test_json_round_trip(self):
         u = UtilityProfile(2, ((-0.0, -1.5), (-1.7e308, -5e-324)))
-        data = json.loads(json.dumps(u.to_json_dict()))
+        data = json.loads(json.dumps({"n": u.n, "values": u.values.tolist()}))
         assert data == {"n": 2, "values": [[-0.0, -1.5], [-1.7e308, -5e-324]]}
         back = UtilityProfile.from_json_dict(data)
         assert back.n == 2 and back.values.tobytes() == u.values.tobytes()
@@ -185,7 +185,7 @@ class TestMarketProfiles:
         side = RankBasedProfile(3, (-1.0, -2.0, -4.0))
         for t in range(20):
             r = list(all_profiles(3))[t * 10]
-            assert ordinal_from_utility(side.utilities(r)) == r
+            assert ordinal_from_utility_flagged(side.utilities(r))[0] == r
 
     def test_extensional_rejects_inconsistent_entry(self):
         r = OrdinalProfile(2, ((0, 1), (0, 1)))
@@ -231,8 +231,8 @@ class TestMarketProfiles:
 
     def test_random_extensional_market_consistent(self):
         market = random_extensional_market(2, rng_for(3))
-        for r in market.men.representable_profiles():
-            assert ordinal_from_utility(market.men.utilities(r)) == r
+        for r in market.men.table_profiles:
+            assert ordinal_from_utility_flagged(market.men.utilities(r))[0] == r
 
 
 class TestSideTables:
@@ -247,7 +247,7 @@ class TestSideTables:
 
     def test_extensional_table_stacks_entries_in_table_order(self):
         side = random_extensional_market(3, rng_for(4)).men
-        profiles = list(side.representable_profiles())
+        profiles = list(all_profiles(3))
         assert side.table_profiles == tuple(profiles)
         ranks = np.array([r.ranks for r in profiles]).reshape(-1, 3)
         values = np.concatenate([side.utilities(r).values for r in profiles])
@@ -371,5 +371,5 @@ class TestJsonSideMatchesPerEntryReader:
             a, b = getattr(got, name), getattr(reference, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
             assert not a.flags.writeable
-        for r in reference.representable_profiles():
+        for r in reference.table_profiles:
             assert got.utilities(r).values.tobytes() == reference.utilities(r).values.tobytes()

@@ -14,11 +14,10 @@ from matchrobust import (
     OrdinalProfile,
     Placement,
     UtilityProfile,
-    all_profiles,
     build_generating_space,
     geometric_market,
     is_polarized,
-    ordinal_from_utility,
+    ordinal_from_utility_flagged,
     random_connected_space,
     union_generating_space,
     utilities_from_space,
@@ -35,6 +34,7 @@ from matchrobust.metric import (
 from matchrobust.seeding import rng_for
 
 from conftest import (
+    all_profiles,
     band_utup,
     path_preference_agreement_check,
     reference_is_polarized,
@@ -506,7 +506,7 @@ class TestUnionGeneratingSpace:
         market = geometric_market(2, 2.0)
         profs = [market.men.utilities(r) for r in all_profiles(2)]
         space, placements = union_generating_space(profs)
-        assert space.n_vertices == 16
+        assert space.n_vertices == 16 == 2 * 2 * math.factorial(2) ** 2
         assert len(placements) == 4
         assert len(space.components()) == 4
 
@@ -514,7 +514,7 @@ class TestUnionGeneratingSpace:
         market = geometric_market(3, 2.0)
         profs = [market.men.utilities(r) for r in all_profiles(3)]
         space, placements = union_generating_space(profs)
-        assert space.n_vertices == 1296
+        assert space.n_vertices == 1296 == 2 * 3 * math.factorial(3) ** 3
         assert len(placements) == 216
 
     def test_rejects_infinite_utility(self, rng):
@@ -616,14 +616,14 @@ class TestPathAgreement:
         u = band_utup(2, rng)
         profiles = [u, band_utup(2, rng)]
         space, placements = union_generating_space(profiles)
-        r = ordinal_from_utility(u)
+        r = ordinal_from_utility_flagged(u)[0]
         assert bool(path_preference_agreement_check(space, placements[0], r))
 
     def test_bipartite_construction_direct_edges(self, rng):
         for _ in range(20):
             u = band_utup(3, rng)
             space, placement = build_generating_space(u)
-            r = ordinal_from_utility(u)
+            r = ordinal_from_utility_flagged(u)[0]
             assert bool(path_preference_agreement_check(space, placement, r))
 
     def test_random_spaces_never_violate(self, rng):
@@ -637,7 +637,7 @@ class TestPathAgreement:
             )
             u = utilities_from_space(space, placement, 3)
             try:
-                r = ordinal_from_utility(u)
+                r = ordinal_from_utility_flagged(u)[0]
             except Exception:
                 continue  # ties: placement does not represent a strict profile
             checked += 1
@@ -648,13 +648,13 @@ class TestPathAgreement:
         # 21 agent pairs x 42 ordered alternative pairs = 882 quadruples.
         u = band_utup(7, rng)
         space, placement = build_generating_space(u)
-        result = path_preference_agreement_check(space, placement, ordinal_from_utility(u))
+        result = path_preference_agreement_check(space, placement, ordinal_from_utility_flagged(u)[0])
         assert result.ok and result.checked == 882
 
     def test_representation_mismatch_rejected(self, rng):
         u = band_utup(3, rng)
         space, placement = build_generating_space(u)
-        r = ordinal_from_utility(u)
+        r = ordinal_from_utility_flagged(u)[0]
         wrong = OrdinalProfile(3, tuple(tuple(reversed(row)) for row in r.ranks))
         with pytest.raises(ValueError):
             path_preference_agreement_check(space, placement, wrong)

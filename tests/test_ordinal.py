@@ -15,7 +15,6 @@ from matchrobust import (
     deferred_acceptance,
     distinguishing_profile,
     enumerate_stable,
-    ordinal_from_utility,
     ordinal_from_utility_flagged,
     phi,
 )
@@ -132,7 +131,7 @@ class TestProfileValidation:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_unchecked_builders_match_checked_constructor(self, n):
         rng = rng_for(n)
-        extracted = ordinal_from_utility(UtilityProfile(n, -rng.permutation(n * n).reshape(n, n)))
+        extracted = ordinal_from_utility_flagged(UtilityProfile(n, -rng.permutation(n * n).reshape(n, n)))[0]
         for profile in (uniform_profile(n, rng), extracted):
             checked = OrdinalProfile(n, [list(row) for row in profile.ranks])
             assert profile == checked and hash(profile) == hash(checked)
@@ -407,12 +406,12 @@ class TestSharedIndexInts:
 class TestOrdinalFromUtility:
     def test_sorted_row(self):
         u = UtilityProfile(3, ((-1.0, -2.0, -4.0),) * 3)
-        assert ordinal_from_utility(u).ranks[0] == (0, 1, 2)
+        assert ordinal_from_utility_flagged(u)[0].ranks[0] == (0, 1, 2)
 
     def test_strict_tie_error(self):
         u = UtilityProfile(3, ((-2.0, -2.0, -3.0), (-1.0, -2.0, -3.0), (-1.0, -2.0, -3.0)))
         with pytest.raises(TieError):
-            ordinal_from_utility(u)
+            ordinal_from_utility_flagged(u)
 
     def test_index_policy_breaks_ties(self):
         u = UtilityProfile(2, ((-2.0, -2.0), (-1.0, -2.0)))
@@ -429,14 +428,14 @@ class TestOrdinalFromUtility:
             if len(set(flat.tolist())) < len(flat):
                 continue
             u = UtilityProfile(n, tuple(tuple(float(v) for v in r) for r in vals))
-            order = ordinal_from_utility(u)
+            order = ordinal_from_utility_flagged(u)[0]
             fresh = [[0.0] * n for _ in range(n)]
             for a in range(n):
                 levels = sorted(rng.uniform(-9.0, -0.1, size=n), reverse=True)
                 for pos, x in enumerate(order.ranks[a]):
                     fresh[a][x] = float(levels[pos])
             u2 = UtilityProfile(n, tuple(tuple(r) for r in fresh))
-            assert ordinal_from_utility(u2) == order
+            assert ordinal_from_utility_flagged(u2)[0] == order
 
     @given(st.integers(0, 2**32 - 1))
     def test_invariant_under_order_preserving_scaling(self, seed):
@@ -444,7 +443,7 @@ class TestOrdinalFromUtility:
         n = 3
         vals = rng.uniform(-9.0, -0.1, size=(n, n))
         u = UtilityProfile(n, tuple(tuple(float(v) for v in r) for r in vals))
-        order = ordinal_from_utility(u)
+        order = ordinal_from_utility_flagged(u)[0]
         # Per-entry positive scaling that preserves each row's strict order.
         scaled = []
         for a in range(n):
@@ -454,7 +453,7 @@ class TestOrdinalFromUtility:
             for pos, x in enumerate(row):
                 new[x] = float(vals[a][x] * mult[pos])
             scaled.append(tuple(new))
-        assert ordinal_from_utility(UtilityProfile(n, tuple(scaled))) == order
+        assert ordinal_from_utility_flagged(UtilityProfile(n, tuple(scaled)))[0] == order
 
 
 # Few distinct values, so rows tie often, plus both signed zeros, -inf and

@@ -22,7 +22,7 @@ from matchrobust import (
 )
 from matchrobust import planar
 from matchrobust.metric import utilities_from_space
-from matchrobust.ordinal import TieError, TiePolicy, _stable_ranking, ordinal_from_utility
+from matchrobust.ordinal import TieError, TiePolicy, _stable_ranking, ordinal_from_utility_flagged
 from matchrobust.seeding import rng_for
 
 from conftest import (
@@ -324,7 +324,7 @@ def _full_route(space, placement) -> bool | str:
     the error's name is returned in place of False."""
     try:
         induced = utilities_from_space(space, placement, 9)
-        return reference_matches_nine_agent_cells(ordinal_from_utility(induced, TiePolicy.STRICT))
+        return reference_matches_nine_agent_cells(ordinal_from_utility_flagged(induced, TiePolicy.STRICT)[0])
     except (ValueError, TieError) as exc:
         return type(exc).__name__
 
@@ -504,4 +504,4 @@ class TestRefutationPredicate:
         monkeypatch.setattr(planar, "_candidate", lambda seed, t, biclique: space)
         monkeypatch.setattr(planar, "is_planar", lambda space: True)
         found = search_planar_representation(candidates=3, seed=0)
-        assert (found.space, found.placement) == (space, placement)
+        assert found == (space, placement)

@@ -28,7 +28,6 @@ from matchrobust import (
     critical_consecutive_ratio,
     critical_market,
     geometric_market,
-    is_c_robust,
     ordinal_from_utility_flagged,
     preservation_probability,
     rank_slot_factor_stats,
@@ -58,25 +57,23 @@ robustness_module = importlib.import_module("matchrobust.robustness")
 ordinal_module = importlib.import_module("matchrobust.ordinal")
 
 
-class TestIsCRobust:
+class TestWitnessVerdict:
     def test_geometric_below_ratio(self):
-        assert is_c_robust(geometric_market(3, 2.0), 1.9) is True
+        assert adversarial_witness(geometric_market(3, 2.0), 1.9) is None
 
     def test_geometric_at_ratio_strict_fails(self):
-        assert is_c_robust(geometric_market(3, 2.0), 2.0) is False
+        assert adversarial_witness(geometric_market(3, 2.0), 2.0) is not None
 
     def test_level_one_always_robust(self, rng):
         for _ in range(5):
             market = random_extensional_market(2, rng)
-            assert is_c_robust(market, 1.0) is True
+            assert adversarial_witness(market, 1.0) is None
 
     def test_rejects_sub_one_level(self):
         with pytest.raises(ValueError):
-            is_c_robust(geometric_market(2, 2.0), 0.5)
+            adversarial_witness(geometric_market(2, 2.0), 0.5)
 
     def test_rejects_nan_level(self):
-        with pytest.raises(ValueError):
-            is_c_robust(geometric_market(2, 2.0), math.nan)
         for c in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 adversarial_witness(geometric_market(2, 2.0), c)
@@ -125,12 +122,12 @@ class TestRobustnessFormula:
             assert robustness(MatchingMarket(*sides)) == best
 
     def test_supremum_characterization(self, rng):
-        # robustness() is the threshold of is_c_robust.
+        # robustness() is the threshold of the witness search.
         for _ in range(5):
             market = random_extensional_market(3, rng)
             xi = robustness(market)
-            assert is_c_robust(market, xi * (1 - 1e-9)) is True
-            assert is_c_robust(market, xi) is False
+            assert adversarial_witness(market, xi * (1 - 1e-9)) is None
+            assert adversarial_witness(market, xi) is not None
 
 
 class TestBisectionOracle:
@@ -351,7 +348,7 @@ class TestLevelScan:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 647), st.booleans())
     def test_extensional_markets_match_reference(self, seed, row, one_row_blocks):
         market = random_extensional_market(3, np.random.default_rng(seed))
-        profiles = list(market.women.representable_profiles())
+        profiles = list(market.women.table_profiles)
         utilities, ranks, values = _stack(market.women, profiles)
         rows = _rows(profiles, utilities)
         elements = 1 if one_row_blocks else robustness_module._SCAN_BLOCK_ELEMENTS
@@ -460,9 +457,6 @@ class TestFormulaMatchesScalarWalk:
         assert repr(_formula_outcomes(market)) == repr(_reference_formula_outcomes(market))
         pairs = list(reference_consecutive_pairs(market))
         for c in levels:
-            assert is_c_robust(market, c) is all(c * upper > lower for *_, upper, lower in pairs)
-            if c == math.inf:
-                continue
             hit = next((p for p in pairs if c * p[4] <= p[5]), None)
             witness = adversarial_witness(market, c)
             if hit is None:
@@ -480,13 +474,13 @@ class TestFormulaMatchesScalarWalk:
     @pytest.mark.parametrize(
         "market, levels",
         [
-            (_rank_market([-1.0, -2.0, -4.0], [0.0, -3.0, -9.0]), [1.0, 2.0, 4.0, math.inf]),
-            (_rank_market([-1.0, -2.0, -math.inf], [-1.0, -3.0, -9.0]), [1.5, 2.0, 3.0, math.inf]),
-            (_rank_market([-1.7e308, -1.75e308], [-1.0, -3.0]), [1.01, 2.0, math.inf]),
-            (_rank_market([-0.0, -1.0], [-1.0, -2.0]), [1.0, 2.0, math.inf]),
-            (_rank_market([-1.0, -2.0], [-5e-324, -1e308]), [1.5, 2.0, math.inf]),
-            (_rank_market([-1.0], [-2.0]), [1.0, 2.0, math.inf]),
-            (_LATE_ZERO, [1.0, 1.5, 2.0, 3.0, math.inf]),
+            (_rank_market([-1.0, -2.0, -4.0], [0.0, -3.0, -9.0]), [1.0, 2.0, 4.0]),
+            (_rank_market([-1.0, -2.0, -math.inf], [-1.0, -3.0, -9.0]), [1.5, 2.0, 3.0]),
+            (_rank_market([-1.7e308, -1.75e308], [-1.0, -3.0]), [1.01, 2.0]),
+            (_rank_market([-0.0, -1.0], [-1.0, -2.0]), [1.0, 2.0]),
+            (_rank_market([-1.0, -2.0], [-5e-324, -1e308]), [1.5, 2.0]),
+            (_rank_market([-1.0], [-2.0]), [1.0, 2.0]),
+            (_LATE_ZERO, [1.0, 1.5, 2.0, 3.0]),
         ],
         ids=["zero-top-women", "neg-inf-last", "huge-c2", "neg-zero-top-men", "ratio-overflow", "n1",
              "late-zero"],
@@ -526,7 +520,6 @@ class TestRoutesReadStoredTables:
     def test_formula_route_reads_no_utilities(self, counted):
         market = random_extensional_market(3, rng_for(21))
         xi = robustness(market)
-        assert is_c_robust(market, xi * (1 - 1e-9)) is True
         assert adversarial_witness(market, xi * (1 - 1e-9)) is None
         assert counted == {"utilities": 0, "witnesses": 0, "confirmed": 0}
         assert adversarial_witness(market, xi) is not None
@@ -859,15 +852,13 @@ class TestAdversarialWitness:
             market = random_extensional_market(3, rng)
             xi = robustness(market)
             for c in (max(1.0, xi - 0.01), xi + 0.01):
-                robust = is_c_robust(market, c)
-                witness = adversarial_witness(market, c)
-                assert robust == (witness is None)
+                assert (c < xi) == (adversarial_witness(market, c) is None)
 
     def test_extremal_single_entry_sufficiency(self, rng):
         # Whenever an arbitrary factor matrix at level c flips a comparison,
         # the single-entry matrix with c at the flipped slot does too.
         market = random_extensional_market(3, rng)
-        profiles = list(market.men.representable_profiles())
+        profiles = list(market.men.table_profiles)
         flips_seen = 0
         for t in range(400):
             trng = rng_for(88, t)
@@ -941,7 +932,7 @@ class TestCriticalMarket:
 
     def test_robust_at_theorem_level(self):
         market = critical_market(3, 1.5, 0.2)
-        assert is_c_robust(market, sufficient_robustness_level(3, 1.5) - 1e-9) is True
+        assert adversarial_witness(market, sufficient_robustness_level(3, 1.5) - 1e-9) is None
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,7 +123,7 @@ def test_robustness_routes_stay_independent():
     # and the deferred-acceptance check of a witness.
     tree = ast.parse((ROOT / "src" / "matchrobust" / "robustness.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("is_c_robust", "robustness", "adversarial_witness", "_first_hit", "_consecutive"):
+    for name in ("robustness", "adversarial_witness", "_first_hit", "_consecutive"):
         names = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
         assert not names & {"_first_break", "_breakable"}, name
     # Block sizing uses integer ``//``; a true division would be a ratio.
@@ -158,6 +159,52 @@ def _names_and_attributes(node: ast.AST) -> set:
     return {n.id for n in nodes if isinstance(n, ast.Name)} | {
         n.attr for n in nodes if isinstance(n, ast.Attribute)
     }
+
+
+def _uses_outside_own_definition(node: ast.AST, inside: frozenset = frozenset()) -> set:
+    """Every ``Name`` and ``Attribute`` read under ``node``, except a name
+    read inside a ``def`` or ``class`` of that same name."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= _uses_outside_own_definition(child, inside | {child.name})
+            continue
+        if isinstance(child, ast.Name) and child.id not in inside:
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute) and child.attr not in inside:
+            found.add(child.attr)
+        found |= _uses_outside_own_definition(child, inside)
+    return found
+
+
+#: Exported helpers that only tests call, kept because the benchmark's span
+#: tracer wraps them; they go when the benchmark changes (ROADMAP items 2
+#: and 3).
+_TRACED_TEST_ONLY_EXPORTS = {"uniform_profile", "distinguishing_profile", "apply_perturbation"}
+
+
+def test_every_export_has_a_caller_outside_tests():
+    # A public helper that nothing but tests calls is a test oracle, which
+    # belongs under tests/.
+    init = ast.parse((ROOT / "src" / "matchrobust" / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    callers = [p for p in SOURCES if p.name != "__init__.py"]
+    callers += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    used = set()
+    for path in callers:
+        used |= _uses_outside_own_definition(ast.parse(path.read_text(), filename=str(path)))
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    used |= {name for name in exported if re.search(rf"\b{name}\b", workflow)}
+    unused = exported - used
+    untraced = sorted(unused - _TRACED_TEST_ONLY_EXPORTS)
+    assert untraced == [], f"exported with no caller outside tests: {untraced}"
+    stale = sorted(_TRACED_TEST_ONLY_EXPORTS - unused)
+    assert stale == [], f"allowlisted, but not exported or called outside tests: {stale}"
 
 
 def test_one_proposal_chain():
