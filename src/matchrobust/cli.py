@@ -31,7 +31,7 @@ from .markets import (
     UtilityProfile,
     geometric_market,
 )
-from .jsonvalues import json_array, json_int, json_number, json_object
+from .jsonvalues import json_array, json_field, json_int, json_number, json_object
 from .metric import (
     build_generating_space,
     is_polarized,
@@ -175,9 +175,9 @@ def _load_sides(path: str, what: str, parse_side):
 def _market_profile(data: dict) -> MarketProfile:
     kind = data.get("kind")
     if kind == "rank":
-        values = json_array(data["rank_utilities"], "rank_utilities")
+        values = json_array(json_field(data, "rank_utilities"), "rank_utilities")
         rank_utilities = [json_number(v, "rank utility") for v in values]
-        return RankBasedProfile(json_int(data["n"], "n"), rank_utilities)
+        return RankBasedProfile(json_int(json_field(data, "n"), "n"), rank_utilities)
     if kind == "extensional":
         return ExtensionalProfile.from_json_dict(data)
     raise ValueError("kind must be 'rank' or 'extensional'")

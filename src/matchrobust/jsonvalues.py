@@ -9,8 +9,8 @@ utilities and weights as finite JSON integers or floats, every list (of
 rows, edges, placement vertices or entries, and each row and edge) as a
 JSON array and every side or entry as a JSON object: a JSON object would
 iterate as its keys, and a string as its characters. A value of the wrong
-type raises TypeError and a non-finite one ValueError; the CLI reports
-either as a malformed input file (exit 65).
+type raises TypeError, and a non-finite one or a missing field ValueError;
+the CLI reports any of them as a malformed input file (exit 65).
 """
 
 from __future__ import annotations
@@ -29,6 +29,14 @@ def _require(value, types, what: str):
     if type(value) is float and not -_INF < value < _INF:
         raise ValueError(f"{what} must be finite, got {value!r}")
     return value
+
+
+def json_field(data: dict, key: str):
+    """``data[key]``; a missing key raises ValueError naming the field."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"missing field {key!r}") from None
 
 
 def json_int(value, what: str) -> int:

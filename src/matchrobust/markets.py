@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .jsonvalues import json_array, json_int, json_object, json_rows
+from .jsonvalues import json_array, json_field, json_int, json_object, json_rows
 from .ordinal import OrdinalProfile, _stable_ranking, ordinal_from_utility_flagged
 
 
@@ -64,7 +64,7 @@ class UtilityProfile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "UtilityProfile":
-        values = json_rows(data["values"], "utility", ints=False)
+        values = json_rows(json_field(data, "values"), "utility", ints=False)
         return cls(n=json_int(data.get("n", len(values)), "n"), values=values)
 
 
@@ -240,14 +240,15 @@ class ExtensionalProfile(MarketProfile):
             except ValueError:
                 pass
         table = {}
-        for entry in json_array(data["entries"], "entries"):
+        for entry in json_array(json_field(data, "entries"), "entries"):
             entry = json_object(entry, "entry")
-            r = OrdinalProfile.from_json_dict({"n": data["n"], "ranks": entry["ranks"]})
-            u = UtilityProfile.from_json_dict({"n": data["n"], "values": entry["values"]})
+            n = json_field(data, "n")
+            r = OrdinalProfile.from_json_dict({"n": n, "ranks": json_field(entry, "ranks")})
+            u = UtilityProfile.from_json_dict({"n": n, "values": json_field(entry, "values")})
             if r in table:
                 raise ValueError(f"two entries for ranks {[list(row) for row in r.ranks]}")
             table[r] = u
-        return cls(json_int(data["n"], "n"), table)
+        return cls(json_int(json_field(data, "n"), "n"), table)
 
     def utilities(self, profile: OrdinalProfile) -> UtilityProfile:
         return UtilityProfile(self.n, self.block_utilities(np.array([profile.ranks]))[0])

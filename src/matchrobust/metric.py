@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .jsonvalues import json_array, json_int, json_number
+from .jsonvalues import json_array, json_field, json_int, json_number
 from .markets import UtilityProfile, _require
 
 _REL_TOL = 1e-9
@@ -382,14 +382,15 @@ def space_to_json_dict(space: MetricSpace, placement: Placement | None = None) -
 
 
 def space_from_json_dict(data: dict) -> tuple[MetricSpace, Placement | None]:
+    rows = json_array(json_field(data, "edges"), "edges")
     edges = [
         (json_int(a, "edge endpoint"), json_int(b, "edge endpoint"), json_number(w, "edge weight"))
-        for a, b, w in (json_array(edge, "edge", 3) for edge in json_array(data["edges"], "edges"))
+        for a, b, w in (json_array(edge, "edge", 3) for edge in rows)
     ]
-    space = MetricSpace(json_int(data["vertices"], "vertices"), edges)
+    space = MetricSpace(json_int(json_field(data, "vertices"), "vertices"), edges)
     placement = None
     if "alpha" in data or "beta" in data:  # a placement needs both
-        alpha, beta = data["alpha"], data["beta"]  # KeyError names a missing one
+        alpha, beta = json_field(data, "alpha"), json_field(data, "beta")
         placement = space.place(
             [json_int(v, "placement vertex") for v in json_array(alpha, "alpha")],
             [json_int(v, "placement vertex") for v in json_array(beta, "beta")],

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .jsonvalues import json_int, json_rows
+from .jsonvalues import json_field, json_int, json_rows
 
 #: Hard cap for the exhaustive stable search (n! bijections at worst).
 STABLE_ENUM_CAP = 7
@@ -79,7 +79,8 @@ class OrdinalProfile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OrdinalProfile":
-        return cls(n=json_int(data["n"], "n"), ranks=json_rows(data["ranks"], "rank", ints=True))
+        n = json_int(json_field(data, "n"), "n")
+        return cls(n=n, ranks=json_rows(json_field(data, "ranks"), "rank", ints=True))
 
 
 def _inverse(perm, indices=None) -> list[int]:

@@ -13,19 +13,32 @@ construction that separates deterministic from probabilistic robustness.
 Both routes read the table each market side stacks once at construction
 (``table_profiles``, ``table_ranks``, ``table_values``: one representative
 agent's row of a rank-based side, the stored entries of an extensional one).
-The formula route forms consecutive utility ratios from it, and the
-bisection search, which never forms a ratio, re-extracts every
-single-entry perturbation of a side at once, one stable ``argsort`` per
-block of perturbed rows standing in for sorting each row by (-utility,
-index). Each temporary of that scan holds at most ``_SCAN_BLOCK_ELEMENTS``
-entries (2 MiB of float64), or one row when n is larger, at every n. A
-changed order or an exact tie breaks the level; a block's first break is
-found by flat index, not by per-row reductions. The first break is
-confirmed through deferred acceptance by one proposal chain before the
-perturbation and one after, proposed by the distinguishing opposite-side
-profile, against position tables built once per search. The same check
-verifies every witness; only :func:`adversarial_witness` builds one, with
-its profiles and perturbation matrix.
+The formula route forms consecutive utility ratios from it. The bisection
+search never forms a ratio: it re-extracts single-entry perturbations of a
+side, one stable ``argsort`` per block of perturbed rows standing in for
+sorting each row by (-utility, index), and a changed order or an exact tie
+breaks the level. Each temporary of that scan holds at most
+``_SCAN_BLOCK_ELEMENTS`` entries (2 MiB of float64), or one row when n is
+larger, at every n.
+
+The scan carries what it learns down the bracket. Utilities are
+nonpositive, so a larger level only sinks a scaled utility further
+(``fl(c * u)`` never increases with ``c``), and a perturbation that breaks
+at some level breaks at every higher one. Every level the bisection probes
+lies below each level that broke before it, so only perturbations that broke
+there can break now. Each side keeps the perturbations that broke in the
+block where its last breaking scan stopped, and the start of the tail that
+scan never reached; the next level scans those candidates first, then the
+tail. A side that held at a level another side broke is never scanned again,
+and a women's side equal to the men's is never scanned, since the men's
+scan decides it. Every level's verdict and first break are those of a scan
+of every perturbation.
+
+The first break is confirmed through deferred acceptance by one proposal
+chain before the perturbation and one after, proposed by the distinguishing
+opposite-side profile, against position tables built once per search. The
+same check verifies every witness; only :func:`adversarial_witness` builds
+one, with its profiles and perturbation matrix.
 """
 
 from __future__ import annotations
@@ -199,41 +212,57 @@ def adversarial_witness(market: MatchingMarket, c: float) -> AdversarialWitness 
 #: Elements per temporary array in one level-scan block (2 MiB of float64).
 _SCAN_BLOCK_ELEMENTS = 1 << 18
 
+#: The scan state of a side that has not broken yet: no candidates, and a
+#: tail that starts at the first flat index.
+_FULL_SCAN = (None, 0)
 
-def _first_break(ranks: np.ndarray, values: np.ndarray, c: float) -> tuple[int, int] | None:
-    """First (row, position) whose single-entry perturbation changes the row's
-    re-extracted ranking or creates an exact tie, or None.
 
-    Entry ``[row, i]`` multiplies the utility of alternative ``ranks[row, i]``
-    by ``c`` and re-extracts the row with the ordinal extraction's stable sort,
-    which orders by (-value, index) exactly as index tie-breaking does. The
-    perturbations are walked in row-major order ``k = row * n + i``, in blocks
-    of ``_SCAN_BLOCK_ELEMENTS // n`` perturbed rows (at least one), so each
-    temporary holds at most ``max(n, _SCAN_BLOCK_ELEMENTS)`` elements at any n.
-    A block's first changed entry and first tie are found by flat index, and
-    the earlier of their perturbed rows, by integer ``//``, is the block's
-    first break. The position is never the last one: scaling the last-ranked
+def _scan(
+    ranks: np.ndarray, values: np.ndarray, c: float, carried: tuple = _FULL_SCAN
+) -> tuple[np.ndarray, int] | None:
+    """The first single-entry perturbation that changes its row's re-extracted
+    ranking or creates an exact tie, among the sorted flat indices
+    ``candidates`` (None for none) and then every flat index from ``tail`` on,
+    where ``carried`` is ``(candidates, tail)``; None when none does. The
+    default scans every perturbation.
+
+    Flat index ``k = row * n + i`` multiplies the utility of alternative
+    ``ranks[row, i]`` by ``c`` and re-extracts the row with the ordinal
+    extraction's stable sort, which orders by (-value, index) exactly as
+    index tie-breaking does. The candidates form one block and the tail is
+    walked in blocks of ``_SCAN_BLOCK_ELEMENTS // n`` perturbed rows (at least
+    one), so with at most that many candidates each temporary holds at most
+    ``max(n, _SCAN_BLOCK_ELEMENTS)`` elements at any n. A block gathers the
+    rows of its indices ``k`` and marks each perturbation whose re-sorted row
+    differs from its stored one or has two equal neighbours.
+
+    Returns ``(broken, end)``: the sorted flat indices that break in the
+    first block holding a break, of which the first is the first break, and
+    the first flat index of the tail that the walk did not reach. The
+    position of a break is never the last one: scaling the last-ranked
     utility leaves it the row's strict minimum.
     """
+    candidates, tail = carried
     rows, n = ranks.shape
+    size = rows * n
     block = max(1, _SCAN_BLOCK_ELEMENTS // n)
-    for start in range(0, rows * n, block):
-        k = np.arange(start, min(start + block, rows * n))
+    # Candidates take one step of the walk, the block just before the tail.
+    for start in range(tail if candidates is None else tail - block, size, block):
+        end = min(start + block, size)
+        k = candidates if start < tail else np.arange(start, end)
         row = k // n
         r = ranks.take(row, axis=0)
         perturbed = values.take(row, axis=0)
         # Flat index in ``perturbed`` of each copy's entry ranks[row, i].
         entry = np.arange(0, k.size * n, n) + ranks.take(k)
         with np.errstate(over="ignore"):
-            perturbed.reshape(-1)[entry] *= c
+            perturbed.put(entry, perturbed.take(entry) * c)
         order, ties = _stable_ranking(perturbed)
-        changed = np.flatnonzero(order != r)
-        tied = np.flatnonzero(ties)  # empty at n = 1, where rows have no neighbours
-        hits = [int(changed[0]) // n] if changed.size else []
-        if tied.size:
-            hits.append(int(tied[0]) // (n - 1))
-        if hits:
-            return divmod(start + min(hits), n)
+        broke = order != r
+        broke[:, 1:] |= ties  # sorted neighbours i and i + 1 are equal
+        hits = np.logical_or.reduce(broke, axis=1).nonzero()[0]
+        if hits.size:
+            return k.take(hits), end
     return None
 
 
@@ -268,12 +297,34 @@ def _confirm_break(
 
 def _breakable(c: float, market: MatchingMarket, positions: dict) -> bool:
     """Whether level ``c`` breaks ``market``: the first break on either side,
-    men first, confirmed by :func:`_confirm_break`. ``positions`` carries the
-    position tables across calls."""
-    for side in (market.men, market.women):
-        hit = _first_break(side.table_ranks, side.table_values, c)
-        if hit is not None:
-            _confirm_break(side, *hit, c, positions)
+    men first, confirmed by :func:`_confirm_break`.
+
+    ``positions`` carries the position tables across calls, and under the
+    key ``"scan"`` each side's scan state: the ``(candidates, tail)`` that
+    :func:`_scan` returned at the side's last break, or None for a side that
+    breaks at no level the search still probes. A women's side whose table
+    equals the men's starts at None, since the men's scan decides every
+    level for both. A dict may be reused only at levels no higher than every
+    level it saw break, as the bisection does; a fresh dict scans every
+    perturbation.
+    """
+    sides = (market.men, market.women)
+    carried = positions.get("scan")
+    if carried is None:
+        men, women = sides
+        equal = np.array_equal(men.table_ranks, women.table_ranks) and np.array_equal(
+            men.table_values, women.table_values
+        )
+        carried = positions["scan"] = [_FULL_SCAN, None if equal else _FULL_SCAN]
+    for s, side in enumerate(sides):
+        if carried[s] is None:
+            continue
+        found = _scan(side.table_ranks, side.table_values, c, carried[s])
+        if found is not None:
+            _confirm_break(side, *divmod(int(found[0][0]), side.n), c, positions)
+            if s:  # the men held at c, now the bracket's upper end
+                carried[0] = None
+            carried[s] = found
             return True
     return False
 
@@ -281,10 +332,10 @@ def _breakable(c: float, market: MatchingMarket, positions: dict) -> bool:
 def robustness_by_search(market: MatchingMarket, tol: float = 1e-6) -> float:
     """Bisection oracle for :func:`robustness`.
 
-    At each candidate level the search applies every single-entry extremal
-    perturbation on both sides and every scanned profile and re-extracts the
-    perturbed agent's ranking. It reads each side's stacked table, and
-    each level re-extracts all perturbed rows of a block with one stable
+    At each candidate level the search applies single-entry extremal
+    perturbations on both sides and every scanned profile and re-extracts
+    the perturbed agent's ranking. It reads each side's stacked table, and
+    each level re-extracts the perturbed rows of a block with one stable
     ``argsort``; a changed ranking or an exact tie breaks the level. No
     utility ratio is formed, so this route stays independent of the formula
     it cross-checks. The first break in scan order (side, profile, agent,
@@ -292,16 +343,26 @@ def robustness_by_search(market: MatchingMarket, tol: float = 1e-6) -> float:
     distinguishing opposite-side profile (see :func:`_confirm_break`): the
     outcome that profile's side proposes must move. The position table of
     each stored profile is built once per call, and no witness, perturbation
-    matrix or profile object is built. The bracket starts at [1, 2]
-    and doubles its upper end, capped at the largest float, until that end
-    breaks; if even the largest float does not break, the search returns
-    ``inf``. Bisection stops once the bracket is no wider than ``tol`` or
-    than ``math.ulp(lo)``, that is once no float lies strictly between its
-    ends, so a ``tol`` below the float spacing stops at float resolution; a
-    NaN or infinite ``tol`` is rejected. The doubling leaves the break in the
-    upper half of the bracket, so float resolution comes within about 53
-    halvings; the loop stops at 64 and raises RuntimeError if the bracket is
-    still wider.
+    matrix or profile object is built.
+
+    What a level learns carries to the next (see :func:`_breakable`). Each
+    side keeps the perturbations that broke in its last breaking block and
+    the tail its last breaking scan did not reach; a side that held at the
+    current upper end, or that equals the men's side, is not scanned. This
+    is exact because scaling a nonpositive utility by a larger level never
+    raises it, so a perturbation that holds at some level holds at every
+    lower one, and every level probed after a break lies below it. The
+    verdicts, first breaks and confirmations are those of full scans.
+
+    The bracket starts at [1, 2] and doubles its upper end, capped at the
+    largest float, until that end breaks; if even the largest float does not
+    break, the search returns ``inf``. Bisection stops once the bracket is
+    no wider than ``tol`` or than ``math.ulp(lo)``, that is once no float
+    lies strictly between its ends, so a ``tol`` below the float spacing
+    stops at float resolution; a NaN or infinite ``tol`` is rejected. The
+    doubling leaves the break in the upper half of the bracket, so float
+    resolution comes within about 53 halvings; the loop stops at 64 and
+    raises RuntimeError if the bracket is still wider.
     """
     if not math.isfinite(tol):
         raise ValueError("tol must be finite")

@@ -246,14 +246,15 @@ def reference_consecutive_pairs(market):
                     yield name, r, a, i, row[ranks[i]], row[ranks[i + 1]]
 
 
-def reference_first_break(rows, c: float):
-    """Per-entry level scan: the first (row, position) whose single-entry
-    perturbation changes the row's extracted ranking or creates a tie.
+def reference_breaks(rows, c: float):
+    """Per-entry level scan: yield, in scan order, every (row, position)
+    whose single-entry perturbation changes the row's extracted ranking or
+    creates a tie.
 
     ``rows`` lists (ranking, utilities) pairs in scan order. Entry
     (row, i) multiplies the utility of the row's i-th ranked alternative
     by ``c`` and re-sorts the row by (-utility, index); a changed order or
-    two equal neighbours breaks. Returns None when nothing breaks.
+    two equal neighbours breaks.
     """
     for index, (ranking, utilities) in enumerate(rows):
         n = len(ranking)
@@ -261,11 +262,15 @@ def reference_first_break(rows, c: float):
             row = list(utilities)
             row[ranking[i]] *= c
             order = sorted(range(n), key=lambda x: (-row[x], x))
-            if tuple(order) != tuple(ranking):
-                return index, i
-            if any(row[order[k]] == row[order[k + 1]] for k in range(n - 1)):
-                return index, i
-    return None
+            if tuple(order) != tuple(ranking) or any(
+                row[order[k]] == row[order[k + 1]] for k in range(n - 1)
+            ):
+                yield index, i
+
+
+def reference_first_break(rows, c: float):
+    """The first of :func:`reference_breaks`, or None when nothing breaks."""
+    return next(reference_breaks(rows, c), None)
 
 
 def reference_witness(name: str, side, row: int, position: int, c: float) -> AdversarialWitness:

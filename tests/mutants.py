@@ -11,7 +11,10 @@ Each mutant swaps one operator at one site: ``<``/``<=``, ``>``/``>=``,
 draws K sites with ``random.Random(SEED)``; without it every site runs. The
 mutant is written into a temporary copy of ``src/``, never into the
 checkout, and the given test paths (default: ``tests``) run against that
-copy in one ``pytest -x`` subprocess at a time. The unmutated copy runs
+copy in one ``pytest -x`` subprocess at a time. Each run passes
+``--hypothesis-seed`` with ``SEED``, so the unmutated run and every mutant
+draw the same examples; a mutant that only some draws kill needs an
+``@example``. The unmutated copy runs
 first, with no time limit, and the probe refuses to go on if it fails. Each
 mutant's run is then stopped after ``TIMEOUT_FACTOR`` times the unmutated
 run's wall time, or ``TIMEOUT_FLOOR`` seconds if that is longer, so a
@@ -120,7 +123,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SEED = 0  # of the --sample draw, so a sample is repeatable
+SEED = 0  # of the --sample draw and of every run's hypothesis examples
 TIMEOUT_FACTOR = 10.0  # a mutant's time limit, in unmutated run times
 TIMEOUT_FLOOR = 60.0  # seconds; the least time limit a mutant gets
 
@@ -208,7 +211,10 @@ def _run_tests(src_copy: Path, tests: list[str], timeout: float | None) -> str:
     # No bytecode cache: a mutant of the same size written within the same
     # second as the last one would otherwise load the last one's .pyc.
     env = {**os.environ, "PYTHONPATH": str(src_copy), "PYTHONDONTWRITEBYTECODE": "1"}
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    command = [
+        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        f"--hypothesis-seed={SEED}", *tests,
+    ]
     try:
         done = subprocess.run(
             command, cwd=ROOT, env=env, timeout=timeout,

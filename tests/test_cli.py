@@ -1438,6 +1438,41 @@ class TestStrictJsonNumbers:
         assert (code, out) == (EX_DATAERR, "")
         assert err == f"error: 65: {path}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, document, message",
+        [
+            (("solve",), {"men": {"n": 1}, "women": _ORDINAL_1}, "bad ordinal profile: missing field 'ranks'"),
+            (("solve",), {"men": _ORDINAL_1, "women": {"ranks": [[0]]}}, "bad ordinal profile: missing field 'n'"),
+            (("robustness",), {"men": {"kind": "rank", "n": 1}, "women": _RANK_1},
+             "bad market profile: missing field 'rank_utilities'"),
+            (("robustness",), {"men": _RANK_1, "women": {"kind": "rank", "rank_utilities": [-1.0]}},
+             "bad market profile: missing field 'n'"),
+            (("robustness",), {"men": {"kind": "extensional", "n": 1}, "women": _RANK_1},
+             "bad market profile: missing field 'entries'"),
+            (("robustness",), {"men": {"kind": "extensional", "entries": [{"ranks": [[0]], "values": [[-1.0]]}]},
+                               "women": _RANK_1},
+             "bad market profile: missing field 'n'"),
+            (("robustness",), {"men": {"kind": "extensional", "n": 1, "entries": [{"values": [[-1.0]]}]},
+                               "women": _RANK_1},
+             "bad market profile: missing field 'ranks'"),
+            (("planarity",), {"vertices": 2}, "bad metric space: missing field 'edges'"),
+            (("planarity",), {"edges": [[0, 1, 1.0]]}, "bad metric space: missing field 'vertices'"),
+            (("embed", "--quality", "1"), {"vertices": 2, "edges": [[0, 1, 1.0]], "alpha": [0]},
+             "bad metric space: missing field 'beta'"),
+            (("planarity",), {"vertices": 2, "edges": [[0, 1, 1.0]], "beta": [1]},
+             "bad metric space: missing field 'alpha'"),
+            (("polarity",), {"n": 1}, "bad utility profile: missing field 'values'"),
+        ],
+        ids=["ranks", "ordinal-n", "rank-utilities", "rank-n", "entries", "extensional-n", "entry-ranks",
+             "edges", "vertices", "beta", "alpha", "values"],
+    )
+    def test_missing_field_is_named(self, capsys, tmp_path, argv, document, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, *argv, "--in", str(path))
+        assert (code, out) == (EX_DATAERR, "")
+        assert err == f"error: 65: {path}: {message}\n"
+
     def test_library_boundary_raises_type_error(self):
         from matchrobust import OrdinalProfile, UtilityProfile
         from matchrobust.metric import space_from_json_dict
@@ -1747,7 +1782,7 @@ class TestExtensionalSideFaults:
             ([_duplicate(1, 0), _set(3, "values", 0, 0, math.nan)], "two entries for ranks [[0, 1], [0, 1]]"),
             ([_reverse(3, 0), _set(1, "values", 1, None, [-2, -2])],
              "agent 1 holds equal utilities for alternatives 0 and 1"),
-            ([lambda entries: entries[2].pop("values")], "'values'"),
+            ([lambda entries: entries[2].pop("values")], "missing field 'values'"),
         ],
         ids=["bool-rank", "float-rank", "nan", "inf", "neg-inf", "positive", "huge-int", "ragged-ranks",
              "ragged-values", "non-permutation", "duplicate", "inconsistent", "tie", "inconsistent-then-rank",

@@ -38,7 +38,7 @@ from matchrobust import (
 )
 from matchrobust.markets import rank_scatter
 from matchrobust.ordinal import TiePolicy, _distinguishing_rows, phi
-from matchrobust.robustness import _breakable, _build_witness, _first_break, _first_hit, _trial_blocks
+from matchrobust.robustness import _FULL_SCAN, _breakable, _build_witness, _first_hit, _scan, _trial_blocks
 from matchrobust.seeding import rng_for
 
 from conftest import (
@@ -46,6 +46,7 @@ from conftest import (
     random_extensional_profile,
     reference_bisection,
     reference_consecutive_pairs,
+    reference_breaks,
     reference_first_break,
     reference_spike_flips,
     reference_witness,
@@ -288,10 +289,11 @@ def rank_scan_case(draw):
 
 
 @st.composite
-def extensional_scan_case(draw):
+def extensional_scan_case(draw, n=None):
     """An extensional side storing 1-3 profiles, each agent's utilities drawn
-    apart (edge values included) and scattered by its ranking."""
-    n = draw(st.integers(2, 6))
+    apart (edge values included) and scattered by its ranking; n is drawn
+    from 2-6 unless given."""
+    n = draw(st.integers(2, 6)) if n is None else n
     ranking = st.permutations(range(n)).map(tuple)
     profile = st.lists(ranking, min_size=n, max_size=n).map(lambda rows: OrdinalProfile(n, tuple(rows)))
     table = {}
@@ -306,6 +308,13 @@ def extensional_scan_case(draw):
 
 def _table_rows(side):
     return list(zip(map(tuple, side.table_ranks.tolist()), side.table_values.tolist()))
+
+
+def _first_break(ranks, values, c):
+    """``(row, position)`` of the first break of a scan of every
+    perturbation, or None."""
+    found = _scan(ranks, values, c)
+    return None if found is None else divmod(int(found[0][0]), ranks.shape[1])
 
 
 class TestLevelScan:
@@ -383,6 +392,200 @@ class TestLevelScan:
         with mock.patch.object(robustness_module, "_SCAN_BLOCK_ELEMENTS", 9 * 2):
             assert _first_break(ranks, values, 1.6) == (7, 0)
             assert _first_break(ranks, values, 1.4) is None
+
+    @given(
+        st.one_of(rank_scan_case().map(lambda case: case[0]), extensional_scan_case()),
+        st.sampled_from((1, 7, 1 << 18)),
+        st.data(),
+    )
+    def test_breaks_of_the_first_breaking_block(self, side, elements, data):
+        # The scan returns every break of the block that holds the first
+        # break, and the first flat index past that block.
+        rows = _table_rows(side)
+        n, size = side.n, len(rows) * side.n
+        block = max(1, elements // n)
+        row = data.draw(st.integers(0, len(rows) - 1))
+        with mock.patch.object(robustness_module, "_SCAN_BLOCK_ELEMENTS", elements):
+            for c in _levels(rows[row][1]):
+                expected = [r * n + i for r, i in reference_breaks(rows, c)]
+                found = _scan(side.table_ranks, side.table_values, c)
+                if not expected:
+                    assert found is None
+                    continue
+                start = expected[0] // block * block
+                broken, reached = found
+                assert reached == min(start + block, size)
+                assert broken.tolist() == [k for k in expected if k < reached]
+
+    @given(
+        st.one_of(rank_scan_case().map(lambda case: case[0]), extensional_scan_case()),
+        st.sampled_from((1, 7, 1 << 18)),
+        st.data(),
+    )
+    def test_candidates_then_tail(self, side, elements, data):
+        # A carried scan walks the given candidates as one block, then the
+        # tail from its start, and finds the first break among them alone.
+        rows = _table_rows(side)
+        n, size = side.n, len(rows) * side.n
+        block = max(1, elements // n)
+        tail = data.draw(st.integers(0, size))
+        candidates = sorted(data.draw(st.sets(st.integers(0, max(tail - 1, 0)), max_size=min(tail, block))))
+        carried = (np.array(candidates, dtype=np.intp) if candidates else None, tail)
+        row = data.draw(st.integers(0, len(rows) - 1))
+        with mock.patch.object(robustness_module, "_SCAN_BLOCK_ELEMENTS", elements):
+            for c in _levels(rows[row][1]):
+                breaks = {r * n + i for r, i in reference_breaks(rows, c)}
+                found = _scan(side.table_ranks, side.table_values, c, carried)
+                in_candidates = [k for k in candidates if k in breaks]
+                if in_candidates:
+                    assert found[0].tolist() == in_candidates and found[1] == tail
+                    continue
+                in_tail = sorted(k for k in breaks if k >= tail)
+                if not in_tail:
+                    assert found is None
+                    continue
+                start = tail + (in_tail[0] - tail) // block * block
+                reached = min(start + block, size)
+                assert found[1] == reached
+                assert found[0].tolist() == [k for k in in_tail if k < reached]
+
+
+@st.composite
+def scan_market(draw, hows=("same", "copy", "apart")):
+    """A market of two rank-based or extensional sides of one n, and how the
+    women's side relates to the men's, drawn from ``hows``: the "same"
+    object, an equal "copy", or drawn "apart"."""
+    n = draw(st.integers(2, 5))
+
+    def side():
+        if draw(st.booleans()):
+            ru = sorted(draw(st.lists(_EDGE_POOL, min_size=n, max_size=n, unique=True)), reverse=True)
+            return lambda: RankBasedProfile(n, ru)
+        stored = draw(extensional_scan_case(n))
+        table = {r: stored.utilities(r) for r in stored.table_profiles}
+        return lambda: ExtensionalProfile(n, table)
+
+    men = side()
+    how = draw(st.sampled_from(hows))
+    first = men()
+    women = first if how == "same" else men() if how == "copy" else side()()
+    return MatchingMarket(first, women), how
+
+
+class TestCarriedScan:
+    """The bisection carries each side's breaking perturbations down the
+    bracket; every level still reads as a scan of every perturbation."""
+
+    @staticmethod
+    def _run(market, elements=robustness_module._SCAN_BLOCK_ELEMENTS):
+        """``(levels, confirmed, scans)`` of one search: each level with its
+        verdict, each confirmation's side, row, position and level, and each
+        scan's side, carried state and rows re-extracted."""
+        levels, confirmed, scans = [], [], []
+        breakable, confirm, scan = (
+            robustness_module._breakable, robustness_module._confirm_break, robustness_module._scan
+        )
+        ranking = robustness_module._stable_ranking
+
+        def recording_breakable(c, m, positions):
+            verdict = breakable(c, m, positions)
+            levels.append((c, verdict))
+            return verdict
+
+        def recording_confirm(side, row, position, c, positions):
+            confirmed.append((side, row, position, c))
+            return confirm(side, row, position, c, positions)
+
+        def recording_scan(ranks, values, c, carried):
+            scans.append([ranks, carried, 0])
+            return scan(ranks, values, c, carried)
+
+        def counting_ranking(perturbed):
+            if perturbed.ndim == 2:  # a scan's block; a confirmation sorts one row
+                scans[-1][2] += len(perturbed)
+            return ranking(perturbed)
+
+        with mock.patch.object(robustness_module, "_breakable", recording_breakable), \
+                mock.patch.object(robustness_module, "_confirm_break", recording_confirm), \
+                mock.patch.object(robustness_module, "_scan", recording_scan), \
+                mock.patch.object(robustness_module, "_stable_ranking", counting_ranking), \
+                mock.patch.object(robustness_module, "_SCAN_BLOCK_ELEMENTS", elements):
+            robustness_by_search(market)
+        return levels, confirmed, scans
+
+    @settings(max_examples=60)
+    @given(scan_market(), st.sampled_from((1, 7, 1 << 18)))
+    def test_levels_match_full_reference_scans(self, case, elements):
+        market, _how = case
+        levels, confirmed, _scans = self._run(market, elements)
+        sides = (market.men, market.women)
+        tables = [_table_rows(side) for side in sides]
+        expected = []
+        for c, verdict in levels:
+            for side, rows in zip(sides, tables):
+                hit = reference_first_break(rows, c)
+                if hit is not None:
+                    expected.append((side, *hit, c))
+                    break
+            assert verdict == (hit is not None)
+        assert [(id(side), *rest) for side, *rest in confirmed] == [
+            (id(side), *rest) for side, *rest in expected
+        ]
+
+    @settings(max_examples=30)
+    @given(scan_market(hows=("copy",)))
+    def test_equal_women_are_never_scanned(self, case):
+        market, _how = case
+        levels, _confirmed, scans = self._run(market)
+        assert all(ranks is market.men.table_ranks for ranks, _carried, _rows in scans)
+        assert len(scans) == len(levels)
+
+    def test_geometric_women_are_never_scanned(self):
+        market = geometric_market(8, 1.3)
+        levels, _confirmed, scans = self._run(market)
+        assert market.women is not market.men
+        assert all(ranks is market.men.table_ranks for ranks, _carried, _rows in scans)
+        assert len(scans) == len(levels)
+
+    @pytest.mark.parametrize("seed", [22, 23, 24])
+    @pytest.mark.parametrize("elements", [7, 300, 1 << 18])
+    def test_extensional_levels_rescan_only_what_can_break(self, seed, elements):
+        market = random_extensional_market(3, rng_for(seed))
+        levels, confirmed, scans = self._run(market, elements)
+        size = market.men.table_ranks.size
+        assert confirmed and len(scans) >= len(levels)
+        for _ranks, carried, rows in scans:
+            if carried is not _FULL_SCAN:  # after the side's first break
+                candidates, tail = carried
+                assert rows <= (0 if candidates is None else candidates.size) + size - tail
+        assert sum(rows for _ranks, _carried, rows in scans) < len(levels) * size // 2
+
+    @pytest.mark.parametrize(
+        "market, elements, count, digest",
+        [
+            (geometric_market(6, 1.7), None, 10,
+             "aa2e4a423624f1301565521547d8f814b6ad24423c6007cee4e8e669bdfa6ec4"),
+            (random_extensional_market(3, rng_for(22)), None, 18,
+             "ec54b6b4874e4483958f226fa182dc22bcd4a6583ef5d371b30264341c86f31c"),
+            (random_extensional_market(3, rng_for(23)), 7, 19,
+             "dadd3177b0d633feb7212d109f11ac3343eaf3f571e77c96e726d4d7c84fec1f"),
+            (MatchingMarket(
+                RankBasedProfile(40, [-(1.02**i) for i in range(40)]),
+                RankBasedProfile(40, [-(1.015**i) for i in range(40)]),
+            ), None, 13, "ac76b7e275b65eae64d776db642a7dc34a9e29dd69eab807ad0c859f37638eaa"),
+        ],
+        ids=["geometric", "extensional", "extensional-small-blocks", "women-first"],
+    )
+    def test_confirmations_match_full_scans(self, market, elements, count, digest):
+        # Recorded when every level scanned every perturbation of both sides:
+        # the (side, row, position, level.hex()) of each confirmation.
+        _levels, confirmed, _scans = self._run(market, elements or robustness_module._SCAN_BLOCK_ELEMENTS)
+        calls = [
+            ("men" if side is market.men else "women", row, position, c.hex())
+            for side, row, position, c in confirmed
+        ]
+        assert len(calls) == count
+        assert hashlib.sha256(repr(calls).encode()).hexdigest() == digest
 
 
 def _rank_market(men, women) -> MatchingMarket:

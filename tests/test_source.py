@@ -123,16 +123,23 @@ def test_robustness_routes_stay_independent():
     # and the deferred-acceptance check of a witness.
     tree = ast.parse((ROOT / "src" / "matchrobust" / "robustness.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("robustness", "adversarial_witness", "_first_hit", "_consecutive"):
+    search = {"_scan", "_breakable", "robustness_by_search"}
+    formula = {"robustness", "adversarial_witness", "_first_hit", "_consecutive"}
+    for name in formula:
         names = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
-        assert not names & {"_first_break", "_breakable"}, name
-    # Block sizing uses integer ``//``; a true division would be a ratio.
-    divisions = [
-        node.lineno
-        for node in ast.walk(functions["_first_break"])
-        if isinstance(getattr(node, "op", None), ast.Div)
-    ]
-    assert divisions == [], f"_first_break divides at lines {divisions}"
+        assert not names & search, name
+    for name in search:
+        names = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+        assert not names & formula, name
+    # Block sizing and the carried scan state use integer ``//`` and
+    # ``divmod``; a true division would be a ratio.
+    for name in ("_scan", "_breakable"):
+        divisions = [
+            node.lineno
+            for node in ast.walk(functions[name])
+            if isinstance(getattr(node, "op", None), ast.Div)
+        ]
+        assert divisions == [], f"{name} divides at lines {divisions}"
 
 
 def test_one_deferred_acceptance_check_of_a_break():
